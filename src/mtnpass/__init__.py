@@ -21,8 +21,8 @@ from .objective import (Objective, QuadraticObjective, TrustRegion, builtin,
 from .pardist import (ParallelDistanceEval, closed_form_g2_quadratic,
                       estimate_critical_level, eval_pardist)
 from .quadmodel import (NewtonResult, QuadraticModel, decompose,
-                        generate_morse1, jacobi_eigh, morse_index,
-                        newton_refine, saddle_of)
+                        generate_morse1, morse_index, newton_refine,
+                        saddle_of)
 from .subroutines import (HitZero, PdStalled, ReducedSegment, SolverState,
                           step_av, step_l_down, step_l_up, step_pd)
 from .verify import (check_convexity_region, check_grad_formulas,

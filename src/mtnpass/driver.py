@@ -19,10 +19,10 @@ import numpy as np
 from .errors import (AvStalled, BadEndpoints, CriticalCandidate,
                      CrossingOutsideRegion, DegenerateDenominator,
                      LUpImpossible, NewtonBreakdown, NoLineMax)
-from .line1d import GRAD_TOL_1D, ROOT_TOL, LineSection
+from .line1d import ROOT_TOL, chord_section
 from .objective import Objective, TrustRegion
 from .pardist import DENOM_TOL
-from .quadmodel import newton_refine
+from .quadmodel import morse_index, newton_refine
 from .subroutines import (HitZero, PdStalled, ReducedSegment, SolverState,
                           state_from_section, step_av, step_l_down, step_l_up,
                           step_pd)
@@ -139,78 +139,23 @@ class _GradientWatch:
         self.best_norm = np.inf
 
 
-def _bisect_chord_crossing(obj: Objective, m: np.ndarray, v: np.ndarray,
-                           level: float, t_from: float, t_to: float,
-                           root_tol: float) -> float:
-    """Crossing of the level between the ridge max and a chord endpoint.
-
-    The endpoint value never exceeds the level by construction; when it sits
-    on the level within the root tolerance the endpoint itself is the root.
-    """
-    phi = lambda t: obj.value(m + t * v)
-    r_to = phi(t_to) - level
-    if r_to > 0.0:
-        if r_to <= root_tol:
-            return t_to
-        raise BadEndpoints("chord endpoint lies above the initial level")
-    lo, hi = t_from, t_to
-    width = 1e-12 * max(1.0, abs(t_to - t_from))
-    while abs(hi - lo) > width:
-        mid = 0.5 * (lo + hi)
-        r = phi(mid) - level
-        if r > 0.0:
-            lo = mid
-        elif r < 0.0:
-            hi = mid
-        else:
-            return mid
-    return 0.5 * (lo + hi)
-
-
 def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
                config: SolveConfig,
                region: Optional[TrustRegion] = None) -> SolverState:
     """Initial endpoints at level max(f(a), f(b)) around the ridge on [a, b].
 
-    Locates the line-local max of f strictly between a and b, then solves the
-    two crossings of the initial level on the chord. Raises BadEndpoints when
-    f is monotone on [a, b] or the ridge does not rise above the level.
+    The section is line1d.chord_section: the line-local max of f strictly
+    between a and b and the two crossings of the initial level on the chord.
+    Raises BadEndpoints when f is monotone on [a, b] or the ridge does not
+    rise above the level.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (obj.n,) or b.shape != (obj.n,):
         raise BadEndpoints("endpoint dimension mismatch")
-    L = float(np.linalg.norm(a - b))
-    if L == 0.0:
-        raise BadEndpoints("endpoints coincide")
-    v0 = (a - b) / L
     if region is None:
         region = TrustRegion(0.5 * (a + b), config.radius)
-
-    # Coarse scan of the chord for the interior maximum, then polish.
-    ts = np.linspace(0.0, L, 65)
-    vals = np.array([obj.value(b + t * v0) for t in ts])
-    i = int(np.argmax(vals))
-    if i == 0 or i == len(ts) - 1:
-        raise BadEndpoints("f has no interior line-local max on [a, b]")
-    lo, mid, hi = ts[i - 1], ts[i], ts[i + 1]
-    phi = lambda t: obj.value(b + t * v0)
-    dphi = lambda t: float(obj.gradient(b + t * v0) @ v0)
-    from .line1d import _refine_max  # shared polishing kernel
-    t_star = _refine_max(phi, dphi, lo, mid, hi, GRAD_TOL_1D)
-    m = b + t_star * v0
-    f_star = phi(t_star)
-
-    fa, fb = obj.value(a), obj.value(b)
-    level = max(fa, fb)
-    if f_star <= level:
-        raise BadEndpoints("ridge does not rise above the endpoint level")
-
-    t2 = _bisect_chord_crossing(obj, m, v0, level, 0.0, L - t_star,
-                                config.root_tol)
-    t1 = _bisect_chord_crossing(obj, m, v0, level, 0.0, -t_star,
-                                config.root_tol)
-    section = LineSection(m, v0, level, float(t1), float(t2))
+    section = chord_section(obj, a, b, config.root_tol)
     return state_from_section(section, region, 0, "Init")
 
 
@@ -235,7 +180,7 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
     def finish(status: str, x: np.ndarray, iterations: int, message: str) -> SolveReport:
         x = np.asarray(x, dtype=float)
         gn = float(np.linalg.norm(obj.gradient(x)))
-        idx = _morse_at(obj, x)
+        idx = morse_index(obj.hessian(x))
         if status == "SaddleFound" and not (gn <= config.gtol and idx == 1):
             status = "Stalled"
             message = (message + "; candidate failed certification").strip("; ")
@@ -370,8 +315,3 @@ def _rescue_l_up(state: SolverState, obj: Objective,
         return step_l_up(state, obj, root_tol=config.root_tol)
     except (LUpImpossible, CrossingOutsideRegion, NoLineMax):
         return None
-
-
-def _morse_at(obj: Objective, x: np.ndarray) -> int:
-    from .quadmodel import morse_index
-    return morse_index(obj.hessian(x))

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import BadDirection, CrossingOutsideRegion, NoLineMax
+from .errors import BadDirection, BadEndpoints, CrossingOutsideRegion, NoLineMax
 from .objective import Objective, TrustRegion
 
 GRAD_TOL_1D = 1e-10
@@ -93,9 +93,13 @@ def _line_funcs(obj: Objective, x: np.ndarray, v: np.ndarray):
 
 
 def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
-                grad_tol: float) -> float:
-    """Polish a three-point max bracket a < b < c to |phi'(t*)| <= grad_tol."""
-    fb = phi(b)
+                fb: float) -> float:
+    """Polish a three-point max bracket a < b < c, with fb = phi(b), to phi' = 0.
+
+    Brent's method on phi' once the derivative signs at a and c straddle;
+    until then golden-section shrinks on phi. Polishes a min bracket when
+    given -phi, -phi' and -fb.
+    """
     invgold = 0.381966011250105  # 2 - golden ratio
     for _ in range(200):
         if dphi(a) > 0.0 > dphi(c):
@@ -147,7 +151,7 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
         c = hp if hp > 0 else 0.0
         if a == c:
             raise NoLineMax("degenerate chord through the trust region")
-        t = _refine_max(phi, dphi, a, 0.0, c, grad_tol)
+        t = _refine_max(phi, dphi, a, 0.0, c, f0)
         return LineExtremum(t, phi(t))
 
     # March uphill in the direction of steeper initial increase.
@@ -165,8 +169,8 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
             c = bound
         fc = phi(c)
         if fc < fb:
-            lo, mid, hi = sorted((a, b, c))
-            t = _refine_max(phi, dphi, lo, mid, hi, grad_tol)
+            lo, hi = sorted((a, c))
+            t = _refine_max(phi, dphi, lo, b, hi, fb)
             return LineExtremum(t, phi(t))
         if at_bound:
             raise NoLineMax("f is monotone along the probed range of the line")
@@ -184,9 +188,9 @@ def _polish_root(phi: Callable, dphi: Callable, t: float, level: float,
     return t
 
 
-def _bisect_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
-                     level: float, width_tol: float) -> float:
-    """Root of phi - level with phi(t_in) > level >= phi(t_out)."""
+def _bisect(phi: Callable, t_in: float, t_out: float, level: float,
+            width_tol: float) -> float:
+    """Root of phi - level with phi(t_in) > level >= phi(t_out), to width_tol."""
     lo, hi = t_in, t_out
     while abs(hi - lo) > width_tol:
         mid = 0.5 * (lo + hi)
@@ -197,7 +201,13 @@ def _bisect_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
             hi = mid
         else:
             return mid
-    t = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def _bisect_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
+                     level: float, width_tol: float) -> float:
+    """_bisect followed by one guarded Newton polish."""
+    t = _bisect(phi, t_in, t_out, level, width_tol)
     return _polish_root(phi, dphi, t, level, width_tol)
 
 
@@ -262,34 +272,53 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     return LineSection(x, v, level, float(t1), float(t2))
 
 
-def _refine_min(phi: Callable, dphi: Callable, a: float, b: float, c: float) -> float:
-    """Polish a three-point min bracket a < b < c via the derivative."""
-    da, dc = dphi(a), dphi(c)
-    if da < 0.0 < dc:
-        return float(brentq(dphi, a, c, xtol=_BRENTQ_XTOL, rtol=8.9e-16))
-    # Golden-section shrink on -phi, then retry the derivative polish once.
-    invgold = 0.381966011250105
-    fb = phi(b)
-    for _ in range(100):
-        if c - b > b - a:
-            u = b + invgold * (c - b)
-            fu = phi(u)
-            if fu < fb:
-                a, b, fb = b, u, fu
-            else:
-                c = u
-        else:
-            u = b - invgold * (b - a)
-            fu = phi(u)
-            if fu < fb:
-                c, b, fb = b, u, fu
-            else:
-                a = u
-        if dphi(a) < 0.0 < dphi(c):
-            return float(brentq(dphi, a, c, xtol=_BRENTQ_XTOL, rtol=8.9e-16))
-        if c - a < 1e-13 * max(1.0, abs(b)):
-            break
-    return float(b)
+def _chord_crossing(phi: Callable, t_to: float, level: float,
+                    root_tol: float) -> float:
+    """Crossing of the level between the ridge max (t = 0) and a chord endpoint.
+
+    The endpoint value never exceeds the level by construction; when it sits
+    on the level within the root tolerance the endpoint itself is the root.
+    """
+    r_to = phi(t_to) - level
+    if r_to > 0.0:
+        if r_to <= root_tol:
+            return t_to
+        raise BadEndpoints("chord endpoint lies above the initial level")
+    return _bisect(phi, 0.0, t_to, level, 1e-12 * max(1.0, abs(t_to)))
+
+
+def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray,
+                  root_tol: float = ROOT_TOL) -> LineSection:
+    """Section of {f >= max(f(a), f(b))} on the chord [a, b] around its ridge.
+
+    Scans the chord at 65 points for the interior maximum, polishes it, and
+    bisects the two crossings of the level between the maximum and the
+    endpoints. The section is based at the maximum with v = (a - b)/|a - b|.
+    Raises BadEndpoints when the endpoints coincide, f has no interior max
+    on the chord, or the ridge does not rise above the level.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    L = float(np.linalg.norm(a - b))
+    if L == 0.0:
+        raise BadEndpoints("endpoints coincide")
+    v = (a - b) / L
+    phi, dphi = _line_funcs(obj, b, v)
+    ts = np.linspace(0.0, L, 65)
+    vals = [phi(t) for t in ts]
+    i = int(np.argmax(vals))
+    if i == 0 or i == len(ts) - 1:
+        raise BadEndpoints("f has no interior line-local max on [a, b]")
+    t_star = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1], vals[i])
+    f_star = phi(t_star)
+    level = max(obj.value(a), vals[0])
+    if f_star <= level:
+        raise BadEndpoints("ridge does not rise above the endpoint level")
+    m = b + t_star * v
+    phi_m, _ = _line_funcs(obj, m, v)
+    t2 = _chord_crossing(phi_m, L - t_star, level, root_tol)
+    t1 = _chord_crossing(phi_m, -t_star, level, root_tol)
+    return LineSection(m, v, level, float(t1), float(t2))
 
 
 def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
@@ -336,7 +365,7 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
         fc = phi(c)
         d_next = dphi(c)
         if fc > fb:
-            t = _refine_min(phi, dphi, a, b, c)
+            t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c, -fb)
             return LineExtremum(t, phi(t))
         if d_prev < 0.0 < d_next:
             # Passed a minimum that did not show up in the values yet.

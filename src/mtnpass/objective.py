@@ -180,13 +180,17 @@ class TrustRegion:
     def line_interval(self, x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
         """Parameter range [t_lo, t_hi] of the chord {x + t v} inside the ball.
 
-        Requires |v| = 1 and x inside the ball.
+        Requires |v| = 1 and x accepted by contains. When x lies just outside
+        the sphere, within that slack, and the line misses the ball, the
+        interval shrinks to the line's point nearest the center.
         """
         d = np.asarray(x, dtype=float) - self.center
         b = float(d @ v)
         disc = b * b - (float(d @ d) - self.radius ** 2)
         if disc < 0:
-            raise ValueError("base point lies outside the trust region")
+            if not self.contains(x):
+                raise ValueError("base point lies outside the trust region")
+            disc = 0.0
         s = np.sqrt(disc)
         return -b - s, -b + s
 

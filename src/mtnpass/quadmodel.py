@@ -1,9 +1,11 @@
 """Exact quadratic models 0.5 x'Hx + g'x + c and Newton refinement.
 
-Eigendecomposition is done by cyclic Jacobi rotations: the matrices here are
-tiny and robustness matters more than speed. The module also provides the
-seeded generator of random models with Morse index one used by the
-verification suites and tests.
+This is the package's one home for dense linear algebra: the spectral
+decomposition (LAPACK's symmetric eigensolver), the Morse index, and the
+orthonormal basis of the complement of a direction. Hessians reach n = 50
+and more on the solver's path, so nothing here is hand-rolled. The module
+also provides the seeded generator of random models with Morse index one
+used by the verification suites and tests.
 """
 
 from __future__ import annotations
@@ -14,59 +16,19 @@ import numpy as np
 from .errors import NewtonBreakdown
 from .objective import Objective, QuadraticObjective, TrustRegion
 
-_JACOBI_TOL = 1e-14       # target off-diagonal norm, relative to ||H||
 _MORSE_ZERO_TOL = 1e-12   # eigenvalue zero threshold, relative to ||H||
 _COND_LIMIT = 1e12
 
 
-def jacobi_eigh(H: np.ndarray, tol: float = _JACOBI_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvectors of a symmetric matrix.
-
-    Cyclic Jacobi sweeps, rotating every off-diagonal entry above the
-    threshold until the off-diagonal Frobenius norm falls below tol * ||H||.
-    """
+def decompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full spectral decomposition of a symmetric matrix, eigenvalues descending."""
     H = np.asarray(H, dtype=float)
-    n = H.shape[0]
-    if H.shape != (n, n):
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError("H must be square")
     if np.max(np.abs(H - H.T)) > 1e-10 * max(1.0, np.max(np.abs(H))):
         raise ValueError("H must be symmetric")
-    A = 0.5 * (H + H.T)
-    V = np.eye(n)
-    scale = np.max(np.abs(A))
-    if scale == 0.0:
-        return np.zeros(n), V
-    eps = tol * scale
-    for _ in range(100):  # sweeps; quadratic convergence makes this generous
-        off = np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0)
-        if off <= eps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= eps * 1e-2:
-                    continue
-                phi = 0.5 * np.arctan2(2.0 * A[p, q], A[q, q] - A[p, p])
-                c, s = np.cos(phi), np.sin(phi)
-                app, aqq, apq = A[p, p], A[q, q], A[p, q]
-                A[p, p] = c * c * app + s * s * aqq - 2.0 * s * c * apq
-                A[q, q] = s * s * app + c * c * aqq + 2.0 * s * c * apq
-                A[p, q] = A[q, p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip, aiq = A[i, p], A[i, q]
-                        A[i, p] = A[p, i] = c * aip - s * aiq
-                        A[i, q] = A[q, i] = c * aiq + s * aip
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    evals = np.diag(A).copy()
-    order = np.argsort(-evals, kind="stable")
-    return evals[order], V[:, order]
-
-
-def decompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectral decomposition of a symmetric matrix, eigenvalues descending."""
-    return jacobi_eigh(H)
+    evals, evecs = np.linalg.eigh(0.5 * (H + H.T))
+    return evals[::-1], evecs[:, ::-1]
 
 
 def morse_index(H: np.ndarray, zero_tol: float = _MORSE_ZERO_TOL) -> int:
@@ -76,6 +38,17 @@ def morse_index(H: np.ndarray, zero_tol: float = _MORSE_ZERO_TOL) -> int:
     if scale == 0.0:
         return 0
     return int(np.sum(evals < -zero_tol * scale))
+
+
+def complement_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the hyperplane perpendicular to unit v (n x (n-1))."""
+    n = v.size
+    e = np.zeros(n)
+    e[0] = 1.0 if v[0] >= 0 else -1.0
+    u = v + e
+    Hh = np.eye(n) - 2.0 * np.outer(u, u) / (u @ u)
+    # Hh maps v to -e and is orthogonal symmetric; its other columns span v-perp.
+    return Hh[:, 1:]
 
 
 @dataclass(frozen=True)
@@ -94,10 +67,8 @@ class QuadraticModel:
         H = np.asarray(H, dtype=float)
         g = np.asarray(g, dtype=float)
         evals, evecs = decompose(H)
-        scale = np.max(np.abs(evals)) if evals.size else 0.0
-        idx = int(np.sum(evals < -_MORSE_ZERO_TOL * scale)) if scale > 0 else 0
-        return cls(H=0.5 * (H + H.T), g=g, c=float(c),
-                   eigenvalues=evals, eigenvectors=evecs, morse_index=idx)
+        return cls(H=0.5 * (H + H.T), g=g, c=float(c), eigenvalues=evals,
+                   eigenvectors=evecs, morse_index=morse_index(H))
 
     @property
     def n(self) -> int:

@@ -104,17 +104,6 @@ class PdStalled:
 PdOutcome = Union[ReducedSegment, HitZero, PdStalled]
 
 
-def _complement_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane perpendicular to unit v (n x (n-1))."""
-    n = v.size
-    e = np.zeros(n)
-    e[0] = 1.0 if v[0] >= 0 else -1.0
-    u = v + e
-    Hh = np.eye(n) - 2.0 * np.outer(u, u) / (u @ u)
-    # Hh maps v to -e and is orthogonal symmetric; its other columns span v-perp.
-    return Hh[:, 1:]
-
-
 def step_pd(state: SolverState, obj: Objective,
             root_tol: float = ROOT_TOL,
             denom_tol: float = DENOM_TOL) -> PdOutcome:
@@ -142,7 +131,7 @@ def step_pd(state: SolverState, obj: Objective,
         raise
     g2_0 = pe.g2
 
-    B = _complement_basis(v)
+    B = quadmodel.complement_basis(v)
     grad_red = B.T @ pe.grad_g2
     H_red = B.T @ pe.hess_g2 @ B
     evals, _ = quadmodel.decompose(H_red)

@@ -18,8 +18,7 @@ from .errors import CrossingOutsideRegion, MtnpassError, NoLineMax
 from .line1d import find_level_crossings
 from .objective import Objective, QuadraticObjective, TrustRegion, six_hump_camel
 from .pardist import closed_form_g2_quadratic, eval_pardist
-from .quadmodel import decompose, generate_morse1, saddle_of
-from .subroutines import _complement_basis
+from .quadmodel import complement_basis, decompose, generate_morse1, saddle_of
 
 ADMISSIBLE_MIN_G = 0.1
 ADMISSIBLE_MIN_DENOM = 0.1
@@ -347,7 +346,7 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
     rng = np.random.default_rng(seed)
     n = center.size
     report = ConvexityReport(radius=radius, level=level)
-    B = _complement_basis(np.asarray(v, dtype=float))
+    B = complement_basis(np.asarray(v, dtype=float))
 
     def draw() -> np.ndarray:
         u = rng.standard_normal(n)

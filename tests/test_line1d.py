@@ -3,8 +3,8 @@ import pytest
 
 import oracles
 from mtnpass.errors import BadDirection, CrossingOutsideRegion, NoLineMax
-from mtnpass.line1d import (ROOT_TOL, find_level_crossings, line_local_max,
-                            line_local_min)
+from mtnpass.line1d import (ROOT_TOL, chord_section, find_level_crossings,
+                            line_local_max, line_local_min)
 from mtnpass.objective import TrustRegion, quadratic
 
 E2 = np.array([0.0, 1.0])
@@ -40,6 +40,13 @@ class TestLineLocalMax:
         with pytest.raises(ValueError):
             line_local_max(saddle_quadratic, np.zeros(2), np.array([0.0, 2.0]),
                            origin_region)
+
+    def test_straddling_bracket_value_count(self, saddle_quadratic, origin_region):
+        # phi(0), phi(+-h) bracket the max and phi' straddles at once: the
+        # polish needs no value of phi, only the final phi(t*).
+        before = saddle_quadratic.eval_counts()["value"]
+        line_local_max(saddle_quadratic, np.array([1.0, 0.0]), E2, origin_region)
+        assert saddle_quadratic.eval_counts()["value"] - before == 4
 
 
 class TestFindLevelCrossings:
@@ -147,6 +154,15 @@ class TestLineLocalMin:
         assert mn.t == pytest.approx(t_ref, abs=1e-6)
         assert mn.value == pytest.approx(f_ref, abs=1e-10)
 
+    def test_straddling_bracket_value_count(self, origin_region):
+        # The march probes t = 0, 0.1, 0.3, 0.7 and the bracket (0.1, 0.3, 0.7)
+        # straddles the min at 0.4; only the final phi(t*) is added.
+        sphere = quadratic(2.0 * np.eye(2), np.zeros(2), 0.0)
+        mn = line_local_min(sphere, np.array([0.4, 0.0]),
+                            np.array([-1.0, 0.0]), origin_region)
+        assert mn.t == pytest.approx(0.4, abs=1e-10)
+        assert sphere.eval_counts()["value"] == 5
+
     def test_bad_direction_raises(self, saddle_quadratic, origin_region):
         with pytest.raises(BadDirection):
             line_local_min(saddle_quadratic, np.array([1.0, 0.0]),
@@ -158,3 +174,15 @@ class TestLineLocalMin:
                             origin_region)
         assert mn.on_boundary
         assert mn.t == pytest.approx(10.0)
+
+
+class TestChordSection:
+    def test_crossings_at_endpoints_on_the_level(self, saddle_quadratic):
+        # f = 0.5 (x1^2 - x2^2) on x1 = 0.5 peaks at x2 = 0; both endpoints
+        # sit on the level max(f(a), f(b)) and are themselves the crossings.
+        a, b = np.array([0.5, 1.0]), np.array([0.5, -1.0])
+        sec = chord_section(saddle_quadratic, a, b)
+        assert sec.level == pytest.approx(-0.375)
+        assert np.allclose(sec.x, [0.5, 0.0], atol=1e-10)
+        assert np.allclose(sec.z, a, atol=1e-10)
+        assert np.allclose(sec.zp, b, atol=1e-10)

@@ -199,6 +199,27 @@ class TestTrustRegion:
         assert t_lo == pytest.approx(-8.0)
         assert t_hi == pytest.approx(2.0)
 
+    def test_line_interval_accepts_points_within_the_slack(self):
+        # x on the sphere may round to just outside it; contains accepts it,
+        # so line_interval must too, also along tangent directions.
+        reg = TrustRegion(np.zeros(3), 10.0)
+        rng = np.random.default_rng(0)
+        for _ in range(3000):
+            u = rng.standard_normal(3)
+            u /= np.linalg.norm(u)
+            w = rng.standard_normal(3)
+            w -= (w @ u) * u
+            w /= np.linalg.norm(w)
+            x = 10.0 * u
+            assert reg.contains(x)
+            t_lo, t_hi = reg.line_interval(x, w)
+            assert t_lo <= t_hi and abs(t_lo) < 1e-6 and abs(t_hi) < 1e-6
+
+    def test_line_interval_outside_raises(self):
+        reg = TrustRegion(np.zeros(2), 1.0)
+        with pytest.raises(ValueError):
+            reg.line_interval(np.array([2.0, 0.0]), np.array([0.0, 1.0]))
+
     def test_clip_step_stays_inside(self):
         reg = TrustRegion(np.zeros(2), 1.0)
         x = np.array([0.5, 0.0])

@@ -5,8 +5,7 @@ import oracles
 from mtnpass.errors import NewtonBreakdown
 from mtnpass.objective import TrustRegion, quadratic
 from mtnpass.quadmodel import (QuadraticModel, decompose, generate_morse1,
-                               jacobi_eigh, morse_index, newton_refine,
-                               saddle_of)
+                               morse_index, newton_refine, saddle_of)
 
 
 class TestDecompose:
@@ -25,8 +24,9 @@ class TestDecompose:
         assert np.allclose(evecs.T @ evecs, np.eye(3), atol=1e-12)
 
     def test_nonsymmetric_raises(self):
-        with pytest.raises(ValueError):
-            decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        for H in (np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones((2, 3))):
+            with pytest.raises(ValueError):
+                decompose(H)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 12])
     def test_reconstruction_and_orthonormality(self, n):

@@ -199,6 +199,9 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         return None
 
     state = init_state(wobj, a, b, config, region)
+    # The initial level, raised by root_tol: crossings sit on a level only
+    # to within root_tol.
+    level0 = state.level + config.root_tol
     failures = 0
     it = 0
     for it in range(config.max_iter):
@@ -214,12 +217,18 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, state.last_step,
                      state.level, gap)
 
-        # Stop 1: a small gradient was observed anywhere.
+        # Stop 1: a small gradient was observed anywhere. A candidate on or
+        # below the initial level is skipped: in practice it is an endpoint
+        # minimum on that level set, whose polish would only spend a Hessian
+        # to find Morse index 0. The other stops still polish points below
+        # it, since an index-one saddle can lie below max(f(a), f(b)) when a
+        # or b is not a minimum.
         if watch.best_norm <= config.gtol:
-            report = polish(watch.best_x, it, "small gradient observed")
-            if report is not None:
-                return report
-            watch.reset()  # candidate was not an index-one saddle; keep going
+            if obj.value(watch.best_x) > level0:
+                report = polish(watch.best_x, it, "small gradient observed")
+                if report is not None:
+                    return report
+            watch.reset()  # candidate skipped or not an index-one saddle; keep going
 
         # Stop 2: endpoints nearly coincide and the gradient hull reaches 0.
         if gap <= config.xtol and hull_distance(gz, gzp) <= config.hull_tol:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BadDirection, BadEndpoints, CrossingOutsideRegion, NoLineMax
 from .objective import Objective, TrustRegion
@@ -23,8 +22,9 @@ ROOT_TOL = 1e-10
 
 _INIT_STEP_FRAC = 1e-2    # first probe, as a fraction of the region radius
 _MAX_STEP_FRAC = 5e-2     # cap on the marching step; limits skipped features
-_BISECT_WIDTH_FRAC = 1e-12
-_BRENTQ_XTOL = 1e-15
+_CROSSING_XTOL_FRAC = 1e-12  # level-crossing tolerance, a fraction of the radius
+_STATIONARY_XTOL = 1e-15     # tolerance on the roots of phi'
+_ROOT_RTOL = 8.9e-16         # relative root tolerance, 4 machine epsilons
 _UNIT_TOL = 1e-12
 
 
@@ -92,42 +92,102 @@ def _line_funcs(obj: Objective, x: np.ndarray, v: np.ndarray):
     return phi, dphi
 
 
+def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
+           xtol: float, rtol: float) -> tuple[float, float]:
+    """Root of fn in the bracket [a, b] by Brent's zeroin method.
+
+    fa = fn(a) and fb = fn(b) must have opposite signs (or one be zero); fn is
+    never evaluated at a or b. Inverse quadratic or secant steps are taken
+    while they shrink the bracket fast enough, bisection steps otherwise
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
+    Returns the best point t and fn(t) once the bracket around t is narrower
+    than xtol + rtol*|t|; xtol must be positive.
+    """
+    if fa == 0.0:
+        return a, fa
+    if fb == 0.0:
+        return b, fb
+    if (fa > 0.0) == (fb > 0.0):
+        raise ValueError("root is not bracketed")
+    xpre, fpre, xcur, fcur = a, fa, b, fb
+    while True:
+        if (fpre > 0.0) != (fcur > 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        step = sbis
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)  # inverse quadratic
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                step = stry
+                spre = scur
+            else:
+                spre = sbis
+        else:
+            spre = sbis
+        scur = step
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = fn(xcur)
+
+
 def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
-                fb: float) -> float:
+                fb: float, da: Optional[float] = None,
+                dc: Optional[float] = None) -> float:
     """Polish a three-point max bracket a < b < c, with fb = phi(b), to phi' = 0.
 
     Brent's method on phi' once the derivative signs at a and c straddle;
-    until then golden-section shrinks on phi. Polishes a min bracket when
-    given -phi, -phi' and -fb.
+    until then golden-section shrinks on phi. phi' is evaluated once per
+    bracket end: da = phi'(a) and dc = phi'(c) may be handed in, and a known
+    value is kept while its end does not move. Polishes a min bracket when
+    given -phi, -phi', -fb and the negated derivatives.
     """
     invgold = 0.381966011250105  # 2 - golden ratio
     for _ in range(200):
-        if dphi(a) > 0.0 > dphi(c):
-            t = brentq(dphi, a, c, xtol=_BRENTQ_XTOL, rtol=8.9e-16)
-            return float(t)
+        if da is None:
+            da = dphi(a)
+        if da > 0.0:
+            if dc is None:
+                dc = dphi(c)
+            if dc < 0.0:
+                return float(_brent(dphi, a, c, da, dc, _STATIONARY_XTOL,
+                                    _ROOT_RTOL)[0])
         # Shrink by golden section until the derivative signs straddle.
         if c - b > b - a:
             u = b + invgold * (c - b)
             fu = phi(u)
             if fu > fb:
-                a, b, fb = b, u, fu
+                a, b, fb, da = b, u, fu, None
             else:
-                c = u
+                c, dc = u, None
         else:
             u = b - invgold * (b - a)
             fu = phi(u)
             if fu > fb:
-                c, b, fb = b, u, fu
+                c, b, fb, dc = b, u, fu, None
             else:
-                a = u
+                a, da = u, None
         if c - a < 1e-13 * max(1.0, abs(b)):
             break
     return float(b)
 
 
 def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
-                   region: TrustRegion,
-                   grad_tol: float = GRAD_TOL_1D) -> LineExtremum:
+                   region: TrustRegion) -> LineExtremum:
     """Local maximizer of t -> f(x + t v) found by marching from t = 0.
 
     Probes both directions, marches uphill with growing steps until the value
@@ -177,54 +237,41 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
         a, b, fa, fb = b, c, fb, fc
 
 
-def _polish_root(phi: Callable, dphi: Callable, t: float, level: float,
-                 width: float) -> float:
-    """One guarded Newton step on phi(t) - level from a bisection-tight t."""
+def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
+                    r_in: float, r_out: float, level: float,
+                    xtol: float) -> float:
+    """Root of phi - level between t_in and t_out, polished by one Newton step.
+
+    r_in = phi(t_in) - level > 0 >= r_out = phi(t_out) - level. The Newton
+    step reuses the residual Brent's method ends with and is kept only when
+    it moves the Brent root by at most 2*xtol.
+    """
+    t, r = _brent(lambda s: phi(s) - level, t_in, t_out, r_in, r_out, xtol,
+                  _ROOT_RTOL)
     d = dphi(t)
     if d != 0.0:
-        t_new = t - (phi(t) - level) / d
-        if abs(t_new - t) <= 2.0 * width:
+        t_new = t - r / d
+        if abs(t_new - t) <= 2.0 * xtol:
             return t_new
     return t
 
 
-def _bisect(phi: Callable, t_in: float, t_out: float, level: float,
-            width_tol: float) -> float:
-    """Root of phi - level with phi(t_in) > level >= phi(t_out), to width_tol."""
-    lo, hi = t_in, t_out
-    while abs(hi - lo) > width_tol:
-        mid = 0.5 * (lo + hi)
-        r = phi(mid) - level
-        if r > 0.0:
-            lo = mid
-        elif r < 0.0:
-            hi = mid
-        else:
-            return mid
-    return 0.5 * (lo + hi)
-
-
-def _bisect_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
-                     level: float, width_tol: float) -> float:
-    """_bisect followed by one guarded Newton polish."""
-    t = _bisect(phi, t_in, t_out, level, width_tol)
-    return _polish_root(phi, dphi, t, level, width_tol)
-
-
-def _cross_outward(phi: Callable, dphi: Callable, t_start: float, sgn: float,
-                   bound: float, level: float, root_tol: float,
+def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float,
+                   sgn: float, bound: float, level: float, root_tol: float,
                    radius: float) -> float:
-    """March from a point with phi > level until the component edge is found.
+    """March from t_start, where phi = f_start > level, to the component edge.
 
-    Marches with growing (capped) steps. A probe below the level gives a
-    bisection bracket. Between probes that both sit above the level, a sign
-    flip of the directional derivative marks a hidden dip; the dip is located
-    and tested so narrow excursions below the level are not stepped over.
+    Marches with growing (capped) steps. A probe below the level closes a
+    bracket whose crossing Brent's method solves. Between probes that both
+    sit above the level, a sign flip of the directional derivative marks a
+    hidden dip; the dip is located and tested, and a crossing before it is
+    returned if it reaches below the level. A dip that lies wholly between
+    two probes where phi falls outward shows no sign flip and is not seen.
     """
-    width_tol = _BISECT_WIDTH_FRAC * radius
+    xtol = _CROSSING_XTOL_FRAC * radius
     hmax = _MAX_STEP_FRAC * radius
     h = _INIT_STEP_FRAC * radius
-    t_prev = t_start
+    t_prev, f_prev = t_start, f_start
     d_prev = dphi(t_start) * sgn
     while True:
         t_next = t_prev + sgn * h
@@ -233,21 +280,23 @@ def _cross_outward(phi: Callable, dphi: Callable, t_start: float, sgn: float,
             t_next = bound
         f_next = phi(t_next)
         if f_next <= level:
-            return _bisect_crossing(phi, dphi, t_prev, t_next, level, width_tol)
+            return _level_crossing(phi, dphi, t_prev, t_next, f_prev - level,
+                                   f_next - level, level, xtol)
         d_next = dphi(t_next) * sgn
         if d_prev < 0.0 < d_next:
-            t_dip = brentq(lambda t: dphi(t) * sgn, min(t_prev, t_next),
-                           max(t_prev, t_next), xtol=_BRENTQ_XTOL, rtol=8.9e-16)
+            t_dip, _ = _brent(lambda t: dphi(t) * sgn, t_prev, t_next, d_prev,
+                              d_next, _STATIONARY_XTOL, _ROOT_RTOL)
             f_dip = phi(t_dip)
             if f_dip <= level:
                 if f_dip >= level - root_tol:
                     return float(t_dip)
-                return _bisect_crossing(phi, dphi, t_prev, t_dip, level, width_tol)
+                return _level_crossing(phi, dphi, t_prev, t_dip, f_prev - level,
+                                       f_dip - level, level, xtol)
             # The component continues through the dip.
         if at_bound:
             raise CrossingOutsideRegion(
                 "super-level component reaches the trust-region boundary")
-        t_prev, d_prev = t_next, d_next
+        t_prev, f_prev, d_prev = t_next, f_next, d_next
         h = min(2.0 * h, hmax)
 
 
@@ -267,24 +316,35 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
         return LineSection(x, v, level)
     phi, dphi = _line_funcs(obj, x, v)
     t_lo, t_hi = region.line_interval(x, v)
-    t2 = _cross_outward(phi, dphi, lm.t, +1.0, t_hi, level, root_tol, region.radius)
-    t1 = _cross_outward(phi, dphi, lm.t, -1.0, t_lo, level, root_tol, region.radius)
+    t2 = _cross_outward(phi, dphi, lm.t, lm.value, +1.0, t_hi, level, root_tol,
+                        region.radius)
+    t1 = _cross_outward(phi, dphi, lm.t, lm.value, -1.0, t_lo, level, root_tol,
+                        region.radius)
     return LineSection(x, v, level, float(t1), float(t2))
 
 
-def _chord_crossing(phi: Callable, t_to: float, level: float,
+def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float,
                     root_tol: float) -> float:
-    """Crossing of the level between the ridge max (t = 0) and a chord endpoint.
+    """Crossing of the level nearest the ridge max (t = 0) toward a chord endpoint.
 
-    The endpoint value never exceeds the level by construction; when it sits
-    on the level within the root tolerance the endpoint itself is the root.
+    f_star = phi(0). scan holds the (t, phi(t)) of the chord scan beyond the
+    max, nearest first; its last point is the endpoint. The first scan point
+    on or below the level closes the bracket, so a dip below the level
+    between the max and the endpoint is not stepped over. A scan point on the
+    level within the root tolerance is itself the root; the endpoint value
+    never exceeds the level by more than that, by construction.
     """
-    r_to = phi(t_to) - level
-    if r_to > 0.0:
-        if r_to <= root_tol:
-            return t_to
-        raise BadEndpoints("chord endpoint lies above the initial level")
-    return _bisect(phi, 0.0, t_to, level, 1e-12 * max(1.0, abs(t_to)))
+    xtol = 1e-12 * max(1.0, abs(scan[-1][0]))
+    t_in, r_in = 0.0, f_star - level
+    for t, f in scan:
+        r = f - level
+        if r <= 0.0:
+            return _brent(lambda s: phi(s) - level, t_in, t, r_in, r, xtol,
+                          _ROOT_RTOL)[0]
+        if r <= root_tol:
+            return t
+        t_in, r_in = t, r
+    raise BadEndpoints("chord endpoint lies above the initial level")
 
 
 def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray,
@@ -292,8 +352,9 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray,
     """Section of {f >= max(f(a), f(b))} on the chord [a, b] around its ridge.
 
     Scans the chord at 65 points for the interior maximum, polishes it, and
-    bisects the two crossings of the level between the maximum and the
-    endpoints. The section is based at the maximum with v = (a - b)/|a - b|.
+    solves by Brent's method the crossing of the level nearest the maximum
+    on either side, each bracketed by the scan. The section is based at the
+    maximum with v = (a - b)/|a - b|.
     Raises BadEndpoints when the endpoints coincide, f has no interior max
     on the chord, or the ridge does not rise above the level.
     """
@@ -316,14 +377,16 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray,
         raise BadEndpoints("ridge does not rise above the endpoint level")
     m = b + t_star * v
     phi_m, _ = _line_funcs(obj, m, v)
-    t2 = _chord_crossing(phi_m, L - t_star, level, root_tol)
-    t1 = _chord_crossing(phi_m, -t_star, level, root_tol)
+    scan = [(float(t) - t_star, f) for t, f in zip(ts, vals)]
+    t2 = _chord_crossing(phi_m, f_star, [p for p in scan if p[0] > 0.0],
+                         level, root_tol)
+    t1 = _chord_crossing(phi_m, f_star, [p for p in reversed(scan) if p[0] < 0.0],
+                         level, root_tol)
     return LineSection(m, v, level, float(t1), float(t2))
 
 
 def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
-                   region: TrustRegion,
-                   grad_tol: float = GRAD_TOL_1D) -> LineExtremum:
+                   region: TrustRegion) -> LineExtremum:
     """First local minimizer of t -> f(x + t d) for t > 0.
 
     Requires d to be a unit descent direction at x (gradient(x)'d < 0, else
@@ -332,7 +395,8 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
     """
     d = _check_unit(d)
     x = np.asarray(x, dtype=float)
-    if float(obj.gradient(x) @ d) >= 0.0:
+    g0 = float(obj.gradient(x) @ d)
+    if g0 >= 0.0:
         raise BadDirection("d is not a descent direction at x")
     phi, dphi = _line_funcs(obj, x, d)
     _, t_hi = region.line_interval(x, d)
@@ -347,15 +411,17 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
     if fb > fa:
         # The first minimum is already inside (0, h): locate the first sign
         # change of the directional derivative on a fixed subdivision.
-        lo = 0.0
+        lo, d_lo = 0.0, g0
         for k in range(1, 17):
             t_k = k * b / 16.0
-            if dphi(t_k) > 0.0:
-                t = float(brentq(dphi, lo, t_k, xtol=_BRENTQ_XTOL, rtol=8.9e-16))
+            d_k = dphi(t_k)
+            if d_k > 0.0:
+                t = float(_brent(dphi, lo, t_k, d_lo, d_k, _STATIONARY_XTOL,
+                                 _ROOT_RTOL)[0])
                 return LineExtremum(t, phi(t))
-            lo = t_k
+            lo, d_lo = t_k, d_k
         return LineExtremum(b, fb)  # flat wiggle; best available point
-    d_prev = dphi(b)
+    d_a, d_prev = g0, dphi(b)
     while True:
         h = min(2.0 * h, hmax)
         c = b + h
@@ -365,12 +431,14 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
         fc = phi(c)
         d_next = dphi(c)
         if fc > fb:
-            t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c, -fb)
+            t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c, -fb,
+                            -d_a, -d_next)
             return LineExtremum(t, phi(t))
         if d_prev < 0.0 < d_next:
             # Passed a minimum that did not show up in the values yet.
-            t = float(brentq(dphi, b, c, xtol=_BRENTQ_XTOL, rtol=8.9e-16))
+            t = float(_brent(dphi, b, c, d_prev, d_next, _STATIONARY_XTOL,
+                             _ROOT_RTOL)[0])
             return LineExtremum(t, phi(t))
         if at_bound:
             return LineExtremum(c, fc, on_boundary=True)
-        a, b, fa, fb, d_prev = b, c, fb, fc, d_next
+        a, b, fb, d_a, d_prev = b, c, fc, d_prev, d_next

@@ -19,7 +19,10 @@ from .errors import DegenerateDenominator, NoEstimate, NotConcaveAlongV
 from .line1d import ROOT_TOL, LineSection, find_level_crossings
 from .objective import Objective, TrustRegion
 
-DENOM_TOL = 1e-8  # relative to |grad f(z)|; below this the division is meaningless
+# Dividing by v'grad f at an endpoint is meaningless when |v'grad f| is below
+# DENOM_TOL |grad f| there (v tangent to the level set) or |grad f| is below
+# DENOM_TOL times the larger endpoint gradient (a critical endpoint).
+DENOM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -45,10 +48,14 @@ class ParallelDistanceEval:
 
 
 def _endpoint_denominator(grad_f: np.ndarray, v: np.ndarray, denom_tol: float,
-                          where: str) -> float:
+                          where: str, grad_scale: float) -> float:
     d = float(grad_f @ v)
     gn = float(np.linalg.norm(grad_f))
-    if gn == 0.0 or abs(d) < denom_tol * gn:
+    if gn <= denom_tol * grad_scale:
+        raise DegenerateDenominator(
+            f"{where} is a critical point of f (|grad f| = {gn:.3e} against "
+            f"{grad_scale:.3e} at the other endpoint)")
+    if abs(d) < denom_tol * gn:
         raise DegenerateDenominator(
             f"v is nearly tangent to the level set at {where} "
             f"(|v'grad f| = {abs(d):.3e}, |grad f| = {gn:.3e})")
@@ -65,8 +72,9 @@ def derivatives_from_section(obj: Objective, section: LineSection,
     z, zp = section.z, section.zp
     gz = obj.gradient(z)
     gzp = obj.gradient(zp)
-    dz = _endpoint_denominator(gz, v, denom_tol, "z")
-    dzp = _endpoint_denominator(gzp, v, denom_tol, "z'")
+    grad_scale = max(float(np.linalg.norm(gz)), float(np.linalg.norm(gzp)))
+    dz = _endpoint_denominator(gz, v, denom_tol, "z", grad_scale)
+    dzp = _endpoint_denominator(gzp, v, denom_tol, "z'", grad_scale)
     g = section.diam
     grad_g = -gz / dz + gzp / dzp
     grad_g2 = 2.0 * g * grad_g
@@ -94,8 +102,9 @@ def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
     """Parallel distance at x: root-find the section, then apply the formulas.
 
     Raises DegenerateDenominator when v is nearly tangent to the level set at
-    an endpoint; callers should adjust the level or the direction. An empty
-    section gives g = 0 with no derivatives.
+    an endpoint or an endpoint is a critical point of f (such as an endpoint
+    minimum sitting on the level); callers should adjust the level or the
+    direction. An empty section gives g = 0 with no derivatives.
     """
     section = find_level_crossings(obj, x, v, level, region, root_tol=root_tol)
     return derivatives_from_section(obj, section, want_hessian=want_hessian,

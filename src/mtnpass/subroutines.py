@@ -124,7 +124,9 @@ def step_pd(state: SolverState, obj: Objective,
         # A (nearly) collapsed segment puts the endpoints at the line max,
         # where v is tangent to the level set. That is the zero-distance
         # case: report the collapse so the caller lowers the level. Genuine
-        # tangency on a wide segment stays an error.
+        # tangency on a wide segment, or an endpoint at a critical point of f
+        # (an endpoint minimum on the initial level), stays an error, and
+        # the driver's level raise moves the section off it.
         lm = line_local_max(obj, state.x, v, region)
         if lm.value <= state.level + 10.0 * root_tol:
             return HitZero(state.x + lm.t * v, lm.value, state.x)

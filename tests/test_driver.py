@@ -4,6 +4,7 @@ import pytest
 import oracles
 from mtnpass.driver import SolveConfig, hull_distance, init_state, solve
 from mtnpass.errors import BadEndpoints
+from mtnpass.line1d import ROOT_TOL
 from mtnpass.objective import Objective, quadratic, six_hump_camel
 from mtnpass.quadmodel import generate_morse1, saddle_of
 
@@ -130,6 +131,45 @@ class TestSolveCamel:
         assert report.morse_index == 1
         assert np.linalg.norm(report.x - oracles.CAMEL_SADDLE_NEAR_M1) <= 1e-6
         assert np.linalg.norm(report.x - np.array([-1.0, 0.8])) <= 0.15
+
+    def test_stop1_skips_points_at_or_below_initial_level(self, monkeypatch):
+        # On this pair the gradient watch first sees near-zero gradients at
+        # the endpoint minima; none of them may reach the Newton polish.
+        import mtnpass.driver
+        real = mtnpass.driver.newton_refine
+        starts = []
+
+        def spy(obj, x0, *args, **kwargs):
+            starts.append(np.array(x0, dtype=float))
+            return real(obj, x0, *args, **kwargs)
+
+        monkeypatch.setattr(mtnpass.driver, "newton_refine", spy)
+        camel = six_hump_camel()
+        a = np.array([-1.7036067150, 0.7960835687])
+        b = np.array([-0.0898420131, 0.7126564030])
+        level0 = max(camel.value(a), camel.value(b))
+        report = solve(camel, a, b)
+        assert starts
+        assert all(camel.value(x0) > level0 for x0 in starts)
+        assert report.status == "SaddleFound"
+        assert report.grad_norm <= 1e-8
+        assert report.morse_index == 1
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (4, 5), (5, 4)])
+    def test_pass_above_higher_endpoint_minimum(self, i, j):
+        # The higher minimum (f = 2.104) is itself a crossing of the initial
+        # level, where grad f vanishes. The solve must raise the level from
+        # there to the pass at 2.2294 and never fall below the initial level
+        # to the origin saddle (f = 0).
+        camel = six_hump_camel()
+        a = np.array(oracles.CAMEL_MINIMA[i][:2])
+        b = np.array(oracles.CAMEL_MINIMA[j][:2])
+        level0 = max(camel.value(a), camel.value(b))
+        report = solve(camel, a, b)
+        assert report.status == "SaddleFound"
+        assert report.morse_index == 1
+        assert report.f == pytest.approx(2.2293571975, abs=1e-8)
+        assert min(rec.level for rec in report.trace) >= level0 - ROOT_TOL
 
     def test_fd_hessian_fallback(self):
         # The solver only needs value and gradient callables; Hessians for

@@ -4,10 +4,10 @@ import pytest
 import oracles
 from mtnpass.errors import (DegenerateDenominator, NoEstimate,
                             NotConcaveAlongV)
-from mtnpass.line1d import find_level_crossings
+from mtnpass.line1d import chord_section, find_level_crossings
 from mtnpass.objective import TrustRegion, quadratic
-from mtnpass.pardist import (closed_form_g2_quadratic, estimate_critical_level,
-                             eval_pardist)
+from mtnpass.pardist import (closed_form_g2_quadratic, derivatives_from_section,
+                             estimate_critical_level, eval_pardist)
 from mtnpass.quadmodel import generate_morse1, saddle_of
 
 E2 = np.array([0.0, 1.0])
@@ -75,6 +75,16 @@ class TestEvalPardist:
         with pytest.raises(DegenerateDenominator):
             eval_pardist(saddle_quadratic, np.array([1.0, 0.0]), E2, level,
                          origin_region, denom_tol=1e-4)
+
+    def test_critical_endpoint_is_degenerate(self, camel):
+        # Between camel minima at f = -0.215 and f = 2.104 the higher minimum
+        # is itself the crossing of the initial level; grad f vanishes there,
+        # so dividing by v'grad f would give meaningless derivatives.
+        b = np.array(oracles.CAMEL_MINIMA[1][:2])
+        sec = chord_section(camel, np.array(oracles.CAMEL_MINIMA[0][:2]), b)
+        assert np.allclose(sec.zp, b, atol=1e-12)
+        with pytest.raises(DegenerateDenominator, match="critical point"):
+            derivatives_from_section(camel, sec)
 
     def test_denominators_have_opposite_signs(self, camel, origin_region):
         pe = eval_pardist(camel, np.array([0.02, 0.0]), E2, -0.1, origin_region)

@@ -192,7 +192,7 @@ def _write_trace_csv(records: list, out: Path) -> None:
         fh.write("iter,kind,x1,x2,l,g\n")
         for r in records:
             fh.write(f"{r['iteration']},{r['step']},{r['x'][0]!r},"
-                     f"{r['x'][1]!r},{r['level']!r},{r['g']!r}\n")
+                     f"{r['x'][1]!r},{r['level']!r},{r['gap']!r}\n")
 
 
 def cmd_contour(args: argparse.Namespace) -> int:

@@ -21,7 +21,6 @@ from .errors import (AvStalled, BadEndpoints, CriticalCandidate,
                      LUpImpossible, NewtonBreakdown, NoLineMax)
 from .line1d import ROOT_TOL, chord_section
 from .objective import Objective, TrustRegion
-from .pardist import DENOM_TOL
 from .quadmodel import morse_index, newton_refine
 from .subroutines import (HitZero, PdStalled, ReducedSegment, SolverState,
                           state_from_section, step_av, step_l_down, step_l_up,
@@ -31,6 +30,9 @@ logger = logging.getLogger(__name__)
 
 _EXTRAPOLATION_SAMPLES = 11
 _MAX_CONSECUTIVE_FAILURES = 3
+_HULL_TOL = 1e-6             # distance of 0 to the endpoint-gradient segment
+_ETA = 0.05                  # sufficient-decrease fraction for (PD)
+_NEWTON_HANDOFF_GAP = 1e-2   # endpoint gap below which Newton takes over
 
 
 @dataclass(frozen=True)
@@ -39,18 +41,12 @@ class SolveConfig:
 
     gtol: float = 1e-8            # gradient norm certifying a critical point
     xtol: float = 1e-6            # endpoint gap for the extrapolation stop
-    hull_tol: float = 1e-6        # distance of 0 to the endpoint-gradient segment
-    eta: float = 0.05             # sufficient-decrease fraction for (PD)
     max_iter: int = 500
     radius: float = 10.0          # trust-region radius around the initial midpoint
-    newton_handoff_gap: float = 1e-2
-    root_tol: float = ROOT_TOL
-    denom_tol: float = DENOM_TOL
     seed: int = 0                 # recorded for reproducibility of reports
 
     def __post_init__(self):
-        for name in ("gtol", "xtol", "hull_tol", "eta", "radius",
-                     "newton_handoff_gap", "root_tol", "denom_tol"):
+        for name in ("gtol", "xtol", "radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
@@ -62,7 +58,6 @@ class TraceRecord:
     iteration: int
     step: str
     level: float
-    g: float
     gap: float
     grad_norm_z: float
     grad_norm_zp: float
@@ -70,7 +65,7 @@ class TraceRecord:
 
     def to_dict(self) -> dict:
         return {"iteration": self.iteration, "step": self.step,
-                "level": self.level, "g": self.g, "gap": self.gap,
+                "level": self.level, "gap": self.gap,
                 "grad_norm_z": self.grad_norm_z,
                 "grad_norm_zp": self.grad_norm_zp, "x": self.x}
 
@@ -114,31 +109,6 @@ def hull_distance(g1: np.ndarray, g2: np.ndarray) -> float:
     return float(np.linalg.norm(g1 + t * d))
 
 
-class _GradientWatch:
-    """Wraps an objective so every gradient evaluation is screened for
-    small norms; the best point seen is a stopping candidate."""
-
-    def __init__(self, inner: Objective):
-        self.inner = inner
-        self.best_x: Optional[np.ndarray] = None
-        self.best_norm = np.inf
-        self.obj = Objective(inner.n, value=inner.value,
-                             gradient=self._gradient,
-                             hessian=inner.hessian, name=inner.name)
-
-    def _gradient(self, x: np.ndarray) -> np.ndarray:
-        g = self.inner.gradient(x)
-        gn = float(np.linalg.norm(g))
-        if gn < self.best_norm:
-            self.best_norm = gn
-            self.best_x = np.asarray(x, dtype=float).copy()
-        return g
-
-    def reset(self):
-        self.best_x = None
-        self.best_norm = np.inf
-
-
 def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
                config: SolveConfig,
                region: Optional[TrustRegion] = None) -> SolverState:
@@ -155,7 +125,7 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
         raise BadEndpoints("endpoint dimension mismatch")
     if region is None:
         region = TrustRegion(0.5 * (a + b), config.radius)
-    section = chord_section(obj, a, b, config.root_tol)
+    section = chord_section(obj, a, b)
     return state_from_section(section, region, 0, "Init")
 
 
@@ -166,16 +136,24 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
     Returns a report whose status is SaddleFound only when the final point
     satisfies |grad f| <= gtol and its Hessian has Morse index one. The trace
     records one entry per iteration. The solve is deterministic: identical
-    inputs produce identical traces.
+    inputs produce identical traces. While it runs, the solve watches every
+    gradient obj evaluates in the calling thread (Objective.watch_gradients)
+    for a small norm.
     """
     if config is None:
         config = SolveConfig()
-    watch = _GradientWatch(obj)
-    wobj = watch.obj
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     region = TrustRegion(0.5 * (a + b), config.radius)
     trace: list[TraceRecord] = []
+    # The point of the smallest gradient seen since the last Stop 1 check.
+    best_x, best_norm = None, np.inf
+
+    def observe(x: np.ndarray, g: np.ndarray) -> None:
+        nonlocal best_x, best_norm
+        gn = float(np.linalg.norm(g))
+        if gn < best_norm:
+            best_x, best_norm = x.copy(), gn
 
     def finish(status: str, x: np.ndarray, iterations: int, message: str) -> SolveReport:
         x = np.asarray(x, dtype=float)
@@ -191,136 +169,121 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
 
     def polish(x0: np.ndarray, iterations: int, origin: str) -> Optional[SolveReport]:
         try:
-            nr = newton_refine(wobj, x0, region, gtol=config.gtol, max_iter=40)
+            nr = newton_refine(obj, x0, region, gtol=config.gtol, max_iter=40)
         except NewtonBreakdown:
             return None
         if nr.converged and nr.morse_index == 1 and region.contains(nr.x):
             return finish("SaddleFound", nr.x, iterations, origin)
         return None
 
-    state = init_state(wobj, a, b, config, region)
-    # The initial level, raised by root_tol: crossings sit on a level only
-    # to within root_tol.
-    level0 = state.level + config.root_tol
-    failures = 0
-    it = 0
-    for it in range(config.max_iter):
-        gz = wobj.gradient(state.z)
-        gzp = wobj.gradient(state.zp)
-        gap = state.gap
-        trace.append(TraceRecord(
-            iteration=it, step=state.last_step, level=state.level,
-            g=gap, gap=gap,
-            grad_norm_z=float(np.linalg.norm(gz)),
-            grad_norm_zp=float(np.linalg.norm(gzp)),
-            x=[float(c) for c in state.x]))
-        logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, state.last_step,
-                     state.level, gap)
+    with obj.watch_gradients(observe):
+        state = init_state(obj, a, b, config, region)
+        # The initial level, raised by ROOT_TOL: crossings sit on a level only
+        # to within ROOT_TOL.
+        level0 = state.level + ROOT_TOL
+        failures = 0
+        it = 0
+        for it in range(config.max_iter):
+            gz = obj.gradient(state.z)
+            gzp = obj.gradient(state.zp)
+            gap = state.gap
+            trace.append(TraceRecord(
+                iteration=it, step=state.last_step, level=state.level, gap=gap,
+                grad_norm_z=float(np.linalg.norm(gz)),
+                grad_norm_zp=float(np.linalg.norm(gzp)),
+                x=[float(c) for c in state.x]))
+            logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, state.last_step,
+                         state.level, gap)
 
-        # Stop 1: a small gradient was observed anywhere. A candidate on or
-        # below the initial level is skipped: in practice it is an endpoint
-        # minimum on that level set, whose polish would only spend a Hessian
-        # to find Morse index 0. The other stops still polish points below
-        # it, since an index-one saddle can lie below max(f(a), f(b)) when a
-        # or b is not a minimum.
-        if watch.best_norm <= config.gtol:
-            if obj.value(watch.best_x) > level0:
-                report = polish(watch.best_x, it, "small gradient observed")
+            # Stop 1: a small gradient was observed anywhere. A candidate on
+            # or below the initial level is skipped: in practice it is an
+            # endpoint minimum on that level set, whose polish would only
+            # spend a Hessian to find Morse index 0. The other stops still
+            # polish points below it, since an index-one saddle can lie below
+            # max(f(a), f(b)) when a or b is not a minimum.
+            if best_norm <= config.gtol:
+                if obj.value(best_x) > level0:
+                    report = polish(best_x, it, "small gradient observed")
+                    if report is not None:
+                        return report
+                # candidate skipped or not an index-one saddle; keep going
+                best_x, best_norm = None, np.inf
+
+            # Stop 2: endpoints nearly coincide and the gradient hull reaches 0.
+            if gap <= config.xtol and hull_distance(gz, gzp) <= _HULL_TOL:
+                samples = [state.zp + s * (state.z - state.zp)
+                           for s in np.linspace(0.0, 1.0, _EXTRAPOLATION_SAMPLES)]
+                norms = [float(np.linalg.norm(obj.gradient(p))) for p in samples]
+                x_best = samples[int(np.argmin(norms))]
+                report = polish(x_best, it, "endpoint gap closed")
                 if report is not None:
                     return report
-            watch.reset()  # candidate skipped or not an index-one saddle; keep going
+                # certification inside finish() downgrades to Stalled if the
+                # extrapolated point is not an index-one saddle
+                return finish("SaddleFound", x_best, it, "endpoint gap closed")
 
-        # Stop 2: endpoints nearly coincide and the gradient hull reaches 0.
-        if gap <= config.xtol and hull_distance(gz, gzp) <= config.hull_tol:
-            samples = [state.zp + s * (state.z - state.zp)
-                       for s in np.linspace(0.0, 1.0, _EXTRAPOLATION_SAMPLES)]
-            norms = [float(np.linalg.norm(wobj.gradient(p))) for p in samples]
-            x_best = samples[int(np.argmin(norms))]
-            report = polish(x_best, it, "endpoint gap closed")
-            if report is not None:
-                return report
-            # certification inside finish() downgrades to Stalled if the
-            # extrapolated point is not an index-one saddle
-            return finish("SaddleFound", x_best, it, "endpoint gap closed")
+            # Newton handoff once the endpoints are close.
+            if 0.0 < gap < _NEWTON_HANDOFF_GAP:
+                report = polish(state.midpoint, it, "newton handoff")
+                if report is not None:
+                    return report
 
-        # Newton handoff once the endpoints are close.
-        if 0.0 < gap < config.newton_handoff_gap:
-            report = polish(state.midpoint, it, "newton handoff")
-            if report is not None:
-                return report
-
-        # Level-set step. A failed iteration leaves the state unchanged and
-        # counts toward the consecutive-failure budget; any clean step resets.
-        failed = None
-        try:
-            outcome = step_pd(state, wobj, root_tol=config.root_tol,
-                              denom_tol=config.denom_tol)
-        except (DegenerateDenominator, CrossingOutsideRegion, NoLineMax) as err:
-            outcome = None
-            failed = str(err)
-
-        if isinstance(outcome, ReducedSegment):
-            new_state = outcome.state
-            if outcome.g_new <= (1.0 - config.eta) * outcome.g_old:
-                # Case 1a: real progress; re-align the chord.
-                try:
-                    new_state = step_av(new_state, wobj, root_tol=config.root_tol)
-                except AvStalled:
-                    pass  # already aligned; the reduction still counts
-            else:
-                # Case 1b: little progress at this level; raise it.
-                try:
-                    new_state = step_l_up(new_state, wobj, root_tol=config.root_tol)
-                except (LUpImpossible, CrossingOutsideRegion, NoLineMax) as err:
-                    failed = f"level raise failed: {err}"
-            state = replace(new_state, iteration=it + 1)
-        elif isinstance(outcome, HitZero):
-            # Case 1c: the segment collapsed; lower the level.
+            # Level-set step. A failed iteration leaves the state unchanged
+            # and counts toward the consecutive-failure budget; any clean
+            # step resets.
+            failed = None
             try:
-                _, _, section = step_l_down(
-                    wobj, outcome.x_prime, state.v, region,
-                    root_tol=config.root_tol)
-                state = state_from_section(section, region, it + 1, "LDown")
-            except CriticalCandidate as cand:
-                report = polish(cand.x, it, "critical candidate from l-down")
-                if report is not None:
-                    return report
-                failed = "critical candidate was not an index-one saddle"
-                state = replace(state, iteration=it + 1, last_step="LDown")
-            except (CrossingOutsideRegion, NoLineMax) as err:
-                failed = f"l-down failed: {err}"
-                state = replace(state, iteration=it + 1, last_step="LDown")
-        elif isinstance(outcome, PdStalled):
-            failed = "parallel-distance reduction stalled"
-            rescued = _rescue_l_up(state, wobj, config)
-            if rescued is not None:
-                state = replace(rescued, iteration=it + 1)
+                outcome = step_pd(state, obj)
+            except (DegenerateDenominator, CrossingOutsideRegion, NoLineMax) as err:
+                outcome = None
+                failed = str(err)
+
+            if isinstance(outcome, ReducedSegment):
+                new_state = outcome.state
+                if outcome.g_new <= (1.0 - _ETA) * outcome.g_old:
+                    # Case 1a: real progress; re-align the chord.
+                    try:
+                        new_state = step_av(new_state, obj)
+                    except AvStalled:
+                        pass  # already aligned; the reduction still counts
+                else:
+                    # Case 1b: little progress at this level; raise it.
+                    try:
+                        new_state = step_l_up(new_state, obj)
+                    except (LUpImpossible, CrossingOutsideRegion, NoLineMax) as err:
+                        failed = f"level raise failed: {err}"
+                state = replace(new_state, iteration=it + 1)
+            elif isinstance(outcome, HitZero):
+                # Case 1c: the segment collapsed; lower the level.
+                try:
+                    section = step_l_down(obj, outcome.x_prime, state.v, region)
+                    state = state_from_section(section, region, it + 1, "LDown")
+                except CriticalCandidate as cand:
+                    report = polish(cand.x, it, "critical candidate from l-down")
+                    if report is not None:
+                        return report
+                    failed = "critical candidate was not an index-one saddle"
+                    state = replace(state, iteration=it + 1, last_step="LDown")
+                except (CrossingOutsideRegion, NoLineMax) as err:
+                    failed = f"l-down failed: {err}"
+                    state = replace(state, iteration=it + 1, last_step="LDown")
             else:
+                # (PD) stalled or raised; a level raise sometimes repairs the state.
+                if isinstance(outcome, PdStalled):
+                    failed = "parallel-distance reduction stalled"
+                logger.debug("PD failed: %s", failed)
+                try:
+                    state = step_l_up(state, obj)
+                except (LUpImpossible, CrossingOutsideRegion, NoLineMax):
+                    pass
                 state = replace(state, iteration=it + 1)
-        elif failed is not None:
-            # (PD) itself raised; a level raise sometimes repairs the state.
-            logger.debug("PD failed: %s", failed)
-            rescued = _rescue_l_up(state, wobj, config)
-            if rescued is not None:
-                state = replace(rescued, iteration=it + 1)
+
+            if failed is None:
+                failures = 0
             else:
-                state = replace(state, iteration=it + 1)
+                failures += 1
+                if failures >= _MAX_CONSECUTIVE_FAILURES:
+                    return finish("Breakdown", state.midpoint, it, failed)
 
-        if failed is None:
-            failures = 0
-        else:
-            failures += 1
-            if failures >= _MAX_CONSECUTIVE_FAILURES:
-                return finish("Breakdown", state.midpoint, it, failed)
-
-    return finish("MaxIter", state.midpoint, config.max_iter,
-                  "iteration limit reached")
-
-
-def _rescue_l_up(state: SolverState, obj: Objective,
-                 config: SolveConfig) -> Optional[SolverState]:
-    """Attempt a level raise after a failed or stalled (PD) step."""
-    try:
-        return step_l_up(state, obj, root_tol=config.root_tol)
-    except (LUpImpossible, CrossingOutsideRegion, NoLineMax):
-        return None
+        return finish("MaxIter", state.midpoint, config.max_iter,
+                      "iteration limit reached")

@@ -257,8 +257,7 @@ def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
 
 
 def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float,
-                   sgn: float, bound: float, level: float, root_tol: float,
-                   radius: float) -> float:
+                   sgn: float, bound: float, level: float, radius: float) -> float:
     """March from t_start, where phi = f_start > level, to the component edge.
 
     Marches with growing (capped) steps. A probe below the level closes a
@@ -288,7 +287,7 @@ def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float
                               d_next, _STATIONARY_XTOL, _ROOT_RTOL)
             f_dip = phi(t_dip)
             if f_dip <= level:
-                if f_dip >= level - root_tol:
+                if f_dip >= level - ROOT_TOL:
                     return float(t_dip)
                 return _level_crossing(phi, dphi, t_prev, t_dip, f_prev - level,
                                        f_dip - level, level, xtol)
@@ -301,13 +300,12 @@ def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float
 
 
 def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
-                         level: float, region: TrustRegion,
-                         root_tol: float = ROOT_TOL) -> LineSection:
+                         level: float, region: TrustRegion) -> LineSection:
     """Section of {f >= level} on the line {x + t v} around its local max.
 
     Locates the line-local max nearest t = 0; if its value does not exceed
     the level the section is empty. Otherwise both crossings of the level are
-    bracketed outward from the max and refined to |f - level| <= root_tol.
+    bracketed outward from the max and refined to |f - level| <= ROOT_TOL.
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
@@ -316,15 +314,12 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
         return LineSection(x, v, level)
     phi, dphi = _line_funcs(obj, x, v)
     t_lo, t_hi = region.line_interval(x, v)
-    t2 = _cross_outward(phi, dphi, lm.t, lm.value, +1.0, t_hi, level, root_tol,
-                        region.radius)
-    t1 = _cross_outward(phi, dphi, lm.t, lm.value, -1.0, t_lo, level, root_tol,
-                        region.radius)
+    t2 = _cross_outward(phi, dphi, lm.t, lm.value, +1.0, t_hi, level, region.radius)
+    t1 = _cross_outward(phi, dphi, lm.t, lm.value, -1.0, t_lo, level, region.radius)
     return LineSection(x, v, level, float(t1), float(t2))
 
 
-def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float,
-                    root_tol: float) -> float:
+def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float) -> float:
     """Crossing of the level nearest the ridge max (t = 0) toward a chord endpoint.
 
     f_star = phi(0). scan holds the (t, phi(t)) of the chord scan beyond the
@@ -341,14 +336,13 @@ def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float,
         if r <= 0.0:
             return _brent(lambda s: phi(s) - level, t_in, t, r_in, r, xtol,
                           _ROOT_RTOL)[0]
-        if r <= root_tol:
+        if r <= ROOT_TOL:
             return t
         t_in, r_in = t, r
     raise BadEndpoints("chord endpoint lies above the initial level")
 
 
-def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray,
-                  root_tol: float = ROOT_TOL) -> LineSection:
+def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
     """Section of {f >= max(f(a), f(b))} on the chord [a, b] around its ridge.
 
     Scans the chord at 65 points for the interior maximum, polishes it, and
@@ -378,10 +372,9 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray,
     m = b + t_star * v
     phi_m, _ = _line_funcs(obj, m, v)
     scan = [(float(t) - t_star, f) for t, f in zip(ts, vals)]
-    t2 = _chord_crossing(phi_m, f_star, [p for p in scan if p[0] > 0.0],
-                         level, root_tol)
+    t2 = _chord_crossing(phi_m, f_star, [p for p in scan if p[0] > 0.0], level)
     t1 = _chord_crossing(phi_m, f_star, [p for p in reversed(scan) if p[0] < 0.0],
-                         level, root_tol)
+                         level)
     return LineSection(m, v, level, float(t1), float(t2))
 
 

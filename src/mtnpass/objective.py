@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -64,7 +65,11 @@ class Objective:
     name : identifier used in reports.
 
     Evaluations are pure in x; the call counters are updated under a lock so
-    an objective may be shared across threads.
+    an objective may be shared across threads. Every gradient that
+    :meth:`gradient` returns, including the probes of the finite-difference
+    Hessian, is also passed with its point to the observer installed by
+    :meth:`watch_gradients`. Observers are per thread: a watch installed in
+    one thread sees none of another thread's gradients.
     """
 
     def __init__(self, n: int,
@@ -80,6 +85,7 @@ class Objective:
         self._gradient = gradient
         self._hessian = hessian
         self._lock = threading.Lock()
+        self._watch = threading.local()
         self.n_value_evals = 0
         self.n_grad_evals = 0
         self.n_hess_evals = 0
@@ -112,7 +118,26 @@ class Objective:
             raise ValueError(f"{self.name}: gradient has shape {g.shape}, expected ({self.n},)")
         if not np.all(np.isfinite(g)):
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x}")
+        observer = getattr(self._watch, "observer", None)
+        if observer is not None:
+            observer(x, g)
         return g
+
+    @contextmanager
+    def watch_gradients(self, observer: Callable[[np.ndarray, np.ndarray], None]
+                        ) -> Iterator[None]:
+        """Pass each gradient evaluated in this thread to observer(x, g).
+
+        The observer stays installed for the body of the with block, and the
+        previous one (usually none) is restored on exit, also when the body
+        raises. x may be the caller's own array: copy it to keep it.
+        """
+        previous = getattr(self._watch, "observer", None)
+        self._watch.observer = observer
+        try:
+            yield
+        finally:
+            self._watch.observer = previous
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadmodel
 from .errors import DegenerateDenominator, NoEstimate, NotConcaveAlongV
-from .line1d import ROOT_TOL, LineSection, find_level_crossings
+from .line1d import LineSection, find_level_crossings
 from .objective import Objective, TrustRegion
 
 # Dividing by v'grad f at an endpoint is meaningless when |v'grad f| is below
@@ -47,15 +47,15 @@ class ParallelDistanceEval:
     denom_zp: Optional[float] = None
 
 
-def _endpoint_denominator(grad_f: np.ndarray, v: np.ndarray, denom_tol: float,
-                          where: str, grad_scale: float) -> float:
+def _endpoint_denominator(grad_f: np.ndarray, v: np.ndarray, where: str,
+                          grad_scale: float) -> float:
     d = float(grad_f @ v)
     gn = float(np.linalg.norm(grad_f))
-    if gn <= denom_tol * grad_scale:
+    if gn <= DENOM_TOL * grad_scale:
         raise DegenerateDenominator(
             f"{where} is a critical point of f (|grad f| = {gn:.3e} against "
             f"{grad_scale:.3e} at the other endpoint)")
-    if abs(d) < denom_tol * gn:
+    if abs(d) < DENOM_TOL * gn:
         raise DegenerateDenominator(
             f"v is nearly tangent to the level set at {where} "
             f"(|v'grad f| = {abs(d):.3e}, |grad f| = {gn:.3e})")
@@ -63,8 +63,7 @@ def _endpoint_denominator(grad_f: np.ndarray, v: np.ndarray, denom_tol: float,
 
 
 def derivatives_from_section(obj: Objective, section: LineSection,
-                             want_hessian: bool = False,
-                             denom_tol: float = DENOM_TOL) -> ParallelDistanceEval:
+                             want_hessian: bool = False) -> ParallelDistanceEval:
     """Evaluate g, g^2 and derivatives of g^2 from an existing section."""
     if section.empty:
         return ParallelDistanceEval(section=section, g=0.0, g2=0.0)
@@ -73,8 +72,8 @@ def derivatives_from_section(obj: Objective, section: LineSection,
     gz = obj.gradient(z)
     gzp = obj.gradient(zp)
     grad_scale = max(float(np.linalg.norm(gz)), float(np.linalg.norm(gzp)))
-    dz = _endpoint_denominator(gz, v, denom_tol, "z", grad_scale)
-    dzp = _endpoint_denominator(gzp, v, denom_tol, "z'", grad_scale)
+    dz = _endpoint_denominator(gz, v, "z", grad_scale)
+    dzp = _endpoint_denominator(gzp, v, "z'", grad_scale)
     g = section.diam
     grad_g = -gz / dz + gzp / dzp
     grad_g2 = 2.0 * g * grad_g
@@ -96,9 +95,8 @@ def derivatives_from_section(obj: Objective, section: LineSection,
 
 
 def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
-                 region: TrustRegion, want_hessian: bool = False,
-                 root_tol: float = ROOT_TOL,
-                 denom_tol: float = DENOM_TOL) -> ParallelDistanceEval:
+                 region: TrustRegion,
+                 want_hessian: bool = False) -> ParallelDistanceEval:
     """Parallel distance at x: root-find the section, then apply the formulas.
 
     Raises DegenerateDenominator when v is nearly tangent to the level set at
@@ -106,9 +104,8 @@ def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
     minimum sitting on the level); callers should adjust the level or the
     direction. An empty section gives g = 0 with no derivatives.
     """
-    section = find_level_crossings(obj, x, v, level, region, root_tol=root_tol)
-    return derivatives_from_section(obj, section, want_hessian=want_hessian,
-                                    denom_tol=denom_tol)
+    section = find_level_crossings(obj, x, v, level, region)
+    return derivatives_from_section(obj, section, want_hessian=want_hessian)
 
 
 def _coefficients(model) -> tuple[np.ndarray, np.ndarray, float]:

@@ -31,13 +31,13 @@ def decompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[::-1], evecs[:, ::-1]
 
 
-def morse_index(H: np.ndarray, zero_tol: float = _MORSE_ZERO_TOL) -> int:
+def morse_index(H: np.ndarray) -> int:
     """Number of negative eigenvalues, with a zero threshold relative to ||H||."""
     evals, _ = decompose(H)
     scale = np.max(np.abs(evals))
     if scale == 0.0:
         return 0
-    return int(np.sum(evals < -zero_tol * scale))
+    return int(np.sum(evals < -_MORSE_ZERO_TOL * scale))
 
 
 def complement_basis(v: np.ndarray) -> np.ndarray:

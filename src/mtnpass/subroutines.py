@@ -20,13 +20,15 @@ from .errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
 from .line1d import (GRAD_TOL_1D, ROOT_TOL, LineSection, find_level_crossings,
                      line_local_max, line_local_min)
 from .objective import Objective, TrustRegion
-from .pardist import DENOM_TOL, derivatives_from_section
+from .pardist import derivatives_from_section
 
 # Armijo parameters for the (PD) backtracking search.
 ARMIJO_C1 = 1e-4
 BACKTRACK_RATIO = 0.5
 MAX_BACKTRACKS = 45
 NEWTON_MIN_EIG = 1e-10  # reduced Hessian must be at least this definite
+AV_MAX_BACKTRACKS = 30  # step halvings of the (Av) tangential slide
+MAX_PROJECTION_NEWTON = 50  # Newton steps pulling a point back onto the level
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,13 @@ class SolverState:
         t1 = float(self.v @ (self.zp - self.x))
         return LineSection(self.x, self.v, self.level, t1, t2)
 
-    def validate(self, obj: Objective, root_tol: float = ROOT_TOL) -> None:
+    def validate(self, obj: Objective) -> None:
         """Re-assert the state invariants; raises ValueError on violation."""
         if abs(np.linalg.norm(self.v) - 1.0) > 1e-10:
             raise ValueError("v is not a unit vector")
         for name, p in (("z", self.z), ("z'", self.zp)):
             r = abs(obj.value(p) - self.level)
-            if r > 10.0 * root_tol:
+            if r > 10.0 * ROOT_TOL:
                 raise ValueError(f"|f({name}) - level| = {r:.3e} exceeds tolerance")
         gap = self.gap
         if gap > 0:
@@ -104,9 +106,7 @@ class PdStalled:
 PdOutcome = Union[ReducedSegment, HitZero, PdStalled]
 
 
-def step_pd(state: SolverState, obj: Objective,
-            root_tol: float = ROOT_TOL,
-            denom_tol: float = DENOM_TOL) -> PdOutcome:
+def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     """One parallel-distance reduction step.
 
     Computes grad/hess of g^2 at the midpoint from the endpoint data, moves
@@ -118,8 +118,7 @@ def step_pd(state: SolverState, obj: Objective,
     v = state.v
     region = state.region
     try:
-        pe = derivatives_from_section(obj, state.section(), want_hessian=True,
-                                      denom_tol=denom_tol)
+        pe = derivatives_from_section(obj, state.section(), want_hessian=True)
     except DegenerateDenominator:
         # A (nearly) collapsed segment puts the endpoints at the line max,
         # where v is tangent to the level set. That is the zero-distance
@@ -128,7 +127,7 @@ def step_pd(state: SolverState, obj: Objective,
         # (an endpoint minimum on the initial level), stays an error, and
         # the driver's level raise moves the section off it.
         lm = line_local_max(obj, state.x, v, region)
-        if lm.value <= state.level + 10.0 * root_tol:
+        if lm.value <= state.level + 10.0 * ROOT_TOL:
             return HitZero(state.x + lm.t * v, lm.value, state.x)
         raise
     g2_0 = pe.g2
@@ -156,8 +155,7 @@ def step_pd(state: SolverState, obj: Objective,
         xt = state.x + t * d
         if region.contains(xt):
             try:
-                sec = find_level_crossings(obj, xt, v, state.level, region,
-                                           root_tol=root_tol)
+                sec = find_level_crossings(obj, xt, v, state.level, region)
             except (CrossingOutsideRegion, NoLineMax):
                 sec = None
             if sec is not None:
@@ -173,13 +171,12 @@ def step_pd(state: SolverState, obj: Objective,
     return PdStalled(pe.g)
 
 
-def _project_to_level(obj: Objective, p: np.ndarray, level: float,
-                      root_tol: float, max_newton: int = 50):
+def _project_to_level(obj: Objective, p: np.ndarray, level: float):
     """Pull p back onto {f = level} by 1-D Newton along the gradient."""
     p = p.copy()
-    for _ in range(max_newton):
+    for _ in range(MAX_PROJECTION_NEWTON):
         r = obj.value(p) - level
-        if abs(r) <= root_tol:
+        if abs(r) <= ROOT_TOL:
             return p
         grad = obj.gradient(p)
         gn2 = float(grad @ grad)
@@ -189,9 +186,7 @@ def _project_to_level(obj: Objective, p: np.ndarray, level: float,
     return None
 
 
-def step_av(state: SolverState, obj: Objective,
-            root_tol: float = ROOT_TOL,
-            max_backtracks: int = 30) -> SolverState:
+def step_av(state: SolverState, obj: Objective) -> SolverState:
     """Adjust the chord direction by sliding one endpoint along the level set.
 
     The endpoint with the larger gradient norm (ties go to z) is moved along
@@ -216,8 +211,8 @@ def step_av(state: SolverState, obj: Objective,
         raise AvStalled("tangential component is negligible; v is aligned")
 
     t = 1.0
-    for _ in range(max_backtracks):
-        p = _project_to_level(obj, this + t * w, state.level, root_tol)
+    for _ in range(AV_MAX_BACKTRACKS):
+        p = _project_to_level(obj, this + t * w, state.level)
         if p is not None and state.region.contains(p):
             gap_new = float(np.linalg.norm(p - other))
             if gap_new < gap0:
@@ -230,39 +225,37 @@ def step_av(state: SolverState, obj: Objective,
 
 
 def crossings_or_degenerate(obj: Objective, x: np.ndarray, v: np.ndarray,
-                            level: float, region: TrustRegion,
-                            root_tol: float = ROOT_TOL) -> LineSection:
+                            level: float, region: TrustRegion) -> LineSection:
     """Section of {f >= level} through x, allowing the degenerate point section.
 
     When the line-local max sits exactly at the level (within the root
     tolerance) the section is the single point at the max; this occurs right
     after a level change lands on the ridge.
     """
-    section = find_level_crossings(obj, x, v, level, region, root_tol=root_tol)
+    section = find_level_crossings(obj, x, v, level, region)
     if not section.empty:
         return section
     lm = line_local_max(obj, x, v, region)
-    if level - lm.value <= root_tol:
+    if level - lm.value <= ROOT_TOL:
         return LineSection(x, v, level, lm.t, lm.t)
     raise CrossingOutsideRegion(
         f"no point at the level along v: line max is {level - lm.value:.3e} below")
 
 
 def step_l_down(obj: Objective, x: np.ndarray, v: np.ndarray,
-                region: TrustRegion,
-                root_tol: float = ROOT_TOL,
-                grad_tol: float = GRAD_TOL_1D) -> tuple[float, np.ndarray, LineSection]:
+                region: TrustRegion) -> LineSection:
     """Decrease the level from a line-local max of f along v.
 
     Descends from x along the projection of -grad f(x) onto the complement
     of v to the first line-local minimum; the minimum value is the new level
     and the section at that level through the minimizer is returned (possibly
-    degenerate). Raises CriticalCandidate when grad f(x) is parallel to v.
+    degenerate): its level is the new level and its base point x the
+    minimizer. Raises CriticalCandidate when grad f(x) is parallel to v.
     """
     x = np.asarray(x, dtype=float)
     grad = obj.gradient(x)
     gn = float(np.linalg.norm(grad))
-    if abs(float(grad @ v)) > 1e3 * grad_tol * (1.0 + gn):
+    if abs(float(grad @ v)) > 1e3 * GRAD_TOL_1D * (1.0 + gn):
         raise ValueError("x is not a line-local max of f along v")
     proj = grad - float(grad @ v) * v
     pn = float(np.linalg.norm(proj))
@@ -270,14 +263,10 @@ def step_l_down(obj: Objective, x: np.ndarray, v: np.ndarray,
         raise CriticalCandidate(x)
     d = -proj / pn
     mn = line_local_min(obj, x, d, region)
-    x_new = x + mn.t * d
-    level_new = mn.value
-    section = crossings_or_degenerate(obj, x_new, v, level_new, region, root_tol)
-    return level_new, x_new, section
+    return crossings_or_degenerate(obj, x + mn.t * d, v, mn.value, region)
 
 
-def step_l_up(state: SolverState, obj: Objective,
-              root_tol: float = ROOT_TOL) -> SolverState:
+def step_l_up(state: SolverState, obj: Objective) -> SolverState:
     """Raise the level to f at the segment midpoint and re-solve the endpoints.
 
     The direction v is unchanged; the new segment is the section of the new
@@ -289,6 +278,6 @@ def step_l_up(state: SolverState, obj: Objective,
     if fm <= state.level:
         raise LUpImpossible(f"f(midpoint) = {fm:.6g} does not exceed level "
                             f"{state.level:.6g}")
-    section = crossings_or_degenerate(obj, m, state.v, fm, state.region, root_tol)
+    section = crossings_or_degenerate(obj, m, state.v, fm, state.region)
     return replace(state, z=section.z, zp=section.zp, level=fm,
                    x=section.midpoint, last_step="LUp")

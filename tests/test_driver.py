@@ -1,7 +1,13 @@
+import dataclasses
+import inspect
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import oracles
+from mtnpass import line1d, pardist, quadmodel, subroutines
 from mtnpass.driver import SolveConfig, hull_distance, init_state, solve
 from mtnpass.errors import BadEndpoints
 from mtnpass.line1d import ROOT_TOL
@@ -171,6 +177,19 @@ class TestSolveCamel:
         assert report.f == pytest.approx(2.2293571975, abs=1e-8)
         assert min(rec.level for rec in report.trace) >= level0 - ROOT_TOL
 
+    @pytest.mark.parametrize("i, j", [(2, 3), (3, 2)])
+    def test_small_gradient_stop(self, i, j):
+        # The chord between the global minima runs through the origin saddle,
+        # so the initial section already evaluates a vanishing gradient there
+        # and Stop 1 certifies it before any level-set step.
+        camel = six_hump_camel()
+        report = solve(camel, np.array(oracles.CAMEL_MINIMA[i][:2]),
+                       np.array(oracles.CAMEL_MINIMA[j][:2]))
+        assert report.status == "SaddleFound"
+        assert report.message == "small gradient observed"
+        assert report.iterations == 0
+        assert np.linalg.norm(report.x) <= 1e-8
+
     def test_fd_hessian_fallback(self):
         # The solver only needs value and gradient callables; Hessians for
         # the (PD) curvature and the Morse certification come from the
@@ -260,6 +279,82 @@ class TestReportInvariants:
         assert [t.to_dict() for t in r1.trace] == [t.to_dict() for t in r2.trace]
 
 
+def _spy_on_watch(obj):
+    """Count the watches solve installs on obj and the gradients they see."""
+    installs, seen = [], []
+    real = obj.watch_gradients
+
+    def watch(observer):
+        installs.append(observer)
+
+        def counted(x, g):
+            seen.append(x.copy())
+            observer(x, g)
+        return real(counted)
+
+    obj.watch_gradients = watch
+    return installs, seen
+
+
+class TestGradientWatch:
+    def test_no_observer_after_solve_returns(self):
+        camel = six_hump_camel()
+        installs, seen = _spy_on_watch(camel)
+        report = solve(camel, np.array(oracles.CAMEL_MINIMA[0][:2]),
+                       np.array(oracles.CAMEL_MINIMA[2][:2]))
+        assert report.status == "SaddleFound"
+        assert len(installs) == 1 and seen
+        n_seen = len(seen)
+        camel.gradient(np.array([0.5, 0.5]))
+        camel.hessian(np.array([0.5, 0.5]))
+        assert len(seen) == n_seen
+
+    def test_no_observer_after_solve_raises(self):
+        camel = six_hump_camel()
+        installs, seen = _spy_on_watch(camel)
+        a = np.array([0.3, 0.1])
+        with pytest.raises(BadEndpoints):
+            solve(camel, a, a.copy())
+        assert len(installs) == 1
+        camel.gradient(np.array([0.5, 0.5]))
+        assert seen == []
+
+    def test_threads_sharing_an_objective(self):
+        # Each solve watches only the gradients of its own thread, so two
+        # threads solving on one objective reproduce the sequential runs.
+        pairs = [(0, 1), (4, 5), (2, 3), (1, 0), (0, 2), (5, 4), (3, 2), (2, 0)]
+        points = [np.array(m[:2]) for m in oracles.CAMEL_MINIMA]
+
+        def outcome(report):
+            return (report.status, report.message, report.x.tolist(),
+                    [rec.to_dict() for rec in report.trace])
+
+        camel = six_hump_camel()
+        expected = {p: outcome(solve(camel, points[p[0]], points[p[1]]))
+                    for p in pairs}
+        shared = six_hump_camel()
+        results = {0: {}, 1: {}}
+        start = threading.Barrier(2)
+
+        def work(k):
+            start.wait()
+            for p in (pairs if k == 0 else pairs[::-1]):
+                results[k][p] = outcome(solve(shared, points[p[0]], points[p[1]]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in (0, 1)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == expected
+        assert results[1] == expected
+
+
 class TestSolveConfig:
     def test_defaults_valid(self):
         cfg = SolveConfig()
@@ -272,3 +367,24 @@ class TestSolveConfig:
             SolveConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolveConfig(radius=-1.0)
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(SolveConfig)] == [
+            "gtol", "xtol", "max_iter", "radius", "seed"]
+
+    def test_tolerances_are_constants(self):
+        # The level, denominator and 1-D tolerances and the iteration caps of
+        # the moves are module constants, not parameters.
+        knobs = {"root_tol", "denom_tol", "grad_tol", "max_backtracks",
+                 "zero_tol"}
+        for module in (line1d, pardist, subroutines, quadmodel):
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                if fn.__module__ == module.__name__ and not name.startswith("_"):
+                    assert not knobs & set(inspect.signature(fn).parameters), name
+            for cname, cls in inspect.getmembers(module, inspect.isclass):
+                if cls.__module__ != module.__name__ or cname.startswith("_"):
+                    continue
+                for name, fn in inspect.getmembers(cls, inspect.isfunction):
+                    if not name.startswith("_"):
+                        params = set(inspect.signature(fn).parameters)
+                        assert not knobs & params, f"{cname}.{name}"

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -99,6 +100,51 @@ class TestCounters:
             camel.value(np.zeros(2))
             seen.append(camel.eval_counts()["value"])
         assert seen == sorted(seen)
+
+
+class TestGradientWatch:
+    def test_observer_sees_each_gradient_inside_the_block(self, camel):
+        seen = []
+        x = np.array([0.3, -0.2])
+        with camel.watch_gradients(lambda p, g: seen.append((p.copy(), g.copy()))):
+            g = camel.gradient(x)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0][0], x) and np.array_equal(seen[0][1], g)
+        camel.gradient(x)
+        assert len(seen) == 1
+
+    def test_nested_watch_restores_the_outer_one(self, camel):
+        outer, inner = [], []
+        with camel.watch_gradients(lambda p, g: outer.append(p)):
+            with camel.watch_gradients(lambda p, g: inner.append(p)):
+                camel.gradient(np.zeros(2))
+            camel.gradient(np.ones(2))
+        assert len(inner) == 1 and len(outer) == 1
+
+    def test_removed_when_the_body_raises(self, camel):
+        seen = []
+        with pytest.raises(RuntimeError):
+            with camel.watch_gradients(lambda p, g: seen.append(p)):
+                raise RuntimeError("body failed")
+        camel.gradient(np.zeros(2))
+        assert seen == []
+
+    def test_fd_hessian_probes_are_watched(self):
+        obj = Objective(2, value=oracles.camel_value,
+                        gradient=oracles.camel_gradient)
+        seen = []
+        with obj.watch_gradients(lambda p, g: seen.append(p)):
+            obj.hessian(np.array([0.1, 0.2]))
+        assert len(seen) == obj.n_grad_evals == 4
+
+    def test_other_threads_are_not_watched(self, camel):
+        seen = []
+        with camel.watch_gradients(lambda p, g: seen.append(p)):
+            worker = threading.Thread(target=camel.gradient, args=(np.zeros(2),))
+            worker.start()
+            worker.join()
+        assert seen == []
+        assert camel.n_grad_evals == 1
 
 
 class TestErrors:

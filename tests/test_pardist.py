@@ -67,14 +67,14 @@ class TestEvalPardist:
                           origin_region)
         assert abs(pe.grad_g2 @ vbar) <= 1e-8 * np.linalg.norm(pe.grad_g2)
 
-    def test_degenerate_denominator(self, saddle_quadratic, origin_region):
-        # A level just below the line max makes the section microscopic, so v
-        # is nearly tangent to the level set at the endpoints: |v'grad f| is
-        # sqrt(2e-10) while |grad f| stays near 1.
-        level = 0.5 - 1e-10
-        with pytest.raises(DegenerateDenominator):
-            eval_pardist(saddle_quadratic, np.array([1.0, 0.0]), E2, level,
-                         origin_region, denom_tol=1e-4)
+    def test_degenerate_denominator(self, origin_region):
+        # f = x1 - x2^2/2 at a level just below its line max at the origin
+        # along e2: the section is microscopic, so v is nearly tangent to the
+        # level set at the endpoints, |v'grad f| = sqrt(2e-20) = 1.4e-10 while
+        # |grad f| stays near 1.
+        obj = quadratic(np.diag([0.0, -1.0]), np.array([1.0, 0.0]), 0.0)
+        with pytest.raises(DegenerateDenominator, match="nearly tangent"):
+            eval_pardist(obj, np.zeros(2), E2, -1e-20, origin_region)
 
     def test_critical_endpoint_is_degenerate(self, camel):
         # Between camel minima at f = -0.215 and f = 2.104 the higher minimum

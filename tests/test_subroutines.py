@@ -88,9 +88,9 @@ class TestStepPd:
         assert isinstance(out, HitZero)
         assert np.allclose(out.x_prime, x, atol=1e-9)
         # the follow-up level decrease makes strict progress
-        level_new, x_new, sec = step_l_down(obj, out.x_prime, v, region)
-        assert level_new < level
-        assert abs(obj.value(sec.z) - level_new) <= 1e-9
+        sec = step_l_down(obj, out.x_prime, v, region)
+        assert sec.level < level
+        assert abs(obj.value(sec.z) - sec.level) <= 1e-9
 
     def test_stalled_at_minimizer(self, saddle_quadratic, origin_region):
         # At the minimizer of g^2 the gradient of g^2 vanishes and no
@@ -173,10 +173,10 @@ class TestStepAv:
 
 class TestStepLDown:
     def test_quadratic_reaches_saddle(self, saddle_quadratic, origin_region):
-        level, x_new, sec = step_l_down(saddle_quadratic, np.array([1.0, 0.0]),
-                                        E2, origin_region)
-        assert level == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(x_new, [0.0, 0.0], atol=1e-10)
+        sec = step_l_down(saddle_quadratic, np.array([1.0, 0.0]), E2,
+                          origin_region)
+        assert sec.level == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(sec.x, [0.0, 0.0], atol=1e-10)
         assert sec.diam <= 1e-6
 
     def test_camel_level_strictly_decreases(self, camel, origin_region):
@@ -184,7 +184,8 @@ class TestStepLDown:
         x0 = np.array([0.3, 0.0])
         lm = line_local_max(camel, x0, E2, origin_region)
         x = x0 + lm.t * E2
-        level, x_new, sec = step_l_down(camel, x, E2, origin_region)
+        sec = step_l_down(camel, x, E2, origin_region)
+        level = sec.level
         assert level < camel.value(x)
         grad = camel.gradient(x)
         d = -(grad - (grad @ E2) * E2)

@@ -19,10 +19,10 @@ from .objective import Objective, TrustRegion
 
 GRAD_TOL_1D = 1e-10
 ROOT_TOL = 1e-10
+CROSSING_XTOL_FRAC = 1e-12  # level-crossing tolerance, a fraction of the radius
 
 _INIT_STEP_FRAC = 1e-2    # first probe, as a fraction of the region radius
 _MAX_STEP_FRAC = 5e-2     # cap on the marching step; limits skipped features
-_CROSSING_XTOL_FRAC = 1e-12  # level-crossing tolerance, a fraction of the radius
 _STATIONARY_XTOL = 1e-15     # tolerance on the roots of phi'
 _ROOT_RTOL = 8.9e-16         # relative root tolerance, 4 machine epsilons
 _UNIT_TOL = 1e-12
@@ -267,7 +267,7 @@ def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float
     returned if it reaches below the level. A dip that lies wholly between
     two probes where phi falls outward shows no sign flip and is not seen.
     """
-    xtol = _CROSSING_XTOL_FRAC * radius
+    xtol = CROSSING_XTOL_FRAC * radius
     hmax = _MAX_STEP_FRAC * radius
     h = _INIT_STEP_FRAC * radius
     t_prev, f_prev = t_start, f_start

@@ -17,8 +17,8 @@ import numpy as np
 from . import quadmodel
 from .errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
                      DegenerateDenominator, LUpImpossible, NoLineMax)
-from .line1d import (GRAD_TOL_1D, ROOT_TOL, LineSection, find_level_crossings,
-                     line_local_max, line_local_min)
+from .line1d import (CROSSING_XTOL_FRAC, GRAD_TOL_1D, ROOT_TOL, LineSection,
+                     find_level_crossings, line_local_max, line_local_min)
 from .objective import Objective, TrustRegion
 from .pardist import derivatives_from_section
 
@@ -113,7 +113,10 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     across v by a Newton step on the complement of v when the reduced Hessian
     is positive definite (steepest descent otherwise), and backtracks on
     g^2(x + t d) under the Armijo condition. A trial point whose section is
-    empty wins immediately: the parallel distance has hit zero.
+    empty wins immediately: the parallel distance has hit zero. Backtracking
+    stops with PdStalled once the trial step t*|d| is shorter than the
+    crossing tolerance the section endpoints are solved to: below it a change
+    in g^2 is crossing error, not a decrease.
     """
     v = state.v
     region = state.region
@@ -136,13 +139,8 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     grad_red = B.T @ pe.grad_g2
     H_red = B.T @ pe.hess_g2 @ B
     evals, _ = quadmodel.decompose(H_red)
-    if evals[-1] > NEWTON_MIN_EIG:
-        d = -B @ np.linalg.solve(H_red, grad_red)
-        t0 = 1.0
-    else:
-        d = -B @ grad_red
-        dn = float(np.linalg.norm(d))
-        t0 = min(1.0, region.radius / dn) if dn > 0 else 1.0
+    newton = evals[-1] > NEWTON_MIN_EIG
+    d = -B @ (np.linalg.solve(H_red, grad_red) if newton else grad_red)
     dn = float(np.linalg.norm(d))
     if dn == 0.0:
         return PdStalled(pe.g)
@@ -150,8 +148,12 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     if slope >= 0.0:
         return PdStalled(pe.g)
 
-    t = t0
+    # A steepest-descent trial starts no farther out than the region radius.
+    t = 1.0 if newton else min(1.0, region.radius / dn)
+    min_step = CROSSING_XTOL_FRAC * region.radius
     for _ in range(MAX_BACKTRACKS):
+        if t * dn < min_step:
+            break
         xt = state.x + t * d
         if region.contains(xt):
             try:

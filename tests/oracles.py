@@ -157,3 +157,55 @@ def newton_polish(grad, hess, x0, tol=1e-13, max_iter=80):
             step /= sn
         x = x + step
     return x
+
+
+class DoubleWell:
+    """f(x) = (y1^2 - 2)^2 / 4 + b y1^2 y2 + sum_{i>=2} lam_i y_i^2 / 2.
+
+    y = Q'(x - c) for a rotation Q and a centre c drawn from a generator
+    seeded by n. The index-one saddle is c (f = 1), and the two minima, mirror
+    images under y1 -> -y1, have equal values. The bend b curves the valley
+    so that the chord between the minima misses the saddle.
+    """
+
+    bend = 0.4
+
+    def __init__(self, n: int):
+        rng = np.random.default_rng(n)
+        self.n = n
+        self.Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        self.centre = 0.5 * rng.standard_normal(n)
+        self.lam = np.concatenate([[0.0], np.linspace(1.0, 3.0, n - 1)])
+
+    def _y(self, x):
+        return self.Q.T @ (np.asarray(x, dtype=float) - self.centre)
+
+    def value(self, x):
+        y = self._y(x)
+        return float(0.25 * (y[0] ** 2 - 2.0) ** 2 + self.bend * y[0] ** 2 * y[1]
+                     + 0.5 * y @ (self.lam * y))
+
+    def gradient(self, x):
+        y = self._y(x)
+        gy = self.lam * y
+        gy[0] += y[0] * (y[0] ** 2 - 2.0) + 2.0 * self.bend * y[0] * y[1]
+        gy[1] += self.bend * y[0] ** 2
+        return self.Q @ gy
+
+    def hessian(self, x):
+        y = self._y(x)
+        Hy = np.diag(self.lam)
+        Hy[0, 0] += 3.0 * y[0] ** 2 - 2.0 + 2.0 * self.bend * y[1]
+        Hy[0, 1] = Hy[1, 0] = 2.0 * self.bend * y[0]
+        return self.Q @ Hy @ self.Q.T
+
+    def minima(self):
+        """Both minima: closed form, polished by Newton."""
+        s2 = 2.0 / (1.0 - 2.0 * self.bend ** 2 / self.lam[1])
+        out = []
+        for sign in (1.0, -1.0):
+            y = np.zeros(self.n)
+            y[0], y[1] = sign * np.sqrt(s2), -self.bend * s2 / self.lam[1]
+            out.append(newton_polish(self.gradient, self.hessian,
+                                     self.centre + self.Q @ y))
+        return out[0], out[1]

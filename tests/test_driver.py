@@ -233,6 +233,24 @@ class TestSolveCamel:
         assert report.iterations < 50
 
 
+class TestSolveDoubleWell:
+    def test_from_equal_minima(self):
+        # Both endpoints are minima of equal value, so the first (PD) step
+        # stalls at once and the level raise does the work. The counts pin
+        # that stall: backtracking on through 45 trial sections would cost
+        # about 1,200 more values and 1,500 more gradients.
+        well = oracles.DoubleWell(5)
+        a, b = well.minima()
+        report = solve(Objective(5, well.value, well.gradient), a, b)
+        assert report.status == "SaddleFound"
+        assert report.morse_index == 1
+        assert report.f == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(report.x - well.centre) <= 1e-6
+        assert [r.step for r in report.trace] == ["Init", "LUp"]
+        assert report.eval_counts == {"value": 143, "gradient": 72,
+                                      "hessian": 5}
+
+
 class TestReportInvariants:
     def _solved(self):
         camel = six_hump_camel()

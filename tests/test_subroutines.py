@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import oracles
+from mtnpass import subroutines
 from mtnpass.errors import AvStalled, CriticalCandidate, LUpImpossible
-from mtnpass.line1d import ROOT_TOL, find_level_crossings
-from mtnpass.objective import TrustRegion, quadratic
+from mtnpass.line1d import ROOT_TOL, chord_section, find_level_crossings
+from mtnpass.objective import Objective, TrustRegion, quadratic
 from mtnpass.pardist import closed_form_g2_quadratic
 from mtnpass.subroutines import (HitZero, PdStalled, ReducedSegment,
                                  SolverState, state_from_section, step_av,
@@ -100,6 +101,32 @@ class TestStepPd:
         out = step_pd(state, saddle_quadratic)
         assert isinstance(out, PdStalled)
         assert out.g == pytest.approx(2.0, abs=1e-9)
+
+    def test_minima_endpoints_stall_without_trials(self, monkeypatch):
+        # Both endpoints are minima of equal value on the level, so the
+        # section's derivatives are rounding noise and the Newton step is
+        # shorter than the crossing tolerance. No trial section is solved.
+        well = oracles.DoubleWell(5)
+        a, b = well.minima()
+        obj = Objective(5, well.value, well.gradient, well.hessian)
+        state = state_from_section(chord_section(obj, a, b),
+                                   TrustRegion(0.5 * (a + b), 10.0), 0, "Init")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return find_level_crossings(*args)
+
+        monkeypatch.setattr(subroutines, "find_level_crossings", counted)
+        before = obj.eval_counts()
+        out = step_pd(state, obj)
+        after = obj.eval_counts()
+        assert isinstance(out, PdStalled)
+        assert out.g == pytest.approx(state.gap, rel=1e-12)
+        assert calls == []
+        # the endpoint gradients and Hessians of the section, nothing more
+        assert {k: after[k] - before[k] for k in after} == \
+            {"value": 0, "gradient": 2, "hessian": 2}
 
     def test_composition_reaches_saddle_midpoint(self, saddle_quadratic,
                                                  origin_region):

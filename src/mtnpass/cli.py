@@ -59,6 +59,16 @@ def _parse_point(text: str, name: str) -> np.ndarray:
     return np.array(vals)
 
 
+def _config_point(spec, name: str) -> np.ndarray:
+    """A point given as a comma-separated string or as a JSON list of reals."""
+    if isinstance(spec, str):
+        return _parse_point(spec, name)
+    try:
+        return np.asarray(spec, dtype=float)
+    except (TypeError, ValueError):
+        raise UsageError(f"{name}: expected a list of reals, got {spec!r}")
+
+
 def _load_objective(function: str | None, model_path: str | None) -> Objective:
     if function == "quadratic" or (function is None and model_path):
         if not model_path:
@@ -93,6 +103,9 @@ def _read_config_file(path: str) -> dict:
     unknown = set(doc) - _SOLVE_CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("function", "model", "out"):
+        if key in doc and not isinstance(doc[key], str):
+            raise UsageError(f"config key {key!r} must be a string")
     return doc
 
 
@@ -108,8 +121,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     b_spec = pick(args.b, "b")
     if a_spec is None or b_spec is None:
         raise UsageError("both endpoints --a and --b are required")
-    a = _parse_point(a_spec, "--a") if isinstance(a_spec, str) else np.asarray(a_spec, dtype=float)
-    b = _parse_point(b_spec, "--b") if isinstance(b_spec, str) else np.asarray(b_spec, dtype=float)
+    a = _config_point(a_spec, "--a")
+    b = _config_point(b_spec, "--b")
 
     obj = _load_objective(function, model)
     if a.shape != (obj.n,) or b.shape != (obj.n,):
@@ -123,7 +136,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             radius=float(pick(args.radius, "radius", 10.0)),
             seed=int(pick(args.seed, "seed", 0)),
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise UsageError(f"bad solver configuration: {err}")
 
     out_dir = Path(pick(args.out, "out", "."))
@@ -161,8 +174,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _validated_grid(spec) -> dict:
     if not isinstance(spec, dict) or set(spec) != {"bounds", "resolution"}:
         raise UsageError("grid spec needs exactly the keys bounds and resolution")
-    bounds = np.asarray(spec["bounds"], dtype=float)
-    resolution = int(spec["resolution"])
+    try:
+        bounds = np.asarray(spec["bounds"], dtype=float)
+        resolution = int(spec["resolution"])
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"grid bounds must be reals and resolution an integer: {err}")
     if bounds.shape != (4,):
         raise UsageError("grid bounds need x1min,x1max,x2min,x2max")
     if not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):

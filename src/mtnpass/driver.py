@@ -126,7 +126,7 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
     if region is None:
         region = TrustRegion(0.5 * (a + b), config.radius)
     section = chord_section(obj, a, b)
-    return state_from_section(section, region, 0, "Init")
+    return state_from_section(section, region, "Init")
 
 
 def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
@@ -238,45 +238,42 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                 outcome = None
                 failed = str(err)
 
-            if isinstance(outcome, ReducedSegment):
-                new_state = outcome.state
-                if outcome.g_new <= (1.0 - _ETA) * outcome.g_old:
-                    # Case 1a: real progress; re-align the chord.
-                    try:
-                        new_state = step_av(new_state, obj)
-                    except AvStalled:
-                        pass  # already aligned; the reduction still counts
-                else:
-                    # Case 1b: little progress at this level; raise it.
-                    try:
-                        new_state = step_l_up(new_state, obj)
-                    except (LUpImpossible, CrossingOutsideRegion, NoLineMax) as err:
-                        failed = f"level raise failed: {err}"
-                state = replace(new_state, iteration=it + 1)
-            elif isinstance(outcome, HitZero):
+            if isinstance(outcome, HitZero):
                 # Case 1c: the segment collapsed; lower the level.
                 try:
                     section = step_l_down(obj, outcome.x_prime, state.v, region)
-                    state = state_from_section(section, region, it + 1, "LDown")
+                    state = state_from_section(section, region, "LDown")
                 except CriticalCandidate as cand:
                     report = polish(cand.x, it, "critical candidate from l-down")
                     if report is not None:
                         return report
                     failed = "critical candidate was not an index-one saddle"
-                    state = replace(state, iteration=it + 1, last_step="LDown")
+                    state = replace(state, last_step="LDown")
                 except (CrossingOutsideRegion, NoLineMax) as err:
                     failed = f"l-down failed: {err}"
-                    state = replace(state, iteration=it + 1, last_step="LDown")
+                    state = replace(state, last_step="LDown")
+            elif (isinstance(outcome, ReducedSegment)
+                  and outcome.g_new <= (1.0 - _ETA) * outcome.g_old):
+                # Case 1a: real progress; re-align the chord.
+                state = outcome.state
+                try:
+                    state = step_av(state, obj)
+                except AvStalled:
+                    pass  # already aligned; the reduction still counts
             else:
-                # (PD) stalled or raised; a level raise sometimes repairs the state.
-                if isinstance(outcome, PdStalled):
-                    failed = "parallel-distance reduction stalled"
-                logger.debug("PD failed: %s", failed)
+                # Case 1b, little progress at this level, or (PD) stalled or
+                # raised: raise the level, which sometimes repairs the state.
+                if isinstance(outcome, ReducedSegment):
+                    state = outcome.state
+                else:
+                    if isinstance(outcome, PdStalled):
+                        failed = "parallel-distance reduction stalled"
+                    logger.debug("PD failed: %s", failed)
                 try:
                     state = step_l_up(state, obj)
-                except (LUpImpossible, CrossingOutsideRegion, NoLineMax):
-                    pass
-                state = replace(state, iteration=it + 1)
+                except (LUpImpossible, CrossingOutsideRegion, NoLineMax) as err:
+                    if failed is None:
+                        failed = f"level raise failed: {err}"
 
             if failed is None:
                 failures = 0

@@ -167,13 +167,16 @@ class QuadraticObjective(Objective):
     def __init__(self, H: np.ndarray, g: np.ndarray, c: float, name: str = "quadratic"):
         H = np.asarray(H, dtype=float)
         g = np.asarray(g, dtype=float)
+        c = float(c)
         n = g.size
         if H.shape != (n, n):
             raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
+        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))
+                and np.isfinite(c)):
+            raise ValueError("H, g and c must be finite")
         if np.max(np.abs(H - H.T)) > 1e-12:
             raise ValueError("H must be symmetric (within 1e-12)")
         H = 0.5 * (H + H.T)
-        c = float(c)
         super().__init__(
             n,
             value=lambda x: 0.5 * x @ H @ x + g @ x + c,
@@ -293,7 +296,8 @@ def quadratic_from_json(source) -> QuadraticObjective:
     """Load a quadratic from a JSON document {"H": [[...]], "g": [...], "c": number}.
 
     `source` may be a path, an open file, or an already-parsed dict. H must be
-    row-major and symmetric within 1e-12; unknown keys are rejected.
+    row-major and symmetric within 1e-12, and every coefficient finite (JSON
+    readers accept NaN and Infinity); unknown keys are rejected.
     """
     if isinstance(source, dict):
         doc = source

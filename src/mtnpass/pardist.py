@@ -41,8 +41,6 @@ class ParallelDistanceEval:
     grad_g: Optional[np.ndarray] = None
     grad_g2: Optional[np.ndarray] = None
     hess_g2: Optional[np.ndarray] = None
-    grad_f_z: Optional[np.ndarray] = None
-    grad_f_zp: Optional[np.ndarray] = None
     denom_z: Optional[float] = None
     denom_zp: Optional[float] = None
 
@@ -91,7 +89,7 @@ def derivatives_from_section(obj: Objective, section: LineSection,
     return ParallelDistanceEval(
         section=section, g=g, g2=g * g,
         grad_g=grad_g, grad_g2=grad_g2, hess_g2=hess_g2,
-        grad_f_z=gz, grad_f_zp=gzp, denom_z=dz, denom_zp=dzp)
+        denom_z=dz, denom_zp=dzp)
 
 
 def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
@@ -108,10 +106,23 @@ def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
     return derivatives_from_section(obj, section, want_hessian=want_hessian)
 
 
-def _coefficients(model) -> tuple[np.ndarray, np.ndarray, float]:
+def _bracket_terms(model, v: np.ndarray
+                   ) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+    """c, alpha = v'Hv, g'v, A and b of the closed-form bracket along v.
+
+    Raises NotConcaveAlongV unless v'Hv < 0.
+    """
     H = np.asarray(model.H, dtype=float)
     g = np.asarray(model.g, dtype=float)
-    return H, g, float(model.c)
+    v = np.asarray(v, dtype=float)
+    alpha = float(v @ H @ v)
+    if alpha >= 0.0:
+        raise NotConcaveAlongV(f"v'Hv = {alpha:.3e} is not negative")
+    Hv = H @ v
+    gv = float(g @ v)
+    A = np.outer(Hv, Hv) - alpha * H
+    b = gv * Hv - alpha * g
+    return float(model.c), alpha, gv, A, b
 
 
 def closed_form_g2_quadratic(model, x: np.ndarray, v: np.ndarray,
@@ -127,17 +138,9 @@ def closed_form_g2_quadratic(model, x: np.ndarray, v: np.ndarray,
                                   + 2((g'v)v'H - (v'Hv)g')x
                                   + (g'v)^2 + (v'Hv)(2*level - 2c) ])
     """
-    H, g, c = _coefficients(model)
+    c, alpha, gv, A, b = _bracket_terms(model, v)
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
     n = x.size
-    alpha = float(v @ H @ v)
-    if alpha >= 0.0:
-        raise NotConcaveAlongV(f"v'Hv = {alpha:.3e} is not negative")
-    Hv = H @ v
-    gv = float(g @ v)
-    A = np.outer(Hv, Hv) - alpha * H
-    b = gv * Hv - alpha * g
     kappa = gv * gv + alpha * (2.0 * level - 2.0 * c)
     bracket = float(x @ A @ x + 2.0 * b @ x + kappa)
     scale = 4.0 / alpha ** 2
@@ -157,15 +160,7 @@ def estimate_critical_level(model, v: np.ndarray) -> float:
     value of f at the saddle. Raises NoEstimate when the quadratic part of
     the bracket is not positive semidefinite on the complement of v.
     """
-    H, g, c = _coefficients(model)
-    v = np.asarray(v, dtype=float)
-    alpha = float(v @ H @ v)
-    if alpha >= 0.0:
-        raise NotConcaveAlongV(f"v'Hv = {alpha:.3e} is not negative")
-    Hv = H @ v
-    gv = float(g @ v)
-    A = np.outer(Hv, Hv) - alpha * H
-    b = gv * Hv - alpha * g
+    c, alpha, gv, A, b = _bracket_terms(model, v)
     evals, evecs = quadmodel.decompose(A)
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     if scale == 0.0:

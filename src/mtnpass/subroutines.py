@@ -41,7 +41,6 @@ class SolverState:
     level: float
     x: np.ndarray
     region: TrustRegion
-    iteration: int = 0
     last_step: str = "Init"
 
     @property
@@ -75,10 +74,10 @@ class SolverState:
 
 
 def state_from_section(section: LineSection, region: TrustRegion,
-                       iteration: int, last_step: str) -> SolverState:
+                       last_step: str) -> SolverState:
     return SolverState(z=section.z, zp=section.zp, v=section.v,
                        level=section.level, x=section.midpoint,
-                       region=region, iteration=iteration, last_step=last_step)
+                       region=region, last_step=last_step)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,6 @@ class HitZero:
     """(PD) drove the parallel distance to zero; x_prime is the line-local max."""
     x_prime: np.ndarray
     f_prime: float
-    step_point: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,7 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
         # the driver's level raise moves the section off it.
         lm = line_local_max(obj, state.x, v, region)
         if lm.value <= state.level + 10.0 * ROOT_TOL:
-            return HitZero(state.x + lm.t * v, lm.value, state.x)
+            return HitZero(state.x + lm.t * v, lm.value)
         raise
     g2_0 = pe.g2
 
@@ -163,11 +161,10 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
             if sec is not None:
                 if sec.empty:
                     lm = line_local_max(obj, xt, v, region)
-                    return HitZero(xt + lm.t * v, lm.value, xt)
+                    return HitZero(xt + lm.t * v, lm.value)
                 g2_t = sec.diam ** 2
                 if g2_t <= g2_0 + ARMIJO_C1 * t * slope:
-                    new_state = state_from_section(
-                        sec, region, state.iteration, "PD")
+                    new_state = state_from_section(sec, region, "PD")
                     return ReducedSegment(new_state, g_old=pe.g, g_new=sec.diam)
         t *= BACKTRACK_RATIO
     return PdStalled(pe.g)

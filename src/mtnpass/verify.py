@@ -9,21 +9,42 @@ eigenvalues). All suites are deterministic under a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import CrossingOutsideRegion, MtnpassError, NoLineMax
 from .line1d import find_level_crossings
-from .objective import Objective, QuadraticObjective, TrustRegion, six_hump_camel
+from .objective import (Objective, QuadraticObjective, TrustRegion,
+                        fd_gradient, six_hump_camel, tightness2d)
 from .pardist import closed_form_g2_quadratic, eval_pardist
-from .quadmodel import complement_basis, decompose, generate_morse1, saddle_of
+from .quadmodel import (complement_basis, decompose, generate_morse1,
+                        morse_index, saddle_of)
 
 ADMISSIBLE_MIN_G = 0.1
 ADMISSIBLE_MIN_DENOM = 0.1
+# Finite-difference steps of the root-finding g^2, scaled by max(1, |x|_inf),
+# and the relative errors the endpoint formulas may show against them.
 FD_G2_GRAD_STEP = 1e-5
 FD_G2_HESS_STEP = 1e-4
+GRAD_TOL = 1e-4
+HESS_TOL = 1e-4
+# Hessian stability sweep: see check_hessian_stability and trend_ok.
+N_SCALES = 8
+SCALE_START = 2
+STABILITY_R0 = 0.5
+STABILITY_E0_FRAC = 0.25
+V_GAP = 0.05
+STABILITY_REGION_RADIUS = 2.0
+TREND_GROWTH_FACTOR = 1.5
+TREND_FINAL_FRAC = 1e-2
+# Convexity probes: see check_convexity_region and convexity_radius_sweep.
+CONVEXITY_SLACK = 1e-10
+SWEEP_RADII = np.linspace(0.02, 0.8, 40)
+SWEEP_N_PAIRS = 60
+SWEEP_REGION_RADIUS = 2.0
+ORACLE_TOL = 1e-8   # relative error of root-finding g^2 against the closed form
 
 
 def numeric_g2(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
@@ -36,38 +57,21 @@ def numeric_g2(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
     return section.diam ** 2
 
 
-def fd_grad_g2(obj, x, v, level, region, step=FD_G2_GRAD_STEP):
-    """Central differences of the root-finding g^2; None if any probe fails."""
-    x = np.asarray(x, dtype=float)
-    h = step * max(1.0, float(np.max(np.abs(x))))
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fp = numeric_g2(obj, x + e, v, level, region)
-        fm = numeric_g2(obj, x - e, v, level, region)
-        if fp is None or fm is None:
-            return None
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
+def fd_hess_g2(g2, x: np.ndarray) -> np.ndarray:
+    """Second central differences of a scalar function g2 (upper triangle).
 
-
-def fd_hess_g2(obj, x, v, level, region, step=FD_G2_HESS_STEP):
-    """Second central differences of the root-finding g^2 (upper triangle)."""
+    A probe that raises ends the difference and the exception propagates.
+    """
     x = np.asarray(x, dtype=float)
-    h = step * max(1.0, float(np.max(np.abs(x))))
+    h = FD_G2_HESS_STEP * max(1.0, float(np.max(np.abs(x))))
     n = x.size
     H = np.empty((n, n))
     for i in range(n):
         for j in range(i, n):
             ei = np.zeros(n); ei[i] = h
             ej = np.zeros(n); ej[j] = h
-            vals = [numeric_g2(obj, x + ei + ej, v, level, region),
-                    numeric_g2(obj, x + ei - ej, v, level, region),
-                    numeric_g2(obj, x - ei + ej, v, level, region),
-                    numeric_g2(obj, x - ei - ej, v, level, region)]
-            if any(val is None for val in vals):
-                return None
+            vals = [g2(x + ei + ej), g2(x + ei - ej), g2(x - ei + ej),
+                    g2(x - ei - ej)]
             H[i, j] = H[j, i] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4.0 * h * h)
     return H
 
@@ -79,15 +83,9 @@ class GradFormulaReport:
     n_failures: int = 0
     max_rel_grad_err: float = 0.0
     max_rel_hess_err: float = 0.0
-    grad_tol: float = 1e-4
-    hess_tol: float = 1e-4
 
     def to_dict(self) -> dict:
-        return {"n_cases": self.n_cases, "n_skipped": self.n_skipped,
-                "n_failures": self.n_failures,
-                "max_rel_grad_err": self.max_rel_grad_err,
-                "max_rel_hess_err": self.max_rel_hess_err,
-                "grad_tol": self.grad_tol, "hess_tol": self.hess_tol}
+        return {**asdict(self), "grad_tol": GRAD_TOL, "hess_tol": HESS_TOL}
 
 
 def _admissible(pe) -> bool:
@@ -153,15 +151,14 @@ def camel_sample_cases(n_cases: int = 20, seed: int = 0) -> list[dict]:
     return cases
 
 
-def check_grad_formulas(cases: list[dict], grad_tol: float = 1e-4,
-                        hess_tol: float = 1e-4) -> GradFormulaReport:
+def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
     """Compare the endpoint-formula grad/hess of g^2 with finite differences.
 
     Relative errors are guarded: |diff| / (1 + |analytic|). Samples where the
     denominators degenerate or a finite-difference probe escapes the region
     are counted as skipped, not failed.
     """
-    report = GradFormulaReport(grad_tol=grad_tol, hess_tol=hess_tol)
+    report = GradFormulaReport()
     for case in cases:
         obj, x, v = case["obj"], case["x"], case["v"]
         level, region = case["level"], case["region"]
@@ -173,9 +170,14 @@ def check_grad_formulas(cases: list[dict], grad_tol: float = 1e-4,
         if pe.section.empty or not _admissible(pe):
             report.n_skipped += 1
             continue
-        fd_g = fd_grad_g2(obj, x, v, level, region)
-        fd_h = fd_hess_g2(obj, x, v, level, region)
-        if fd_g is None or fd_h is None:
+
+        def g2(p):  # raises when the section through p escapes the region
+            return find_level_crossings(obj, p, v, level, region).diam ** 2
+
+        try:
+            fd_g = fd_gradient(g2, x, FD_G2_GRAD_STEP)
+            fd_h = fd_hess_g2(g2, x)
+        except (CrossingOutsideRegion, NoLineMax):
             report.n_skipped += 1
             continue
         ge = float(np.linalg.norm(pe.grad_g2 - fd_g)
@@ -185,7 +187,7 @@ def check_grad_formulas(cases: list[dict], grad_tol: float = 1e-4,
         report.n_cases += 1
         report.max_rel_grad_err = max(report.max_rel_grad_err, ge)
         report.max_rel_hess_err = max(report.max_rel_hess_err, he)
-        if ge > grad_tol or he > hess_tol:
+        if ge > GRAD_TOL or he > HESS_TOL:
             report.n_failures += 1
     return report
 
@@ -206,15 +208,9 @@ class QuadraticComparison:
     vector_gap: float
     deviation: float
     href_norm: float
-    href: Optional[np.ndarray] = field(default=None, repr=False)
-    measured: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        # matrices are kept on the object but left out of serialized reports
-        return {"v_label": self.v_label, "scale": self.scale,
-                "offset": self.offset, "level_gap": self.level_gap,
-                "vector_gap": self.vector_gap, "deviation": self.deviation,
-                "href_norm": self.href_norm}
+        return asdict(self)
 
 
 @dataclass
@@ -226,42 +222,36 @@ class StabilityReport:
     def by_v(self, v_label: str) -> list:
         return [c for c in self.comparisons if c.v_label == v_label]
 
-    def trend_ok(self, v_label: str, growth_factor: float = 1.5,
-                 final_frac: float = 1e-2) -> bool:
-        """Deviations non-increasing within the factor and small at the end."""
+    def trend_ok(self, v_label: str) -> bool:
+        """No deviation grows by more than TREND_GROWTH_FACTOR, and the last
+        is at most TREND_FINAL_FRAC of the reference norm."""
         comps = self.by_v(v_label)
         if not comps:
             return False
         devs = [c.deviation for c in comps]
         for prev, cur in zip(devs, devs[1:]):
-            if cur > growth_factor * max(prev, 1e-300):
+            if cur > TREND_GROWTH_FACTOR * max(prev, 1e-300):
                 return False
-        return devs[-1] <= final_frac * comps[-1].href_norm
+        return devs[-1] <= TREND_FINAL_FRAC * comps[-1].href_norm
 
     def to_dict(self) -> dict:
-        return {"applicable": self.applicable, "reason": self.reason,
-                "comparisons": [c.to_dict() for c in self.comparisons]}
+        return asdict(self)
 
 
-def check_hessian_stability(obj: Objective, xbar: np.ndarray,
-                            n_scales: int = 8, r0: float = 0.5,
-                            e0: Optional[float] = None,
-                            v_gap: float = 0.05,
-                            region_radius: float = 2.0,
-                            scale_start: int = 2) -> StabilityReport:
+def check_hessian_stability(obj: Objective, xbar: np.ndarray) -> StabilityReport:
     """Deviation of the measured hess(g^2) from the quadratic-model reference.
 
-    Sweeps a geometric sequence of scales s = 2^-scale_start, ... (factor
-    1/2, n_scales levels): the base point is offset from the critical point
-    by s*r0 along the leading positive eigenvector and the level sits s*e0
-    below the critical value. Both the aligned direction (the negative
-    eigenvector) and one perturbed by v_gap are measured. Reports
-    NotApplicable when the critical point is degenerate or not of Morse
-    index one. On an exact quadratic the measured Hessian is the closed
-    form, so deviations are identically zero. The sweep must start inside
-    the regime where the section is a single segment; the default skips the
-    first octave, which on desk-scale functions can drop the level below
-    neighboring basins.
+    Sweeps a geometric sequence of scales s = 2^-SCALE_START, ... (factor
+    1/2, N_SCALES levels): the base point is offset from the critical point
+    by s*STABILITY_R0 along the leading positive eigenvector and the level
+    sits s*e0 below the critical value, with e0 = STABILITY_E0_FRAC
+    |lambda_n|. Both the aligned direction (the negative eigenvector) and one
+    perturbed by V_GAP are measured. Reports NotApplicable when the critical
+    point is degenerate or not of Morse index one. On an exact quadratic the
+    measured Hessian is the closed form, so deviations are identically zero.
+    The sweep must start inside the regime where the section is a single
+    segment; SCALE_START = 2 skips the first octave, which on desk-scale
+    functions can drop the level below neighboring basins.
     """
     xbar = np.asarray(xbar, dtype=float)
     H = obj.hessian(xbar)
@@ -269,28 +259,26 @@ def check_hessian_stability(obj: Objective, xbar: np.ndarray,
     scale = float(np.max(np.abs(evals)))
     if scale == 0.0 or float(np.min(np.abs(evals))) < 1e-8 * scale:
         return StabilityReport(False, "degenerate critical point")
-    if int(np.sum(evals < 0)) != 1:
-        return StabilityReport(False,
-                               f"Morse index {int(np.sum(evals < 0))} is not one")
+    index = morse_index(H)
+    if index != 1:
+        return StabilityReport(False, f"Morse index {index} is not one")
     vbar = evecs[:, -1]
     u = evecs[:, 0]
-    lam_n = evals[-1]
-    if e0 is None:
-        e0 = 0.25 * abs(lam_n)
+    e0 = STABILITY_E0_FRAC * abs(evals[-1])
     fbar = obj.value(xbar)
-    # Perturbed direction at chord distance v_gap from vbar, inside the span
+    # Perturbed direction at chord distance V_GAP from vbar, inside the span
     # of vbar and the leading eigenvector.
-    theta = 2.0 * np.arcsin(v_gap / 2.0)
+    theta = 2.0 * np.arcsin(V_GAP / 2.0)
     v_pert = np.cos(theta) * vbar + np.sin(theta) * u
 
     report = StabilityReport(True)
-    region = TrustRegion(xbar, region_radius)
+    region = TrustRegion(xbar, STABILITY_REGION_RADIUS)
     for v_label, v in (("aligned", vbar), ("perturbed", v_pert)):
         href = reference_hessian(H, v)
         href_norm = float(np.linalg.norm(href))
-        for k in range(scale_start, scale_start + n_scales):
+        for k in range(SCALE_START, SCALE_START + N_SCALES):
             s = 0.5 ** k
-            x = xbar + s * r0 * u
+            x = xbar + s * STABILITY_R0 * u
             level = fbar - s * e0
             if isinstance(obj, QuadraticObjective):
                 _, _, measured = closed_form_g2_quadratic(obj, x, v, level)
@@ -299,11 +287,10 @@ def check_hessian_stability(obj: Objective, xbar: np.ndarray,
                 measured = pe.hess_g2
             dev = float(np.linalg.norm(measured - href))
             report.comparisons.append(QuadraticComparison(
-                v_label=v_label, scale=s, offset=float(s * r0),
+                v_label=v_label, scale=s, offset=float(s * STABILITY_R0),
                 level_gap=float(s * e0),
                 vector_gap=float(np.linalg.norm(v - vbar)),
-                deviation=dev, href_norm=href_norm,
-                href=href, measured=measured))
+                deviation=dev, href_norm=href_norm))
     return report
 
 
@@ -319,26 +306,20 @@ class ConvexityReport:
     n_eig_samples: int = 0
 
     def to_dict(self) -> dict:
-        return {"radius": self.radius, "level": self.level,
-                "n_pairs": self.n_pairs, "n_skipped": self.n_skipped,
-                "n_violations": self.n_violations,
-                "max_violation": self.max_violation,
-                "min_reduced_eig": self.min_reduced_eig,
-                "n_eig_samples": self.n_eig_samples}
+        return asdict(self)
 
 
 def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
                            v: np.ndarray, radius: float, n_pairs: int = 100,
                            seed: int = 0, region: Optional[TrustRegion] = None,
-                           slack: float = 1e-10,
                            with_eigenvalues: bool = False) -> ConvexityReport:
     """Midpoint-convexity probe of g^2 on random pairs in a ball.
 
     A pair (a, b) is a violation when g^2 at the midpoint exceeds the mean of
-    the endpoint values by more than the slack. Points whose section escapes
-    the region are skipped. Optionally also reports the minimum eigenvalue of
-    hess(g^2) restricted to the complement of v over the sampled points with
-    positive g (samples with degenerate denominators are skipped).
+    the endpoint values by more than CONVEXITY_SLACK. Points whose section
+    escapes the region are skipped. Optionally also reports the minimum
+    eigenvalue of hess(g^2) restricted to the complement of v over the sampled
+    points with positive g (samples with degenerate denominators are skipped).
     """
     center = np.asarray(center, dtype=float)
     if region is None:
@@ -362,7 +343,7 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
             continue
         report.n_pairs += 1
         violation = vals[2] - 0.5 * (vals[0] + vals[1])
-        if violation > slack:
+        if violation > CONVEXITY_SLACK:
             report.n_violations += 1
             report.max_violation = max(report.max_violation, float(violation))
         if with_eigenvalues:
@@ -382,25 +363,22 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
 
 
 def convexity_radius_sweep(obj: Objective, center: np.ndarray, v: np.ndarray,
-                           levels: list[float], radii: Optional[np.ndarray] = None,
-                           n_pairs: int = 60, seed: int = 0,
-                           region: Optional[TrustRegion] = None) -> dict:
-    """Largest prefix of the radius grid that is violation-free, per level.
+                           levels: list[float], seed: int = 0) -> dict:
+    """Largest prefix of SWEEP_RADII that is violation-free, per level.
 
     For each level the radii are probed in increasing order with identical
-    seeds; the recorded radius is the largest one below the first violation.
+    seeds and SWEEP_N_PAIRS pairs each, in a region of radius
+    SWEEP_REGION_RADIUS around the center; the recorded radius is the largest
+    one below the first violation.
     """
     center = np.asarray(center, dtype=float)
-    if radii is None:
-        radii = np.linspace(0.02, 0.8, 40)
-    if region is None:
-        region = TrustRegion(center, 2.0)
+    region = TrustRegion(center, SWEEP_REGION_RADIUS)
     out = {}
     for level in levels:
         r_clear = 0.0
-        for r in radii:
+        for r in SWEEP_RADII:
             rep = check_convexity_region(obj, center, level, v, float(r),
-                                         n_pairs=n_pairs, seed=seed,
+                                         n_pairs=SWEEP_N_PAIRS, seed=seed,
                                          region=region)
             if rep.n_violations > 0:
                 break
@@ -409,8 +387,7 @@ def convexity_radius_sweep(obj: Objective, center: np.ndarray, v: np.ndarray,
     return out
 
 
-def quadratic_oracle_suite(n_models: int = 200, seed: int = 0,
-                           tol: float = 1e-8) -> dict:
+def quadratic_oracle_suite(n_models: int = 200, seed: int = 0) -> dict:
     """Root-finding g^2 against the closed form on seeded random models.
 
     The report carries no timings so identical seeds give identical output.
@@ -437,10 +414,10 @@ def quadratic_oracle_suite(n_models: int = 200, seed: int = 0,
         g2_closed, _, _ = closed_form_g2_quadratic(model, x, v, level)
         err = abs(pe.g2 - g2_closed) / (1.0 + g2_closed)
         max_err = max(max_err, err)
-        if err > tol:
+        if err > ORACLE_TOL:
             failures += 1
     return {"suite": "quadratic-oracle", "n_models": n_models, "seed": seed,
-            "tol": tol, "max_rel_err": max_err, "failures": failures}
+            "tol": ORACLE_TOL, "max_rel_err": max_err, "failures": failures}
 
 
 def run_suite(name: str, seed: int = 0) -> dict:
@@ -492,7 +469,6 @@ def run_suite(name: str, seed: int = 0) -> dict:
             n_pairs=100, seed=seed, region=TrustRegion(np.zeros(2), 10.0))
         if rep_c.n_violations > 0:
             failures += 1
-        from .objective import tightness2d
         tight = tightness2d()
         _, tevecs = decompose(tight.hessian(np.zeros(2)))
         sweep = convexity_radius_sweep(

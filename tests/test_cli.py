@@ -92,6 +92,29 @@ class TestSolveCommand:
                                     "bogus": True}))
         assert run_cli("solve", "--config", str(path)) == 2
 
+    @pytest.mark.parametrize("override", [
+        {"a": ["x", 1]},
+        {"grid": {"bounds": ["x", 2, -1.5, 1.5], "resolution": 21}},
+        {"grid": {"bounds": [-2, 2, -1.5, 1.5], "resolution": "many"}},
+        {"out": 5},
+        {"function": ["six_hump_camel"]},
+    ], ids=["point", "grid-bounds", "grid-resolution", "out", "function"])
+    def test_config_values_of_wrong_type_are_usage_errors(self, tmp_path, override):
+        cfg = {"function": "six_hump_camel", "a": [0.0898, -0.7126],
+               "b": [-0.0898, 0.7126], "out": str(tmp_path), **override}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("solve", "--config", str(path)) == 2
+
+    def test_nonfinite_model_is_usage_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"H": [[1.0, 0.0], [0.0, NaN]], "g": [0.0, 0.0], '
+                        '"c": 0.0}')
+        code = run_cli("solve", "--model", str(path), "--a", "1,2",
+                       "--b", "1,-2", "--out", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "report.json").exists()
+
     def test_flags_override_config(self, tmp_path):
         cfg = {"function": "six_hump_camel", "a": [5.0, 5.0], "b": [6.0, 6.0],
                "out": str(tmp_path)}

@@ -6,9 +6,9 @@ import pytest
 
 import oracles
 from mtnpass.errors import EvaluationError
-from mtnpass.objective import (Objective, TrustRegion, builtin, fd_gradient,
-                               fd_hessian, quadratic, quadratic_from_json,
-                               six_hump_camel, tightness2d)
+from mtnpass.objective import (Objective, TrustRegion, builtin, fd_hessian,
+                               quadratic, quadratic_from_json, six_hump_camel,
+                               tightness2d)
 
 
 class TestValues:
@@ -227,6 +227,22 @@ class TestQuadraticJson:
         doc = {"H": [[1.0, 0.0], [0.0, -1.0]], "g": [0.0], "c": 0.0}
         with pytest.raises(ValueError):
             quadratic_from_json(doc)
+
+    @pytest.mark.parametrize("key,bad", [
+        ("H", [[1.0, 0.0], [0.0, float("nan")]]),
+        ("g", [float("inf"), 0.0]),
+        ("c", float("-inf")),
+    ])
+    def test_nonfinite_coefficients_rejected(self, key, bad):
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_from_json(dict(self.DOC, **{key: bad}))
+
+    def test_nonfinite_json_literals_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"H": [[1.0, 0.0], [0.0, -1.0]], "g": [NaN, 0.0], '
+                        '"c": Infinity}')
+        with pytest.raises(ValueError, match="finite"):
+            quadratic_from_json(path)
 
 
 class TestTrustRegion:

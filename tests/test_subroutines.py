@@ -17,7 +17,7 @@ E2 = np.array([0.0, 1.0])
 def make_state(obj, x, v, level, region):
     sec = find_level_crossings(obj, x, v, level, region)
     assert not sec.empty
-    return state_from_section(sec, region, 0, "Init")
+    return state_from_section(sec, region, "Init")
 
 
 @pytest.fixture
@@ -110,7 +110,7 @@ class TestStepPd:
         a, b = well.minima()
         obj = Objective(5, well.value, well.gradient, well.hessian)
         state = state_from_section(chord_section(obj, a, b),
-                                   TrustRegion(0.5 * (a + b), 10.0), 0, "Init")
+                                   TrustRegion(0.5 * (a + b), 10.0), "Init")
         calls = []
 
         def counted(*args):

@@ -1,6 +1,10 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from mtnpass import verify
 from mtnpass.objective import Objective, TrustRegion, tightness2d
 from mtnpass.quadmodel import generate_morse1, saddle_of
 from mtnpass.verify import (camel_sample_cases, check_convexity_region,
@@ -96,8 +100,7 @@ class TestHessianStability:
     def test_tightness_origin_is_morse_one(self):
         # The origin Hessian is [[0,1],[1,0]] with eigenvalues +1 and -1:
         # nondegenerate of Morse index one, so the check applies to it.
-        report = check_hessian_stability(tightness2d(), np.zeros(2),
-                                         region_radius=1.0)
+        report = check_hessian_stability(tightness2d(), np.zeros(2))
         assert report.applicable
 
 
@@ -151,3 +154,26 @@ class TestSuites:
     def test_suite_reports_are_deterministic(self):
         assert run_suite("quadratic-oracle", seed=1) == \
             run_suite("quadratic-oracle", seed=1)
+
+
+def test_suite_settings_are_constants():
+    # Tolerances, step sizes and sweep shapes are module constants of verify;
+    # only sample sizes, seeds, points, levels and directions are parameters.
+    knobs = {"step", "grad_tol", "hess_tol", "growth_factor", "final_frac",
+             "n_scales", "r0", "e0", "v_gap", "region_radius", "scale_start",
+             "slack", "radii", "tol"}
+    for name, fn in inspect.getmembers(verify, inspect.isfunction):
+        if fn.__module__ == verify.__name__ and not name.startswith("_"):
+            assert not knobs & set(inspect.signature(fn).parameters), name
+    for cname, cls in inspect.getmembers(verify, inspect.isclass):
+        if cls.__module__ != verify.__name__:
+            continue
+        assert not knobs & {f.name for f in dataclasses.fields(cls)}, cname
+        for name, fn in inspect.getmembers(cls, inspect.isfunction):
+            assert not knobs & set(inspect.signature(fn).parameters), \
+                f"{cname}.{name}"
+    sweep = set(inspect.signature(convexity_radius_sweep).parameters)
+    assert not {"n_pairs", "region"} & sweep
+    assert not hasattr(verify, "fd_grad_g2")
+    assert {f.name for f in dataclasses.fields(verify.QuadraticComparison)} \
+        .isdisjoint({"href", "measured"})

@@ -59,6 +59,14 @@ def _parse_point(text: str, name: str) -> np.ndarray:
     return np.array(vals)
 
 
+def _as_int(value) -> int:
+    """int(value), refusing booleans and non-integral reals instead of truncating."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _config_point(spec, name: str) -> np.ndarray:
     """A point given as a comma-separated string or as a JSON list of reals."""
     if isinstance(spec, str):
@@ -132,9 +140,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         config = SolveConfig(
             gtol=float(pick(args.gtol, "gtol", 1e-8)),
             xtol=float(pick(args.xtol, "xtol", 1e-6)),
-            max_iter=int(pick(args.max_iter, "max_iter", 500)),
+            max_iter=_as_int(pick(args.max_iter, "max_iter", 500)),
             radius=float(pick(args.radius, "radius", 10.0)),
-            seed=int(pick(args.seed, "seed", 0)),
+            seed=_as_int(pick(args.seed, "seed", 0)),
         )
     except (TypeError, ValueError) as err:
         raise UsageError(f"bad solver configuration: {err}")
@@ -176,7 +184,7 @@ def _validated_grid(spec) -> dict:
         raise UsageError("grid spec needs exactly the keys bounds and resolution")
     try:
         bounds = np.asarray(spec["bounds"], dtype=float)
-        resolution = int(spec["resolution"])
+        resolution = _as_int(spec["resolution"])
     except (TypeError, ValueError) as err:
         raise UsageError(f"grid bounds must be reals and resolution an integer: {err}")
     if bounds.shape != (4,):

@@ -61,13 +61,14 @@ class TraceRecord:
     gap: float
     grad_norm_z: float
     grad_norm_zp: float
-    x: list
+    x: np.ndarray
 
     def to_dict(self) -> dict:
         return {"iteration": self.iteration, "step": self.step,
                 "level": self.level, "gap": self.gap,
                 "grad_norm_z": self.grad_norm_z,
-                "grad_norm_zp": self.grad_norm_zp, "x": self.x}
+                "grad_norm_zp": self.grad_norm_zp,
+                "x": [float(c) for c in self.x]}
 
 
 @dataclass
@@ -191,7 +192,7 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                 iteration=it, step=state.last_step, level=state.level, gap=gap,
                 grad_norm_z=float(np.linalg.norm(gz)),
                 grad_norm_zp=float(np.linalg.norm(gzp)),
-                x=[float(c) for c in state.x]))
+                x=np.array(state.x, dtype=float)))
             logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, state.last_step,
                          state.level, gap)
 

@@ -16,12 +16,17 @@ import numpy as np
 
 from . import quadmodel
 from .errors import DegenerateDenominator, NoEstimate, NotConcaveAlongV
-from .line1d import LineSection, find_level_crossings
+from .line1d import ROOT_TOL, LineSection, find_level_crossings
 from .objective import Objective, TrustRegion
 
 # Dividing by v'grad f at an endpoint is meaningless when |v'grad f| is below
 # DENOM_TOL |grad f| there (v tangent to the level set) or |grad f| is below
-# DENOM_TOL times the larger endpoint gradient (a critical endpoint).
+# DENOM_TOL times the larger endpoint gradient (a critical endpoint). It is
+# also meaningless when |v'grad f| g <= ROOT_TOL for the section diameter g:
+# f then moves off the level by less than the crossings are solved to across
+# the whole section, so f does not fix the endpoint. That catches two
+# endpoints that are both critical (equal minima on the level), which the
+# relative test misses.
 DENOM_TOL = 1e-8
 
 
@@ -46,7 +51,7 @@ class ParallelDistanceEval:
 
 
 def _endpoint_denominator(grad_f: np.ndarray, v: np.ndarray, where: str,
-                          grad_scale: float) -> float:
+                          grad_scale: float, g: float) -> float:
     d = float(grad_f @ v)
     gn = float(np.linalg.norm(grad_f))
     if gn <= DENOM_TOL * grad_scale:
@@ -57,6 +62,10 @@ def _endpoint_denominator(grad_f: np.ndarray, v: np.ndarray, where: str,
         raise DegenerateDenominator(
             f"v is nearly tangent to the level set at {where} "
             f"(|v'grad f| = {abs(d):.3e}, |grad f| = {gn:.3e})")
+    if abs(d) * g <= ROOT_TOL:
+        raise DegenerateDenominator(
+            f"f is flat along v at {where} to within the root tolerance "
+            f"across the section (|v'grad f| g = {abs(d) * g:.3e})")
     return d
 
 
@@ -70,9 +79,9 @@ def derivatives_from_section(obj: Objective, section: LineSection,
     gz = obj.gradient(z)
     gzp = obj.gradient(zp)
     grad_scale = max(float(np.linalg.norm(gz)), float(np.linalg.norm(gzp)))
-    dz = _endpoint_denominator(gz, v, "z", grad_scale)
-    dzp = _endpoint_denominator(gzp, v, "z'", grad_scale)
     g = section.diam
+    dz = _endpoint_denominator(gz, v, "z", grad_scale, g)
+    dzp = _endpoint_denominator(gzp, v, "z'", grad_scale, g)
     grad_g = -gz / dz + gzp / dzp
     grad_g2 = 2.0 * g * grad_g
     hess_g2 = None
@@ -98,9 +107,12 @@ def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
     """Parallel distance at x: root-find the section, then apply the formulas.
 
     Raises DegenerateDenominator when v is nearly tangent to the level set at
-    an endpoint or an endpoint is a critical point of f (such as an endpoint
-    minimum sitting on the level); callers should adjust the level or the
-    direction. An empty section gives g = 0 with no derivatives.
+    an endpoint, an endpoint is a critical point of f (such as an endpoint
+    minimum sitting on the level), or |v'grad f| g <= ROOT_TOL at an
+    endpoint, so f stays within the root tolerance of the level across the
+    section (both endpoints critical, or a collapsing section); callers
+    should adjust the level or the direction. An empty section gives g = 0
+    with no derivatives.
     """
     section = find_level_crossings(obj, x, v, level, region)
     return derivatives_from_section(obj, section, want_hessian=want_hessian)

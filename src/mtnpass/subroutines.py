@@ -122,11 +122,12 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
         pe = derivatives_from_section(obj, state.section(), want_hessian=True)
     except DegenerateDenominator:
         # A (nearly) collapsed segment puts the endpoints at the line max,
-        # where v is tangent to the level set. That is the zero-distance
-        # case: report the collapse so the caller lowers the level. Genuine
-        # tangency on a wide segment, or an endpoint at a critical point of f
-        # (an endpoint minimum on the initial level), stays an error, and
-        # the driver's level raise moves the section off it.
+        # where v is tangent to the level set and |v'grad f| g <= ROOT_TOL.
+        # That is the zero-distance case: report the collapse so the caller
+        # lowers the level. Genuine tangency on a wide segment, or endpoints
+        # at critical points of f (endpoint minima on the initial level),
+        # stays an error, raised before any Hessian or trial section is
+        # paid, and the driver's level raise moves the section off it.
         lm = line_local_max(obj, state.x, v, region)
         if lm.value <= state.level + 10.0 * ROOT_TOL:
             return HitZero(state.x + lm.t * v, lm.value)

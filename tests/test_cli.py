@@ -98,7 +98,14 @@ class TestSolveCommand:
         {"grid": {"bounds": [-2, 2, -1.5, 1.5], "resolution": "many"}},
         {"out": 5},
         {"function": ["six_hump_camel"]},
-    ], ids=["point", "grid-bounds", "grid-resolution", "out", "function"])
+        {"max_iter": 2.7},
+        {"seed": 1.5},
+        {"max_iter": True},
+        {"seed": True},
+        {"grid": {"bounds": [-2, 2, -1.5, 1.5], "resolution": 21.5}},
+    ], ids=["point", "grid-bounds", "grid-resolution", "out", "function",
+            "max_iter-fraction", "seed-fraction", "max_iter-bool", "seed-bool",
+            "grid-resolution-fraction"])
     def test_config_values_of_wrong_type_are_usage_errors(self, tmp_path, override):
         cfg = {"function": "six_hump_camel", "a": [0.0898, -0.7126],
                "b": [-0.0898, 0.7126], "out": str(tmp_path), **override}

@@ -7,7 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 QUICK_DEMOS = ("01_parallel_distance.py", "02_quadratic_closed_form.py",
-               "03_solve_six_hump_camel.py")
+               "03_solve_six_hump_camel.py", "05_contour_and_trace.py")
 
 
 @pytest.mark.parametrize("demo", QUICK_DEMOS)

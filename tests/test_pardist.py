@@ -5,7 +5,7 @@ import oracles
 from mtnpass.errors import (DegenerateDenominator, NoEstimate,
                             NotConcaveAlongV)
 from mtnpass.line1d import chord_section, find_level_crossings
-from mtnpass.objective import TrustRegion, quadratic
+from mtnpass.objective import Objective, TrustRegion, quadratic
 from mtnpass.pardist import (closed_form_g2_quadratic, derivatives_from_section,
                              estimate_critical_level, eval_pardist)
 from mtnpass.quadmodel import generate_morse1, saddle_of
@@ -85,6 +85,36 @@ class TestEvalPardist:
         assert np.allclose(sec.zp, b, atol=1e-12)
         with pytest.raises(DegenerateDenominator, match="critical point"):
             derivatives_from_section(camel, sec)
+
+    def test_equal_minima_raise_before_hessians(self):
+        # Both endpoints of the chord section between the equal minima of a
+        # double well are critical: |v'grad f| g is rounding noise there,
+        # far below the root tolerance, yet neither endpoint gradient is
+        # small against the other. No Hessian is paid before the error.
+        well = oracles.DoubleWell(5)
+        obj = Objective(5, well.value, well.gradient, well.hessian)
+        sec = chord_section(obj, *well.minima())
+        before = obj.eval_counts()
+        with pytest.raises(DegenerateDenominator, match="root tolerance"):
+            derivatives_from_section(obj, sec, want_hessian=True)
+        after = obj.eval_counts()
+        assert after["hessian"] == before["hessian"]
+        assert after["gradient"] - before["gradient"] == 2
+
+    def test_narrow_section_keeps_derivatives(self, saddle_quadratic,
+                                              origin_region):
+        # g = 1e-3 on f = 0.5 (x1^2 - x2^2) along e2: |v'grad f| g = 5e-7 is
+        # well above the root tolerance, so the formulas still apply and
+        # match the closed form.
+        x = np.array([1e-4, 0.0])
+        level = 0.5 * (x[0] ** 2 - 0.25e-6)
+        pe = eval_pardist(saddle_quadratic, x, E2, level, origin_region,
+                          want_hessian=True)
+        g2, grad, hess = closed_form_g2_quadratic(saddle_quadratic, x, E2, level)
+        assert pe.g == pytest.approx(1e-3, rel=1e-6)
+        assert pe.g2 == pytest.approx(g2, rel=1e-6)
+        assert np.allclose(pe.grad_g2, grad, rtol=1e-6, atol=1e-12)
+        assert np.allclose(pe.hess_g2, hess, rtol=1e-6, atol=1e-9)
 
     def test_denominators_have_opposite_signs(self, camel, origin_region):
         pe = eval_pardist(camel, np.array([0.02, 0.0]), E2, -0.1, origin_region)

@@ -3,7 +3,8 @@ import pytest
 
 import oracles
 from mtnpass import subroutines
-from mtnpass.errors import AvStalled, CriticalCandidate, LUpImpossible
+from mtnpass.errors import (AvStalled, CriticalCandidate,
+                            DegenerateDenominator, LUpImpossible)
 from mtnpass.line1d import ROOT_TOL, chord_section, find_level_crossings
 from mtnpass.objective import Objective, TrustRegion, quadratic
 from mtnpass.pardist import closed_form_g2_quadratic
@@ -102,10 +103,11 @@ class TestStepPd:
         assert isinstance(out, PdStalled)
         assert out.g == pytest.approx(2.0, abs=1e-9)
 
-    def test_minima_endpoints_stall_without_trials(self, monkeypatch):
-        # Both endpoints are minima of equal value on the level, so the
-        # section's derivatives are rounding noise and the Newton step is
-        # shorter than the crossing tolerance. No trial section is solved.
+    def test_minima_endpoints_raise_without_trials(self, monkeypatch):
+        # Both endpoints are minima of equal value on the level, so
+        # |v'grad f| g is below the root tolerance at both and the section's
+        # derivatives would be rounding noise. The error is raised before any
+        # Hessian is evaluated or any trial section is solved.
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         obj = Objective(5, well.value, well.gradient, well.hessian)
@@ -118,15 +120,11 @@ class TestStepPd:
             return find_level_crossings(*args)
 
         monkeypatch.setattr(subroutines, "find_level_crossings", counted)
-        before = obj.eval_counts()
-        out = step_pd(state, obj)
-        after = obj.eval_counts()
-        assert isinstance(out, PdStalled)
-        assert out.g == pytest.approx(state.gap, rel=1e-12)
+        before = obj.eval_counts()["hessian"]
+        with pytest.raises(DegenerateDenominator, match="root tolerance"):
+            step_pd(state, obj)
         assert calls == []
-        # the endpoint gradients and Hessians of the section, nothing more
-        assert {k: after[k] - before[k] for k in after} == \
-            {"value": 0, "gradient": 2, "hessian": 2}
+        assert obj.eval_counts()["hessian"] == before
 
     def test_composition_reaches_saddle_midpoint(self, saddle_quadratic,
                                                  origin_region):

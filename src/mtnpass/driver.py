@@ -156,10 +156,14 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         if gn < best_norm:
             best_x, best_norm = x.copy(), gn
 
-    def finish(status: str, x: np.ndarray, iterations: int, message: str) -> SolveReport:
+    def certificate(x: np.ndarray) -> tuple[float, int]:
+        """|grad f| and the Morse index at x."""
+        return float(np.linalg.norm(obj.gradient(x))), morse_index(obj.hessian(x))
+
+    def finish(status: str, x: np.ndarray, gn: float, idx: int, iterations: int,
+               message: str) -> SolveReport:
+        """The report for x, certified by gn = |grad f(x)| and Morse index idx."""
         x = np.asarray(x, dtype=float)
-        gn = float(np.linalg.norm(obj.gradient(x)))
-        idx = morse_index(obj.hessian(x))
         if status == "SaddleFound" and not (gn <= config.gtol and idx == 1):
             status = "Stalled"
             message = (message + "; candidate failed certification").strip("; ")
@@ -174,7 +178,9 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         except NewtonBreakdown:
             return None
         if nr.converged and nr.morse_index == 1 and region.contains(nr.x):
-            return finish("SaddleFound", nr.x, iterations, origin)
+            # Newton's last gradient and Hessian are at nr.x: they certify it.
+            return finish("SaddleFound", nr.x, nr.grad_norm, nr.morse_index,
+                          iterations, origin)
         return None
 
     with obj.watch_gradients(observe):
@@ -221,7 +227,8 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                     return report
                 # certification inside finish() downgrades to Stalled if the
                 # extrapolated point is not an index-one saddle
-                return finish("SaddleFound", x_best, it, "endpoint gap closed")
+                return finish("SaddleFound", x_best, *certificate(x_best), it,
+                              "endpoint gap closed")
 
             # Newton handoff once the endpoints are close.
             if 0.0 < gap < _NEWTON_HANDOFF_GAP:
@@ -281,7 +288,9 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             else:
                 failures += 1
                 if failures >= _MAX_CONSECUTIVE_FAILURES:
-                    return finish("Breakdown", state.midpoint, it, failed)
+                    m = state.midpoint
+                    return finish("Breakdown", m, *certificate(m), it, failed)
 
-        return finish("MaxIter", state.midpoint, config.max_iter,
+        m = state.midpoint
+        return finish("MaxIter", m, *certificate(m), config.max_iter,
                       "iteration limit reached")

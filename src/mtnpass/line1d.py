@@ -34,7 +34,9 @@ class LineSection:
 
     When non-empty the section is the segment t in [t1, t2] containing the
     line-local max nearest t = 0; the endpoints satisfy |f - level| <= root
-    tolerance. z is the endpoint with the larger v-coordinate.
+    tolerance. z is the endpoint with the larger v-coordinate. An empty
+    section from find_level_crossings carries in line_max the line max it
+    found on or below the level.
     """
 
     x: np.ndarray
@@ -42,6 +44,7 @@ class LineSection:
     level: float
     t1: Optional[float] = None
     t2: Optional[float] = None
+    line_max: Optional[LineExtremum] = None
 
     @property
     def empty(self) -> bool:
@@ -68,9 +71,16 @@ class LineSection:
 
 @dataclass(frozen=True)
 class LineExtremum:
+    """A line-local extremum at t with f = value there.
+
+    slope is phi'(t) when the search already evaluated it there (a polish
+    that ended in Brent's method on phi'), else None.
+    """
+
     t: float
     value: float
     on_boundary: bool = False
+    slope: Optional[float] = None
 
 
 def _check_unit(v: np.ndarray) -> np.ndarray:
@@ -147,14 +157,16 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
 
 def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
                 fb: float, da: Optional[float] = None,
-                dc: Optional[float] = None) -> float:
+                dc: Optional[float] = None) -> tuple[float, Optional[float]]:
     """Polish a three-point max bracket a < b < c, with fb = phi(b), to phi' = 0.
 
     Brent's method on phi' once the derivative signs at a and c straddle;
     until then golden-section shrinks on phi. phi' is evaluated once per
     bracket end: da = phi'(a) and dc = phi'(c) may be handed in, and a known
     value is kept while its end does not move. Polishes a min bracket when
-    given -phi, -phi', -fb and the negated derivatives.
+    given -phi, -phi', -fb and the negated derivatives. Returns the polished
+    t and phi'(t) as Brent's method last evaluated it, or None for phi'(t)
+    when the golden-section shrink ended the polish.
     """
     invgold = 0.381966011250105  # 2 - golden ratio
     for _ in range(200):
@@ -164,8 +176,8 @@ def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
             if dc is None:
                 dc = dphi(c)
             if dc < 0.0:
-                return float(_brent(dphi, a, c, da, dc, _STATIONARY_XTOL,
-                                    _ROOT_RTOL)[0])
+                t, dt = _brent(dphi, a, c, da, dc, _STATIONARY_XTOL, _ROOT_RTOL)
+                return float(t), dt
         # Shrink by golden section until the derivative signs straddle.
         if c - b > b - a:
             u = b + invgold * (c - b)
@@ -183,7 +195,7 @@ def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
                 a, da = u, None
         if c - a < 1e-13 * max(1.0, abs(b)):
             break
-    return float(b)
+    return float(b), None
 
 
 def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
@@ -211,8 +223,8 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
         c = hp if hp > 0 else 0.0
         if a == c:
             raise NoLineMax("degenerate chord through the trust region")
-        t = _refine_max(phi, dphi, a, 0.0, c, f0)
-        return LineExtremum(t, phi(t))
+        t, slope = _refine_max(phi, dphi, a, 0.0, c, f0)
+        return LineExtremum(t, phi(t), slope=slope)
 
     # March uphill in the direction of steeper initial increase.
     if fp >= fm:
@@ -230,8 +242,8 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
         fc = phi(c)
         if fc < fb:
             lo, hi = sorted((a, c))
-            t = _refine_max(phi, dphi, lo, b, hi, fb)
-            return LineExtremum(t, phi(t))
+            t, slope = _refine_max(phi, dphi, lo, b, hi, fb)
+            return LineExtremum(t, phi(t), slope=slope)
         if at_bound:
             raise NoLineMax("f is monotone along the probed range of the line")
         a, b, fa, fb = b, c, fb, fc
@@ -257,8 +269,10 @@ def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
 
 
 def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float,
-                   sgn: float, bound: float, level: float, radius: float) -> float:
-    """March from t_start, where phi = f_start > level, to the component edge.
+                   d_start: float, sgn: float, bound: float, level: float,
+                   radius: float) -> float:
+    """March from t_start, where phi = f_start > level and phi' = d_start,
+    to the component edge.
 
     Marches with growing (capped) steps. A probe below the level closes a
     bracket whose crossing Brent's method solves. Between probes that both
@@ -271,7 +285,7 @@ def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float
     hmax = _MAX_STEP_FRAC * radius
     h = _INIT_STEP_FRAC * radius
     t_prev, f_prev = t_start, f_start
-    d_prev = dphi(t_start) * sgn
+    d_prev = d_start * sgn
     while True:
         t_next = t_prev + sgn * h
         at_bound = (t_next - bound) * sgn >= 0
@@ -306,16 +320,22 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     Locates the line-local max nearest t = 0; if its value does not exceed
     the level the section is empty. Otherwise both crossings of the level are
     bracketed outward from the max and refined to |f - level| <= ROOT_TOL.
+    An empty section carries the max. Both marches start from the slope the
+    max's polish ended with, evaluated here only when the polish did not end
+    in Brent's method.
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
     lm = line_local_max(obj, x, v, region)
     if lm.value <= level:
-        return LineSection(x, v, level)
+        return LineSection(x, v, level, line_max=lm)
     phi, dphi = _line_funcs(obj, x, v)
+    slope = dphi(lm.t) if lm.slope is None else lm.slope
     t_lo, t_hi = region.line_interval(x, v)
-    t2 = _cross_outward(phi, dphi, lm.t, lm.value, +1.0, t_hi, level, region.radius)
-    t1 = _cross_outward(phi, dphi, lm.t, lm.value, -1.0, t_lo, level, region.radius)
+    t2 = _cross_outward(phi, dphi, lm.t, lm.value, slope, +1.0, t_hi, level,
+                        region.radius)
+    t1 = _cross_outward(phi, dphi, lm.t, lm.value, slope, -1.0, t_lo, level,
+                        region.radius)
     return LineSection(x, v, level, float(t1), float(t2))
 
 
@@ -364,7 +384,7 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
     i = int(np.argmax(vals))
     if i == 0 or i == len(ts) - 1:
         raise BadEndpoints("f has no interior line-local max on [a, b]")
-    t_star = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1], vals[i])
+    t_star, _ = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1], vals[i])
     f_star = phi(t_star)
     level = max(obj.value(a), vals[0])
     if f_star <= level:
@@ -424,8 +444,8 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
         fc = phi(c)
         d_next = dphi(c)
         if fc > fb:
-            t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c, -fb,
-                            -d_a, -d_next)
+            t, _ = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c,
+                               -fb, -d_a, -d_next)
             return LineExtremum(t, phi(t))
         if d_prev < 0.0 < d_next:
             # Passed a minimum that did not show up in the values yet.

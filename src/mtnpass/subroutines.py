@@ -111,10 +111,11 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     across v by a Newton step on the complement of v when the reduced Hessian
     is positive definite (steepest descent otherwise), and backtracks on
     g^2(x + t d) under the Armijo condition. A trial point whose section is
-    empty wins immediately: the parallel distance has hit zero. Backtracking
-    stops with PdStalled once the trial step t*|d| is shorter than the
-    crossing tolerance the section endpoints are solved to: below it a change
-    in g^2 is crossing error, not a decrease.
+    empty wins immediately: the parallel distance has hit zero at the line
+    max the empty section carries. Backtracking stops with PdStalled once the
+    trial step t*|d| is shorter than the crossing tolerance the section
+    endpoints are solved to: below it a change in g^2 is crossing error, not
+    a decrease.
     """
     v = state.v
     region = state.region
@@ -127,9 +128,14 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
         # lowers the level. Genuine tangency on a wide segment, or endpoints
         # at critical points of f (endpoint minima on the initial level),
         # stays an error, raised before any Hessian or trial section is
-        # paid, and the driver's level raise moves the section off it.
+        # paid, and the driver's level raise moves the section off it. The
+        # line max marches uphill from x, so f(x) above the collapse level
+        # settles the question without it.
+        collapse_level = state.level + 10.0 * ROOT_TOL
+        if obj.value(state.x) > collapse_level:
+            raise
         lm = line_local_max(obj, state.x, v, region)
-        if lm.value <= state.level + 10.0 * ROOT_TOL:
+        if lm.value <= collapse_level:
             return HitZero(state.x + lm.t * v, lm.value)
         raise
     g2_0 = pe.g2
@@ -161,7 +167,7 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
                 sec = None
             if sec is not None:
                 if sec.empty:
-                    lm = line_local_max(obj, xt, v, region)
+                    lm = sec.line_max
                     return HitZero(xt + lm.t * v, lm.value)
                 g2_t = sec.diam ** 2
                 if g2_t <= g2_0 + ARMIJO_C1 * t * slope:
@@ -235,7 +241,7 @@ def crossings_or_degenerate(obj: Objective, x: np.ndarray, v: np.ndarray,
     section = find_level_crossings(obj, x, v, level, region)
     if not section.empty:
         return section
-    lm = line_local_max(obj, x, v, region)
+    lm = section.line_max
     if level - lm.value <= ROOT_TOL:
         return LineSection(x, v, level, lm.t, lm.t)
     raise CrossingOutsideRegion(

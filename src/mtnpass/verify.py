@@ -15,10 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import CrossingOutsideRegion, MtnpassError, NoLineMax
-from .line1d import find_level_crossings
+from .line1d import LineSection, find_level_crossings
 from .objective import (Objective, QuadraticObjective, TrustRegion,
                         fd_gradient, six_hump_camel, tightness2d)
-from .pardist import closed_form_g2_quadratic, eval_pardist
+from .pardist import (closed_form_g2_quadratic, derivatives_from_section,
+                      eval_pardist)
 from .quadmodel import (complement_basis, decompose, generate_morse1,
                         morse_index, saddle_of)
 
@@ -47,14 +48,13 @@ SWEEP_REGION_RADIUS = 2.0
 ORACLE_TOL = 1e-8   # relative error of root-finding g^2 against the closed form
 
 
-def numeric_g2(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
-               region: TrustRegion) -> Optional[float]:
-    """g^2 by root finding alone; None when the section escapes the region."""
+def _section_or_none(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
+                     region: TrustRegion) -> Optional[LineSection]:
+    """The section through x by root finding; None when it escapes the region."""
     try:
-        section = find_level_crossings(obj, x, v, level, region)
+        return find_level_crossings(obj, x, v, level, region)
     except (CrossingOutsideRegion, NoLineMax):
         return None
-    return section.diam ** 2
 
 
 def fd_hess_g2(g2, x: np.ndarray) -> np.ndarray:
@@ -316,10 +316,12 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
     """Midpoint-convexity probe of g^2 on random pairs in a ball.
 
     A pair (a, b) is a violation when g^2 at the midpoint exceeds the mean of
-    the endpoint values by more than CONVEXITY_SLACK. Points whose section
-    escapes the region are skipped. Optionally also reports the minimum
-    eigenvalue of hess(g^2) restricted to the complement of v over the sampled
-    points with positive g (samples with degenerate denominators are skipped).
+    the endpoint values by more than CONVEXITY_SLACK. A pair is skipped at
+    the first of its sections (a, b, then the midpoint) that escapes the
+    region. Optionally also reports the minimum eigenvalue of hess(g^2)
+    restricted to the complement of v over the sampled points with positive
+    g (samples with degenerate denominators are skipped); those derivatives
+    come from the sections of a and b already solved.
     """
     center = np.asarray(center, dtype=float)
     if region is None:
@@ -336,23 +338,28 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
 
     for _ in range(n_pairs):
         a, b = draw(), draw()
-        vals = [numeric_g2(obj, p, v, level, region)
-                for p in (a, b, 0.5 * (a + b))]
-        if any(val is None for val in vals):
+        sections = []
+        for p in (a, b, 0.5 * (a + b)):
+            sec = _section_or_none(obj, p, v, level, region)
+            if sec is None:
+                break
+            sections.append(sec)
+        if len(sections) < 3:
             report.n_skipped += 1
             continue
         report.n_pairs += 1
-        violation = vals[2] - 0.5 * (vals[0] + vals[1])
+        g2a, g2b, g2m = (sec.diam ** 2 for sec in sections)
+        violation = g2m - 0.5 * (g2a + g2b)
         if violation > CONVEXITY_SLACK:
             report.n_violations += 1
             report.max_violation = max(report.max_violation, float(violation))
         if with_eigenvalues:
-            for p in (a, b):
+            for sec in sections[:2]:
                 try:
-                    pe = eval_pardist(obj, p, v, level, region, want_hessian=True)
+                    pe = derivatives_from_section(obj, sec, want_hessian=True)
                 except MtnpassError:
                     continue
-                if pe.section.empty or pe.g <= 1e-6:
+                if pe.g <= 1e-6:
                     continue
                 red = B.T @ pe.hess_g2 @ B
                 lam_min = float(decompose(red)[0][-1])

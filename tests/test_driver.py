@@ -247,8 +247,8 @@ class TestSolveDoubleWell:
         assert report.f == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert [r.step for r in report.trace] == ["Init", "LUp"]
-        assert report.eval_counts == {"value": 147, "gradient": 57,
-                                      "hessian": 3}
+        assert report.eval_counts == {"value": 144, "gradient": 39,
+                                      "hessian": 2}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
     def test_equal_minima_without_backtracking_storm(self, n):
@@ -261,6 +261,35 @@ class TestSolveDoubleWell:
         assert report.status == "SaddleFound"
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert report.eval_counts["gradient"] < 150
+
+
+class TestCertificateReuse:
+    @pytest.mark.parametrize("case", ["camel", "double-well-fd"])
+    def test_polish_path_evaluates_only_f_after_newton(self, monkeypatch, case):
+        # newton_refine returns |grad f| and the Morse index at its final
+        # point; the report certifies with them and evaluates only f(x). With
+        # finite-difference Hessians a second certificate would cost 2n + 1
+        # gradients.
+        import mtnpass.driver
+        real = mtnpass.driver.newton_refine
+        after = []
+
+        def spy(obj, x0, *args, **kwargs):
+            nr = real(obj, x0, *args, **kwargs)
+            after.append(obj.eval_counts())
+            return nr
+
+        monkeypatch.setattr(mtnpass.driver, "newton_refine", spy)
+        if case == "camel":
+            report = solve(six_hump_camel(), np.array([0.0898, -0.7126]),
+                           np.array([-0.0898, 0.7126]))
+        else:
+            well = oracles.DoubleWell(5)
+            a, b = well.minima()
+            report = solve(Objective(5, well.value, well.gradient), a, b)
+        assert report.status == "SaddleFound"
+        assert {k: report.eval_counts[k] - after[-1][k] for k in after[-1]} \
+            == {"value": 1, "gradient": 0, "hessian": 0}
 
 
 class TestReportInvariants:

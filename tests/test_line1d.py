@@ -177,12 +177,54 @@ class TestFindLevelCrossings:
         find_level_crossings(saddle_quadratic, np.array([1.0, 0.0]), E2, -0.5,
                              origin_region)
         assert saddle_quadratic.eval_counts() == \
-            {"value": 26, "gradient": 15, "hessian": 0}
+            {"value": 26, "gradient": 13, "hessian": 0}
 
     def test_camel_eval_counts(self, camel, origin_region):
         vbar = np.linalg.eigh(oracles.camel_hessian(np.zeros(2)))[1][:, 0]
         find_level_crossings(camel, np.zeros(2), vbar, -0.1, origin_region)
-        assert camel.eval_counts() == {"value": 20, "gradient": 9, "hessian": 0}
+        assert camel.eval_counts() == {"value": 20, "gradient": 7, "hessian": 0}
+
+    @staticmethod
+    def _gradients_at_max(value, gradient, x, v, level, region):
+        """Gradients evaluated at the line max t* by line_local_max alone and
+        by find_level_crossings, and the max itself."""
+        points = []
+
+        def recorded(p):
+            points.append(np.array(p))
+            return gradient(p)
+
+        obj = Objective(2, value, recorded)
+        lm = line_local_max(obj, x, v, region)
+        at_max = x + lm.t * v
+        own = sum(np.array_equal(p, at_max) for p in points)
+        points.clear()
+        sec = find_level_crossings(obj, x, v, level, region)
+        assert not sec.empty
+        return own, sum(np.array_equal(p, at_max) for p in points), lm
+
+    def test_brent_polished_max_hands_over_its_slope(self, origin_region):
+        # Brent's method on phi' ends with phi'(t*): the outward marches
+        # start from that value and evaluate no gradient at t* again.
+        vbar = np.linalg.eigh(oracles.camel_hessian(np.zeros(2)))[1][:, 0]
+        own, total, lm = self._gradients_at_max(
+            oracles.camel_value, oracles.camel_gradient, np.zeros(2), vbar, -0.1,
+            origin_region)
+        assert total == own
+        assert lm.slope is not None
+
+    def test_golden_polished_max_evaluates_its_slope_once(self, origin_region):
+        # A gradient stub that returns zeros never lets the signs of phi'
+        # straddle, so the polish ends by golden section without a slope;
+        # phi'(t*) is then evaluated once for both marches.
+        def value(p):
+            return -p[1] ** 2
+
+        own, total, lm = self._gradients_at_max(
+            value, lambda p: np.zeros(2), np.array([0.0, 0.3]), E2, -1.0,
+            origin_region)
+        assert total <= own + 1
+        assert lm.slope is None
 
     # A dip that falls wholly between two march probes where phi falls
     # outward shows no sign flip of phi' and is stepped over today (see the

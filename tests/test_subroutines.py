@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 import oracles
-from mtnpass import subroutines
-from mtnpass.errors import (AvStalled, CriticalCandidate,
+from mtnpass import line1d, subroutines
+from mtnpass.errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
                             DegenerateDenominator, LUpImpossible)
 from mtnpass.line1d import ROOT_TOL, chord_section, find_level_crossings
 from mtnpass.objective import Objective, TrustRegion, quadratic
 from mtnpass.pardist import closed_form_g2_quadratic
 from mtnpass.subroutines import (HitZero, PdStalled, ReducedSegment,
-                                 SolverState, state_from_section, step_av,
-                                 step_l_down, step_l_up, step_pd)
+                                 SolverState, crossings_or_degenerate,
+                                 state_from_section, step_av, step_l_down,
+                                 step_l_up, step_pd)
 
 E2 = np.array([0.0, 1.0])
 
@@ -19,6 +20,24 @@ def make_state(obj, x, v, level, region):
     sec = find_level_crossings(obj, x, v, level, region)
     assert not sec.empty
     return state_from_section(sec, region, "Init")
+
+
+def count_line_searches(monkeypatch):
+    """Count the line_local_max and find_level_crossings calls of the moves."""
+    calls = {"line_local_max": 0, "find_level_crossings": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    lmax = counted("line_local_max", line1d.line_local_max)
+    monkeypatch.setattr(line1d, "line_local_max", lmax)
+    monkeypatch.setattr(subroutines, "line_local_max", lmax)
+    monkeypatch.setattr(subroutines, "find_level_crossings",
+                        counted("find_level_crossings", find_level_crossings))
+    return calls
 
 
 @pytest.fixture
@@ -62,6 +81,18 @@ class TestStepPd:
         # x' is a line-local max of f along v through the step point
         grad = saddle_quadratic.gradient(out.x_prime)
         assert abs(grad @ state.v) <= 1e-8
+
+    def test_empty_trial_reuses_its_line_max(self, saddle_quadratic,
+                                             origin_region, monkeypatch):
+        # The empty trial section carries the line max it found; HitZero
+        # takes x' from it without a second search along the line.
+        state = make_state(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
+                           origin_region)
+        calls = count_line_searches(monkeypatch)
+        out = step_pd(state, saddle_quadratic)
+        assert isinstance(out, HitZero)
+        assert calls["find_level_crossings"] >= 1
+        assert calls["line_local_max"] == calls["find_level_crossings"]
 
     def test_never_increases_g(self, camel, origin_region):
         w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))
@@ -125,6 +156,20 @@ class TestStepPd:
             step_pd(state, obj)
         assert calls == []
         assert obj.eval_counts()["hessian"] == before
+
+    def test_wide_degenerate_section_raises_without_line_search(self, monkeypatch):
+        # f at the base point lies above the level, so the line max does too
+        # and the section cannot be collapsing: the error is re-raised
+        # without searching the line.
+        well = oracles.DoubleWell(5)
+        a, b = well.minima()
+        obj = Objective(5, well.value, well.gradient, well.hessian)
+        state = state_from_section(chord_section(obj, a, b),
+                                   TrustRegion(0.5 * (a + b), 10.0), "Init")
+        calls = count_line_searches(monkeypatch)
+        with pytest.raises(DegenerateDenominator):
+            step_pd(state, obj)
+        assert calls["line_local_max"] == 0
 
     def test_composition_reaches_saddle_midpoint(self, saddle_quadratic,
                                                  origin_region):
@@ -229,6 +274,28 @@ class TestStepLDown:
         with pytest.raises(ValueError):
             step_l_down(saddle_quadratic, np.array([1.0, 0.5]), E2,
                         origin_region)
+
+
+class TestCrossingsOrDegenerate:
+    # Along E2 through X the line max is f = 0.5 at t = -0.2. An empty
+    # section carries that max, so neither case searches the line twice.
+    X = np.array([1.0, 0.2])
+
+    def test_point_section_at_the_line_max(self, saddle_quadratic,
+                                           origin_region, monkeypatch):
+        calls = count_line_searches(monkeypatch)
+        sec = crossings_or_degenerate(saddle_quadratic, self.X, E2,
+                                      0.5 + 0.5 * ROOT_TOL, origin_region)
+        assert sec.t1 == sec.t2 == pytest.approx(-0.2, abs=1e-12)
+        assert calls == {"line_local_max": 1, "find_level_crossings": 1}
+
+    def test_no_point_on_the_level(self, saddle_quadratic, origin_region,
+                                   monkeypatch):
+        calls = count_line_searches(monkeypatch)
+        with pytest.raises(CrossingOutsideRegion):
+            crossings_or_degenerate(saddle_quadratic, self.X, E2, 0.501,
+                                    origin_region)
+        assert calls == {"line_local_max": 1, "find_level_crossings": 1}
 
 
 class TestStepLUp:

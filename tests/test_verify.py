@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from mtnpass import verify
+from mtnpass import line1d, verify
 from mtnpass.objective import Objective, TrustRegion, tightness2d
 from mtnpass.quadmodel import generate_morse1, saddle_of
 from mtnpass.verify import (camel_sample_cases, check_convexity_region,
@@ -131,6 +131,42 @@ class TestConvexityProbes:
         sweep = convexity_radius_sweep(tight, np.zeros(2), vbar,
                                        levels=[-0.1, -0.01, -0.001], seed=0)
         assert sweep[-0.1] > sweep[-0.01] > sweep[-0.001] > 0.0
+
+    @staticmethod
+    def _count_line_maxima(monkeypatch):
+        # Every section, solved directly or inside eval_pardist, starts with
+        # one line_local_max.
+        calls = []
+        real = line1d.line_local_max
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(line1d, "line_local_max", counted)
+        return calls
+
+    def test_pair_skipped_at_first_escaping_section(self, saddle_quadratic,
+                                                    monkeypatch):
+        # At level -2 every section along E2 near the origin reaches
+        # |x2| >= 2, outside the unit region: each pair costs one section.
+        calls = self._count_line_maxima(monkeypatch)
+        report = check_convexity_region(
+            saddle_quadratic, np.zeros(2), -2.0, np.array([0.0, 1.0]),
+            radius=0.1, n_pairs=5, region=TrustRegion(np.zeros(2), 1.0))
+        assert report.n_skipped == 5 and report.n_pairs == 0
+        assert len(calls) == 5
+
+    def test_eigenvalue_samples_reuse_the_pair_sections(self, monkeypatch):
+        model = generate_morse1(3, seed=23)
+        xbar, fbar = saddle_of(model)
+        calls = self._count_line_maxima(monkeypatch)
+        report = check_convexity_region(
+            model.as_objective(), xbar, fbar - 0.3,
+            model.negative_eigenvector, radius=0.5, n_pairs=10, seed=0,
+            region=TrustRegion(xbar, 50.0), with_eigenvalues=True)
+        assert report.n_pairs == 10 and report.n_eig_samples == 20
+        assert len(calls) == 3 * 10
 
     def test_deterministic(self, camel):
         w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))

@@ -1,15 +1,17 @@
 """Exact quadratics: closed form of g^2, eigenstructure, level estimation.
 
 For f(x) = 0.5 x'Hx + g'x + c with H of Morse index one and v'Hv < 0, the
-squared parallel distance has an explicit quadratic formula. This script
-compares it against plain root finding, shows the predicted eigenvalues of
-its Hessian, and recovers the critical value by solving for the level at
-which the minimum of g^2 touches zero.
+squared parallel distance has an explicit quadratic formula. The model is
+a QuadraticObjective: an objective with counted evaluations that also
+carries its coefficients and eigendecomposition. This script compares the
+closed form, which evaluates nothing, against plain root finding, shows the
+predicted eigenvalues of its constant Hessian, and recovers the critical
+value by solving for the level at which the minimum of g^2 touches zero.
 """
 
 import numpy as np
 
-from mtnpass import (TrustRegion, closed_form_g2_quadratic,
+from mtnpass import (TrustRegion, closed_form_g2_quadratic, closed_form_hess_g2,
                      estimate_critical_level, eval_pardist, generate_morse1,
                      saddle_of)
 
@@ -24,13 +26,14 @@ x = xbar + 0.3 * rng.standard_normal(4)
 level = fbar - 0.4
 
 g2_closed, grad, hess = closed_form_g2_quadratic(model, x, vbar, level)
-pe = eval_pardist(model.as_objective(), x, vbar, level, TrustRegion(x, 50.0))
-print(f"g^2 closed form   : {g2_closed:.12f}")
-print(f"g^2 root finding  : {pe.g2:.12f}")
+print(f"g^2 closed form   : {g2_closed:.12f}  evaluations {model.eval_counts()}")
+pe = eval_pardist(model, x, vbar, level, TrustRegion(x, 50.0))
+print(f"g^2 root finding  : {pe.g2:.12f}  evaluations {model.eval_counts()}")
 print(f"difference        : {abs(g2_closed - pe.g2):.2e}\n")
 
-# Hessian eigenvalues: one zero (direction v) and -8*lam_i/lam_n for the
-# positive eigenvalues lam_i of H.
+# The Hessian does not depend on x or the level: one zero eigenvalue
+# (direction v) and -8*lam_i/lam_n for the positive eigenvalues lam_i of H.
+assert np.array_equal(hess, closed_form_hess_g2(model.H, vbar))
 lam = model.eigenvalues
 predicted = np.sort(np.concatenate([[0.0], -8.0 * lam[:-1] / lam[-1]]))
 measured = np.sort(np.linalg.eigvalsh(hess))

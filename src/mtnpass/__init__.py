@@ -15,14 +15,13 @@ from .errors import (AvStalled, BadDirection, BadEndpoints, CriticalCandidate,
                      NewtonBreakdown, NoEstimate, NoLineMax, NotConcaveAlongV)
 from .line1d import (LineExtremum, LineSection, find_level_crossings,
                      line_local_max, line_local_min)
-from .objective import (Objective, QuadraticObjective, TrustRegion, builtin,
-                        quadratic, quadratic_from_json, six_hump_camel,
-                        tightness2d)
+from .objective import Objective, TrustRegion, builtin, six_hump_camel, tightness2d
 from .pardist import (ParallelDistanceEval, closed_form_g2_quadratic,
-                      estimate_critical_level, eval_pardist)
-from .quadmodel import (NewtonResult, QuadraticModel, decompose,
+                      closed_form_hess_g2, estimate_critical_level,
+                      eval_pardist)
+from .quadmodel import (NewtonResult, QuadraticObjective, decompose,
                         generate_morse1, morse_index, newton_refine,
-                        saddle_of)
+                        quadratic_from_json, saddle_of)
 from .subroutines import (HitZero, PdStalled, ReducedSegment, SolverState,
                           step_av, step_l_down, step_l_up, step_pd)
 from .verify import (check_convexity_region, check_grad_formulas,

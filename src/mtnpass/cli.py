@@ -24,7 +24,8 @@ import numpy as np
 
 from .driver import SolveConfig, solve
 from .errors import MtnpassError
-from .objective import Objective, builtin, quadratic_from_json
+from .objective import Objective, builtin
+from .quadmodel import quadratic_from_json
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -68,13 +69,15 @@ def _as_int(value) -> int:
 
 
 def _config_point(spec, name: str) -> np.ndarray:
-    """A point given as a comma-separated string or as a JSON list of reals."""
-    if isinstance(spec, str):
-        return _parse_point(spec, name)
+    """A point given as a comma-separated string or as a JSON list of finite reals."""
     try:
-        return np.asarray(spec, dtype=float)
+        point = (_parse_point(spec, name) if isinstance(spec, str)
+                 else np.asarray(spec, dtype=float))
     except (TypeError, ValueError):
         raise UsageError(f"{name}: expected a list of reals, got {spec!r}")
+    if not np.all(np.isfinite(point)):
+        raise UsageError(f"{name}: coordinates must be finite, got {spec!r}")
+    return point
 
 
 def _load_objective(function: str | None, model_path: str | None) -> Objective:
@@ -83,7 +86,7 @@ def _load_objective(function: str | None, model_path: str | None) -> Objective:
             raise UsageError("--function quadratic requires --model <json>")
         try:
             return quadratic_from_json(model_path)
-        except (OSError, ValueError, json.JSONDecodeError) as err:
+        except (OSError, TypeError, ValueError) as err:
             raise UsageError(f"cannot load quadratic model: {err}")
     if not function:
         raise UsageError("one of --function or --model is required")

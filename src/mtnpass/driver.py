@@ -47,8 +47,8 @@ class SolveConfig:
 
     def __post_init__(self):
         for name in ("gtol", "xtol", "radius"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -117,13 +117,16 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
 
     The section is line1d.chord_section: the line-local max of f strictly
     between a and b and the two crossings of the initial level on the chord.
-    Raises BadEndpoints when f is monotone on [a, b] or the ridge does not
-    rise above the level.
+    Raises BadEndpoints, before any evaluation, when an endpoint has the
+    wrong dimension or a non-finite coordinate, and after the chord search
+    when f is monotone on [a, b] or the ridge does not rise above the level.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (obj.n,) or b.shape != (obj.n,):
         raise BadEndpoints("endpoint dimension mismatch")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise BadEndpoints("endpoints must be finite")
     if region is None:
         region = TrustRegion(0.5 * (a + b), config.radius)
     section = chord_section(obj, a, b)

@@ -3,12 +3,13 @@
 An :class:`Objective` wraps user callables for f and its derivatives. The
 gradient is required; the Hessian is optional and falls back to central
 finite differences of the gradient. Built-in test functions used throughout
-the package and its test suite are constructed by :func:`builtin`.
+the package and its test suite are constructed by :func:`builtin`; exact
+quadratics live in :mod:`mtnpass.quadmodel`. The module also holds the
+trust region that every search stays in.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -90,10 +91,6 @@ class Objective:
         self.n_grad_evals = 0
         self.n_hess_evals = 0
 
-    @property
-    def has_analytic_hessian(self) -> bool:
-        return self._hessian is not None
-
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
@@ -159,34 +156,6 @@ class Objective:
             return {"value": self.n_value_evals,
                     "gradient": self.n_grad_evals,
                     "hessian": self.n_hess_evals}
-
-
-class QuadraticObjective(Objective):
-    """Exact quadratic 0.5 x'Hx + g'x + c, keeping its coefficients accessible."""
-
-    def __init__(self, H: np.ndarray, g: np.ndarray, c: float, name: str = "quadratic"):
-        H = np.asarray(H, dtype=float)
-        g = np.asarray(g, dtype=float)
-        c = float(c)
-        n = g.size
-        if H.shape != (n, n):
-            raise ValueError(f"H has shape {H.shape}, expected ({n}, {n})")
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))
-                and np.isfinite(c)):
-            raise ValueError("H, g and c must be finite")
-        if np.max(np.abs(H - H.T)) > 1e-12:
-            raise ValueError("H must be symmetric (within 1e-12)")
-        H = 0.5 * (H + H.T)
-        super().__init__(
-            n,
-            value=lambda x: 0.5 * x @ H @ x + g @ x + c,
-            gradient=lambda x: H @ x + g,
-            hessian=lambda x: H.copy(),
-            name=name,
-        )
-        self.H = H
-        self.g = g
-        self.c = c
 
 
 @dataclass(frozen=True)
@@ -285,43 +254,6 @@ def tightness2d() -> Objective:
         ])
 
     return Objective(2, value, gradient, hessian, name="tightness2d")
-
-
-def quadratic(H: np.ndarray, g: np.ndarray, c: float = 0.0) -> QuadraticObjective:
-    """Exact quadratic objective 0.5 x'Hx + g'x + c with analytic derivatives."""
-    return QuadraticObjective(H, g, c)
-
-
-def quadratic_from_json(source) -> QuadraticObjective:
-    """Load a quadratic from a JSON document {"H": [[...]], "g": [...], "c": number}.
-
-    `source` may be a path, an open file, or an already-parsed dict. H must be
-    row-major and symmetric within 1e-12, and every coefficient finite (JSON
-    readers accept NaN and Infinity); unknown keys are rejected.
-    """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("quadratic document must be a JSON object")
-    unknown = set(doc) - {"H", "g", "c"}
-    if unknown:
-        raise ValueError(f"unknown keys in quadratic document: {sorted(unknown)}")
-    missing = {"H", "g", "c"} - set(doc)
-    if missing:
-        raise ValueError(f"missing keys in quadratic document: {sorted(missing)}")
-    H = np.asarray(doc["H"], dtype=float)
-    g = np.asarray(doc["g"], dtype=float)
-    c = float(doc["c"])
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be a square matrix")
-    if g.ndim != 1 or g.size != H.shape[0]:
-        raise ValueError("g must be a vector matching H")
-    return QuadraticObjective(H, g, c, name="quadratic_json")
 
 
 _BUILTINS = {

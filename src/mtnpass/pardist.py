@@ -3,8 +3,9 @@
 For a unit direction v and level l, g(x) is the diameter of the section of
 {f >= l} cut by the line through x along v (zero when the section is empty).
 This module evaluates g, g^2 and the first and second derivatives of g^2
-from the gradients and Hessians of f at the two section endpoints, and
-provides the exact closed form of g^2 for quadratic objectives.
+from the gradients and Hessians of f at the two section endpoints. For an
+exact quadratic (quadmodel.QuadraticObjective) it gives g^2, its constant
+Hessian and the critical level in closed form.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import quadmodel
 from .errors import DegenerateDenominator, NoEstimate, NotConcaveAlongV
 from .line1d import ROOT_TOL, LineSection, find_level_crossings
 from .objective import Objective, TrustRegion
+from .quadmodel import QuadraticObjective, decompose
 
 # Dividing by v'grad f at an endpoint is meaningless when |v'grad f| is below
 # DENOM_TOL |grad f| there (v tangent to the level set) or |grad f| is below
@@ -118,38 +119,52 @@ def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
     return derivatives_from_section(obj, section, want_hessian=want_hessian)
 
 
-def _bracket_terms(model, v: np.ndarray
+def _bracket_matrix(H: np.ndarray, v: np.ndarray
+                    ) -> tuple[float, np.ndarray, np.ndarray]:
+    """alpha = v'Hv, Hv and A = Hv v'H - alpha H, the closed form's quadratic part."""
+    alpha = float(v @ H @ v)
+    Hv = H @ v
+    return alpha, Hv, np.outer(Hv, Hv) - alpha * H
+
+
+def _bracket_terms(model: QuadraticObjective, v: np.ndarray
                    ) -> tuple[float, float, float, np.ndarray, np.ndarray]:
     """c, alpha = v'Hv, g'v, A and b of the closed-form bracket along v.
 
     Raises NotConcaveAlongV unless v'Hv < 0.
     """
-    H = np.asarray(model.H, dtype=float)
-    g = np.asarray(model.g, dtype=float)
     v = np.asarray(v, dtype=float)
-    alpha = float(v @ H @ v)
+    alpha, Hv, A = _bracket_matrix(model.H, v)
     if alpha >= 0.0:
         raise NotConcaveAlongV(f"v'Hv = {alpha:.3e} is not negative")
-    Hv = H @ v
-    gv = float(g @ v)
-    A = np.outer(Hv, Hv) - alpha * H
-    b = gv * Hv - alpha * g
-    return float(model.c), alpha, gv, A, b
+    gv = float(model.g @ v)
+    b = gv * Hv - alpha * model.g
+    return model.c, alpha, gv, A, b
 
 
-def closed_form_g2_quadratic(model, x: np.ndarray, v: np.ndarray,
-                             level: float) -> tuple[float, np.ndarray, np.ndarray]:
+def closed_form_hess_g2(H: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Constant Hessian 8/(v'Hv)^2 (Hv v'H - (v'Hv) H) of a quadratic's g^2.
+
+    It holds where the section is not empty, for v'Hv < 0.
+    """
+    alpha, _, A = _bracket_matrix(H, v)
+    return (8.0 / alpha ** 2) * A
+
+
+def closed_form_g2_quadratic(model: QuadraticObjective, x: np.ndarray,
+                             v: np.ndarray, level: float
+                             ) -> tuple[float, np.ndarray, np.ndarray]:
     """Exact g^2 with gradient and Hessian for a quadratic 0.5 x'Hx + g'x + c.
 
-    `model` is anything carrying H, g, c (a QuadraticModel or a
-    QuadraticObjective). Requires v'Hv < 0, else NotConcaveAlongV. On the
-    branch where the section is empty, g^2 and its derivatives are zero (the
-    minimal-norm subgradient at the seam).
+    Reads the model's coefficients and evaluates nothing. Requires v'Hv < 0,
+    else NotConcaveAlongV. On the branch where the section is empty, g^2 and
+    its derivatives are zero (the minimal-norm subgradient at the seam).
 
         g^2 = max(0, 4/(v'Hv)^2 [ x'(Hvv'H - (v'Hv)H)x
                                   + 2((g'v)v'H - (v'Hv)g')x
                                   + (g'v)^2 + (v'Hv)(2*level - 2c) ])
     """
+    v = np.asarray(v, dtype=float)
     c, alpha, gv, A, b = _bracket_terms(model, v)
     x = np.asarray(x, dtype=float)
     n = x.size
@@ -158,13 +173,11 @@ def closed_form_g2_quadratic(model, x: np.ndarray, v: np.ndarray,
     scale = 4.0 / alpha ** 2
     if bracket <= 0.0:
         return 0.0, np.zeros(n), np.zeros((n, n))
-    g2 = scale * bracket
-    grad = scale * (2.0 * A @ x + 2.0 * b)
-    hess = 2.0 * scale * A
-    return g2, grad, 0.5 * (hess + hess.T)
+    return (scale * bracket, scale * (2.0 * A @ x + 2.0 * b),
+            closed_form_hess_g2(model.H, v))
 
 
-def estimate_critical_level(model, v: np.ndarray) -> float:
+def estimate_critical_level(model: QuadraticObjective, v: np.ndarray) -> float:
     """Level at which the minimum of the closed-form bracket equals zero.
 
     For an exact quadratic this recovers the critical value of the model:
@@ -173,7 +186,7 @@ def estimate_critical_level(model, v: np.ndarray) -> float:
     the bracket is not positive semidefinite on the complement of v.
     """
     c, alpha, gv, A, b = _bracket_terms(model, v)
-    evals, evecs = quadmodel.decompose(A)
+    evals, evecs = decompose(A)
     scale = float(np.max(np.abs(evals))) if evals.size else 0.0
     if scale == 0.0:
         raise NoEstimate("quadratic part of the bracket vanishes")

@@ -3,21 +3,24 @@
 This is the package's one home for dense linear algebra: the spectral
 decomposition (LAPACK's symmetric eigensolver), the Morse index, and the
 orthonormal basis of the complement of a direction. Hessians reach n = 50
-and more on the solver's path, so nothing here is hand-rolled. The module
-also provides the seeded generator of random models with Morse index one
-used by the verification suites and tests.
+and more on the solver's path, so nothing here is hand-rolled. The one
+exact-quadratic type, QuadraticObjective, is loaded by quadratic_from_json
+and drawn with Morse index one per seed by generate_morse1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import NewtonBreakdown
-from .objective import Objective, QuadraticObjective, TrustRegion
+from .objective import Objective, TrustRegion
 
 _MORSE_ZERO_TOL = 1e-12   # eigenvalue zero threshold, relative to ||H||
 _COND_LIMIT = 1e12
+SPECTRUM_RANGE = (0.5, 3.0)   # |eigenvalues| of generate_morse1's models
 
 
 def decompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,13 +34,16 @@ def decompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[::-1], evecs[:, ::-1]
 
 
-def morse_index(H: np.ndarray) -> int:
-    """Number of negative eigenvalues, with a zero threshold relative to ||H||."""
-    evals, _ = decompose(H)
+def _negative_count(evals: np.ndarray) -> int:
     scale = np.max(np.abs(evals))
     if scale == 0.0:
         return 0
     return int(np.sum(evals < -_MORSE_ZERO_TOL * scale))
+
+
+def morse_index(H: np.ndarray) -> int:
+    """Number of negative eigenvalues, with a zero threshold relative to ||H||."""
+    return _negative_count(decompose(H)[0])
 
 
 def complement_basis(v: np.ndarray) -> np.ndarray:
@@ -51,73 +57,98 @@ def complement_basis(v: np.ndarray) -> np.ndarray:
     return Hh[:, 1:]
 
 
-@dataclass(frozen=True)
-class QuadraticModel:
-    """Quadratic 0.5 x'Hx + g'x + c with its spectral decomposition attached."""
+class QuadraticObjective(Objective):
+    """Exact quadratic 0.5 x'Hx + g'x + c with counted evaluations.
 
-    H: np.ndarray
-    g: np.ndarray
-    c: float
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
-    morse_index: int
+    Carries H (symmetrized), g, c and, from one decompose(H), the eigenvalues
+    (descending), eigenvectors and Morse index.
+    """
 
-    @classmethod
-    def from_coefficients(cls, H: np.ndarray, g: np.ndarray, c: float) -> "QuadraticModel":
+    def __init__(self, H: np.ndarray, g: np.ndarray, c: float, name: str = "quadratic"):
         H = np.asarray(H, dtype=float)
         g = np.asarray(g, dtype=float)
-        evals, evecs = decompose(H)
-        return cls(H=0.5 * (H + H.T), g=g, c=float(c), eigenvalues=evals,
-                   eigenvectors=evecs, morse_index=morse_index(H))
-
-    @property
-    def n(self) -> int:
-        return self.g.size
+        c = float(c)
+        n = g.size
+        if g.ndim != 1 or H.shape != (n, n):
+            raise ValueError(f"H has shape {H.shape} and g {g.shape}, "
+                             f"expected (n, n) and (n,)")
+        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))
+                and np.isfinite(c)):
+            raise ValueError("H, g and c must be finite")
+        if np.max(np.abs(H - H.T)) > 1e-12:
+            raise ValueError("H must be symmetric (within 1e-12)")
+        H = 0.5 * (H + H.T)
+        super().__init__(
+            n,
+            value=lambda x: 0.5 * x @ H @ x + g @ x + c,
+            gradient=lambda x: H @ x + g,
+            hessian=lambda x: H.copy(),
+            name=name,
+        )
+        self.H = H
+        self.g = g
+        self.c = c
+        self.eigenvalues, self.eigenvectors = decompose(H)
+        self.morse_index = _negative_count(self.eigenvalues)
 
     @property
     def negative_eigenvector(self) -> np.ndarray:
         """Unit eigenvector of the smallest eigenvalue."""
         return self.eigenvectors[:, -1].copy()
 
-    def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.H @ x + self.g @ x + self.c)
 
-    def as_objective(self) -> QuadraticObjective:
-        return QuadraticObjective(self.H, self.g, self.c)
+def quadratic_from_json(source) -> QuadraticObjective:
+    """Load a quadratic from a JSON document {"H": [[...]], "g": [...], "c": number}.
+
+    `source` may be a path, an open file, or an already-parsed dict. H must be
+    row-major and symmetric within 1e-12, and every coefficient finite (JSON
+    readers accept NaN and Infinity); unknown keys are rejected.
+    """
+    if isinstance(source, dict):
+        doc = source
+    elif hasattr(source, "read"):
+        doc = json.load(source)
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("quadratic document must be a JSON object")
+    unknown = set(doc) - {"H", "g", "c"}
+    if unknown:
+        raise ValueError(f"unknown keys in quadratic document: {sorted(unknown)}")
+    missing = {"H", "g", "c"} - set(doc)
+    if missing:
+        raise ValueError(f"missing keys in quadratic document: {sorted(missing)}")
+    return QuadraticObjective(doc["H"], doc["g"], doc["c"], name="quadratic_json")
 
 
-def saddle_of(model: QuadraticModel) -> tuple[np.ndarray, float]:
-    """Critical point -H^{-1} g of the model and its value. H must be invertible."""
+def saddle_of(model: QuadraticObjective) -> tuple[np.ndarray, float]:
+    """Critical point -H^{-1} g and its value, from the coefficients (uncounted).
+
+    H must be invertible.
+    """
     xbar = np.linalg.solve(model.H, -model.g)
-    return xbar, model.value(xbar)
+    return xbar, float(0.5 * xbar @ model.H @ xbar + model.g @ xbar + model.c)
 
 
-def generate_morse1(n: int, seed: int,
-                    spectrum_range: tuple[float, float] = (0.5, 3.0)) -> QuadraticModel:
+def generate_morse1(n: int, seed: int) -> QuadraticObjective:
     """Random quadratic with exactly one negative eigenvalue, deterministic per seed.
 
     The orthogonal factor comes from the QR decomposition (Householder
     products) of a seeded Gaussian matrix with the usual sign fix; n-1
-    eigenvalues are drawn from the given range and one from its negation.
+    eigenvalues are drawn from SPECTRUM_RANGE and one from its negation.
     """
     if n < 2:
         raise ValueError("need n >= 2 for a Morse-index-one model")
-    lo, hi = spectrum_range
-    if not (0 < lo < hi):
-        raise ValueError("spectrum_range must satisfy 0 < lo < hi")
     rng = np.random.default_rng(seed)
-    M = rng.standard_normal((n, n))
-    Q, R = np.linalg.qr(M)
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     Q = Q * np.sign(np.diag(R))
     lam = np.empty(n)
-    lam[:n - 1] = rng.uniform(lo, hi, size=n - 1)
-    lam[n - 1] = -rng.uniform(lo, hi)
-    H = (Q * lam) @ Q.T
-    H = 0.5 * (H + H.T)
-    g = rng.standard_normal(n)
-    c = float(rng.standard_normal())
-    return QuadraticModel.from_coefficients(H, g, c)
+    lam[:n - 1] = rng.uniform(*SPECTRUM_RANGE, size=n - 1)
+    lam[n - 1] = -rng.uniform(*SPECTRUM_RANGE)
+    # The constructor symmetrizes (Q lam Q'), which is symmetric to rounding.
+    return QuadraticObjective((Q * lam) @ Q.T, rng.standard_normal(n),
+                              rng.standard_normal())
 
 
 @dataclass

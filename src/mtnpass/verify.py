@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import CrossingOutsideRegion, MtnpassError, NoLineMax
 from .line1d import LineSection, find_level_crossings
-from .objective import (Objective, QuadraticObjective, TrustRegion,
-                        fd_gradient, six_hump_camel, tightness2d)
-from .pardist import (closed_form_g2_quadratic, derivatives_from_section,
-                      eval_pardist)
-from .quadmodel import (complement_basis, decompose, generate_morse1,
-                        morse_index, saddle_of)
+from .objective import (Objective, TrustRegion, fd_gradient, six_hump_camel,
+                        tightness2d)
+from .pardist import (closed_form_g2_quadratic, closed_form_hess_g2,
+                      derivatives_from_section, eval_pardist)
+from .quadmodel import (QuadraticObjective, complement_basis, decompose,
+                        generate_morse1, morse_index, saddle_of)
 
 ADMISSIBLE_MIN_G = 0.1
 ADMISSIBLE_MIN_DENOM = 0.1
@@ -104,23 +104,20 @@ def quadratic_sample_cases(n_cases: int = 50, seed: int = 0) -> list[dict]:
         n = 2 + k % 5
         model = generate_morse1(n, seed=seed * 100000 + k)
         xbar, fbar = saddle_of(model)
-        vbar = model.negative_eigenvector
-        lam_n = model.eigenvalues[-1]
-        v = vbar + 0.2 * rng.standard_normal(n)
+        v = model.negative_eigenvector + 0.2 * rng.standard_normal(n)
         v /= np.linalg.norm(v)
-        if float(v @ model.H @ v) >= 0.2 * lam_n:
+        if float(v @ model.H @ v) >= 0.2 * model.eigenvalues[-1]:
             continue
         x = xbar + 0.3 * rng.standard_normal(n) / np.sqrt(n)
         level = fbar - rng.uniform(0.05, 0.5)
-        obj = model.as_objective()
         region = TrustRegion(x, 50.0)
         try:
-            pe = eval_pardist(obj, x, v, level, region)
+            pe = eval_pardist(model, x, v, level, region)
         except MtnpassError:
             continue
         if pe.section.empty or not _admissible(pe):
             continue
-        cases.append({"obj": obj, "x": x, "v": v, "level": level,
+        cases.append({"obj": model, "x": x, "v": v, "level": level,
                       "region": region, "label": f"quadratic-{k}"})
     return cases
 
@@ -192,13 +189,6 @@ def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
     return report
 
 
-def reference_hessian(H: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Constant Hessian of g^2 predicted by the quadratic model at the saddle."""
-    alpha = float(v @ H @ v)
-    Hv = H @ v
-    return (8.0 / alpha ** 2) * (np.outer(Hv, Hv) - alpha * H)
-
-
 @dataclass
 class QuadraticComparison:
     v_label: str
@@ -241,6 +231,8 @@ class StabilityReport:
 def check_hessian_stability(obj: Objective, xbar: np.ndarray) -> StabilityReport:
     """Deviation of the measured hess(g^2) from the quadratic-model reference.
 
+    The reference is pardist.closed_form_hess_g2 of the Hessian at xbar.
+
     Sweeps a geometric sequence of scales s = 2^-SCALE_START, ... (factor
     1/2, N_SCALES levels): the base point is offset from the critical point
     by s*STABILITY_R0 along the leading positive eigenvector and the level
@@ -274,7 +266,7 @@ def check_hessian_stability(obj: Objective, xbar: np.ndarray) -> StabilityReport
     report = StabilityReport(True)
     region = TrustRegion(xbar, STABILITY_REGION_RADIUS)
     for v_label, v in (("aligned", vbar), ("perturbed", v_pert)):
-        href = reference_hessian(H, v)
+        href = closed_form_hess_g2(H, v)
         href_norm = float(np.linalg.norm(href))
         for k in range(SCALE_START, SCALE_START + N_SCALES):
             s = 0.5 ** k
@@ -310,10 +302,13 @@ class ConvexityReport:
 
 
 def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
-                           v: np.ndarray, radius: float, n_pairs: int = 100,
-                           seed: int = 0, region: Optional[TrustRegion] = None,
+                           v: np.ndarray, radius: float, region: TrustRegion,
+                           n_pairs: int = 100, seed: int = 0,
                            with_eigenvalues: bool = False) -> ConvexityReport:
     """Midpoint-convexity probe of g^2 on random pairs in a ball.
+
+    The pairs are drawn in the ball of the given radius around center; every
+    section is solved inside region.
 
     A pair (a, b) is a violation when g^2 at the midpoint exceeds the mean of
     the endpoint values by more than CONVEXITY_SLACK. A pair is skipped at
@@ -324,8 +319,6 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
     come from the sections of a and b already solved.
     """
     center = np.asarray(center, dtype=float)
-    if region is None:
-        region = TrustRegion(center, max(2.0, 4.0 * radius))
     rng = np.random.default_rng(seed)
     n = center.size
     report = ConvexityReport(radius=radius, level=level)
@@ -385,8 +378,8 @@ def convexity_radius_sweep(obj: Objective, center: np.ndarray, v: np.ndarray,
         r_clear = 0.0
         for r in SWEEP_RADII:
             rep = check_convexity_region(obj, center, level, v, float(r),
-                                         n_pairs=SWEEP_N_PAIRS, seed=seed,
-                                         region=region)
+                                         region, n_pairs=SWEEP_N_PAIRS,
+                                         seed=seed)
             if rep.n_violations > 0:
                 break
             r_clear = float(r)
@@ -406,18 +399,14 @@ def quadratic_oracle_suite(n_models: int = 200, seed: int = 0) -> dict:
         n = 2 + k % 5
         model = generate_morse1(n, seed=seed * 100000 + 7919 + k)
         xbar, fbar = saddle_of(model)
-        vbar = model.negative_eigenvector
-        lam_n = model.eigenvalues[-1]
         while True:
-            v = vbar + 0.2 * rng.standard_normal(n)
+            v = model.negative_eigenvector + 0.2 * rng.standard_normal(n)
             v /= np.linalg.norm(v)
-            if float(v @ model.H @ v) < 0.2 * lam_n:
+            if float(v @ model.H @ v) < 0.2 * model.eigenvalues[-1]:
                 break
         x = xbar + 0.3 * rng.standard_normal(n) / np.sqrt(n)
         level = fbar - rng.uniform(0.05, 0.5)
-        obj = model.as_objective()
-        region = TrustRegion(x, 50.0)
-        pe = eval_pardist(obj, x, v, level, region)
+        pe = eval_pardist(model, x, v, level, TrustRegion(x, 50.0))
         g2_closed, _, _ = closed_form_g2_quadratic(model, x, v, level)
         err = abs(pe.g2 - g2_closed) / (1.0 + g2_closed)
         max_err = max(max_err, err)
@@ -442,8 +431,7 @@ def run_suite(name: str, seed: int = 0) -> dict:
         camel = six_hump_camel()
         rep_camel = check_hessian_stability(camel, np.zeros(2))
         model = generate_morse1(3, seed=seed + 11)
-        xbar, _ = saddle_of(model)
-        rep_quad = check_hessian_stability(model.as_objective(), xbar)
+        rep_quad = check_hessian_stability(model, saddle_of(model)[0])
         failures = 0
         for rep in (rep_camel, rep_quad):
             if not rep.applicable:
@@ -452,8 +440,7 @@ def run_suite(name: str, seed: int = 0) -> dict:
             for v_label in ("aligned", "perturbed"):
                 if not rep.trend_ok(v_label):
                     failures += 1
-        quad_devs = [c.deviation for c in rep_quad.comparisons]
-        if any(d != 0.0 for d in quad_devs):
+        if any(c.deviation != 0.0 for c in rep_quad.comparisons):
             failures += 1
         return {"suite": "hessian-stability", "seed": seed, "failures": failures,
                 "camel": rep_camel.to_dict(), "quadratic": rep_quad.to_dict()}
@@ -462,9 +449,8 @@ def run_suite(name: str, seed: int = 0) -> dict:
         model = generate_morse1(3, seed=seed + 23)
         xbar, fbar = saddle_of(model)
         rep_q = check_convexity_region(
-            model.as_objective(), xbar, fbar - 0.3,
-            model.negative_eigenvector, radius=0.5, n_pairs=100, seed=seed,
-            region=TrustRegion(xbar, 50.0), with_eigenvalues=True)
+            model, xbar, fbar - 0.3, model.negative_eigenvector, radius=0.5,
+            region=TrustRegion(xbar, 50.0), seed=seed, with_eigenvalues=True)
         if rep_q.n_violations > 0:
             failures += 1
         if rep_q.min_reduced_eig is not None and rep_q.min_reduced_eig <= 0:

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mtnpass.objective import TrustRegion, quadratic, six_hump_camel
+from mtnpass.objective import TrustRegion, six_hump_camel
+from mtnpass.quadmodel import QuadraticObjective
 
 
 @pytest.fixture
@@ -17,7 +18,7 @@ def camel():
 @pytest.fixture
 def saddle_quadratic():
     """f(x) = 0.5 (x1^2 - x2^2); the workhorse exact example."""
-    return quadratic(np.diag([1.0, -1.0]), np.zeros(2), 0.0)
+    return QuadraticObjective(np.diag([1.0, -1.0]), np.zeros(2), 0.0)
 
 
 @pytest.fixture

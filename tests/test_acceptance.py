@@ -82,7 +82,7 @@ def test_criterion_4_midpoint_saddle_property():
         A = np.outer(Hv, Hv) - alpha * model.H
         b = float(model.g @ v) * Hv - alpha * model.g
         x_tilde = np.linalg.lstsq(A, -b, rcond=None)[0]
-        section = find_level_crossings(model.as_objective(), x_tilde, v, level,
+        section = find_level_crossings(model, x_tilde, v, level,
                                        TrustRegion(x_tilde, 50.0))
         worst = max(worst, float(np.linalg.norm(section.midpoint - xbar)))
     announce(4, "midpoint of minimizer section recovers the saddle",
@@ -122,8 +122,7 @@ def test_criterion_6_hessian_stability_trend():
         ok = ok and devs[-1] <= 1e-2 * comps[-1].href_norm
         detail.append(f"{label} final {devs[-1] / comps[-1].href_norm:.2e}")
     model = generate_morse1(4, seed=61)
-    quad_rep = check_hessian_stability(model.as_objective(),
-                                       saddle_of(model)[0])
+    quad_rep = check_hessian_stability(model, saddle_of(model)[0])
     ok = ok and quad_rep.applicable
     ok = ok and all(c.deviation == 0.0 for c in quad_rep.comparisons)
     announce(6, "Hessian stability trend", ok,

@@ -57,6 +57,27 @@ class TestSolveCommand:
                        "--a", "abc", "--b", "1,1", "--out", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--gtol", "--xtol", "--radius"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_tolerance_is_usage_error(self, tmp_path, flag, value):
+        code = run_cli("solve", "--function", "six_hump_camel",
+                       "--a", CAMEL_A, "--b", CAMEL_B, flag, value,
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("point", ["nan,0", "inf,0", "0,-inf"])
+    def test_nonfinite_endpoint_is_usage_error(self, tmp_path, point):
+        for a, b in ((point, CAMEL_B), (CAMEL_A, point)):
+            code = run_cli("solve", "--function", "six_hump_camel",
+                           "--a", a, "--b", b, "--out", str(tmp_path))
+            assert code == 2
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"function": "six_hump_camel",
+                                    "a": [float("nan"), 0.0], "b": CAMEL_B,
+                                    "out": str(tmp_path)}))
+        assert run_cli("solve", "--config", str(path)) == 2
+
     def test_nonconvergent_run_exits_one(self, tmp_path):
         # endpoints whose chord chases a local max: honest breakdown
         code = run_cli("solve", "--function", "six_hump_camel",
@@ -121,6 +142,17 @@ class TestSolveCommand:
                        "--b", "1,-2", "--out", str(tmp_path))
         assert code == 2
         assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("override", [{"c": [0.0]}, {"g": {"x": 0.0}},
+                                          {"H": "identity"}])
+    def test_model_coefficient_of_wrong_type_is_usage_error(self, tmp_path,
+                                                            override):
+        doc = {"H": [[1.0, 0.0], [0.0, -1.0]], "g": [0.0, 0.0], "c": 0.0}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**doc, **override}))
+        code = run_cli("solve", "--model", str(path), "--a", "1,2",
+                       "--b", "1,-2", "--out", str(tmp_path))
+        assert code == 2
 
     def test_flags_override_config(self, tmp_path):
         cfg = {"function": "six_hump_camel", "a": [5.0, 5.0], "b": [6.0, 6.0],

@@ -11,8 +11,8 @@ from mtnpass import line1d, pardist, quadmodel, subroutines
 from mtnpass.driver import SolveConfig, hull_distance, init_state, solve
 from mtnpass.errors import BadEndpoints
 from mtnpass.line1d import ROOT_TOL
-from mtnpass.objective import Objective, quadratic, six_hump_camel
-from mtnpass.quadmodel import generate_morse1, saddle_of
+from mtnpass.objective import Objective, six_hump_camel
+from mtnpass.quadmodel import QuadraticObjective, generate_morse1, saddle_of
 
 
 class TestHullDistance:
@@ -66,8 +66,17 @@ class TestInitState:
         with pytest.raises(BadEndpoints):
             init_state(camel, a, a, SolveConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_endpoints_rejected_before_evaluating(self, camel, bad):
+        a = np.array([bad, 0.0])
+        b = np.array([-0.0898, 0.7126])
+        for args in ((a, b), (b, a)):
+            with pytest.raises(BadEndpoints, match="finite"):
+                init_state(camel, *args, SolveConfig())
+        assert camel.eval_counts() == {"value": 0, "gradient": 0, "hessian": 0}
+
     def test_monotone_chord_rejected(self):
-        sphere = quadratic(2.0 * np.eye(2), np.zeros(2), 0.0)
+        sphere = QuadraticObjective(2.0 * np.eye(2), np.zeros(2), 0.0)
         with pytest.raises(BadEndpoints):
             init_state(sphere, np.array([1.0, 0.0]), np.array([2.0, 0.0]),
                        SolveConfig())
@@ -85,7 +94,7 @@ class TestSolveQuadratics:
         u /= np.linalg.norm(u)
         a = xbar + 1.1 * model.negative_eigenvector + 0.2 * u
         b = xbar - 0.9 * model.negative_eigenvector - 0.1 * u
-        report = solve(model.as_objective(), a, b)
+        report = solve(model, a, b)
         assert report.status == "SaddleFound"
         assert np.linalg.norm(report.x - xbar) <= 1e-8
         assert report.iterations <= 20
@@ -112,7 +121,7 @@ class TestSolveQuadratics:
             w1, w2 = rng.uniform(0.0, 0.6, 2)
             a = xbar + s1 * vbar + w1 * u
             b = xbar - s2 * vbar - w2 * u
-            report = solve(model.as_objective(), a, b)
+            report = solve(model, a, b)
             assert report.status == "SaddleFound"
             assert np.linalg.norm(report.x - xbar) <= 1e-8
             assert report.iterations <= 20
@@ -426,6 +435,10 @@ class TestSolveConfig:
             SolveConfig(max_iter=0)
         with pytest.raises(ValueError):
             SolveConfig(radius=-1.0)
+        for name in ("gtol", "xtol", "radius"):
+            for bad in (np.inf, np.nan):
+                with pytest.raises(ValueError, match="finite"):
+                    SolveConfig(**{name: bad})
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(SolveConfig)] == [

@@ -5,7 +5,8 @@ import oracles
 from mtnpass.errors import BadDirection, CrossingOutsideRegion, NoLineMax
 from mtnpass.line1d import (ROOT_TOL, _brent, chord_section, find_level_crossings,
                             line_local_max, line_local_min)
-from mtnpass.objective import Objective, TrustRegion, quadratic
+from mtnpass.objective import Objective, TrustRegion
+from mtnpass.quadmodel import QuadraticObjective
 
 E2 = np.array([0.0, 1.0])
 
@@ -86,7 +87,7 @@ class TestLineLocalMax:
         assert lm.value == pytest.approx(f_ref, abs=1e-12)
 
     def test_monotone_raises(self, origin_region):
-        linear = quadratic(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
+        linear = QuadraticObjective(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
         with pytest.raises(NoLineMax):
             line_local_max(linear, np.zeros(2), np.array([1.0, 0.0]), origin_region)
 
@@ -268,7 +269,7 @@ class TestLineLocalMin:
         assert mn.value == pytest.approx(0.0, abs=1e-12)
 
     def test_sphere_descent(self, origin_region):
-        sphere = quadratic(2.0 * np.eye(2), np.zeros(2), 0.0)
+        sphere = QuadraticObjective(2.0 * np.eye(2), np.zeros(2), 0.0)
         mn = line_local_min(sphere, np.array([2.0, 0.0]),
                             np.array([-1.0, 0.0]), origin_region)
         assert mn.t == pytest.approx(2.0, abs=1e-10)
@@ -289,7 +290,7 @@ class TestLineLocalMin:
     def test_straddling_bracket_value_count(self, origin_region):
         # The march probes t = 0, 0.1, 0.3, 0.7 and the bracket (0.1, 0.3, 0.7)
         # straddles the min at 0.4; only the final phi(t*) is added.
-        sphere = quadratic(2.0 * np.eye(2), np.zeros(2), 0.0)
+        sphere = QuadraticObjective(2.0 * np.eye(2), np.zeros(2), 0.0)
         mn = line_local_min(sphere, np.array([0.4, 0.0]),
                             np.array([-1.0, 0.0]), origin_region)
         assert mn.t == pytest.approx(0.4, abs=1e-10)
@@ -301,7 +302,7 @@ class TestLineLocalMin:
                            np.array([1.0, 0.0]), origin_region)
 
     def test_boundary_flagged_when_monotone(self, origin_region):
-        linear = quadratic(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
+        linear = QuadraticObjective(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
         mn = line_local_min(linear, np.zeros(2), np.array([-1.0, 0.0]),
                             origin_region)
         assert mn.on_boundary

@@ -5,10 +5,10 @@ import oracles
 from mtnpass.errors import (DegenerateDenominator, NoEstimate,
                             NotConcaveAlongV)
 from mtnpass.line1d import chord_section, find_level_crossings
-from mtnpass.objective import Objective, TrustRegion, quadratic
+from mtnpass.objective import Objective, TrustRegion
 from mtnpass.pardist import (closed_form_g2_quadratic, derivatives_from_section,
                              estimate_critical_level, eval_pardist)
-from mtnpass.quadmodel import generate_morse1, saddle_of
+from mtnpass.quadmodel import QuadraticObjective, generate_morse1, saddle_of
 
 E2 = np.array([0.0, 1.0])
 
@@ -72,7 +72,7 @@ class TestEvalPardist:
         # along e2: the section is microscopic, so v is nearly tangent to the
         # level set at the endpoints, |v'grad f| = sqrt(2e-20) = 1.4e-10 while
         # |grad f| stays near 1.
-        obj = quadratic(np.diag([0.0, -1.0]), np.array([1.0, 0.0]), 0.0)
+        obj = QuadraticObjective(np.diag([0.0, -1.0]), np.array([1.0, 0.0]), 0.0)
         with pytest.raises(DegenerateDenominator, match="nearly tangent"):
             eval_pardist(obj, np.zeros(2), E2, -1e-20, origin_region)
 
@@ -182,8 +182,7 @@ class TestOracleEquivalence:
                     break
             x = xbar + 0.3 * rng.standard_normal(n) / np.sqrt(n)
             level = fbar - rng.uniform(0.05, 0.5)
-            obj = model.as_objective()
-            pe = eval_pardist(obj, x, v, level, TrustRegion(x, 50.0))
+            pe = eval_pardist(model, x, v, level, TrustRegion(x, 50.0))
             g2c, _, _ = closed_form_g2_quadratic(model, x, v, level)
             assert abs(pe.g2 - g2c) <= 1e-8 * (1.0 + g2c)
 
@@ -196,8 +195,7 @@ class TestOracleEquivalence:
             v = model.negative_eigenvector
             x = xbar + 0.3 * rng.standard_normal(n) / np.sqrt(n)
             level = fbar - rng.uniform(0.2, 0.6)
-            obj = model.as_objective()
-            pe = eval_pardist(obj, x, v, level, TrustRegion(x, 50.0),
+            pe = eval_pardist(model, x, v, level, TrustRegion(x, 50.0),
                               want_hessian=True)
             if pe.g <= 0.1:
                 continue
@@ -239,7 +237,7 @@ class TestConvexityAndMidpoint:
             A = np.outer(Hv, Hv) - alpha * model.H
             b = float(model.g @ v) * Hv - alpha * model.g
             x_tilde = np.linalg.lstsq(A, -b, rcond=None)[0]
-            sec = find_level_crossings(model.as_objective(), x_tilde, v, level,
+            sec = find_level_crossings(model, x_tilde, v, level,
                                        TrustRegion(x_tilde, 50.0))
             assert not sec.empty
             assert np.linalg.norm(sec.midpoint - xbar) <= 1e-8
@@ -250,12 +248,12 @@ class TestEstimateCriticalLevel:
         assert estimate_critical_level(saddle_quadratic, E2) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_offset(self):
-        model = quadratic(np.diag([2.0, -1.0]), np.zeros(2), 3.0)
+        model = QuadraticObjective(np.diag([2.0, -1.0]), np.zeros(2), 3.0)
         assert estimate_critical_level(model, E2) == pytest.approx(3.0, abs=1e-12)
 
     def test_linear_term(self):
         # Saddle at (0, 1) with value f = -0.5 + 1 = 0.5 by direct solve.
-        model = quadratic(np.diag([1.0, -1.0]), np.array([0.0, 1.0]), 0.0)
+        model = QuadraticObjective(np.diag([1.0, -1.0]), np.array([0.0, 1.0]), 0.0)
         xbar = np.linalg.solve(model.H, -model.g)
         expected = model.value(xbar)
         assert expected == pytest.approx(0.5)
@@ -275,6 +273,6 @@ class TestEstimateCriticalLevel:
     def test_indefinite_bracket_gives_no_estimate(self):
         # With two negative eigenvalues the quadratic part of the bracket is
         # indefinite on the complement of v, so no level estimate exists.
-        model = quadratic(np.diag([1.0, -1.0, -2.0]), np.zeros(3), 0.0)
+        model = QuadraticObjective(np.diag([1.0, -1.0, -2.0]), np.zeros(3), 0.0)
         with pytest.raises(NoEstimate):
             estimate_critical_level(model, np.array([0.0, 0.0, 1.0]))

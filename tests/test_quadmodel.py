@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
+from mtnpass import quadmodel
 from mtnpass.errors import NewtonBreakdown
-from mtnpass.objective import TrustRegion, quadratic
-from mtnpass.quadmodel import (QuadraticModel, decompose, generate_morse1,
-                               morse_index, newton_refine, saddle_of)
+from mtnpass.objective import TrustRegion
+from mtnpass.quadmodel import (SPECTRUM_RANGE, QuadraticObjective, decompose,
+                               generate_morse1, morse_index, newton_refine,
+                               saddle_of)
 
 
 class TestDecompose:
@@ -58,23 +60,21 @@ class TestDecompose:
 
 class TestSaddleOf:
     def test_centered(self):
-        model = QuadraticModel.from_coefficients(np.diag([1.0, -1.0]),
-                                                 np.zeros(2), 2.5)
+        model = QuadraticObjective(np.diag([1.0, -1.0]), np.zeros(2), 2.5)
         xbar, fbar = saddle_of(model)
         assert np.allclose(xbar, 0.0)
         assert fbar == 2.5
 
     def test_linear_term(self):
         # -H^{-1} g = (0, 1); substitution gives f = -0.5 + 1 = 0.5.
-        model = QuadraticModel.from_coefficients(np.diag([1.0, -1.0]),
-                                                 np.array([0.0, 1.0]), 0.0)
+        model = QuadraticObjective(np.diag([1.0, -1.0]), np.array([0.0, 1.0]), 0.0)
         xbar, fbar = saddle_of(model)
         assert np.allclose(xbar, [0.0, 1.0])
         assert fbar == pytest.approx(0.5)
 
     def test_three_dim(self):
-        model = QuadraticModel.from_coefficients(np.diag([2.0, 3.0, -1.0]),
-                                                 np.array([2.0, 0.0, 1.0]), 0.0)
+        model = QuadraticObjective(np.diag([2.0, 3.0, -1.0]),
+                                   np.array([2.0, 0.0, 1.0]), 0.0)
         xbar, _ = saddle_of(model)
         assert np.allclose(xbar, [-1.0, 0.0, 1.0])
 
@@ -88,8 +88,7 @@ class TestSaddleOf:
             assert resid <= 1e-10 * scale
 
     def test_singular_raises(self):
-        model = QuadraticModel.from_coefficients(np.diag([1.0, 0.0]),
-                                                 np.array([1.0, 1.0]), 0.0)
+        model = QuadraticObjective(np.diag([1.0, 0.0]), np.array([1.0, 1.0]), 0.0)
         with pytest.raises(np.linalg.LinAlgError):
             saddle_of(model)
 
@@ -117,10 +116,37 @@ class TestGenerateMorse1:
             assert model.eigenvalues[-1] < 0
 
     def test_spectrum_range_respected(self):
-        model = generate_morse1(5, seed=2, spectrum_range=(0.9, 1.1))
-        assert np.all(model.eigenvalues[:-1] >= 0.9 - 1e-12)
-        assert np.all(model.eigenvalues[:-1] <= 1.1 + 1e-12)
-        assert -1.1 - 1e-12 <= model.eigenvalues[-1] <= -0.9 + 1e-12
+        lo, hi = SPECTRUM_RANGE
+        for s in range(5):
+            model = generate_morse1(5, seed=2 + s)
+            assert np.all(model.eigenvalues[:-1] >= lo - 1e-12)
+            assert np.all(model.eigenvalues[:-1] <= hi + 1e-12)
+            assert -hi - 1e-12 <= model.eigenvalues[-1] <= -lo + 1e-12
+
+    def test_eigendata_from_one_decompose(self, monkeypatch):
+        calls = []
+        real = quadmodel.decompose
+        monkeypatch.setattr(quadmodel, "decompose",
+                            lambda H: calls.append(1) or real(H))
+        for n in (2, 3, 6):
+            calls.clear()
+            model = generate_morse1(n, seed=70 + n)
+            assert len(calls) == 1
+            evals, evecs = real(model.H)
+            assert np.array_equal(model.eigenvalues, evals)
+            assert np.array_equal(model.eigenvectors, evecs)
+            assert np.array_equal(model.negative_eigenvector, evecs[:, -1])
+            assert model.morse_index == morse_index(model.H) == 1
+
+    def test_generation_and_saddle_evaluate_nothing(self):
+        # The suites count the evaluations of generated models, so neither the
+        # generator nor saddle_of may spend one.
+        for n in (2, 4, 6):
+            model = generate_morse1(n, seed=80 + n)
+            xbar, fbar = saddle_of(model)
+            assert model.eval_counts() == {"value": 0, "gradient": 0,
+                                           "hessian": 0}
+            assert fbar == model.value(xbar)
 
 
 class TestMorseIndex:
@@ -134,10 +160,9 @@ class TestMorseIndex:
 class TestNewtonRefine:
     def test_one_step_on_quadratic(self):
         model = generate_morse1(3, seed=42)
-        obj = model.as_objective()
         xbar, _ = saddle_of(model)
         region = TrustRegion(xbar, 10.0)
-        res = newton_refine(obj, xbar + 0.4 * np.ones(3) / np.sqrt(3), region)
+        res = newton_refine(model, xbar + 0.4 * np.ones(3) / np.sqrt(3), region)
         assert res.converged
         assert len(res.iterates) == 2  # start plus a single exact step
         assert np.linalg.norm(res.x - xbar) <= 1e-12
@@ -170,7 +195,7 @@ class TestNewtonRefine:
         assert ratios and max(ratios) <= 50.0
 
     def test_breakdown_on_singular_hessian(self):
-        flat = quadratic(np.diag([2.0, 0.0]), np.zeros(2), 0.0)
+        flat = QuadraticObjective(np.diag([2.0, 0.0]), np.zeros(2), 0.0)
         region = TrustRegion(np.zeros(2), 10.0)
         with pytest.raises(NewtonBreakdown):
             newton_refine(flat, np.array([1.0, 0.5]), region)
@@ -178,10 +203,9 @@ class TestNewtonRefine:
     def test_step_clipped_to_region(self):
         # A tiny region forces clipping; iterates must stay inside it.
         model = generate_morse1(2, seed=8)
-        obj = model.as_objective()
         x0 = np.zeros(2)
         region = TrustRegion(x0, 0.5)
-        res = newton_refine(obj, x0, region, max_iter=10)
+        res = newton_refine(model, x0, region, max_iter=10)
         for p in res.iterates:
             assert region.contains(p, slack=1e-9)
 

@@ -6,8 +6,9 @@ from mtnpass import line1d, subroutines
 from mtnpass.errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
                             DegenerateDenominator, LUpImpossible)
 from mtnpass.line1d import ROOT_TOL, chord_section, find_level_crossings
-from mtnpass.objective import Objective, TrustRegion, quadratic
+from mtnpass.objective import Objective, TrustRegion
 from mtnpass.pardist import closed_form_g2_quadratic
+from mtnpass.quadmodel import QuadraticObjective
 from mtnpass.subroutines import (HitZero, PdStalled, ReducedSegment,
                                  SolverState, crossings_or_degenerate,
                                  state_from_section, step_av, step_l_down,
@@ -110,7 +111,7 @@ class TestStepPd:
         # In three dimensions a level change can land on a point that is a
         # line max along v without being critical; the collapsed segment must
         # come back as a zero-distance outcome so the level can be lowered.
-        obj = quadratic(np.diag([1.0, 2.0, -1.0]), np.zeros(3), 0.0)
+        obj = QuadraticObjective(np.diag([1.0, 2.0, -1.0]), np.zeros(3), 0.0)
         region = TrustRegion(np.zeros(3), 10.0)
         v = np.array([0.0, 0.0, 1.0])
         x = np.array([0.8, 0.5, 0.0])   # line max along v, gradient nonzero

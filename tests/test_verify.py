@@ -6,12 +6,13 @@ import pytest
 
 from mtnpass import line1d, verify
 from mtnpass.objective import Objective, TrustRegion, tightness2d
+from mtnpass.pardist import (closed_form_g2_quadratic, closed_form_hess_g2,
+                             eval_pardist)
 from mtnpass.quadmodel import generate_morse1, saddle_of
 from mtnpass.verify import (camel_sample_cases, check_convexity_region,
                             check_grad_formulas, check_hessian_stability,
                             convexity_radius_sweep, quadratic_oracle_suite,
-                            quadratic_sample_cases, reference_hessian,
-                            run_suite)
+                            quadratic_sample_cases, run_suite)
 
 
 class TestGradFormulas:
@@ -55,7 +56,7 @@ class TestHessianStability:
     def test_quadratic_identically_zero(self):
         model = generate_morse1(3, seed=17)
         xbar, _ = saddle_of(model)
-        report = check_hessian_stability(model.as_objective(), xbar)
+        report = check_hessian_stability(model, xbar)
         assert report.applicable
         assert all(c.deviation == 0.0 for c in report.comparisons)
         assert report.trend_ok("aligned") and report.trend_ok("perturbed")
@@ -72,14 +73,24 @@ class TestHessianStability:
             assert devs[-1] <= 1e-2 * comps[-1].href_norm
             assert report.trend_ok(label)
 
-    def test_reference_hessian_matches_closed_form(self):
-        # The reference must coincide with the constant Hessian of the exact
-        # closed form of g^2.
-        from mtnpass.pardist import closed_form_g2_quadratic
-        model = generate_morse1(4, seed=5)
-        v = model.negative_eigenvector
-        _, _, hess = closed_form_g2_quadratic(model, np.zeros(4), v, -10.0)
-        assert np.allclose(reference_hessian(model.H, v), hess, atol=1e-10)
+    def test_closed_form_hess_g2_matches_closed_form(self):
+        # The stability reference is the constant Hessian of the exact closed
+        # form of g^2, 8/(v'Hv)^2 (Hv v'H - (v'Hv) H), bit for bit, and the
+        # endpoint formulas on a root-found section agree with it.
+        for k in range(50):
+            model = generate_morse1(2 + k % 5, seed=5 + k)
+            v = model.negative_eigenvector
+            alpha, Hv = float(v @ model.H @ v), model.H @ v
+            href = closed_form_hess_g2(model.H, v)
+            assert np.array_equal(
+                href, (8.0 / alpha ** 2) * (np.outer(Hv, Hv) - alpha * model.H))
+            _, _, hess = closed_form_g2_quadratic(model, np.zeros(model.n), v,
+                                                  -10.0)
+            assert np.array_equal(href, hess)
+        xbar, fbar = saddle_of(model)
+        pe = eval_pardist(model, xbar, v, fbar - 0.3, TrustRegion(xbar, 50.0),
+                          want_hessian=True)
+        assert np.allclose(pe.hess_g2, href, rtol=1e-6, atol=1e-8)
 
     def test_not_applicable_morse_two(self, camel):
         # local max of the camel: Hessian has two negative eigenvalues
@@ -109,7 +120,7 @@ class TestConvexityProbes:
         model = generate_morse1(3, seed=23)
         xbar, fbar = saddle_of(model)
         report = check_convexity_region(
-            model.as_objective(), xbar, fbar - 0.3,
+            model, xbar, fbar - 0.3,
             model.negative_eigenvector, radius=0.5, n_pairs=100, seed=0,
             region=TrustRegion(xbar, 50.0), with_eigenvalues=True)
         assert report.n_violations == 0
@@ -162,7 +173,7 @@ class TestConvexityProbes:
         xbar, fbar = saddle_of(model)
         calls = self._count_line_maxima(monkeypatch)
         report = check_convexity_region(
-            model.as_objective(), xbar, fbar - 0.3,
+            model, xbar, fbar - 0.3,
             model.negative_eigenvector, radius=0.5, n_pairs=10, seed=0,
             region=TrustRegion(xbar, 50.0), with_eigenvalues=True)
         assert report.n_pairs == 10 and report.n_eig_samples == 20

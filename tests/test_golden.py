@@ -38,6 +38,13 @@ def _camel_ldown_pair():
                  np.array(oracles.CAMEL_MINIMA[5][:2]))
 
 
+def _camel_ldown_min3():
+    # Minima 0 and 3 of the camel: Init, LUp, then an LDown that fails, so
+    # the solve ends in Breakdown (ROADMAP item 1).
+    return solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
+                 np.array(oracles.CAMEL_MINIMA[3][:2]))
+
+
 def _double_well_fd():
     # Value and gradient only: every Hessian is a finite difference.
     well = oracles.DoubleWell(5)
@@ -46,6 +53,7 @@ def _double_well_fd():
 
 
 SOLVES = {"camel-readme": _readme_pair, "camel-ldown": _camel_ldown_pair,
+          "camel-ldown-min3": _camel_ldown_min3,
           "double-well-5-fd": _double_well_fd}
 SUITES = ("quadratic-oracle", "grad-formulas")
 
@@ -78,7 +86,7 @@ def test_suite_matches_golden(name):
 
 
 def test_ldown_golden_passes_through_ldown():
-    trace = json.loads((GOLDEN / "camel-ldown" / "trace.json").read_text())
+    trace = json.loads((GOLDEN / "camel-ldown-min3" / "trace.json").read_text())
     assert "LDown" in [r["step"] for r in trace["records"]]
 
 

@@ -23,8 +23,7 @@ from .line1d import ROOT_TOL, chord_section
 from .objective import Objective, TrustRegion
 from .quadmodel import morse_index, newton_refine
 from .subroutines import (HitZero, PdStalled, ReducedSegment, SolverState,
-                          state_from_section, step_av, step_l_down, step_l_up,
-                          step_pd)
+                          step_av, step_l_down, step_l_up, step_pd)
 
 logger = logging.getLogger(__name__)
 
@@ -129,8 +128,7 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
         raise BadEndpoints("endpoints must be finite")
     if region is None:
         region = TrustRegion(0.5 * (a + b), config.radius)
-    section = chord_section(obj, a, b)
-    return state_from_section(section, region, "Init")
+    return SolverState(chord_section(obj, a, b), region, "Init")
 
 
 def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
@@ -190,20 +188,21 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         state = init_state(obj, a, b, config, region)
         # The initial level, raised by ROOT_TOL: crossings sit on a level only
         # to within ROOT_TOL.
-        level0 = state.level + ROOT_TOL
+        level0 = state.section.level + ROOT_TOL
         failures = 0
         it = 0
         for it in range(config.max_iter):
-            gz = obj.gradient(state.z)
-            gzp = obj.gradient(state.zp)
+            sec = state.section
+            gz = obj.gradient(sec.z)
+            gzp = obj.gradient(sec.zp)
             gap = state.gap
             trace.append(TraceRecord(
-                iteration=it, step=state.last_step, level=state.level, gap=gap,
+                iteration=it, step=state.last_step, level=sec.level, gap=gap,
                 grad_norm_z=float(np.linalg.norm(gz)),
                 grad_norm_zp=float(np.linalg.norm(gzp)),
-                x=np.array(state.x, dtype=float)))
+                x=np.array(sec.midpoint, dtype=float)))
             logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, state.last_step,
-                         state.level, gap)
+                         sec.level, gap)
 
             # Stop 1: a small gradient was observed anywhere. A candidate on
             # or below the initial level is skipped: in practice it is an
@@ -221,7 +220,7 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
 
             # Stop 2: endpoints nearly coincide and the gradient hull reaches 0.
             if gap <= config.xtol and hull_distance(gz, gzp) <= _HULL_TOL:
-                samples = [state.zp + s * (state.z - state.zp)
+                samples = [sec.zp + s * (sec.z - sec.zp)
                            for s in np.linspace(0.0, 1.0, _EXTRAPOLATION_SAMPLES)]
                 norms = [float(np.linalg.norm(obj.gradient(p))) for p in samples]
                 x_best = samples[int(np.argmin(norms))]
@@ -244,7 +243,7 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             # step resets.
             failed = None
             try:
-                outcome = step_pd(state, obj)
+                outcome = step_pd(state, obj, gz, gzp)
             except (DegenerateDenominator, CrossingOutsideRegion, NoLineMax) as err:
                 outcome = None
                 failed = str(err)
@@ -252,8 +251,8 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             if isinstance(outcome, HitZero):
                 # Case 1c: the segment collapsed; lower the level.
                 try:
-                    section = step_l_down(obj, outcome.x_prime, state.v, region)
-                    state = state_from_section(section, region, "LDown")
+                    section = step_l_down(obj, outcome.x_prime, sec.v, region)
+                    state = SolverState(section, region, "LDown")
                 except CriticalCandidate as cand:
                     report = polish(cand.x, it, "critical candidate from l-down")
                     if report is not None:
@@ -281,7 +280,7 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                         failed = "parallel-distance reduction stalled"
                     logger.debug("PD failed: %s", failed)
                 try:
-                    state = step_l_up(state, obj)
+                    state = step_l_up(state, obj, obj.value(state.midpoint))
                 except (LUpImpossible, CrossingOutsideRegion, NoLineMax) as err:
                     if failed is None:
                         failed = f"level raise failed: {err}"

@@ -71,14 +71,15 @@ def _endpoint_denominator(grad_f: np.ndarray, v: np.ndarray, where: str,
 
 
 def derivatives_from_section(obj: Objective, section: LineSection,
+                             gz: np.ndarray, gzp: np.ndarray,
                              want_hessian: bool = False) -> ParallelDistanceEval:
-    """Evaluate g, g^2 and derivatives of g^2 from an existing section."""
-    if section.empty:
-        return ParallelDistanceEval(section=section, g=0.0, g2=0.0)
+    """g, g^2 and derivatives of g^2 on a non-empty section, from its endpoints.
+
+    gz and gzp are the gradients of f at section.z and section.zp, which the
+    caller evaluates (or already holds); only the Hessians, when wanted, are
+    evaluated here. Raises DegenerateDenominator as eval_pardist describes.
+    """
     v = section.v
-    z, zp = section.z, section.zp
-    gz = obj.gradient(z)
-    gzp = obj.gradient(zp)
     grad_scale = max(float(np.linalg.norm(gz)), float(np.linalg.norm(gzp)))
     g = section.diam
     dz = _endpoint_denominator(gz, v, "z", grad_scale, g)
@@ -91,8 +92,8 @@ def derivatives_from_section(obj: Objective, section: LineSection,
         I = np.eye(n)
         Az = I - np.outer(gz, v) / dz
         Azp = I - np.outer(gzp, v) / dzp
-        Hz = obj.hessian(z)
-        Hzp = obj.hessian(zp)
+        Hz = obj.hessian(section.z)
+        Hzp = obj.hessian(section.zp)
         hess_g = -Az @ Hz @ Az.T / dz + Azp @ Hzp @ Azp.T / dzp
         hess_g2 = 2.0 * np.outer(grad_g, grad_g) + 2.0 * g * hess_g
         hess_g2 = 0.5 * (hess_g2 + hess_g2.T)
@@ -116,7 +117,10 @@ def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
     with no derivatives.
     """
     section = find_level_crossings(obj, x, v, level, region)
-    return derivatives_from_section(obj, section, want_hessian=want_hessian)
+    if section.empty:
+        return ParallelDistanceEval(section=section, g=0.0, g2=0.0)
+    return derivatives_from_section(obj, section, obj.gradient(section.z),
+                                    obj.gradient(section.zp), want_hessian)
 
 
 def _bracket_matrix(H: np.ndarray, v: np.ndarray

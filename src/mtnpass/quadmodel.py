@@ -34,7 +34,8 @@ def decompose(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[::-1], evecs[:, ::-1]
 
 
-def _negative_count(evals: np.ndarray) -> int:
+def negative_count(evals: np.ndarray) -> int:
+    """Number of negative eigenvalues, zero threshold relative to max abs(evals)."""
     scale = np.max(np.abs(evals))
     if scale == 0.0:
         return 0
@@ -43,7 +44,7 @@ def _negative_count(evals: np.ndarray) -> int:
 
 def morse_index(H: np.ndarray) -> int:
     """Number of negative eigenvalues, with a zero threshold relative to ||H||."""
-    return _negative_count(decompose(H)[0])
+    return negative_count(decompose(H)[0])
 
 
 def complement_basis(v: np.ndarray) -> np.ndarray:
@@ -89,7 +90,7 @@ class QuadraticObjective(Objective):
         self.g = g
         self.c = c
         self.eigenvalues, self.eigenvectors = decompose(H)
-        self.morse_index = _negative_count(self.eigenvalues)
+        self.morse_index = negative_count(self.eigenvalues)
 
     @property
     def negative_eigenvector(self) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Building blocks of the level-set saddle search.
 
-Four moves act on a pair of endpoints z, z' sitting on the level set
-{f = l}: reduce the parallel distance by shifting the base point across the
-chord direction (PD), re-align the chord by sliding one endpoint along the
-level set (Av), lower the level after the segment collapses (l-down), and
-raise the level to the value at the segment midpoint (l-up).
+The solver's state is one line section: the segment [z', z] that the line
+through its base point along v cuts from {f >= l}, with z and z' on the
+level set {f = l}. Four moves act on it: reduce the parallel distance by
+shifting the base point across the chord direction (PD), re-align the chord
+by sliding one endpoint along the level set (Av), lower the level after the
+segment collapses (l-down), and raise the level to a given value above it,
+re-solving the section through the segment midpoint (l-up).
 """
 
 from __future__ import annotations
@@ -33,51 +35,29 @@ MAX_PROJECTION_NEWTON = 50  # Newton steps pulling a point back onto the level
 
 @dataclass(frozen=True)
 class SolverState:
-    """Endpoints on {f = level}, the chord direction and the base point."""
+    """The segment [z', z]: a non-empty section on {f = level}, and its region."""
 
-    z: np.ndarray
-    zp: np.ndarray
-    v: np.ndarray
-    level: float
-    x: np.ndarray
+    section: LineSection
     region: TrustRegion
     last_step: str = "Init"
 
     @property
     def gap(self) -> float:
-        return float(np.linalg.norm(self.z - self.zp))
+        return float(np.linalg.norm(self.section.z - self.section.zp))
 
     @property
     def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.z + self.zp)
-
-    def section(self) -> LineSection:
-        """The segment [z', z] as a line section through x along v."""
-        t2 = float(self.v @ (self.z - self.x))
-        t1 = float(self.v @ (self.zp - self.x))
-        return LineSection(self.x, self.v, self.level, t1, t2)
+        return 0.5 * (self.section.z + self.section.zp)
 
     def validate(self, obj: Objective) -> None:
         """Re-assert the state invariants; raises ValueError on violation."""
-        if abs(np.linalg.norm(self.v) - 1.0) > 1e-10:
+        sec = self.section
+        if abs(np.linalg.norm(sec.v) - 1.0) > 1e-10:
             raise ValueError("v is not a unit vector")
-        for name, p in (("z", self.z), ("z'", self.zp)):
-            r = abs(obj.value(p) - self.level)
+        for name, p in (("z", sec.z), ("z'", sec.zp)):
+            r = abs(obj.value(p) - sec.level)
             if r > 10.0 * ROOT_TOL:
                 raise ValueError(f"|f({name}) - level| = {r:.3e} exceeds tolerance")
-        gap = self.gap
-        if gap > 0:
-            chord = (self.z - self.zp) / gap
-            off = float(np.linalg.norm(chord - np.dot(chord, self.v) * self.v))
-            if off > 1e-8:
-                raise ValueError("endpoints are not collinear with v")
-
-
-def state_from_section(section: LineSection, region: TrustRegion,
-                       last_step: str) -> SolverState:
-    return SolverState(z=section.z, zp=section.zp, v=section.v,
-                       level=section.level, x=section.midpoint,
-                       region=region, last_step=last_step)
 
 
 @dataclass(frozen=True)
@@ -104,23 +84,25 @@ class PdStalled:
 PdOutcome = Union[ReducedSegment, HitZero, PdStalled]
 
 
-def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
-    """One parallel-distance reduction step.
+def step_pd(state: SolverState, obj: Objective, gz: np.ndarray,
+            gzp: np.ndarray) -> PdOutcome:
+    """One parallel-distance reduction step from the segment midpoint x.
 
-    Computes grad/hess of g^2 at the midpoint from the endpoint data, moves
-    across v by a Newton step on the complement of v when the reduced Hessian
-    is positive definite (steepest descent otherwise), and backtracks on
-    g^2(x + t d) under the Armijo condition. A trial point whose section is
-    empty wins immediately: the parallel distance has hit zero at the line
-    max the empty section carries. Backtracking stops with PdStalled once the
-    trial step t*|d| is shorter than the crossing tolerance the section
-    endpoints are solved to: below it a change in g^2 is crossing error, not
-    a decrease.
+    Computes grad/hess of g^2 at x from the endpoint data, with gz and gzp
+    the gradients of f at the state's z and z' that the caller already
+    holds, moves across v by a Newton step on the complement of v when the
+    reduced Hessian is positive definite (steepest descent otherwise), and
+    backtracks on g^2(x + t d) under the Armijo condition. A trial point
+    whose section is empty wins immediately: the parallel distance has hit
+    zero at the line max the empty section carries. Backtracking stops with
+    PdStalled once the trial step t*|d| is shorter than the crossing
+    tolerance the section endpoints are solved to: below it a change in g^2
+    is crossing error, not a decrease.
     """
-    v = state.v
-    region = state.region
+    section, region = state.section, state.region
+    v, x = section.v, section.midpoint
     try:
-        pe = derivatives_from_section(obj, state.section(), want_hessian=True)
+        pe = derivatives_from_section(obj, section, gz, gzp, want_hessian=True)
     except DegenerateDenominator:
         # A (nearly) collapsed segment puts the endpoints at the line max,
         # where v is tangent to the level set and |v'grad f| g <= ROOT_TOL.
@@ -131,12 +113,12 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
         # paid, and the driver's level raise moves the section off it. The
         # line max marches uphill from x, so f(x) above the collapse level
         # settles the question without it.
-        collapse_level = state.level + 10.0 * ROOT_TOL
-        if obj.value(state.x) > collapse_level:
+        collapse_level = section.level + 10.0 * ROOT_TOL
+        if obj.value(x) > collapse_level:
             raise
-        lm = line_local_max(obj, state.x, v, region)
+        lm = line_local_max(obj, x, v, region)
         if lm.value <= collapse_level:
-            return HitZero(state.x + lm.t * v, lm.value)
+            return HitZero(x + lm.t * v, lm.value)
         raise
     g2_0 = pe.g2
 
@@ -159,10 +141,10 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     for _ in range(MAX_BACKTRACKS):
         if t * dn < min_step:
             break
-        xt = state.x + t * d
+        xt = x + t * d
         if region.contains(xt):
             try:
-                sec = find_level_crossings(obj, xt, v, state.level, region)
+                sec = find_level_crossings(obj, xt, v, section.level, region)
             except (CrossingOutsideRegion, NoLineMax):
                 sec = None
             if sec is not None:
@@ -171,8 +153,8 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
                     return HitZero(xt + lm.t * v, lm.value)
                 g2_t = sec.diam ** 2
                 if g2_t <= g2_0 + ARMIJO_C1 * t * slope:
-                    new_state = state_from_section(sec, region, "PD")
-                    return ReducedSegment(new_state, g_old=pe.g, g_new=sec.diam)
+                    return ReducedSegment(SolverState(sec, region, "PD"),
+                                          g_old=pe.g, g_new=sec.diam)
         t *= BACKTRACK_RATIO
     return PdStalled(pe.g)
 
@@ -197,10 +179,13 @@ def step_av(state: SolverState, obj: Objective) -> SolverState:
 
     The endpoint with the larger gradient norm (ties go to z) is moved along
     the projection of the chord onto its tangent plane and re-projected onto
-    {f = level}; the step is halved until the chord strictly shortens. Raises
-    AvStalled when the tangential component vanishes or no step helps.
+    {f = level}; the step is halved until the chord strictly shortens. The
+    new section is based at the endpoint that did not move, with t = 0
+    there, so that endpoint keeps its bits. Raises AvStalled when the
+    tangential component vanishes or no step helps.
     """
-    z, zp = state.z, state.zp
+    level = state.section.level
+    z, zp = state.section.z, state.section.zp
     gz = obj.gradient(z)
     gzp = obj.gradient(zp)
     if np.linalg.norm(gz) >= np.linalg.norm(gzp):
@@ -218,14 +203,15 @@ def step_av(state: SolverState, obj: Objective) -> SolverState:
 
     t = 1.0
     for _ in range(AV_MAX_BACKTRACKS):
-        p = _project_to_level(obj, this + t * w, state.level)
+        p = _project_to_level(obj, this + t * w, level)
         if p is not None and state.region.contains(p):
             gap_new = float(np.linalg.norm(p - other))
             if gap_new < gap0:
                 z_new, zp_new = (p, other) if move_z else (other, p)
-                v_new = (z_new - zp_new) / gap_new
-                return replace(state, z=z_new, zp=zp_new, v=v_new,
-                               x=0.5 * (z_new + zp_new), last_step="Av")
+                t1, t2 = (0.0, gap_new) if move_z else (-gap_new, 0.0)
+                section = LineSection(other, (z_new - zp_new) / gap_new, level,
+                                      t1, t2)
+                return replace(state, section=section, last_step="Av")
         t *= 0.5
     raise AvStalled("no tangential step reduced the chord length")
 
@@ -272,18 +258,18 @@ def step_l_down(obj: Objective, x: np.ndarray, v: np.ndarray,
     return crossings_or_degenerate(obj, x + mn.t * d, v, mn.value, region)
 
 
-def step_l_up(state: SolverState, obj: Objective) -> SolverState:
-    """Raise the level to f at the segment midpoint and re-solve the endpoints.
+def step_l_up(state: SolverState, obj: Objective, level: float) -> SolverState:
+    """Raise the level to `level` and re-solve the endpoints.
 
     The direction v is unchanged; the new segment is the section of the new
-    level on the same line, which may collapse to the midpoint itself.
-    Raises LUpImpossible when the midpoint does not lie above the level.
+    level on the line through the segment midpoint, which may collapse to a
+    single point. Raises LUpImpossible when `level` does not lie above the
+    current level.
     """
-    m = state.midpoint
-    fm = obj.value(m)
-    if fm <= state.level:
-        raise LUpImpossible(f"f(midpoint) = {fm:.6g} does not exceed level "
-                            f"{state.level:.6g}")
-    section = crossings_or_degenerate(obj, m, state.v, fm, state.region)
-    return replace(state, z=section.z, zp=section.zp, level=fm,
-                   x=section.midpoint, last_step="LUp")
+    sec = state.section
+    if level <= sec.level:
+        raise LUpImpossible(f"level {level:.6g} does not exceed the current "
+                            f"level {sec.level:.6g}")
+    section = crossings_or_degenerate(obj, state.midpoint, sec.v, level,
+                                      state.region)
+    return replace(state, section=section, last_step="LUp")

@@ -21,7 +21,7 @@ from .objective import (Objective, TrustRegion, fd_gradient, six_hump_camel,
 from .pardist import (closed_form_g2_quadratic, closed_form_hess_g2,
                       derivatives_from_section, eval_pardist)
 from .quadmodel import (QuadraticObjective, complement_basis, decompose,
-                        generate_morse1, morse_index, saddle_of)
+                        generate_morse1, negative_count, saddle_of)
 
 ADMISSIBLE_MIN_G = 0.1
 ADMISSIBLE_MIN_DENOM = 0.1
@@ -251,7 +251,7 @@ def check_hessian_stability(obj: Objective, xbar: np.ndarray) -> StabilityReport
     scale = float(np.max(np.abs(evals)))
     if scale == 0.0 or float(np.min(np.abs(evals))) < 1e-8 * scale:
         return StabilityReport(False, "degenerate critical point")
-    index = morse_index(H)
+    index = negative_count(evals)
     if index != 1:
         return StabilityReport(False, f"Morse index {index} is not one")
     vbar = evecs[:, -1]
@@ -348,11 +348,13 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
             report.max_violation = max(report.max_violation, float(violation))
         if with_eigenvalues:
             for sec in sections[:2]:
-                try:
-                    pe = derivatives_from_section(obj, sec, want_hessian=True)
-                except MtnpassError:
+                if sec.diam <= 1e-6:
                     continue
-                if pe.g <= 1e-6:
+                try:
+                    pe = derivatives_from_section(
+                        obj, sec, obj.gradient(sec.z), obj.gradient(sec.zp),
+                        want_hessian=True)
+                except MtnpassError:
                     continue
                 red = B.T @ pe.hess_g2 @ B
                 lam_min = float(decompose(red)[0][-1])

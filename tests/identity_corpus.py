@@ -1,0 +1,177 @@
+"""Identity corpus: 120 fixed solves, dumped and compared between two trees.
+
+    PYTHONPATH=src python tests/identity_corpus.py dump OUT.jsonl
+    python tests/identity_corpus.py compare BEFORE.jsonl AFTER.jsonl
+
+`dump` solves the corpus with the mtnpass on the path and writes one JSON
+line per solve: its name, the report without eval_counts, the trace and the
+eval counts. The corpus is
+
+- every ordered pair of minima of the benchmark's camel and Mueller-Brown
+  surfaces (bench/surfaces.py, 36 pairs), with analytic and with
+  finite-difference Hessians;
+- every ordered pair of tests/oracles.CAMEL_MINIMA on mtnpass's camel (30);
+- the benchmark's rotated wells (bench/workloads.WELLS) and
+  double_well(40, 40003), value and gradient only (8);
+- oracles.DoubleWell at n = 3, 5, 6, 8, 12, in both Hessian modes (10).
+
+`compare` lists, per solve, a change of status or iteration count, a change
+of the step sequence, a change of the report message (the stop rule that
+fired), a report or trace that differs only in the bits of its numbers
+(with the largest relative difference), and evaluation counts that rose;
+then the summed counts of both dumps. The bench modules are read,
+never written. Pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.dont_write_bytecode = True  # leave no cache files under bench/
+sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
+
+ORACLE_WELL_DIMS = (3, 5, 6, 8, 12)
+EXTRA_WELL = (40, 40003)
+COUNT_KEYS = ("value", "gradient", "hessian")
+
+
+def corpus():
+    """(name, objective factory, a, b) for every solve of the corpus."""
+    import numpy as np
+
+    import oracles
+    import surfaces
+    import workloads
+    from mtnpass.objective import Objective, six_hump_camel
+
+    cases = []
+    for surface in (surfaces.camel(), surfaces.mueller_brown()):
+        m = surface.minima
+        for i in range(len(m)):
+            for j in range(len(m)):
+                if i == j:
+                    continue
+                for mode, hess in (("analytic", surface.hessian), ("fd", None)):
+                    cases.append((f"{surface.name}:{i}->{j}:{mode}",
+                                  lambda s=surface, h=hess: Objective(
+                                      2, s.value, s.gradient, h, name=s.name),
+                                  m[i], m[j]))
+    minima = [np.array(p[:2]) for p in oracles.CAMEL_MINIMA]
+    for i in range(len(minima)):
+        for j in range(len(minima)):
+            if i != j:
+                cases.append((f"oracle-camel:{i}->{j}", six_hump_camel,
+                              minima[i], minima[j]))
+    for n, seed in list(workloads.WELLS) + [EXTRA_WELL]:
+        well = surfaces.double_well(n, seed)
+        a, b = well.minima()
+        cases.append((f"well-n{n}-s{seed}",
+                      lambda w=well: Objective(w.n, w.value, w.gradient),
+                      a, b))
+    for n in ORACLE_WELL_DIMS:
+        well = oracles.DoubleWell(n)
+        a, b = well.minima()
+        for mode in ("analytic", "fd"):
+            hess = well.hessian if mode == "analytic" else None
+            cases.append((f"oracle-well-n{n}:{mode}",
+                          lambda w=well, h=hess: Objective(w.n, w.value,
+                                                           w.gradient, h),
+                          a, b))
+    return cases
+
+
+def dump(path: str) -> None:
+    from mtnpass.driver import solve
+
+    with open(path, "w") as out:
+        for name, make, a, b in corpus():
+            report = solve(make(), a, b)
+            summary = report.to_dict()
+            counts = summary.pop("eval_counts")
+            out.write(json.dumps({
+                "name": name, "report": summary, "counts": counts,
+                "trace": [r.to_dict() for r in report.trace]},
+                sort_keys=True) + "\n")
+
+
+def _load(path: str) -> dict:
+    with open(path) as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    return {row["name"]: row for row in rows}
+
+
+def _max_rel_diff(x, y) -> float:
+    """Largest relative difference between the numbers of two like documents."""
+    if isinstance(x, dict):
+        return max((_max_rel_diff(x[k], y[k]) for k in x), default=0.0)
+    if isinstance(x, list):
+        return max((_max_rel_diff(p, q) for p, q in zip(x, y)), default=0.0)
+    if isinstance(x, float) or isinstance(y, float):
+        if x == y:
+            return 0.0
+        return abs(x - y) / max(abs(x), abs(y))
+    return 0.0
+
+
+def compare(before_path: str, after_path: str) -> int:
+    """Print the per-solve differences; returns the number of changed outcomes."""
+    before, after = _load(before_path), _load(after_path)
+    if before.keys() != after.keys():
+        print("the dumps hold different solves:",
+              sorted(before.keys() ^ after.keys()))
+        return 1
+    tally = {"identical": 0, "bits": 0, "message": 0, "steps": 0, "outcome": 0,
+             "counts rose": 0}
+    totals = {"before": dict.fromkeys(COUNT_KEYS, 0),
+              "after": dict.fromkeys(COUNT_KEYS, 0)}
+    for name, old in before.items():
+        new = after[name]
+        for side, row in (("before", old), ("after", new)):
+            for k in COUNT_KEYS:
+                totals[side][k] += row["counts"][k]
+        ro, rn = old["report"], new["report"]
+        steps_old = [r["step"] for r in old["trace"]]
+        steps_new = [r["step"] for r in new["trace"]]
+        if (ro["status"], ro["iterations"]) != (rn["status"], rn["iterations"]):
+            tally["outcome"] += 1
+            print(f"{name}: outcome {ro['status']}/{ro['iterations']} -> "
+                  f"{rn['status']}/{rn['iterations']}, f {ro['f']!r} -> {rn['f']!r}")
+        elif steps_old != steps_new:
+            tally["steps"] += 1
+            print(f"{name}: steps {steps_old} -> {steps_new}")
+        elif ro["message"] != rn["message"]:
+            tally["message"] += 1
+            print(f"{name}: message {ro['message']!r} -> {rn['message']!r}")
+        elif (ro, old["trace"]) != (rn, new["trace"]):
+            tally["bits"] += 1
+            rel = _max_rel_diff([ro, old["trace"]], [rn, new["trace"]])
+            print(f"{name}: bits only, largest relative difference {rel:.2e}")
+        else:
+            tally["identical"] += 1
+        rose = {k: (old["counts"][k], new["counts"][k]) for k in COUNT_KEYS
+                if new["counts"][k] > old["counts"][k]}
+        if rose:
+            tally["counts rose"] += 1
+            print(f"{name}: counts rose {rose}")
+    print(f"{len(before)} solves: " + ", ".join(f"{v} {k}" for k, v in tally.items()))
+    for side in ("before", "after"):
+        print(f"summed counts {side}: " + " / ".join(
+            str(totals[side][k]) for k in COUNT_KEYS))
+    return tally["outcome"]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "dump":
+        dump(argv[1])
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return 1 if compare(argv[1], argv[2]) else 0
+    print(__doc__.split("\n\n")[1], file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -47,9 +47,10 @@ class TestInitState:
         a = np.array([1.0, 2.0])
         b = np.array([1.0, -2.0])
         state = init_state(saddle_quadratic, a, b, SolveConfig())
-        assert state.level == pytest.approx(-1.5)
-        assert np.allclose(state.z, a, atol=1e-9)
-        assert np.allclose(state.zp, b, atol=1e-9)
+        sec = state.section
+        assert sec.level == pytest.approx(-1.5)
+        assert np.allclose(sec.z, a, atol=1e-9)
+        assert np.allclose(sec.zp, b, atol=1e-9)
         state.validate(saddle_quadratic)
 
     def test_camel_minima_straddle_origin(self, camel):
@@ -57,9 +58,10 @@ class TestInitState:
         b = np.array([-0.0898, 0.7126])
         state = init_state(camel, a, b, SolveConfig())
         state.validate(camel)
+        sec = state.section
         # the segment crosses the origin ridge
-        assert state.z @ state.v > 0 > state.zp @ state.v
-        assert state.level == pytest.approx(max(camel.value(a), camel.value(b)))
+        assert sec.z @ sec.v > 0 > sec.zp @ sec.v
+        assert sec.level == pytest.approx(max(camel.value(a), camel.value(b)))
 
     def test_identical_endpoints_rejected(self, camel):
         a = np.array([0.5, 0.5])
@@ -231,6 +233,17 @@ class TestSolveCamel:
         near_other = np.linalg.norm(report.x - np.ones(2)) <= 1e-6
         assert near_origin or near_other
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: both orders certify the origin (f = 0), an index-one "
+        "saddle that is not the pass at 0.5437"))
+    def test_pass_between_minima_0_and_5(self):
+        camel = six_hump_camel()
+        m0, m5 = (np.array(oracles.CAMEL_MINIMA[k][:2]) for k in (0, 5))
+        for a, b in ((m0, m5), (m5, m0)):
+            report = solve(camel, a, b)
+            assert report.status == "SaddleFound"
+            assert report.f == pytest.approx(oracles.CAMEL_SADDLES[2][2], abs=1e-8)
+
     def test_breakdown_on_max_chasing_chord(self):
         # The chord between these basins runs almost through a local max of
         # f; the level estimate overshoots every saddle value and the solver
@@ -247,7 +260,9 @@ class TestSolveDoubleWell:
         # Both endpoints are minima of equal value, so the first (PD) step
         # raises DegenerateDenominator before any Hessian or trial section
         # and the level raise does the work. The counts pin that: the two
-        # finite-difference endpoint Hessians would cost 4n = 20 gradients.
+        # finite-difference endpoint Hessians would cost 4n = 20 gradients,
+        # and (PD) re-evaluating the endpoint gradients the driver already
+        # holds would cost 2 per iteration.
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         report = solve(Objective(5, well.value, well.gradient), a, b)
@@ -256,7 +271,7 @@ class TestSolveDoubleWell:
         assert report.f == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert [r.step for r in report.trace] == ["Init", "LUp"]
-        assert report.eval_counts == {"value": 144, "gradient": 39,
+        assert report.eval_counts == {"value": 143, "gradient": 37,
                                       "hessian": 2}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
@@ -270,6 +285,30 @@ class TestSolveDoubleWell:
         assert report.status == "SaddleFound"
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert report.eval_counts["gradient"] < 150
+
+
+class TestEndpointGradientReuse:
+    def test_pd_evaluates_no_endpoint_gradient(self, monkeypatch):
+        # The driver evaluates the gradients at z and z' at the top of each
+        # iteration; (PD) differentiates g^2 with those and evaluates none of
+        # its own. (The README pair stops before any (PD); this pair takes
+        # two.)
+        real = subroutines.derivatives_from_section
+        inside = []
+
+        def spy(obj, *args, **kwargs):
+            before = obj.eval_counts()["gradient"]
+            try:
+                return real(obj, *args, **kwargs)
+            finally:
+                inside.append(obj.eval_counts()["gradient"] - before)
+
+        monkeypatch.setattr(subroutines, "derivatives_from_section", spy)
+        report = solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
+                       np.array(oracles.CAMEL_MINIMA[2][:2]))
+        assert report.status == "SaddleFound"
+        assert len(inside) >= 1
+        assert inside == [0] * len(inside)
 
 
 class TestCertificateReuse:

@@ -32,8 +32,9 @@ def _readme_pair():
 
 
 def _camel_ldown_pair():
-    # Minima 0 and 5 of the camel: a trace through LDown that ends in
-    # Breakdown after an Av and an LUp.
+    # Minima 0 and 5 of the camel: after one LUp, Stop 1 certifies the
+    # origin, an index-one saddle that is not the pass (ROADMAP item 2). The
+    # name is from when this order ended in a failed LDown.
     return solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
                  np.array(oracles.CAMEL_MINIMA[5][:2]))
 

@@ -5,14 +5,14 @@ import oracles
 from mtnpass import line1d, subroutines
 from mtnpass.errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
                             DegenerateDenominator, LUpImpossible)
-from mtnpass.line1d import ROOT_TOL, chord_section, find_level_crossings
+from mtnpass.line1d import (ROOT_TOL, LineSection, chord_section,
+                            find_level_crossings)
 from mtnpass.objective import Objective, TrustRegion
 from mtnpass.pardist import closed_form_g2_quadratic
 from mtnpass.quadmodel import QuadraticObjective
 from mtnpass.subroutines import (HitZero, PdStalled, ReducedSegment,
                                  SolverState, crossings_or_degenerate,
-                                 state_from_section, step_av, step_l_down,
-                                 step_l_up, step_pd)
+                                 step_av, step_l_down, step_l_up, step_pd)
 
 E2 = np.array([0.0, 1.0])
 
@@ -20,7 +20,25 @@ E2 = np.array([0.0, 1.0])
 def make_state(obj, x, v, level, region):
     sec = find_level_crossings(obj, x, v, level, region)
     assert not sec.empty
-    return state_from_section(sec, region, "Init")
+    return SolverState(sec, region)
+
+
+def segment(x, v, level, t1, t2, region):
+    """The state of the segment x + t v, t in [t1, t2], on the given level."""
+    return SolverState(LineSection(np.asarray(x, dtype=float),
+                                   np.asarray(v, dtype=float), level, t1, t2),
+                       region)
+
+
+def pd(state, obj):
+    """step_pd with the endpoint gradients, as the driver evaluates them."""
+    sec = state.section
+    return step_pd(state, obj, obj.gradient(sec.z), obj.gradient(sec.zp))
+
+
+def l_up(state, obj):
+    """step_l_up to f at the segment midpoint, the driver's target level."""
+    return step_l_up(state, obj, obj.value(state.midpoint))
 
 
 def count_line_searches(monkeypatch):
@@ -49,25 +67,26 @@ def quad_state(saddle_quadratic, origin_region):
 
 class TestStepPd:
     def test_newton_lands_on_axis(self, saddle_quadratic, quad_state):
-        out = step_pd(quad_state, saddle_quadratic)
+        out = pd(quad_state, saddle_quadratic)
         assert isinstance(out, ReducedSegment)
         assert out.g_old == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
         assert out.g_new == pytest.approx(2.0, abs=1e-9)
-        assert np.allclose(out.state.x, [0.0, 0.0], atol=1e-9)
-        assert np.allclose(out.state.z, [0.0, 1.0], atol=1e-9)
-        assert np.allclose(out.state.zp, [0.0, -1.0], atol=1e-9)
+        assert np.allclose(out.state.section.midpoint, [0.0, 0.0], atol=1e-9)
+        assert np.allclose(out.state.section.z, [0.0, 1.0], atol=1e-9)
+        assert np.allclose(out.state.section.zp, [0.0, -1.0], atol=1e-9)
 
     def test_decrease_against_closed_form(self, saddle_quadratic, origin_region):
         state = make_state(saddle_quadratic, np.array([0.1, 0.0]), E2, 0.25 - 0.5,
                            origin_region)
         # a level of +0.25 would sit above the saddle value for this f and
         # only when x1^2/2 > level; use level -0.25 to keep a real segment.
-        out = step_pd(state, saddle_quadratic)
+        out = pd(state, saddle_quadratic)
         assert isinstance(out, ReducedSegment)
+        level = state.section.level
         g2_before, _, _ = closed_form_g2_quadratic(
-            saddle_quadratic, state.x, E2, state.level)
+            saddle_quadratic, state.section.midpoint, E2, level)
         g2_after, _, _ = closed_form_g2_quadratic(
-            saddle_quadratic, out.state.x, E2, state.level)
+            saddle_quadratic, out.state.section.midpoint, E2, level)
         assert g2_after < g2_before
         assert out.g_new ** 2 == pytest.approx(g2_after, rel=1e-8)
 
@@ -76,12 +95,12 @@ class TestStepPd:
         # Newton step crosses the region where the line misses the level set.
         state = make_state(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
                            origin_region)
-        out = step_pd(state, saddle_quadratic)
+        out = pd(state, saddle_quadratic)
         assert isinstance(out, HitZero)
-        assert out.f_prime <= state.level + ROOT_TOL
+        assert out.f_prime <= state.section.level + ROOT_TOL
         # x' is a line-local max of f along v through the step point
         grad = saddle_quadratic.gradient(out.x_prime)
-        assert abs(grad @ state.v) <= 1e-8
+        assert abs(grad @ state.section.v) <= 1e-8
 
     def test_empty_trial_reuses_its_line_max(self, saddle_quadratic,
                                              origin_region, monkeypatch):
@@ -90,7 +109,7 @@ class TestStepPd:
         state = make_state(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
                            origin_region)
         calls = count_line_searches(monkeypatch)
-        out = step_pd(state, saddle_quadratic)
+        out = pd(state, saddle_quadratic)
         assert isinstance(out, HitZero)
         assert calls["find_level_crossings"] >= 1
         assert calls["line_local_max"] == calls["find_level_crossings"]
@@ -100,7 +119,7 @@ class TestStepPd:
         state = make_state(camel, np.array([0.1, 0.05]), V[:, 0], -0.2,
                            origin_region)
         for _ in range(5):
-            out = step_pd(state, camel)
+            out = pd(state, camel)
             if not isinstance(out, ReducedSegment):
                 break
             assert out.g_new <= out.g_old + 2.0 * ROOT_TOL
@@ -116,9 +135,8 @@ class TestStepPd:
         v = np.array([0.0, 0.0, 1.0])
         x = np.array([0.8, 0.5, 0.0])   # line max along v, gradient nonzero
         level = obj.value(x)
-        state = SolverState(z=x.copy(), zp=x.copy(), v=v, level=level, x=x,
-                            region=region)
-        out = step_pd(state, obj)
+        state = segment(x, v, level, 0.0, 0.0, region)
+        out = pd(state, obj)
         assert isinstance(out, HitZero)
         assert np.allclose(out.x_prime, x, atol=1e-9)
         # the follow-up level decrease makes strict progress
@@ -131,7 +149,7 @@ class TestStepPd:
         # direction can decrease it further.
         state = make_state(saddle_quadratic, np.array([0.0, 0.0]), E2, -0.5,
                            origin_region)
-        out = step_pd(state, saddle_quadratic)
+        out = pd(state, saddle_quadratic)
         assert isinstance(out, PdStalled)
         assert out.g == pytest.approx(2.0, abs=1e-9)
 
@@ -143,8 +161,8 @@ class TestStepPd:
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         obj = Objective(5, well.value, well.gradient, well.hessian)
-        state = state_from_section(chord_section(obj, a, b),
-                                   TrustRegion(0.5 * (a + b), 10.0), "Init")
+        state = SolverState(chord_section(obj, a, b),
+                            TrustRegion(0.5 * (a + b), 10.0))
         calls = []
 
         def counted(*args):
@@ -154,7 +172,7 @@ class TestStepPd:
         monkeypatch.setattr(subroutines, "find_level_crossings", counted)
         before = obj.eval_counts()["hessian"]
         with pytest.raises(DegenerateDenominator, match="root tolerance"):
-            step_pd(state, obj)
+            pd(state, obj)
         assert calls == []
         assert obj.eval_counts()["hessian"] == before
 
@@ -165,11 +183,11 @@ class TestStepPd:
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         obj = Objective(5, well.value, well.gradient, well.hessian)
-        state = state_from_section(chord_section(obj, a, b),
-                                   TrustRegion(0.5 * (a + b), 10.0), "Init")
+        state = SolverState(chord_section(obj, a, b),
+                            TrustRegion(0.5 * (a + b), 10.0))
         calls = count_line_searches(monkeypatch)
         with pytest.raises(DegenerateDenominator):
-            step_pd(state, obj)
+            pd(state, obj)
         assert calls["line_local_max"] == 0
 
     def test_composition_reaches_saddle_midpoint(self, saddle_quadratic,
@@ -179,9 +197,9 @@ class TestStepPd:
         for x1 in (0.7, -0.3, 1.2):
             state = make_state(saddle_quadratic, np.array([x1, 0.2]), E2, -0.5,
                                origin_region)
-            out = step_pd(state, saddle_quadratic)
+            out = pd(state, saddle_quadratic)
             assert isinstance(out, ReducedSegment)
-            assert abs(out.state.x[0]) <= 1e-10
+            assert abs(out.state.section.midpoint[0]) <= 1e-10
             assert np.linalg.norm(out.state.midpoint) <= 1e-10
 
 
@@ -190,10 +208,8 @@ class TestStepAv:
                                            origin_region):
         s125 = np.sqrt(1.25)
         z = np.array([0.5, s125])
-        zp = np.array([-0.5, -s125])
-        v = (z - zp) / np.linalg.norm(z - zp)
-        state = SolverState(z=z, zp=zp, v=v, level=-0.5, x=0.5 * (z + zp),
-                            region=origin_region)
+        h = np.linalg.norm(z)
+        state = segment(np.zeros(2), z / h, -0.5, -h, h, origin_region)
         gaps = [state.gap]
         for _ in range(50):
             try:
@@ -204,13 +220,11 @@ class TestStepAv:
             gaps.append(state.gap)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         # optimal chord of {f = -0.5} is vertical of length 2
-        assert abs(abs(state.v[1]) - 1.0) <= 1e-6
+        assert abs(abs(state.section.v[1]) - 1.0) <= 1e-6
         assert state.gap == pytest.approx(2.0, abs=1e-6)
 
     def test_stalled_at_optimal_chord(self, saddle_quadratic, origin_region):
-        state = SolverState(z=np.array([0.0, 1.0]), zp=np.array([0.0, -1.0]),
-                            v=E2, level=-0.5, x=np.zeros(2),
-                            region=origin_region)
+        state = segment(np.zeros(2), E2, -0.5, -1.0, 1.0, origin_region)
         with pytest.raises(AvStalled):
             step_av(state, saddle_quadratic)
 
@@ -232,14 +246,16 @@ class TestStepAv:
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_moves_endpoint_with_larger_gradient(self, camel, origin_region):
+        # The endpoint that does not move keeps its bits: the new section is
+        # based there, with t = 0.
         state = make_state(camel, np.array([0.05, 0.0]), E2, -0.3, origin_region)
-        gz = np.linalg.norm(camel.gradient(state.z))
-        gzp = np.linalg.norm(camel.gradient(state.zp))
+        gz = np.linalg.norm(camel.gradient(state.section.z))
+        gzp = np.linalg.norm(camel.gradient(state.section.zp))
         new = step_av(state, camel)
         if gz >= gzp:
-            assert np.array_equal(new.zp, state.zp)
+            assert np.array_equal(new.section.zp, state.section.zp)
         else:
-            assert np.array_equal(new.z, state.z)
+            assert np.array_equal(new.section.z, state.section.z)
 
 
 class TestStepLDown:
@@ -302,22 +318,19 @@ class TestCrossingsOrDegenerate:
 class TestStepLUp:
     def test_quadratic_degenerate(self, saddle_quadratic, origin_region):
         s3 = np.sqrt(3.0)
-        state = SolverState(z=np.array([1.0, s3]), zp=np.array([1.0, -s3]),
-                            v=E2, level=-1.0, x=np.array([1.0, 0.0]),
-                            region=origin_region)
-        new = step_l_up(state, saddle_quadratic)
-        assert new.level == pytest.approx(0.5)
+        state = segment([1.0, 0.0], E2, -1.0, -s3, s3, origin_region)
+        new = l_up(state, saddle_quadratic)
+        assert new.section.level == pytest.approx(0.5)
         assert new.gap <= 1e-6
-        assert np.allclose(new.z, [1.0, 0.0], atol=1e-6)
-        assert np.array_equal(new.v, state.v)  # v unchanged by contract
+        assert np.allclose(new.section.z, [1.0, 0.0], atol=1e-6)
+        # v unchanged by contract
+        assert np.array_equal(new.section.v, state.section.v)
 
     def test_quadratic_wider_base(self, saddle_quadratic, origin_region):
         s6 = np.sqrt(6.0)
-        state = SolverState(z=np.array([2.0, s6]), zp=np.array([2.0, -s6]),
-                            v=E2, level=-1.0, x=np.array([2.0, 0.0]),
-                            region=origin_region)
-        new = step_l_up(state, saddle_quadratic)
-        assert new.level == pytest.approx(2.0)
+        state = segment([2.0, 0.0], E2, -1.0, -s6, s6, origin_region)
+        new = l_up(state, saddle_quadratic)
+        assert new.section.level == pytest.approx(2.0)
         assert new.gap <= 1e-6
 
     def test_camel_narrows_segment(self, camel, origin_region):
@@ -325,14 +338,16 @@ class TestStepLUp:
         vbar = V[:, 0]
         state = make_state(camel, np.array([0.05, 0.02]), vbar, -0.2,
                            origin_region)
-        new = step_l_up(state, camel)
-        assert new.level > -0.2
-        assert new.level == pytest.approx(camel.value(state.midpoint))
+        new = l_up(state, camel)
+        assert new.section.level > -0.2
+        assert new.section.level == pytest.approx(camel.value(state.midpoint))
         # oracle: widths of the crossing segments at both levels
-        old_roots = oracles.grid_crossings(oracles.camel_value, state.x,
-                                           vbar, state.level, -1.5, 1.5)
-        new_roots = oracles.grid_crossings(oracles.camel_value, new.x,
-                                           vbar, new.level, -1.5, 1.5)
+        old_roots = oracles.grid_crossings(oracles.camel_value,
+                                           state.section.midpoint, vbar,
+                                           state.section.level, -1.5, 1.5)
+        new_roots = oracles.grid_crossings(oracles.camel_value,
+                                           new.section.midpoint, vbar,
+                                           new.section.level, -1.5, 1.5)
         w_old = max(r for r in old_roots) - min(r for r in old_roots)
         assert new.gap < w_old
         assert new.gap == pytest.approx(
@@ -342,11 +357,20 @@ class TestStepLUp:
 
     def test_impossible_when_midpoint_not_above(self, saddle_quadratic,
                                                 origin_region):
-        state = SolverState(z=np.array([1.0, 0.0]), zp=np.array([1.0, 0.0]),
-                            v=E2, level=0.5, x=np.array([1.0, 0.0]),
-                            region=origin_region)
+        state = segment([1.0, 0.0], E2, 0.5, 0.0, 0.0, origin_region)
         with pytest.raises(LUpImpossible):
-            step_l_up(state, saddle_quadratic)
+            l_up(state, saddle_quadratic)
+
+    def test_raises_to_the_given_level(self, saddle_quadratic, origin_region):
+        # The caller picks the level: here 0, below f(midpoint) = 0.5. On
+        # f = 0.5 (x1^2 - x2^2) the section through (1, 0) is x2 in [-1, 1].
+        s3 = np.sqrt(3.0)
+        state = segment([1.0, 0.0], E2, -1.0, -s3, s3, origin_region)
+        new = step_l_up(state, saddle_quadratic, 0.0)
+        assert new.section.level == 0.0
+        assert new.last_step == "LUp"
+        assert new.gap == pytest.approx(2.0, abs=1e-9)
+        assert np.allclose(new.midpoint, [1.0, 0.0], atol=1e-9)
 
 
 class TestStateInvariants:
@@ -356,15 +380,11 @@ class TestStateInvariants:
 
     def test_validate_rejects_level_mismatch(self, saddle_quadratic,
                                              origin_region):
-        state = SolverState(z=np.array([1.0, 1.0]), zp=np.array([1.0, -1.0]),
-                            v=E2, level=-0.5, x=np.array([1.0, 0.0]),
-                            region=origin_region)
+        state = segment([1.0, 0.0], E2, -0.5, -1.0, 1.0, origin_region)
         with pytest.raises(ValueError, match="exceeds tolerance"):
             state.validate(saddle_quadratic)
 
     def test_validate_rejects_nonunit_v(self, saddle_quadratic, origin_region):
-        state = SolverState(z=np.array([1.0, 1.0]), zp=np.array([1.0, -1.0]),
-                            v=np.array([0.0, 2.0]), level=0.0,
-                            x=np.array([1.0, 0.0]), region=origin_region)
+        state = segment([1.0, 0.0], [0.0, 2.0], 0.0, -0.5, 0.5, origin_region)
         with pytest.raises(ValueError, match="unit"):
             state.validate(saddle_quadratic)

@@ -4,7 +4,7 @@ import inspect
 import numpy as np
 import pytest
 
-from mtnpass import line1d, verify
+from mtnpass import line1d, pardist, quadmodel, verify
 from mtnpass.objective import Objective, TrustRegion, tightness2d
 from mtnpass.pardist import (closed_form_g2_quadratic, closed_form_hess_g2,
                              eval_pardist)
@@ -60,6 +60,22 @@ class TestHessianStability:
         assert report.applicable
         assert all(c.deviation == 0.0 for c in report.comparisons)
         assert report.trend_ok("aligned") and report.trend_ok("perturbed")
+
+    def test_one_decomposition_per_check(self, camel, monkeypatch):
+        # The Morse index comes from the spectrum the check already holds,
+        # not from a second decomposition of the same Hessian.
+        calls = []
+        real = quadmodel.decompose
+
+        def counted(H):
+            calls.append(np.array(H))
+            return real(H)
+
+        for module in (verify, quadmodel, pardist):
+            monkeypatch.setattr(module, "decompose", counted)
+        report = check_hessian_stability(camel, np.zeros(2))
+        assert report.applicable
+        assert len(calls) == 1
 
     def test_camel_origin_trend(self, camel):
         report = check_hessian_stability(camel, np.zeros(2))

@@ -8,7 +8,7 @@ square behaves like a convex quadratic near the saddle, which gives the
 search Newton-quality local steps and honest global progress measures.
 """
 
-from .driver import SolveConfig, SolveReport, TraceRecord, hull_distance, init_state, solve
+from .driver import SolveConfig, SolveReport, TraceRecord, init_state, solve
 from .errors import (AvStalled, BadDirection, BadEndpoints, CriticalCandidate,
                      CrossingOutsideRegion, DegenerateDenominator,
                      EvaluationError, LUpImpossible, MtnpassError,

@@ -34,8 +34,8 @@ EXIT_USAGE = 2
 
 SUITES = ("grad-formulas", "hessian-stability", "convexity", "quadratic-oracle")
 
-_SOLVE_CONFIG_KEYS = {"function", "model", "a", "b", "gtol", "xtol",
-                      "max_iter", "radius", "seed", "out", "grid"}
+_SOLVE_CONFIG_KEYS = {"function", "model", "a", "b", "gtol", "max_iter",
+                      "radius", "seed", "out", "grid"}
 
 
 class UsageError(Exception):
@@ -142,7 +142,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     try:
         config = SolveConfig(
             gtol=float(pick(args.gtol, "gtol", 1e-8)),
-            xtol=float(pick(args.xtol, "xtol", 1e-6)),
             max_iter=_as_int(pick(args.max_iter, "max_iter", 500)),
             radius=float(pick(args.radius, "radius", 10.0)),
             seed=_as_int(pick(args.seed, "seed", 0)),
@@ -163,7 +162,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "function": function or "quadratic",
         "a": [float(c) for c in a],
         "b": [float(c) for c in b],
-        "gtol": config.gtol, "xtol": config.xtol,
+        "gtol": config.gtol,
         "max_iter": config.max_iter, "radius": config.radius,
         "seed": config.seed,
     }
@@ -222,20 +221,40 @@ def _write_trace_csv(records: list, out: Path) -> None:
                      f"{r['x'][1]!r},{r['level']!r},{r['gap']!r}\n")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_trace(path: str) -> list:
+    """The records of a solve's trace.json, checked for what the trace CSV needs."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as err:
+        raise UsageError(f"cannot read trace file: {err}")
+    records = doc.get("records") if isinstance(doc, dict) else None
+    if not isinstance(records, list):
+        raise UsageError("trace file must hold an object with a list of records")
+    for k, r in enumerate(records):
+        if not (isinstance(r, dict) and isinstance(r.get("iteration"), int)
+                and isinstance(r.get("step"), str)
+                and _is_real(r.get("level")) and _is_real(r.get("gap"))
+                and isinstance(r.get("x"), list) and len(r["x"]) == 2
+                and all(_is_real(c) for c in r["x"])):
+            raise UsageError(f"trace record {k} needs an integer iteration, a "
+                             "step name, a real level and gap, and a 2-D x")
+    return records
+
+
 def cmd_contour(args: argparse.Namespace) -> int:
     obj = _load_objective(args.function, args.model)
     grid = _validated_grid({"bounds": _parse_point(args.bounds, "--bounds").tolist(),
                             "resolution": args.resolution})
+    records = _read_trace(args.trace) if args.trace else None
     out = Path(args.out)
     _write_grid_csv(obj, grid["bounds"], grid["resolution"], out)
 
-    if args.trace:
-        try:
-            with open(args.trace, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            records = doc["records"]
-        except (OSError, json.JSONDecodeError, KeyError) as err:
-            raise UsageError(f"cannot read trace file: {err}")
+    if records is not None:
         trace_out = out.with_name(out.stem + "_trace.csv")
         _write_trace_csv(records, trace_out)
         print(f"wrote {out} and {trace_out}")
@@ -267,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--a", help="first endpoint, comma-separated reals")
     ps.add_argument("--b", help="second endpoint, comma-separated reals")
     ps.add_argument("--gtol", type=float, help="gradient tolerance (default 1e-8)")
-    ps.add_argument("--xtol", type=float, help="endpoint-gap tolerance (default 1e-6)")
     ps.add_argument("--max-iter", dest="max_iter", type=int,
                     help="iteration limit (default 500)")
     ps.add_argument("--radius", type=float, help="trust-region radius (default 10)")

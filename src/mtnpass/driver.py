@@ -3,9 +3,18 @@
 The loop runs (PD) and dispatches on its outcome: a sufficient reduction is
 followed by a chord re-alignment (Av); a small reduction raises the level
 from the segment midpoint (l-up); a collapse to zero lowers the level along
-a descent ray (l-down). Every gradient the solver evaluates is checked
-against the gradient tolerance, and a Newton refinement takes over once the
-endpoints are close. A found saddle is certified by Morse index one.
+a descent ray (l-down).
+
+The solve ends at the first stop rule that applies. The first three return
+a saddle only when Newton polishes their candidate to |grad f| <= gtol with
+Morse index one; otherwise the loop goes on.
+- small gradient observed: a gradient the solver evaluated has
+  |grad f| <= gtol, at a point above the initial level;
+- Newton handoff: the endpoint gap is below _NEWTON_HANDOFF_GAP; the
+  candidate is the segment midpoint;
+- l-down critical candidate: grad f at the line max is parallel to v;
+- Breakdown: _MAX_CONSECUTIVE_FAILURES iterations in a row fail;
+- MaxIter: the iteration limit is reached.
 """
 
 from __future__ import annotations
@@ -27,9 +36,7 @@ from .subroutines import (HitZero, PdStalled, ReducedSegment, SolverState,
 
 logger = logging.getLogger(__name__)
 
-_EXTRAPOLATION_SAMPLES = 11
 _MAX_CONSECUTIVE_FAILURES = 3
-_HULL_TOL = 1e-6             # distance of 0 to the endpoint-gradient segment
 _ETA = 0.05                  # sufficient-decrease fraction for (PD)
 _NEWTON_HANDOFF_GAP = 1e-2   # endpoint gap below which Newton takes over
 
@@ -39,15 +46,18 @@ class SolveConfig:
     """Tolerances and limits of the global solve."""
 
     gtol: float = 1e-8            # gradient norm certifying a critical point
-    xtol: float = 1e-6            # endpoint gap for the extrapolation stop
     max_iter: int = 500
     radius: float = 10.0          # trust-region radius around the initial midpoint
     seed: int = 0                 # recorded for reproducibility of reports
 
     def __post_init__(self):
-        for name in ("gtol", "xtol", "radius"):
+        for name in ("gtol", "radius"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        for name in ("max_iter", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -72,7 +82,7 @@ class TraceRecord:
 
 @dataclass
 class SolveReport:
-    status: str                   # SaddleFound | Stalled | MaxIter | Breakdown
+    status: str                   # SaddleFound | MaxIter | Breakdown
     x: np.ndarray
     f: float
     grad_norm: float
@@ -99,23 +109,13 @@ class SolveReport:
         }
 
 
-def hull_distance(g1: np.ndarray, g2: np.ndarray) -> float:
-    """Euclidean distance from the origin to the segment [g1, g2]."""
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    d = g2 - g1
-    dd = float(d @ d)
-    t = 0.0 if dd == 0.0 else min(1.0, max(0.0, -float(g1 @ d) / dd))
-    return float(np.linalg.norm(g1 + t * d))
-
-
 def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
-               config: SolveConfig,
-               region: Optional[TrustRegion] = None) -> SolverState:
+               config: SolveConfig) -> SolverState:
     """Initial endpoints at level max(f(a), f(b)) around the ridge on [a, b].
 
     The section is line1d.chord_section: the line-local max of f strictly
     between a and b and the two crossings of the initial level on the chord.
+    The trust region is the ball of radius config.radius around 0.5 (a + b).
     Raises BadEndpoints, before any evaluation, when an endpoint has the
     wrong dimension or a non-finite coordinate, and after the chord search
     when f is monotone on [a, b] or the ridge does not rise above the level.
@@ -126,8 +126,7 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
         raise BadEndpoints("endpoint dimension mismatch")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise BadEndpoints("endpoints must be finite")
-    if region is None:
-        region = TrustRegion(0.5 * (a + b), config.radius)
+    region = TrustRegion(0.5 * (a + b), config.radius)
     return SolverState(chord_section(obj, a, b), region, "Init")
 
 
@@ -144,11 +143,9 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
     """
     if config is None:
         config = SolveConfig()
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    region = TrustRegion(0.5 * (a + b), config.radius)
     trace: list[TraceRecord] = []
-    # The point of the smallest gradient seen since the last Stop 1 check.
+    # The point of the smallest gradient seen since the small-gradient stop
+    # last looked.
     best_x, best_norm = None, np.inf
 
     def observe(x: np.ndarray, g: np.ndarray) -> None:
@@ -165,9 +162,6 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                message: str) -> SolveReport:
         """The report for x, certified by gn = |grad f(x)| and Morse index idx."""
         x = np.asarray(x, dtype=float)
-        if status == "SaddleFound" and not (gn <= config.gtol and idx == 1):
-            status = "Stalled"
-            message = (message + "; candidate failed certification").strip("; ")
         return SolveReport(status=status, x=x, f=obj.value(x), grad_norm=gn,
                            morse_index=idx, iterations=iterations,
                            eval_counts=obj.eval_counts(), trace=trace,
@@ -185,7 +179,8 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         return None
 
     with obj.watch_gradients(observe):
-        state = init_state(obj, a, b, config, region)
+        state = init_state(obj, a, b, config)
+        region = state.region
         # The initial level, raised by ROOT_TOL: crossings sit on a level only
         # to within ROOT_TOL.
         level0 = state.section.level + ROOT_TOL
@@ -204,12 +199,12 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, state.last_step,
                          sec.level, gap)
 
-            # Stop 1: a small gradient was observed anywhere. A candidate on
-            # or below the initial level is skipped: in practice it is an
-            # endpoint minimum on that level set, whose polish would only
-            # spend a Hessian to find Morse index 0. The other stops still
-            # polish points below it, since an index-one saddle can lie below
-            # max(f(a), f(b)) when a or b is not a minimum.
+            # Small-gradient stop: a small gradient was observed anywhere. A
+            # candidate on or below the initial level is skipped: in practice
+            # it is an endpoint minimum on that level set, whose polish would
+            # only spend a Hessian to find Morse index 0. The other stops
+            # still polish points below it, since an index-one saddle can lie
+            # below max(f(a), f(b)) when a or b is not a minimum.
             if best_norm <= config.gtol:
                 if obj.value(best_x) > level0:
                     report = polish(best_x, it, "small gradient observed")
@@ -217,20 +212,6 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                         return report
                 # candidate skipped or not an index-one saddle; keep going
                 best_x, best_norm = None, np.inf
-
-            # Stop 2: endpoints nearly coincide and the gradient hull reaches 0.
-            if gap <= config.xtol and hull_distance(gz, gzp) <= _HULL_TOL:
-                samples = [sec.zp + s * (sec.z - sec.zp)
-                           for s in np.linspace(0.0, 1.0, _EXTRAPOLATION_SAMPLES)]
-                norms = [float(np.linalg.norm(obj.gradient(p))) for p in samples]
-                x_best = samples[int(np.argmin(norms))]
-                report = polish(x_best, it, "endpoint gap closed")
-                if report is not None:
-                    return report
-                # certification inside finish() downgrades to Stalled if the
-                # extrapolated point is not an index-one saddle
-                return finish("SaddleFound", x_best, *certificate(x_best), it,
-                              "endpoint gap closed")
 
             # Newton handoff once the endpoints are close.
             if 0.0 < gap < _NEWTON_HANDOFF_GAP:

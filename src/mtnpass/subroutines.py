@@ -27,7 +27,6 @@ from .pardist import derivatives_from_section
 # Armijo parameters for the (PD) backtracking search.
 ARMIJO_C1 = 1e-4
 BACKTRACK_RATIO = 0.5
-MAX_BACKTRACKS = 45
 NEWTON_MIN_EIG = 1e-10  # reduced Hessian must be at least this definite
 AV_MAX_BACKTRACKS = 30  # step halvings of the (Av) tangential slide
 MAX_PROJECTION_NEWTON = 50  # Newton steps pulling a point back onto the level
@@ -138,9 +137,7 @@ def step_pd(state: SolverState, obj: Objective, gz: np.ndarray,
     # A steepest-descent trial starts no farther out than the region radius.
     t = 1.0 if newton else min(1.0, region.radius / dn)
     min_step = CROSSING_XTOL_FRAC * region.radius
-    for _ in range(MAX_BACKTRACKS):
-        if t * dn < min_step:
-            break
+    while t * dn >= min_step:
         xt = x + t * d
         if region.contains(xt):
             try:

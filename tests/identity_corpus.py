@@ -19,8 +19,9 @@ eval counts. The corpus is
 of the step sequence, a change of the report message (the stop rule that
 fired), a report or trace that differs only in the bits of its numbers
 (with the largest relative difference), and evaluation counts that rose;
-then the summed counts of both dumps. The bench modules are read,
-never written. Pytest does not collect this file.
+then the summed counts of both dumps. It exits 1 when any solve changed its
+status, iteration count, step sequence or message, and 0 otherwise. The
+bench modules are read, never written. Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ def _max_rel_diff(x, y) -> float:
 
 
 def compare(before_path: str, after_path: str) -> int:
-    """Print the per-solve differences; returns the number of changed outcomes."""
+    """Print the per-solve differences; returns the number of solves whose
+    status, iteration count, step sequence or message changed."""
     before, after = _load(before_path), _load(after_path)
     if before.keys() != after.keys():
         print("the dumps hold different solves:",
@@ -160,7 +162,7 @@ def compare(before_path: str, after_path: str) -> int:
     for side in ("before", "after"):
         print(f"summed counts {side}: " + " / ".join(
             str(totals[side][k]) for k in COUNT_KEYS))
-    return tally["outcome"]
+    return tally["outcome"] + tally["steps"] + tally["message"]
 
 
 def main(argv: list[str]) -> int:

@@ -57,13 +57,27 @@ class TestSolveCommand:
                        "--a", "abc", "--b", "1,1", "--out", str(tmp_path))
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--gtol", "--xtol", "--radius"])
+    @pytest.mark.parametrize("flag", ["--gtol", "--radius"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_nonfinite_tolerance_is_usage_error(self, tmp_path, flag, value):
         code = run_cli("solve", "--function", "six_hump_camel",
                        "--a", CAMEL_A, "--b", CAMEL_B, flag, value,
                        "--out", str(tmp_path))
         assert code == 2
+        assert not (tmp_path / "report.json").exists()
+
+    def test_xtol_is_gone(self, tmp_path):
+        # The endpoint-gap stop and its tolerance were removed: the flag and
+        # the config key are both usage errors.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("solve", "--function", "six_hump_camel", "--a", CAMEL_A,
+                    "--b", CAMEL_B, "--xtol", "1e-6", "--out", str(tmp_path))
+        assert exc.value.code == 2
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"function": "six_hump_camel",
+                                    "a": CAMEL_A, "b": CAMEL_B, "xtol": 1e-6,
+                                    "out": str(tmp_path)}))
+        assert run_cli("solve", "--config", str(path)) == 2
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("point", ["nan,0", "inf,0", "0,-inf"])
@@ -215,6 +229,30 @@ class TestContourCommand:
         lines = (tmp_path / "grid_trace.csv").read_text().splitlines()
         assert lines[0] == "iter,kind,x1,x2,l,g"
         assert len(lines) >= 2
+
+    @pytest.mark.parametrize("doc", [
+        '{"records": [{"step": "Init", "level": 0.0, "gap": 1.0, '
+        '"x": [0.0, 0.0]}]}',
+        '{"records": 5}',
+        '[{"iteration": 0, "step": "Init", "level": 0.0, "gap": 1.0, '
+        '"x": [0.0, 0.0]}]',
+        '{"records": [{"iteration": 0, "step": "Init", "level": 0.0, '
+        '"gap": 1.0, "x": [0.0]}]}',
+        '{"records": [{"iteration": 0, "step": "Init", "level": "low", '
+        '"gap": 1.0, "x": [0.0, 0.0]}]}',
+        '{"inputs": {}}',
+        '{"records": [',
+    ], ids=["no-iteration", "records-not-a-list", "top-level-list",
+            "x-of-length-1", "level-not-a-number", "no-records", "not-json"])
+    def test_malformed_trace_is_usage_error_before_writing(self, tmp_path, doc):
+        trace = tmp_path / "trace.json"
+        trace.write_text(doc)
+        out = tmp_path / "grid.csv"
+        code = run_cli("contour", "--function", "six_hump_camel",
+                       "--bounds", "-2,2,-2,2", "--resolution", "11",
+                       "--out", str(out), "--trace", str(trace))
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["trace.json"]
 
 
 class TestVerifyCommand:

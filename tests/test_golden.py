@@ -32,9 +32,9 @@ def _readme_pair():
 
 
 def _camel_ldown_pair():
-    # Minima 0 and 5 of the camel: after one LUp, Stop 1 certifies the
-    # origin, an index-one saddle that is not the pass (ROADMAP item 2). The
-    # name is from when this order ended in a failed LDown.
+    # Minima 0 and 5 of the camel: after one LUp, the small-gradient stop
+    # certifies the origin, an index-one saddle that is not the pass (ROADMAP
+    # item 2). The name is from when this order ended in a failed LDown.
     return solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
                  np.array(oracles.CAMEL_MINIMA[5][:2]))
 

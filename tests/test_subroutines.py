@@ -5,8 +5,8 @@ import oracles
 from mtnpass import line1d, subroutines
 from mtnpass.errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
                             DegenerateDenominator, LUpImpossible)
-from mtnpass.line1d import (ROOT_TOL, LineSection, chord_section,
-                            find_level_crossings)
+from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, LineSection,
+                            chord_section, find_level_crossings)
 from mtnpass.objective import Objective, TrustRegion
 from mtnpass.pardist import closed_form_g2_quadratic
 from mtnpass.quadmodel import QuadraticObjective
@@ -152,6 +152,28 @@ class TestStepPd:
         out = pd(state, saddle_quadratic)
         assert isinstance(out, PdStalled)
         assert out.g == pytest.approx(2.0, abs=1e-9)
+
+    def test_backtracking_stops_at_the_crossing_tolerance(
+            self, saddle_quadratic, quad_state, monkeypatch):
+        # Every trial section has the state's own diameter, so the Armijo
+        # decrease never holds and (PD) halves the Newton step d = (-1, 0)
+        # until t |d| falls below the crossing tolerance.
+        sec = quad_state.section
+        steps = []
+
+        def same_diameter(obj, x, v, level, region):
+            steps.append(float(np.linalg.norm(x - sec.midpoint)))
+            return LineSection(x, v, level, sec.t1, sec.t2)
+
+        monkeypatch.setattr(subroutines, "find_level_crossings", same_diameter)
+        out = pd(quad_state, saddle_quadratic)
+        assert isinstance(out, PdStalled)
+        assert out.g == pytest.approx(sec.diam, abs=1e-12)
+        min_step = CROSSING_XTOL_FRAC * quad_state.region.radius
+        halvings = int(np.floor(np.log2(1.0 / min_step))) + 1
+        assert len(steps) == halvings == 37
+        assert np.allclose(steps, 0.5 ** np.arange(halvings), rtol=1e-12, atol=0)
+        assert steps[-1] >= min_step > 0.5 * steps[-1]
 
     def test_minima_endpoints_raise_without_trials(self, monkeypatch):
         # Both endpoints are minima of equal value on the level, so

@@ -341,7 +341,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_merge_point_values(list(argv)))
+    try:
+        args = parser.parse_args(_merge_point_values(list(argv)))
+    except SystemExit as exc:
+        # argparse has printed its usage message or --help: hand the exit
+        # code back like every other outcome
+        return exc.code
     try:
         return args.func(args)
     except UsageError as err:

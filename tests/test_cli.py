@@ -57,7 +57,7 @@ class TestSolveCommand:
                        "--a", "abc", "--b", "1,1", "--out", str(tmp_path))
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--gtol", "--radius"])
+    @pytest.mark.parametrize("flag", ["--gtol", "--xtol", "--radius"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_nonfinite_tolerance_is_usage_error(self, tmp_path, flag, value):
         code = run_cli("solve", "--function", "six_hump_camel",
@@ -69,10 +69,9 @@ class TestSolveCommand:
     def test_xtol_is_gone(self, tmp_path):
         # The endpoint-gap stop and its tolerance were removed: the flag and
         # the config key are both usage errors.
-        with pytest.raises(SystemExit) as exc:
-            run_cli("solve", "--function", "six_hump_camel", "--a", CAMEL_A,
-                    "--b", CAMEL_B, "--xtol", "1e-6", "--out", str(tmp_path))
-        assert exc.value.code == 2
+        assert run_cli("solve", "--function", "six_hump_camel", "--a", CAMEL_A,
+                       "--b", CAMEL_B, "--xtol", "1e-6",
+                       "--out", str(tmp_path)) == 2
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"function": "six_hump_camel",
                                     "a": CAMEL_A, "b": CAMEL_B, "xtol": 1e-6,
@@ -264,9 +263,7 @@ class TestVerifyCommand:
         assert report["failures"] == 0
 
     def test_unknown_suite_exits_two(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("verify", "--suite", "nope", "--out", str(tmp_path))
-        assert exc.value.code == 2
+        assert run_cli("verify", "--suite", "nope", "--out", str(tmp_path)) == 2
 
 
 class TestDeterminism:

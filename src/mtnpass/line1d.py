@@ -71,16 +71,11 @@ class LineSection:
 
 @dataclass(frozen=True)
 class LineExtremum:
-    """A line-local extremum at t with f = value there.
-
-    slope is phi'(t) when the search already evaluated it there (a polish
-    that ended in Brent's method on phi'), else None.
-    """
+    """A line-local extremum at t with f = value there."""
 
     t: float
     value: float
     on_boundary: bool = False
-    slope: Optional[float] = None
 
 
 def _check_unit(v: np.ndarray) -> np.ndarray:
@@ -157,16 +152,14 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
 
 def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
                 fb: float, da: Optional[float] = None,
-                dc: Optional[float] = None) -> tuple[float, Optional[float]]:
+                dc: Optional[float] = None) -> float:
     """Polish a three-point max bracket a < b < c, with fb = phi(b), to phi' = 0.
 
     Brent's method on phi' once the derivative signs at a and c straddle;
     until then golden-section shrinks on phi. phi' is evaluated once per
     bracket end: da = phi'(a) and dc = phi'(c) may be handed in, and a known
     value is kept while its end does not move. Polishes a min bracket when
-    given -phi, -phi', -fb and the negated derivatives. Returns the polished
-    t and phi'(t) as Brent's method last evaluated it, or None for phi'(t)
-    when the golden-section shrink ended the polish.
+    given -phi, -phi', -fb and the negated derivatives. Returns the polished t.
     """
     invgold = 0.381966011250105  # 2 - golden ratio
     for _ in range(200):
@@ -176,8 +169,8 @@ def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
             if dc is None:
                 dc = dphi(c)
             if dc < 0.0:
-                t, dt = _brent(dphi, a, c, da, dc, _STATIONARY_XTOL, _ROOT_RTOL)
-                return float(t), dt
+                return float(_brent(dphi, a, c, da, dc, _STATIONARY_XTOL,
+                                    _ROOT_RTOL)[0])
         # Shrink by golden section until the derivative signs straddle.
         if c - b > b - a:
             u = b + invgold * (c - b)
@@ -195,23 +188,19 @@ def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
                 a, da = u, None
         if c - a < 1e-13 * max(1.0, abs(b)):
             break
-    return float(b), None
+    return float(b)
 
 
-def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
-                   region: TrustRegion) -> LineExtremum:
-    """Local maximizer of t -> f(x + t v) found by marching from t = 0.
+def _line_max_bracket(phi: Callable, t_lo: float, t_hi: float,
+                      radius: float) -> tuple[float, float, float, float]:
+    """Bracket (a, b, c, phi(b)) of a line-local max of phi, from t = 0.
 
-    Probes both directions, marches uphill with growing steps until the value
-    drops, then polishes the bracket. Raises NoLineMax when f is monotone
-    along the whole probed range (the march exits the region still rising).
+    Probes both directions, then marches uphill with growing steps until the
+    value drops below phi(b). Raises NoLineMax when f is monotone along the
+    whole probed range (the march exits the region still rising).
     """
-    v = _check_unit(v)
-    phi, dphi = _line_funcs(obj, x, v)
-    t_lo, t_hi = region.line_interval(x, v)
-    h0 = _INIT_STEP_FRAC * region.radius
-    hmax = _MAX_STEP_FRAC * region.radius
-
+    h0 = _INIT_STEP_FRAC * radius
+    hmax = _MAX_STEP_FRAC * radius
     f0 = phi(0.0)
     hp = min(h0, t_hi) if t_hi > 0 else 0.0
     hm = max(-h0, t_lo) if t_lo < 0 else 0.0
@@ -223,15 +212,14 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
         c = hp if hp > 0 else 0.0
         if a == c:
             raise NoLineMax("degenerate chord through the trust region")
-        t, slope = _refine_max(phi, dphi, a, 0.0, c, f0)
-        return LineExtremum(t, phi(t), slope=slope)
+        return a, 0.0, c, f0
 
     # March uphill in the direction of steeper initial increase.
     if fp >= fm:
         sgn, bound, b, fb = 1.0, t_hi, hp, fp
     else:
         sgn, bound, b, fb = -1.0, t_lo, hm, fm
-    a, fa = 0.0, f0
+    a = 0.0
     h = abs(b)
     while True:
         h = min(2.0 * h, hmax)
@@ -242,11 +230,20 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
         fc = phi(c)
         if fc < fb:
             lo, hi = sorted((a, c))
-            t, slope = _refine_max(phi, dphi, lo, b, hi, fb)
-            return LineExtremum(t, phi(t), slope=slope)
+            return lo, b, hi, fb
         if at_bound:
             raise NoLineMax("f is monotone along the probed range of the line")
-        a, b, fa, fb = b, c, fb, fc
+        a, b, fb = b, c, fc
+
+
+def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
+                   region: TrustRegion) -> LineExtremum:
+    """Local maximizer of t -> f(x + t v): the polished _line_max_bracket."""
+    v = _check_unit(v)
+    phi, dphi = _line_funcs(obj, x, v)
+    t_lo, t_hi = region.line_interval(x, v)
+    t = _refine_max(phi, dphi, *_line_max_bracket(phi, t_lo, t_hi, region.radius))
+    return LineExtremum(t, phi(t))
 
 
 def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
@@ -269,23 +266,22 @@ def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
 
 
 def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float,
-                   d_start: float, sgn: float, bound: float, level: float,
-                   radius: float) -> float:
-    """March from t_start, where phi = f_start > level and phi' = d_start,
-    to the component edge.
+                   sgn: float, bound: float, level: float, radius: float) -> float:
+    """March from t_start, where phi = f_start > level, to the component edge.
 
     Marches with growing (capped) steps. A probe below the level closes a
     bracket whose crossing Brent's method solves. Between probes that both
     sit above the level, a sign flip of the directional derivative marks a
     hidden dip; the dip is located and tested, and a crossing before it is
-    returned if it reaches below the level. A dip that lies wholly between
-    two probes where phi falls outward shows no sign flip and is not seen.
+    returned if it reaches below the level. The first step has no slope at
+    t_start to compare with and so makes no dip test. A dip that lies
+    wholly between two probes where phi falls outward shows no sign flip
+    and is not seen.
     """
     xtol = CROSSING_XTOL_FRAC * radius
     hmax = _MAX_STEP_FRAC * radius
     h = _INIT_STEP_FRAC * radius
-    t_prev, f_prev = t_start, f_start
-    d_prev = d_start * sgn
+    t_prev, f_prev, d_prev = t_start, f_start, 0.0
     while True:
         t_next = t_prev + sgn * h
         at_bound = (t_next - bound) * sgn >= 0
@@ -317,25 +313,25 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
                          level: float, region: TrustRegion) -> LineSection:
     """Section of {f >= level} on the line {x + t v} around its local max.
 
-    Locates the line-local max nearest t = 0; if its value does not exceed
-    the level the section is empty. Otherwise both crossings of the level are
-    bracketed outward from the max and refined to |f - level| <= ROOT_TOL.
-    An empty section carries the max. Both marches start from the slope the
-    max's polish ended with, evaluated here only when the polish did not end
-    in Brent's method.
+    Brackets the line-local max nearest t = 0 (_line_max_bracket). When the
+    bracket's middle probe b lies above the level the section cannot be
+    empty, and both crossings are bracketed outward from b, with no polish
+    of the max. Otherwise the max is polished: if its value does not exceed
+    the level the section is empty and carries the max, else the marches
+    start from it. Crossings are refined to |f - level| <= ROOT_TOL.
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
-    lm = line_local_max(obj, x, v, region)
-    if lm.value <= level:
-        return LineSection(x, v, level, line_max=lm)
     phi, dphi = _line_funcs(obj, x, v)
-    slope = dphi(lm.t) if lm.slope is None else lm.slope
     t_lo, t_hi = region.line_interval(x, v)
-    t2 = _cross_outward(phi, dphi, lm.t, lm.value, slope, +1.0, t_hi, level,
-                        region.radius)
-    t1 = _cross_outward(phi, dphi, lm.t, lm.value, slope, -1.0, t_lo, level,
-                        region.radius)
+    a, b, c, fb = _line_max_bracket(phi, t_lo, t_hi, region.radius)
+    if fb <= level:
+        b = _refine_max(phi, dphi, a, b, c, fb)
+        fb = phi(b)
+        if fb <= level:
+            return LineSection(x, v, level, line_max=LineExtremum(b, fb))
+    t2 = _cross_outward(phi, dphi, b, fb, +1.0, t_hi, level, region.radius)
+    t1 = _cross_outward(phi, dphi, b, fb, -1.0, t_lo, level, region.radius)
     return LineSection(x, v, level, float(t1), float(t2))
 
 
@@ -384,7 +380,7 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
     i = int(np.argmax(vals))
     if i == 0 or i == len(ts) - 1:
         raise BadEndpoints("f has no interior line-local max on [a, b]")
-    t_star, _ = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1], vals[i])
+    t_star = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1], vals[i])
     f_star = phi(t_star)
     level = max(obj.value(a), vals[0])
     if f_star <= level:
@@ -444,8 +440,8 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
         fc = phi(c)
         d_next = dphi(c)
         if fc > fb:
-            t, _ = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c,
-                               -fb, -d_a, -d_next)
+            t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c,
+                            -fb, -d_a, -d_next)
             return LineExtremum(t, phi(t))
         if d_prev < 0.0 < d_next:
             # Passed a minimum that did not show up in the values yet.

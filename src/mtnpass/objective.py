@@ -10,6 +10,7 @@ trust region that every search stays in.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -102,7 +103,7 @@ class Objective:
         v = float(self._value(x))
         with self._lock:
             self.n_value_evals += 1
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise EvaluationError(f"{self.name}: non-finite value at x={x}")
         return v
 
@@ -113,7 +114,7 @@ class Objective:
             self.n_grad_evals += 1
         if g.shape != (self.n,):
             raise ValueError(f"{self.name}: gradient has shape {g.shape}, expected ({self.n},)")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x}")
         observer = getattr(self._watch, "observer", None)
         if observer is not None:
@@ -147,7 +148,7 @@ class Objective:
         if H.shape != (self.n, self.n):
             raise ValueError(f"{self.name}: Hessian has shape {H.shape}, expected "
                              f"({self.n}, {self.n})")
-        if not np.all(np.isfinite(H)):
+        if not np.isfinite(H).all():
             raise EvaluationError(f"{self.name}: non-finite Hessian at x={x}")
         return 0.5 * (H + H.T)
 

@@ -217,8 +217,8 @@ class TestSolveCamel:
         assert near_origin or near_other
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 2: both orders certify the origin (f = 0), an index-one "
-        "saddle that is not the pass at 0.5437"))
+        "ROADMAP items 1-2: both orders end in Breakdown (l-down failed) "
+        "instead of returning the pass at 0.5437"))
     def test_pass_between_minima_0_and_5(self):
         camel = six_hump_camel()
         m0, m5 = (np.array(oracles.CAMEL_MINIMA[k][:2]) for k in (0, 5))

@@ -32,9 +32,11 @@ def _readme_pair():
 
 
 def _camel_ldown_pair():
-    # Minima 0 and 5 of the camel: after one LUp, the small-gradient stop
-    # certifies the origin, an index-one saddle that is not the pass (ROADMAP
-    # item 2). The name is from when this order ended in a failed LDown.
+    # Minima 0 and 5 of the camel: Init, two LUps, then an LDown that finds
+    # f monotone, so the solve ends in Breakdown. The first LUp puts an
+    # endpoint next to the origin, an index-one saddle that is not the pass
+    # (ROADMAP item 2), with |grad f| = 5e-8, above gtol, so the
+    # small-gradient stop does not certify it.
     return solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
                  np.array(oracles.CAMEL_MINIMA[5][:2]))
 

@@ -7,6 +7,7 @@ from mtnpass.line1d import (ROOT_TOL, _brent, chord_section, find_level_crossing
                             line_local_max, line_local_min)
 from mtnpass.objective import Objective, TrustRegion
 from mtnpass.quadmodel import QuadraticObjective
+from mtnpass.subroutines import crossings_or_degenerate
 
 E2 = np.array([0.0, 1.0])
 
@@ -178,54 +179,92 @@ class TestFindLevelCrossings:
         find_level_crossings(saddle_quadratic, np.array([1.0, 0.0]), E2, -0.5,
                              origin_region)
         assert saddle_quadratic.eval_counts() == \
-            {"value": 26, "gradient": 13, "hessian": 0}
+            {"value": 25, "gradient": 10, "hessian": 0}
 
     def test_camel_eval_counts(self, camel, origin_region):
         vbar = np.linalg.eigh(oracles.camel_hessian(np.zeros(2)))[1][:, 0]
         find_level_crossings(camel, np.zeros(2), vbar, -0.1, origin_region)
-        assert camel.eval_counts() == {"value": 20, "gradient": 7, "hessian": 0}
+        assert camel.eval_counts() == {"value": 19, "gradient": 4, "hessian": 0}
+
+    def test_bracket_above_level_starts_the_marches(self, origin_region):
+        # Along the negative eigenvector the camel origin is the line max and
+        # f(0) = 0 lies above the level: the section cannot be empty, so the
+        # marches start from the bracket's middle probe without polishing the
+        # max. The first gradient is the first march probe's.
+        events = []
+
+        def value(p):
+            events.append(("value", tuple(p)))
+            return oracles.camel_value(p)
+
+        def gradient(p):
+            events.append(("gradient", tuple(p)))
+            return oracles.camel_gradient(p)
+
+        vbar = np.linalg.eigh(oracles.camel_hessian(np.zeros(2)))[1][:, 0]
+        sec = find_level_crossings(Objective(2, value, gradient), np.zeros(2),
+                                   vbar, -0.1, origin_region)
+        assert not sec.empty
+        # Three bracket probes (t = 0, +-h), then the march probe t = +h.
+        assert [kind for kind, _ in events[:5]] == ["value"] * 4 + ["gradient"]
+        assert events[4][1] == events[3][1] == tuple(0.1 * vbar)
 
     @staticmethod
-    def _gradients_at_max(value, gradient, x, v, level, region):
-        """Gradients evaluated at the line max t* by line_local_max alone and
-        by find_level_crossings, and the max itself."""
-        points = []
+    def _oracle(name):
+        """f and grad f of the named fixture, written out independently."""
+        if name == "camel":
+            return oracles.camel_value, oracles.camel_gradient
+        return (lambda p: 0.5 * (p[0] ** 2 - p[1] ** 2),
+                lambda p: np.array([p[0], -p[1]]))
 
-        def recorded(p):
-            points.append(np.array(p))
-            return gradient(p)
+    @pytest.mark.parametrize("name", ["quadratic", "camel"])
+    @pytest.mark.parametrize("above", [0.01, 0.5 * ROOT_TOL])
+    def test_max_polished_where_it_is_the_answer(self, camel, saddle_quadratic,
+                                                 origin_region, name, above):
+        # A level above the line max gives an empty section that carries the
+        # max, which step_l_down starts from and requires phi'(t) = 0 at.
+        # Within ROOT_TOL of the level, crossings_or_degenerate makes it a
+        # point section. The max lies near t = -0.3.
+        obj = {"quadratic": saddle_quadratic, "camel": camel}[name]
+        value, gradient = self._oracle(name)
+        x = np.array([0.1, 0.3])
+        _, f_max = oracles.grid_line_max(value, gradient, x, E2, -3.0, 3.0)
+        level = f_max + above
+        sec = find_level_crossings(obj, x, E2, level, origin_region)
+        assert sec.empty
+        lm = sec.line_max
+        assert abs(gradient(x + lm.t * E2) @ E2) <= 1e-8
+        if above < ROOT_TOL:
+            point = crossings_or_degenerate(obj, x, E2, level, origin_region)
+            assert point.t1 == point.t2 == lm.t
+        else:
+            with pytest.raises(CrossingOutsideRegion):
+                crossings_or_degenerate(obj, x, E2, level, origin_region)
 
-        obj = Objective(2, value, recorded)
-        lm = line_local_max(obj, x, v, region)
-        at_max = x + lm.t * v
-        own = sum(np.array_equal(p, at_max) for p in points)
-        points.clear()
-        sec = find_level_crossings(obj, x, v, level, region)
-        assert not sec.empty
-        return own, sum(np.array_equal(p, at_max) for p in points), lm
-
-    def test_brent_polished_max_hands_over_its_slope(self, origin_region):
-        # Brent's method on phi' ends with phi'(t*): the outward marches
-        # start from that value and evaluate no gradient at t* again.
-        vbar = np.linalg.eigh(oracles.camel_hessian(np.zeros(2)))[1][:, 0]
-        own, total, lm = self._gradients_at_max(
-            oracles.camel_value, oracles.camel_gradient, np.zeros(2), vbar, -0.1,
-            origin_region)
-        assert total == own
-        assert lm.slope is not None
-
-    def test_golden_polished_max_evaluates_its_slope_once(self, origin_region):
-        # A gradient stub that returns zeros never lets the signs of phi'
-        # straddle, so the polish ends by golden section without a slope;
-        # phi'(t*) is then evaluated once for both marches.
-        def value(p):
-            return -p[1] ** 2
-
-        own, total, lm = self._gradients_at_max(
-            value, lambda p: np.zeros(2), np.array([0.0, 0.3]), E2, -1.0,
-            origin_region)
-        assert total <= own + 1
-        assert lm.slope is None
+    @pytest.mark.parametrize("name, x, level", [
+        ("quadratic", (1.0, 0.7), -0.5),
+        ("quadratic", (1.0, 0.7), 0.4),
+        ("camel", (0.1, 0.3), -0.1),
+        ("camel", (0.1, 0.3), 0.04),     # bracket probe below, max above
+        ("camel", (0.1, -0.35), -0.05),
+        ("camel", (0.1, -0.35), 0.03),   # bracket probe below, max above
+    ])
+    def test_crossings_with_max_off_the_base_point(self, camel, saddle_quadratic,
+                                                   origin_region, name, x, level):
+        # The line max lies 0.28 to 0.7 from t = 0; the marches start from the
+        # bracket probe or, when that probe is not above the level, from the
+        # polished max. Either way the section is the grid's around the max.
+        obj = {"quadratic": saddle_quadratic, "camel": camel}[name]
+        value, gradient = self._oracle(name)
+        x = np.array(x)
+        t_max, _ = oracles.grid_line_max(value, gradient, x, E2, -3.0, 3.0)
+        assert abs(t_max) >= 0.28
+        sec = find_level_crossings(obj, x, E2, level, origin_region)
+        roots = oracles.grid_crossings(value, x, E2, level, -3.0, 3.0)
+        assert sec.t1 == pytest.approx(max(r for r in roots if r < t_max),
+                                       abs=1e-8)
+        assert sec.t2 == pytest.approx(min(r for r in roots if r > t_max),
+                                       abs=1e-8)
 
     # A dip that falls wholly between two march probes where phi falls
     # outward shows no sign flip of phi' and is stepped over today (see the
@@ -334,3 +373,48 @@ class TestChordSection:
         assert sec.t1 == pytest.approx(max(r for r in roots if r < 0), abs=1e-8)
         assert sec.t2 == pytest.approx(min(r for r in roots if r > 0), abs=1e-8)
         assert sec.t2 < np.linalg.norm(a - sec.x) - 1.0
+
+    @staticmethod
+    def _two_humps(center, width):
+        """f = G(x1; 0.25, 0.1) + 2 G(x1; center, width) - x2^2, with
+        G(s; c, w) = exp(-((s - c)/w)^2): a wide hump and a narrow one twice
+        as high on the chord from a = (0, 0) to b = (1, 0)."""
+        def value(x):
+            return float(np.exp(-((x[0] - 0.25) / 0.1) ** 2)
+                         + 2.0 * np.exp(-((x[0] - center) / width) ** 2)
+                         - x[1] ** 2)
+
+        def gradient(x):
+            g1 = np.exp(-((x[0] - 0.25) / 0.1) ** 2)
+            g2 = np.exp(-((x[0] - center) / width) ** 2)
+            return np.array([-2.0 * (x[0] - 0.25) / 0.01 * g1
+                             - 4.0 * (x[0] - center) / width ** 2 * g2,
+                             -2.0 * x[1]])
+
+        return Objective(2, value, gradient, name="two-humps"), value
+
+    # The 65-point scan steps L/64 along the chord of length L = 1; the
+    # centres lie off its grid, 44.5/64 midway between two scan points.
+    @pytest.mark.parametrize("center, width", [
+        (44.5 / 64, 1 / 100), (0.7, 1 / 100), (0.73, 1 / 100),
+        pytest.param(44.5 / 64, 1 / 200, marks=pytest.mark.xfail(
+            strict=True, reason="a hump narrower than the scan step can fall "
+                                "between scan points")),
+    ])
+    def test_section_on_the_higher_narrow_hump(self, center, width):
+        # chord_section bases its section on the highest scan point, so a
+        # narrow hump is found only while a scan point lands on its top.
+        obj, value = self._two_humps(center, width)
+        a, b = np.zeros(2), np.array([1.0, 0.0])
+        sec = chord_section(obj, a, b)
+        s = np.linspace(0.0, 1.0, 200001)
+        f = [value((si, 0.0)) for si in s]
+        s_max = s[int(np.argmax(f))]
+        assert sec.x[0] == pytest.approx(s_max, abs=1e-5)
+        roots = oracles.grid_crossings(value, np.zeros(2), np.array([1.0, 0.0]),
+                                       sec.level, 0.0, 1.0)
+        ends = sorted((sec.z[0], sec.zp[0]))
+        assert ends[0] == pytest.approx(max(r for r in roots if r < s_max),
+                                        abs=1e-8)
+        assert ends[1] == pytest.approx(min(r for r in roots if r > s_max),
+                                        abs=1e-8)

@@ -159,6 +159,19 @@ class TestErrors:
         with pytest.raises(EvaluationError):
             obj.gradient(np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_results_are_counted_then_raise(self, bad):
+        obj = Objective(2, value=lambda x: bad,
+                        gradient=lambda x: np.array([0.0, bad]),
+                        hessian=lambda x: np.array([[1.0, bad], [bad, 1.0]]),
+                        name="bad")
+        for evaluate, what in ((obj.value, "value"), (obj.gradient, "gradient"),
+                               (obj.hessian, "Hessian")):
+            with pytest.raises(EvaluationError,
+                               match=rf"^bad: non-finite {what} at x=\[0\. 0\.\]$"):
+                evaluate(np.zeros(2))
+        assert obj.eval_counts() == {"value": 1, "gradient": 1, "hessian": 1}
+
     def test_dimension_mismatch(self, camel):
         with pytest.raises(ValueError):
             camel.value(np.zeros(3))

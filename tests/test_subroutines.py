@@ -42,8 +42,10 @@ def l_up(state, obj):
 
 
 def count_line_searches(monkeypatch):
-    """Count the line_local_max and find_level_crossings calls of the moves."""
-    calls = {"line_local_max": 0, "find_level_crossings": 0}
+    """Count the find_level_crossings calls of the moves and the line-max
+    brackets of every search along a line (find_level_crossings and
+    line_local_max each march one)."""
+    calls = {"bracket": 0, "find_level_crossings": 0}
 
     def counted(name, fn):
         def call(*args, **kwargs):
@@ -51,9 +53,8 @@ def count_line_searches(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    lmax = counted("line_local_max", line1d.line_local_max)
-    monkeypatch.setattr(line1d, "line_local_max", lmax)
-    monkeypatch.setattr(subroutines, "line_local_max", lmax)
+    monkeypatch.setattr(line1d, "_line_max_bracket",
+                        counted("bracket", line1d._line_max_bracket))
     monkeypatch.setattr(subroutines, "find_level_crossings",
                         counted("find_level_crossings", find_level_crossings))
     return calls
@@ -112,7 +113,7 @@ class TestStepPd:
         out = pd(state, saddle_quadratic)
         assert isinstance(out, HitZero)
         assert calls["find_level_crossings"] >= 1
-        assert calls["line_local_max"] == calls["find_level_crossings"]
+        assert calls["bracket"] == calls["find_level_crossings"]
 
     def test_never_increases_g(self, camel, origin_region):
         w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))
@@ -210,7 +211,7 @@ class TestStepPd:
         calls = count_line_searches(monkeypatch)
         with pytest.raises(DegenerateDenominator):
             pd(state, obj)
-        assert calls["line_local_max"] == 0
+        assert calls["bracket"] == 0
 
     def test_composition_reaches_saddle_midpoint(self, saddle_quadratic,
                                                  origin_region):
@@ -326,7 +327,7 @@ class TestCrossingsOrDegenerate:
         sec = crossings_or_degenerate(saddle_quadratic, self.X, E2,
                                       0.5 + 0.5 * ROOT_TOL, origin_region)
         assert sec.t1 == sec.t2 == pytest.approx(-0.2, abs=1e-12)
-        assert calls == {"line_local_max": 1, "find_level_crossings": 1}
+        assert calls == {"bracket": 1, "find_level_crossings": 1}
 
     def test_no_point_on_the_level(self, saddle_quadratic, origin_region,
                                    monkeypatch):
@@ -334,7 +335,7 @@ class TestCrossingsOrDegenerate:
         with pytest.raises(CrossingOutsideRegion):
             crossings_or_degenerate(saddle_quadratic, self.X, E2, 0.501,
                                     origin_region)
-        assert calls == {"line_local_max": 1, "find_level_crossings": 1}
+        assert calls == {"bracket": 1, "find_level_crossings": 1}
 
 
 class TestStepLUp:

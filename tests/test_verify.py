@@ -160,24 +160,24 @@ class TestConvexityProbes:
         assert sweep[-0.1] > sweep[-0.01] > sweep[-0.001] > 0.0
 
     @staticmethod
-    def _count_line_maxima(monkeypatch):
+    def _count_sections(monkeypatch):
         # Every section, solved directly or inside eval_pardist, starts with
-        # one line_local_max.
+        # one line-max bracket.
         calls = []
-        real = line1d.line_local_max
+        real = line1d._line_max_bracket
 
         def counted(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(line1d, "line_local_max", counted)
+        monkeypatch.setattr(line1d, "_line_max_bracket", counted)
         return calls
 
     def test_pair_skipped_at_first_escaping_section(self, saddle_quadratic,
                                                     monkeypatch):
         # At level -2 every section along E2 near the origin reaches
         # |x2| >= 2, outside the unit region: each pair costs one section.
-        calls = self._count_line_maxima(monkeypatch)
+        calls = self._count_sections(monkeypatch)
         report = check_convexity_region(
             saddle_quadratic, np.zeros(2), -2.0, np.array([0.0, 1.0]),
             radius=0.1, n_pairs=5, region=TrustRegion(np.zeros(2), 1.0))
@@ -187,7 +187,7 @@ class TestConvexityProbes:
     def test_eigenvalue_samples_reuse_the_pair_sections(self, monkeypatch):
         model = generate_morse1(3, seed=23)
         xbar, fbar = saddle_of(model)
-        calls = self._count_line_maxima(monkeypatch)
+        calls = self._count_sections(monkeypatch)
         report = check_convexity_region(
             model, xbar, fbar - 0.3,
             model.negative_eigenvector, radius=0.5, n_pairs=10, seed=0,

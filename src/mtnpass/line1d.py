@@ -10,7 +10,8 @@ deterministic and never evaluate f outside the trust region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import chain, islice
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -191,49 +192,57 @@ def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
     return float(b)
 
 
-def _line_max_bracket(phi: Callable, t_lo: float, t_hi: float,
-                      radius: float) -> tuple[float, float, float, float]:
-    """Bracket (a, b, c, phi(b)) of a line-local max of phi, from t = 0.
+def _march(phi: Callable, t0: float, sgn: float, bound: float,
+           radius: float) -> Iterator[tuple[float, float]]:
+    """Probes (t, phi(t)) from t0 toward bound, in the direction sgn.
 
-    Probes both directions, then marches uphill with growing steps until the
-    value drops below phi(b). Raises NoLineMax when f is monotone along the
-    whole probed range (the march exits the region still rising).
+    Steps start at _INIT_STEP_FRAC * radius and double up to _MAX_STEP_FRAC *
+    radius; each probe is the previous one plus sgn times the step. The probe
+    that would reach or pass bound is bound, and it is the last; there is
+    none when t0 lies on bound.
     """
-    h0 = _INIT_STEP_FRAC * radius
+    h = _INIT_STEP_FRAC * radius
     hmax = _MAX_STEP_FRAC * radius
-    f0 = phi(0.0)
-    hp = min(h0, t_hi) if t_hi > 0 else 0.0
-    hm = max(-h0, t_lo) if t_lo < 0 else 0.0
-    fp = phi(hp) if hp > 0 else -np.inf
-    fm = phi(hm) if hm < 0 else -np.inf
-
-    if f0 >= fp and f0 >= fm:
-        a = hm if hm < 0 else -0.0
-        c = hp if hp > 0 else 0.0
-        if a == c:
-            raise NoLineMax("degenerate chord through the trust region")
-        return a, 0.0, c, f0
-
-    # March uphill in the direction of steeper initial increase.
-    if fp >= fm:
-        sgn, bound, b, fb = 1.0, t_hi, hp, fp
-    else:
-        sgn, bound, b, fb = -1.0, t_lo, hm, fm
-    a = 0.0
-    h = abs(b)
-    while True:
+    t = t0
+    while (bound - t) * sgn > 0:
+        t = t + sgn * h
+        if (t - bound) * sgn >= 0:
+            t = bound
+        yield t, phi(t)
         h = min(2.0 * h, hmax)
-        c = b + sgn * h
-        at_bound = (c - bound) * sgn >= 0
-        if at_bound:
-            c = bound
-        fc = phi(c)
+
+
+def _line_max_bracket(phi: Callable, t_lo: float, t_hi: float,
+                      radius: float) -> tuple:
+    """Bracket (a, b, c, phi(b)) of a line-local max of phi from t = 0, then
+    the outward marches from b or None.
+
+    Takes the first _march probe each way, then continues the march toward
+    the larger value until a value drops below phi(b). When t = 0 is its own
+    bracket's max (b = 0), the last item holds the started marches up and
+    down, their first probes pushed back, so marching outward from b pays
+    none of them twice. Raises NoLineMax when f is monotone along the whole
+    probed range (the march reaches the region bound still rising).
+    """
+    f0 = phi(0.0)
+    up = _march(phi, 0.0, 1.0, t_hi, radius)
+    down = _march(phi, 0.0, -1.0, t_lo, radius)
+    seen_up, seen_down = list(islice(up, 1)), list(islice(down, 1))
+    hp, fp = (seen_up or [(0.0, -np.inf)])[0]
+    hm, fm = (seen_down or [(-0.0, -np.inf)])[0]
+    if f0 >= fp and f0 >= fm:
+        if hm == hp:
+            raise NoLineMax("degenerate chord through the trust region")
+        return hm, 0.0, hp, f0, (chain(seen_up, up), chain(seen_down, down))
+
+    march, b, fb = (up, hp, fp) if fp >= fm else (down, hm, fm)
+    a = 0.0
+    for c, fc in march:
         if fc < fb:
             lo, hi = sorted((a, c))
-            return lo, b, hi, fb
-        if at_bound:
-            raise NoLineMax("f is monotone along the probed range of the line")
+            return lo, b, hi, fb, None
         a, b, fb = b, c, fc
+    raise NoLineMax("f is monotone along the probed range of the line")
 
 
 def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
@@ -242,7 +251,8 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
     v = _check_unit(v)
     phi, dphi = _line_funcs(obj, x, v)
     t_lo, t_hi = region.line_interval(x, v)
-    t = _refine_max(phi, dphi, *_line_max_bracket(phi, t_lo, t_hi, region.radius))
+    a, b, c, fb, _ = _line_max_bracket(phi, t_lo, t_hi, region.radius)
+    t = _refine_max(phi, dphi, a, b, c, fb)
     return LineExtremum(t, phi(t))
 
 
@@ -265,29 +275,24 @@ def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
     return t
 
 
-def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float,
-                   sgn: float, bound: float, level: float, radius: float) -> float:
-    """March from t_start, where phi = f_start > level, to the component edge.
+def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
+                   t_start: float, f_start: float, sgn: float, level: float,
+                   radius: float) -> float:
+    """Walk the _march probes from t_start, where phi = f_start > level, in
+    the direction sgn to the component edge.
 
-    Marches with growing (capped) steps. A probe below the level closes a
-    bracket whose crossing Brent's method solves. Between probes that both
-    sit above the level, a sign flip of the directional derivative marks a
-    hidden dip; the dip is located and tested, and a crossing before it is
-    returned if it reaches below the level. The first step has no slope at
-    t_start to compare with and so makes no dip test. A dip that lies
-    wholly between two probes where phi falls outward shows no sign flip
-    and is not seen.
+    A probe below the level closes a bracket whose crossing Brent's method
+    solves. Between probes that both sit above the level, a sign flip of the
+    directional derivative marks a hidden dip; the dip is located and tested,
+    and a crossing before it is returned if it reaches below the level. The
+    first probe has no slope at t_start to compare with and so makes no dip
+    test. A dip that lies wholly between two probes where phi falls outward
+    shows no sign flip and is not seen. Probes that end above the level
+    raise CrossingOutsideRegion.
     """
     xtol = CROSSING_XTOL_FRAC * radius
-    hmax = _MAX_STEP_FRAC * radius
-    h = _INIT_STEP_FRAC * radius
     t_prev, f_prev, d_prev = t_start, f_start, 0.0
-    while True:
-        t_next = t_prev + sgn * h
-        at_bound = (t_next - bound) * sgn >= 0
-        if at_bound:
-            t_next = bound
-        f_next = phi(t_next)
+    for t_next, f_next in probes:
         if f_next <= level:
             return _level_crossing(phi, dphi, t_prev, t_next, f_prev - level,
                                    f_next - level, level, xtol)
@@ -302,11 +307,9 @@ def _cross_outward(phi: Callable, dphi: Callable, t_start: float, f_start: float
                 return _level_crossing(phi, dphi, t_prev, t_dip, f_prev - level,
                                        f_dip - level, level, xtol)
             # The component continues through the dip.
-        if at_bound:
-            raise CrossingOutsideRegion(
-                "super-level component reaches the trust-region boundary")
         t_prev, f_prev, d_prev = t_next, f_next, d_next
-        h = min(2.0 * h, hmax)
+    raise CrossingOutsideRegion(
+        "super-level component reaches the trust-region boundary")
 
 
 def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
@@ -316,22 +319,26 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     Brackets the line-local max nearest t = 0 (_line_max_bracket). When the
     bracket's middle probe b lies above the level the section cannot be
     empty, and both crossings are bracketed outward from b, with no polish
-    of the max. Otherwise the max is polished: if its value does not exceed
-    the level the section is empty and carries the max, else the marches
-    start from it. Crossings are refined to |f - level| <= ROOT_TOL.
+    of the max; when b = 0 the marches continue the bracket's own. Otherwise
+    the max is polished: if its value does not exceed the level the section
+    is empty and carries the max, else fresh marches start from it.
+    Crossings are refined to |f - level| <= ROOT_TOL.
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
     phi, dphi = _line_funcs(obj, x, v)
     t_lo, t_hi = region.line_interval(x, v)
-    a, b, c, fb = _line_max_bracket(phi, t_lo, t_hi, region.radius)
+    a, b, c, fb, marches = _line_max_bracket(phi, t_lo, t_hi, region.radius)
     if fb <= level:
         b = _refine_max(phi, dphi, a, b, c, fb)
         fb = phi(b)
         if fb <= level:
             return LineSection(x, v, level, line_max=LineExtremum(b, fb))
-    t2 = _cross_outward(phi, dphi, b, fb, +1.0, t_hi, level, region.radius)
-    t1 = _cross_outward(phi, dphi, b, fb, -1.0, t_lo, level, region.radius)
+        marches = None
+    up, down = marches or (_march(phi, b, 1.0, t_hi, region.radius),
+                           _march(phi, b, -1.0, t_lo, region.radius))
+    t2 = _cross_outward(phi, dphi, up, b, fb, +1.0, level, region.radius)
+    t1 = _cross_outward(phi, dphi, down, b, fb, -1.0, level, region.radius)
     return LineSection(x, v, level, float(t1), float(t2))
 
 
@@ -409,16 +416,14 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
         raise BadDirection("d is not a descent direction at x")
     phi, dphi = _line_funcs(obj, x, d)
     _, t_hi = region.line_interval(x, d)
-    hmax = _MAX_STEP_FRAC * region.radius
-    h = min(_INIT_STEP_FRAC * region.radius, t_hi)
-    if h <= 0:
+    if t_hi <= 0:
         return LineExtremum(0.0, phi(0.0), on_boundary=True)
 
     a, fa = 0.0, phi(0.0)
-    b = h
-    fb = phi(b)
+    probes = _march(phi, 0.0, 1.0, t_hi, region.radius)
+    b, fb = next(probes)
     if fb > fa:
-        # The first minimum is already inside (0, h): locate the first sign
+        # The first minimum is already inside (0, b): locate the first sign
         # change of the directional derivative on a fixed subdivision.
         lo, d_lo = 0.0, g0
         for k in range(1, 17):
@@ -431,13 +436,7 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
             lo, d_lo = t_k, d_k
         return LineExtremum(b, fb)  # flat wiggle; best available point
     d_a, d_prev = g0, dphi(b)
-    while True:
-        h = min(2.0 * h, hmax)
-        c = b + h
-        at_bound = c >= t_hi
-        if at_bound:
-            c = t_hi
-        fc = phi(c)
+    for c, fc in probes:
         d_next = dphi(c)
         if fc > fb:
             t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c,
@@ -448,6 +447,5 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
             t = float(_brent(dphi, b, c, d_prev, d_next, _STATIONARY_XTOL,
                              _ROOT_RTOL)[0])
             return LineExtremum(t, phi(t))
-        if at_bound:
-            return LineExtremum(c, fc, on_boundary=True)
         a, b, fb, d_a, d_prev = b, c, fc, d_prev, d_next
+    return LineExtremum(b, fb, on_boundary=True)

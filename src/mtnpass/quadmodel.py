@@ -158,8 +158,6 @@ class NewtonResult:
     converged: bool
     grad_norm: float
     morse_index: int
-    iterates: list
-    message: str = ""
 
 
 def newton_refine(obj: Objective, x0: np.ndarray, region: TrustRegion,
@@ -172,7 +170,6 @@ def newton_refine(obj: Objective, x0: np.ndarray, region: TrustRegion,
     singular or badly conditioned Hessian (1-norm condition above 1e12).
     """
     x = np.asarray(x0, dtype=float).copy()
-    iterates = [x.copy()]
     grad = obj.gradient(x)
     gn = float(np.linalg.norm(grad))
     for _ in range(max_iter):
@@ -191,11 +188,7 @@ def newton_refine(obj: Objective, x0: np.ndarray, region: TrustRegion,
             step *= region.radius / slen
         step = region.clip_step(x, step)
         x = x + step
-        iterates.append(x.copy())
         grad = obj.gradient(x)
         gn = float(np.linalg.norm(grad))
-    converged = gn <= gtol
-    idx = morse_index(obj.hessian(x))
-    msg = "converged" if converged else "max_iter reached"
-    return NewtonResult(x=x, converged=converged, grad_norm=gn,
-                        morse_index=idx, iterates=iterates, message=msg)
+    return NewtonResult(x=x, converged=gn <= gtol, grad_norm=gn,
+                        morse_index=morse_index(obj.hessian(x)))

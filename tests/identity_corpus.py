@@ -1,11 +1,13 @@
-"""Identity corpus: 120 fixed solves, dumped and compared between two trees.
+"""Identity corpus: 120 fixed solves and the verify suites, dumped and
+compared between two trees.
 
     PYTHONPATH=src python tests/identity_corpus.py dump OUT.jsonl
     python tests/identity_corpus.py compare BEFORE.jsonl AFTER.jsonl
 
 `dump` solves the corpus with the mtnpass on the path and writes one JSON
 line per solve: its name, the report without eval_counts, the trace and the
-eval counts. The corpus is
+eval counts. It then writes one line per `run_suite` report: the four suites
+at seeds 0 and 1, each named "suite:NAME:SEED". The corpus is
 
 - every ordered pair of minima of the benchmark's camel and Mueller-Brown
   surfaces (bench/surfaces.py, 36 pairs), with analytic and with
@@ -19,14 +21,17 @@ eval counts. The corpus is
 of the step sequence, a change of the report message (the stop rule that
 fired), a report or trace that differs only in the bits of its numbers
 (with the largest relative difference), and evaluation counts that rose;
-then the summed counts of both dumps. It exits 1 when any solve changed its
-status, iteration count, step sequence or message, and 0 otherwise. The
-bench modules are read, never written. Pytest does not collect this file.
+then the summed counts of both dumps; then every suite report that differs,
+with its largest relative difference. It exits 1 when any solve changed its
+status, iteration count, step sequence or message, or any suite changed its
+failure count, and 0 otherwise. The bench modules are read, never written.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -37,6 +42,8 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
 ORACLE_WELL_DIMS = (3, 5, 6, 8, 12)
 EXTRA_WELL = (40, 40003)
 COUNT_KEYS = ("value", "gradient", "hessian")
+SUITES = ("quadratic-oracle", "grad-formulas", "hessian-stability", "convexity")
+SUITE_SEEDS = (0, 1)
 
 
 def corpus():
@@ -86,6 +93,7 @@ def corpus():
 
 def dump(path: str) -> None:
     from mtnpass.driver import solve
+    from mtnpass.verify import run_suite
 
     with open(path, "w") as out:
         for name, make, a, b in corpus():
@@ -96,6 +104,11 @@ def dump(path: str) -> None:
                 "name": name, "report": summary, "counts": counts,
                 "trace": [r.to_dict() for r in report.trace]},
                 sort_keys=True) + "\n")
+        for suite in SUITES:
+            for seed in SUITE_SEEDS:
+                out.write(json.dumps({"name": f"suite:{suite}:{seed}",
+                                      "suite": run_suite(suite, seed)},
+                                     sort_keys=True) + "\n")
 
 
 def _load(path: str) -> dict:
@@ -105,26 +118,48 @@ def _load(path: str) -> dict:
 
 
 def _max_rel_diff(x, y) -> float:
-    """Largest relative difference between the numbers of two like documents."""
-    if isinstance(x, dict):
-        return max((_max_rel_diff(x[k], y[k]) for k in x), default=0.0)
-    if isinstance(x, list):
-        return max((_max_rel_diff(p, q) for p, q in zip(x, y)), default=0.0)
-    if isinstance(x, float) or isinstance(y, float):
-        if x == y:
-            return 0.0
+    """Largest relative difference between the numbers of two like documents;
+    inf where their shapes or any value that is not a number differ."""
+    if x == y:
+        return 0.0
+    if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+        return max(_max_rel_diff(x[k], y[k]) for k in x)
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        return max(_max_rel_diff(p, q) for p, q in zip(x, y))
+    if all(isinstance(z, (int, float)) and not isinstance(z, bool) for z in (x, y)):
         return abs(x - y) / max(abs(x), abs(y))
-    return 0.0
+    return math.inf
+
+
+def compare_suites(before: dict, after: dict) -> int:
+    """Print every suite report that differs; returns the number of suites
+    whose failure count changed."""
+    identical = changed = 0
+    for name, old in before.items():
+        ro, rn = old["suite"], after[name]["suite"]
+        if ro == rn:
+            identical += 1
+            continue
+        note = ""
+        if ro["failures"] != rn["failures"]:
+            changed += 1
+            note = f", failures {ro['failures']} -> {rn['failures']}"
+        print(f"{name}: differs, largest relative difference "
+              f"{_max_rel_diff(ro, rn):.2e}{note}")
+    print(f"{len(before)} suite reports: {identical} identical")
+    return changed
 
 
 def compare(before_path: str, after_path: str) -> int:
-    """Print the per-solve differences; returns the number of solves whose
-    status, iteration count, step sequence or message changed."""
+    """Print the per-solve and per-suite differences; returns the number of
+    solves whose status, iteration count, step sequence or message changed
+    plus the number of suites whose failure count changed."""
     before, after = _load(before_path), _load(after_path)
     if before.keys() != after.keys():
-        print("the dumps hold different solves:",
+        print("the dumps hold different solves or suites:",
               sorted(before.keys() ^ after.keys()))
         return 1
+    suites = {k: before.pop(k) for k in list(before) if "suite" in before[k]}
     tally = {"identical": 0, "bits": 0, "message": 0, "steps": 0, "outcome": 0,
              "counts rose": 0}
     totals = {"before": dict.fromkeys(COUNT_KEYS, 0),
@@ -162,7 +197,8 @@ def compare(before_path: str, after_path: str) -> int:
     for side in ("before", "after"):
         print(f"summed counts {side}: " + " / ".join(
             str(totals[side][k]) for k in COUNT_KEYS))
-    return tally["outcome"] + tally["steps"] + tally["message"]
+    return (tally["outcome"] + tally["steps"] + tally["message"]
+            + compare_suites(suites, after))
 
 
 def main(argv: list[str]) -> int:

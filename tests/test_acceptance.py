@@ -147,10 +147,12 @@ def test_criterion_8_newton_quadratic_convergence():
                        (np.array([-1.05, 0.75]), oracles.newton_polish(
                            oracles.camel_gradient, oracles.camel_hessian,
                            np.array([-1.05, 0.75])))):
-        res = newton_refine(six_hump_camel(), x0,
-                            TrustRegion(x0, 10.0), gtol=1e-12)
+        camel = six_hump_camel()
+        iterates = []  # one gradient per Newton iterate, the start included
+        with camel.watch_gradients(lambda x, g: iterates.append(np.array(x))):
+            res = newton_refine(camel, x0, TrustRegion(x0, 10.0), gtol=1e-12)
         assert res.converged
-        errs = [float(np.linalg.norm(p - x_star)) for p in res.iterates]
+        errs = [float(np.linalg.norm(p - x_star)) for p in iterates]
         pairs = [(errs[k], errs[k + 1]) for k in range(len(errs) - 1)]
         for e_k, e_next in pairs[-3:]:
             if e_k > 1e-12:

@@ -227,6 +227,18 @@ class TestSolveCamel:
             assert report.status == "SaddleFound"
             assert report.f == pytest.approx(oracles.CAMEL_SADDLES[2][2], abs=1e-8)
 
+    def test_iteration_limit(self):
+        # One level-set iteration does not reach the pass between minima 0
+        # and 1, so the solve ends on the iteration limit.
+        camel = six_hump_camel()
+        report = solve(camel, np.array(oracles.CAMEL_MINIMA[0][:2]),
+                       np.array(oracles.CAMEL_MINIMA[1][:2]),
+                       SolveConfig(max_iter=1))
+        assert report.status == "MaxIter"
+        assert report.iterations == 1
+        assert len(report.trace) == 1
+        assert report.message == "iteration limit reached"
+
     def test_breakdown_on_max_chasing_chord(self):
         # The chord between these basins runs almost through a local max of
         # f; the level estimate overshoots every saddle value and the solver

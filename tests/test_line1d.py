@@ -3,8 +3,8 @@ import pytest
 
 import oracles
 from mtnpass.errors import BadDirection, CrossingOutsideRegion, NoLineMax
-from mtnpass.line1d import (ROOT_TOL, _brent, chord_section, find_level_crossings,
-                            line_local_max, line_local_min)
+from mtnpass.line1d import (ROOT_TOL, _brent, _march, _refine_max, chord_section,
+                            find_level_crossings, line_local_max, line_local_min)
 from mtnpass.objective import Objective, TrustRegion
 from mtnpass.quadmodel import QuadraticObjective
 from mtnpass.subroutines import crossings_or_degenerate
@@ -66,6 +66,57 @@ class TestBrent:
             _brent(lambda x: x, 1.0, 2.0, 1.0, 2.0, self.XTOL, 8.9e-16)
 
 
+class TestMarch:
+    def test_doubling_steps_up_to_the_cap(self):
+        # Radius 10: h0 = 0.1, steps double to the cap 0.5.
+        probes = _march(lambda t: -t, 0.0, 1.0, 100.0, 10.0)
+        ts = [next(probes)[0] for _ in range(6)]
+        assert ts == pytest.approx([0.1, 0.3, 0.7, 1.2, 1.7, 2.2], abs=1e-12)
+        # Each probe is the previous one plus the step, in floating point.
+        assert ts[1] == 0.1 + 0.2 and ts[2] == ts[1] + 0.4
+        assert next(probes) == (ts[5] + 0.5, -(ts[5] + 0.5))
+
+    def test_clipped_at_the_bound_which_is_last(self):
+        calls = []
+
+        def phi(t):
+            calls.append(t)
+            return t * t
+
+        probes = list(_march(phi, 0.0, -1.0, -1.0, 10.0))
+        assert [t for t, _ in probes] == pytest.approx([-0.1, -0.3, -0.7, -1.0])
+        assert probes[-1] == (-1.0, 1.0)
+        assert calls == [t for t, _ in probes]
+
+    def test_no_probe_from_the_bound(self):
+        assert list(_march(lambda t: 1 / 0, 0.5, 1.0, 0.5, 10.0)) == []
+        assert list(_march(lambda t: 1 / 0, 0.0, -1.0, 0.0, 10.0)) == []
+
+
+class TestRefineMax:
+    def test_golden_section_until_the_slopes_straddle(self):
+        # phi'(0.13) < 0, so the bracket (0.13, 0.3, 0.6) is shrunk by golden
+        # section on phi before Brent's method polishes phi' = 0. Of the two
+        # maxima inside the bracket it keeps the higher one, as a dense grid.
+        values = []
+
+        def phi(t):
+            values.append(t)
+            return -(t - 0.3) ** 2 + 0.02 * np.sin(25.0 * t)
+
+        def dphi(t):
+            return -2.0 * (t - 0.3) + 0.5 * np.cos(25.0 * t)
+
+        assert dphi(0.13) < 0.0
+        t = _refine_max(phi, dphi, 0.13, 0.3, 0.6, phi(0.3))
+        assert len(values) > 1  # the golden-section phase evaluated phi
+        grid = np.linspace(0.13, 0.6, 470001)
+        t_grid = grid[np.argmax(phi(grid))]
+        assert t == pytest.approx(t_grid, abs=1e-6)
+        assert t == pytest.approx(0.31221, abs=1e-5)
+        assert abs(dphi(t)) <= 1e-12
+
+
 class TestLineLocalMax:
     def test_parabola_centered(self, saddle_quadratic, origin_region):
         lm = line_local_max(saddle_quadratic, np.array([1.0, 0.0]), E2, origin_region)
@@ -91,6 +142,16 @@ class TestLineLocalMax:
         linear = QuadraticObjective(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
         with pytest.raises(NoLineMax):
             line_local_max(linear, np.zeros(2), np.array([1.0, 0.0]), origin_region)
+
+    def test_first_probe_clipped_at_the_bound(self):
+        # From 0.005 inside the unit ball the first probe up, h0 = 0.01, is
+        # clipped to the bound; f rises there, so f is monotone. The bound is
+        # evaluated once: t = 0, the bound and the probe down.
+        rising = QuadraticObjective(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
+        with pytest.raises(NoLineMax):
+            line_local_max(rising, np.array([0.995, 0.0]), np.array([1.0, 0.0]),
+                           TrustRegion(np.zeros(2), 1.0))
+        assert rising.eval_counts()["value"] == 3
 
     def test_requires_unit_vector(self, saddle_quadratic, origin_region):
         with pytest.raises(ValueError):
@@ -179,18 +240,19 @@ class TestFindLevelCrossings:
         find_level_crossings(saddle_quadratic, np.array([1.0, 0.0]), E2, -0.5,
                              origin_region)
         assert saddle_quadratic.eval_counts() == \
-            {"value": 25, "gradient": 10, "hessian": 0}
+            {"value": 23, "gradient": 10, "hessian": 0}
 
     def test_camel_eval_counts(self, camel, origin_region):
         vbar = np.linalg.eigh(oracles.camel_hessian(np.zeros(2)))[1][:, 0]
         find_level_crossings(camel, np.zeros(2), vbar, -0.1, origin_region)
-        assert camel.eval_counts() == {"value": 19, "gradient": 4, "hessian": 0}
+        assert camel.eval_counts() == {"value": 17, "gradient": 4, "hessian": 0}
 
     def test_bracket_above_level_starts_the_marches(self, origin_region):
         # Along the negative eigenvector the camel origin is the line max and
         # f(0) = 0 lies above the level: the section cannot be empty, so the
-        # marches start from the bracket's middle probe without polishing the
-        # max. The first gradient is the first march probe's.
+        # marches continue the bracket's own from t = 0 without polishing the
+        # max. The first gradient is at the bracket's probe t = +h, whose
+        # value is not paid a second time.
         events = []
 
         def value(p):
@@ -205,9 +267,10 @@ class TestFindLevelCrossings:
         sec = find_level_crossings(Objective(2, value, gradient), np.zeros(2),
                                    vbar, -0.1, origin_region)
         assert not sec.empty
-        # Three bracket probes (t = 0, +-h), then the march probe t = +h.
-        assert [kind for kind, _ in events[:5]] == ["value"] * 4 + ["gradient"]
-        assert events[4][1] == events[3][1] == tuple(0.1 * vbar)
+        # Three bracket probes (t = 0, +h, -h), then the gradient at t = +h.
+        assert [kind for kind, _ in events[:4]] == ["value"] * 3 + ["gradient"]
+        assert events[3][1] == events[1][1] == tuple(0.1 * vbar)
+        assert events.count(events[1]) == 1
 
     @staticmethod
     def _oracle(name):
@@ -334,6 +397,31 @@ class TestLineLocalMin:
                             np.array([-1.0, 0.0]), origin_region)
         assert mn.t == pytest.approx(0.4, abs=1e-10)
         assert sphere.eval_counts()["value"] == 5
+
+    def test_first_min_inside_the_first_step(self, origin_region):
+        # The min at t = 0.03 lies before the first probe h0 = 0.1, which
+        # rises above phi(0): a 16-point subdivision of (0, h0) finds the
+        # first sign change of phi', between 4h0/16 and 5h0/16. Values are
+        # paid at 0, h0 and the min only.
+        sphere = QuadraticObjective(2.0 * np.eye(2), np.array([-0.06, 0.0]), 0.0)
+        mn = line_local_min(sphere, np.zeros(2), np.array([1.0, 0.0]),
+                            origin_region)
+        assert mn.t == pytest.approx(0.03, abs=1e-12)
+        assert mn.value == pytest.approx(-0.0009, abs=1e-15)
+        assert not mn.on_boundary
+        assert sphere.eval_counts()["value"] == 3
+
+    def test_first_probe_clipped_at_the_bound(self):
+        # From 0.005 inside the unit ball the first probe, h0 = 0.01, is
+        # clipped to the bound, and f still falls there: the bound is the
+        # answer, evaluated once.
+        falling = QuadraticObjective(np.zeros((2, 2)), np.array([-1.0, 0.0]), 0.0)
+        region = TrustRegion(np.zeros(2), 1.0)
+        x, d = np.array([0.995, 0.0]), np.array([1.0, 0.0])
+        mn = line_local_min(falling, x, d, region)
+        assert mn.on_boundary
+        assert mn.t == region.line_interval(x, d)[1]
+        assert falling.eval_counts() == {"value": 2, "gradient": 2, "hessian": 0}
 
     def test_bad_direction_raises(self, saddle_quadratic, origin_region):
         with pytest.raises(BadDirection):

@@ -34,7 +34,8 @@ class LineSection:
     """Section of {f >= level} cut by the line {x + t v}, or the empty set.
 
     When non-empty the section is the segment t in [t1, t2] containing the
-    line-local max nearest t = 0; the endpoints satisfy |f - level| <= root
+    line-local max nearest t = 0, or, continued from a nearby section, the
+    predicted midpoint; the endpoints satisfy |f - level| <= root
     tolerance. z is the endpoint with the larger v-coordinate. An empty
     section from find_level_crossings carries in line_max the line max it
     found on or below the level.
@@ -76,7 +77,6 @@ class LineExtremum:
 
     t: float
     value: float
-    on_boundary: bool = False
 
 
 def _check_unit(v: np.ndarray) -> np.ndarray:
@@ -192,17 +192,17 @@ def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
     return float(b)
 
 
-def _march(phi: Callable, t0: float, sgn: float, bound: float,
-           radius: float) -> Iterator[tuple[float, float]]:
+def _march(phi: Callable, t0: float, sgn: float, bound: float, radius: float,
+           h0: Optional[float] = None) -> Iterator[tuple[float, float]]:
     """Probes (t, phi(t)) from t0 toward bound, in the direction sgn.
 
-    Steps start at _INIT_STEP_FRAC * radius and double up to _MAX_STEP_FRAC *
-    radius; each probe is the previous one plus sgn times the step. The probe
-    that would reach or pass bound is bound, and it is the last; there is
-    none when t0 lies on bound.
+    Steps start at h0, by default _INIT_STEP_FRAC * radius, and double up to
+    _MAX_STEP_FRAC * radius, which also caps h0; each probe is the previous
+    one plus sgn times the step. The probe that would reach or pass bound is
+    bound, and it is the last; there is none when t0 lies on bound.
     """
-    h = _INIT_STEP_FRAC * radius
     hmax = _MAX_STEP_FRAC * radius
+    h = min(_INIT_STEP_FRAC * radius if h0 is None else h0, hmax)
     t = t0
     while (bound - t) * sgn > 0:
         t = t + sgn * h
@@ -312,22 +312,84 @@ def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
         "super-level component reaches the trust-region boundary")
 
 
+def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
+                         v: np.ndarray, near: LineSection, t_lo: float,
+                         t_hi: float, radius: float) -> Optional[tuple]:
+    """Crossings (t1, t2) continued from near's, or None when a check fails.
+
+    near's endpoints carried over to the line through x are the predictions
+    p1 <= p2; the first step is the distance between the two parallel lines.
+    Both predictions must lie in [t_lo, t_hi] and f at their midpoint above
+    the level. Each crossing is bracketed by a march from its prediction:
+    outward while f stays above the level, else inward, never past the
+    predicted midpoint, until it rises above. An outward march that reaches
+    t_lo or t_hi still above the level fails.
+    """
+    level = near.level
+    d = near.x - x
+    dv = float(d @ v)
+    p1, p2 = near.t1 + dv, near.t2 + dv
+    if not t_lo <= p1 <= p2 <= t_hi:
+        return None
+    mid = 0.5 * (p1 + p2)
+    if phi(mid) <= level:
+        return None
+    xtol = CROSSING_XTOL_FRAC * radius
+    h0 = max(float(np.linalg.norm(d - dv * v)), xtol)
+    crossings = []
+    for p, sgn, bound in ((p1, -1.0, t_lo), (p2, 1.0, t_hi)):
+        t_prev, f_prev = p, phi(p)
+        above = f_prev > level
+        probes = _march(phi, p, sgn if above else -sgn,
+                        bound if above else mid, radius, h0)
+        for t, f in probes:
+            if (f > level) != above:
+                break
+            t_prev, f_prev = t, f
+        else:
+            return None
+        if above:
+            t_in, f_in, t_out, f_out = t_prev, f_prev, t, f
+        else:
+            t_in, f_in, t_out, f_out = t, f, t_prev, f_prev
+        crossings.append(_level_crossing(phi, dphi, t_in, t_out, f_in - level,
+                                         f_out - level, level, xtol))
+    return tuple(crossings)
+
+
 def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
-                         level: float, region: TrustRegion) -> LineSection:
+                         level: float, region: TrustRegion,
+                         near: Optional[LineSection] = None) -> LineSection:
     """Section of {f >= level} on the line {x + t v} around its local max.
 
-    Brackets the line-local max nearest t = 0 (_line_max_bracket). When the
-    bracket's middle probe b lies above the level the section cannot be
-    empty, and both crossings are bracketed outward from b, with no polish
+    Cold, brackets the line-local max nearest t = 0 (_line_max_bracket).
+    When the bracket's middle probe b lies above the level the section cannot
+    be empty, and both crossings are bracketed outward from b, with no polish
     of the max; when b = 0 the marches continue the bracket's own. Otherwise
     the max is polished: if its value does not exceed the level the section
     is empty and carries the max, else fresh marches start from it.
-    Crossings are refined to |f - level| <= ROOT_TOL.
+
+    Warm, given near, a non-empty section of the same v and level solved on
+    a nearby parallel line (else ValueError), the crossings are sought next
+    to near's endpoints carried over to this line (_continued_crossings),
+    and the section is the component of {f >= level} that contains the
+    predicted midpoint, up to dips that lie between it and a prediction or
+    between two probes. When a check of the warm path fails the section is
+    solved cold. Crossings are refined to |f - level| <= ROOT_TOL.
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
     phi, dphi = _line_funcs(obj, x, v)
     t_lo, t_hi = region.line_interval(x, v)
+    if near is not None:
+        if near.empty:
+            raise ValueError("near must be a non-empty section")
+        if near.level != level or not np.array_equal(near.v, v):
+            raise ValueError("near must have the same direction and level")
+        warm = _continued_crossings(phi, dphi, x, v, near, t_lo, t_hi,
+                                    region.radius)
+        if warm is not None:
+            return LineSection(x, v, level, float(warm[0]), float(warm[1]))
     a, b, c, fb, marches = _line_max_bracket(phi, t_lo, t_hi, region.radius)
     if fb <= level:
         b = _refine_max(phi, dphi, a, b, c, fb)
@@ -407,7 +469,7 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
 
     Requires d to be a unit descent direction at x (gradient(x)'d < 0, else
     BadDirection). If f decreases all the way to the region boundary the
-    boundary point is returned with on_boundary set.
+    boundary point is returned.
     """
     d = _check_unit(d)
     x = np.asarray(x, dtype=float)
@@ -417,7 +479,7 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
     phi, dphi = _line_funcs(obj, x, d)
     _, t_hi = region.line_interval(x, d)
     if t_hi <= 0:
-        return LineExtremum(0.0, phi(0.0), on_boundary=True)
+        return LineExtremum(0.0, phi(0.0))
 
     a, fa = 0.0, phi(0.0)
     probes = _march(phi, 0.0, 1.0, t_hi, region.radius)
@@ -448,4 +510,4 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
                              _ROOT_RTOL)[0])
             return LineExtremum(t, phi(t))
         a, b, fb, d_a, d_prev = b, c, fc, d_prev, d_next
-    return LineExtremum(b, fb, on_boundary=True)
+    return LineExtremum(b, fb)

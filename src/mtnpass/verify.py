@@ -49,31 +49,42 @@ ORACLE_TOL = 1e-8   # relative error of root-finding g^2 against the closed form
 
 
 def _section_or_none(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
-                     region: TrustRegion) -> Optional[LineSection]:
-    """The section through x by root finding; None when it escapes the region."""
+                     region: TrustRegion,
+                     near: Optional[LineSection] = None) -> Optional[LineSection]:
+    """The section through x by root finding, continued from near when that
+    is a non-empty section; None when it escapes the region."""
+    if near is not None and near.empty:
+        near = None
     try:
-        return find_level_crossings(obj, x, v, level, region)
+        return find_level_crossings(obj, x, v, level, region, near)
     except (CrossingOutsideRegion, NoLineMax):
         return None
 
 
 def fd_hess_g2(g2, x: np.ndarray) -> np.ndarray:
-    """Second central differences of a scalar function g2 (upper triangle).
+    """Second central differences of a scalar function g2, Richardson-
+    extrapolated: (4 H(h/2) - H(h)) / 3 cancels the h^2 truncation term of
+    the differences H(h) (upper triangle, mirrored).
 
     A probe that raises ends the difference and the exception propagates.
     """
     x = np.asarray(x, dtype=float)
     h = FD_G2_HESS_STEP * max(1.0, float(np.max(np.abs(x))))
     n = x.size
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n); ei[i] = h
-            ej = np.zeros(n); ej[j] = h
-            vals = [g2(x + ei + ej), g2(x + ei - ej), g2(x - ei + ej),
-                    g2(x - ei - ej)]
-            H[i, j] = H[j, i] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4.0 * h * h)
-    return H
+
+    def second_differences(h: float) -> np.ndarray:
+        H = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                ei = np.zeros(n); ei[i] = h
+                ej = np.zeros(n); ej[j] = h
+                vals = [g2(x + ei + ej), g2(x + ei - ej), g2(x - ei + ej),
+                        g2(x - ei - ej)]
+                H[i, j] = H[j, i] = (vals[0] - vals[1] - vals[2] + vals[3]) \
+                    / (4.0 * h * h)
+        return H
+
+    return (4.0 * second_differences(0.5 * h) - second_differences(h)) / 3.0
 
 
 @dataclass
@@ -151,9 +162,11 @@ def camel_sample_cases(n_cases: int = 20, seed: int = 0) -> list[dict]:
 def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
     """Compare the endpoint-formula grad/hess of g^2 with finite differences.
 
-    Relative errors are guarded: |diff| / (1 + |analytic|). Samples where the
-    denominators degenerate or a finite-difference probe escapes the region
-    are counted as skipped, not failed.
+    Every finite-difference probe of g^2 continues its section from the
+    case's own section (find_level_crossings with near). Relative errors are
+    guarded: |diff| / (1 + |analytic|). Samples where the denominators
+    degenerate or a finite-difference probe escapes the region are counted
+    as skipped, not failed.
     """
     report = GradFormulaReport()
     for case in cases:
@@ -169,7 +182,8 @@ def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
             continue
 
         def g2(p):  # raises when the section through p escapes the region
-            return find_level_crossings(obj, p, v, level, region).diam ** 2
+            return find_level_crossings(obj, p, v, level, region,
+                                        near=pe.section).diam ** 2
 
         try:
             fd_g = fd_gradient(g2, x, FD_G2_GRAD_STEP)
@@ -316,27 +330,45 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
     region. Optionally also reports the minimum eigenvalue of hess(g^2)
     restricted to the complement of v over the sampled points with positive
     g (samples with degenerate denominators are skipped); those derivatives
-    come from the sections of a and b already solved.
+    come from the sections of a and b already solved. Every section is
+    solved cold.
+    """
+    return _probe_convexity(obj, center, level, v, radius, region, n_pairs,
+                            seed, with_eigenvalues)[0]
+
+
+def _probe_convexity(obj: Objective, center: np.ndarray, level: float,
+                     v: np.ndarray, radius: float, region: TrustRegion,
+                     n_pairs: int, seed: int, with_eigenvalues: bool = False,
+                     near: Optional[list] = None) -> tuple:
+    """check_convexity_region's report and the sections of its 3 * n_pairs
+    points a, b, midpoint (None where not solved or escaped).
+
+    near, when given, holds those sections for the same seed at another
+    radius; each point's section continues from its own entry there.
     """
     center = np.asarray(center, dtype=float)
     rng = np.random.default_rng(seed)
     n = center.size
     report = ConvexityReport(radius=radius, level=level)
     B = complement_basis(np.asarray(v, dtype=float))
+    near = near or [None] * (3 * n_pairs)
+    solved = [None] * (3 * n_pairs)
 
     def draw() -> np.ndarray:
         u = rng.standard_normal(n)
         u /= np.linalg.norm(u)
         return center + radius * rng.uniform(0.0, 1.0) ** (1.0 / n) * u
 
-    for _ in range(n_pairs):
+    for i in range(n_pairs):
         a, b = draw(), draw()
         sections = []
-        for p in (a, b, 0.5 * (a + b)):
-            sec = _section_or_none(obj, p, v, level, region)
+        for k, p in enumerate((a, b, 0.5 * (a + b)), start=3 * i):
+            sec = _section_or_none(obj, p, v, level, region, near[k])
             if sec is None:
                 break
             sections.append(sec)
+            solved[k] = sec
         if len(sections) < 3:
             report.n_skipped += 1
             continue
@@ -361,7 +393,7 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
                 report.n_eig_samples += 1
                 if report.min_reduced_eig is None or lam_min < report.min_reduced_eig:
                     report.min_reduced_eig = lam_min
-    return report
+    return report, solved
 
 
 def convexity_radius_sweep(obj: Objective, center: np.ndarray, v: np.ndarray,
@@ -371,17 +403,19 @@ def convexity_radius_sweep(obj: Objective, center: np.ndarray, v: np.ndarray,
     For each level the radii are probed in increasing order with identical
     seeds and SWEEP_N_PAIRS pairs each, in a region of radius
     SWEEP_REGION_RADIUS around the center; the recorded radius is the largest
-    one below the first violation.
+    one below the first violation. The same seed draws the same pairs at
+    every radius, only scaled, so each pair point's section continues from
+    its own section at the previous radius.
     """
     center = np.asarray(center, dtype=float)
     region = TrustRegion(center, SWEEP_REGION_RADIUS)
     out = {}
     for level in levels:
-        r_clear = 0.0
+        r_clear, sections = 0.0, None
         for r in SWEEP_RADII:
-            rep = check_convexity_region(obj, center, level, v, float(r),
-                                         region, n_pairs=SWEEP_N_PAIRS,
-                                         seed=seed)
+            rep, sections = _probe_convexity(obj, center, level, v, float(r),
+                                             region, SWEEP_N_PAIRS, seed,
+                                             near=sections)
             if rep.n_violations > 0:
                 break
             r_clear = float(r)

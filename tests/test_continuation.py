@@ -1,0 +1,138 @@
+"""Warm sections: find_level_crossings continued from a nearby section.
+
+A warm section must be the section the cold path finds at the same base
+point, or the call must have taken the cold path itself. Cold sections are
+counted by the line-max bracket every cold section starts with.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, event, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from mtnpass import line1d
+from mtnpass.errors import CrossingOutsideRegion, NoLineMax
+from mtnpass.line1d import LineSection, find_level_crossings
+from mtnpass.objective import TrustRegion, six_hump_camel, tightness2d
+from mtnpass.quadmodel import generate_morse1, saddle_of
+
+E1 = np.array([1.0, 0.0])
+E2 = np.array([0.0, 1.0])
+_QUADRATIC = generate_morse1(2, seed=3)
+# name -> (objective, its index-one saddle, spread of base points, largest
+# drop of the level below f at the base point)
+CASES = {"camel": (six_hump_camel(), np.zeros(2), 0.6, 0.5),
+         "tightness2d": (tightness2d(), np.zeros(2), 0.3, 0.05),
+         "quadratic": (_QUADRATIC, saddle_of(_QUADRATIC)[0], 0.6, 0.5)}
+
+
+def _solve_counted(*args, **kwargs):
+    """The section and the number of cold line-max brackets it took."""
+    with mock.patch.object(line1d, "_line_max_bracket",
+                           wraps=line1d._line_max_bracket) as bracket:
+        sec = find_level_crossings(*args, **kwargs)
+    return sec, bracket.call_count
+
+
+def _assert_is_component(obj, sec, region):
+    # Both ends are crossings of the level on a dense grid of the line, and
+    # no grid crossing lies between them.
+    t_lo, t_hi = region.line_interval(sec.x, sec.v)
+    roots = oracles.grid_crossings(obj.value, sec.x, sec.v, sec.level, t_lo,
+                                   t_hi, n=4001)
+    for t in (sec.t1, sec.t2):
+        assert min(abs(r - t) for r in roots) <= 1e-8
+    assert not [r for r in roots if sec.t1 + 1e-8 < r < sec.t2 - 1e-8]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(CASES)),
+       offset=st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+       turn=st.floats(-0.5, 0.5),
+       drop=st.floats(0.02, 1.0),
+       delta=st.tuples(*[st.floats(-0.03, 0.03)] * 2))
+def test_warm_section_is_the_cold_section(name, offset, turn, drop, delta):
+    # Base points near the saddle, on lines near the direction of most
+    # negative curvature, so that most sections are non-empty.
+    obj, saddle, spread, max_drop = CASES[name]
+    region = TrustRegion(saddle, 2.0)
+    x = saddle + spread * np.array(offset)
+    w, V = np.linalg.eigh(obj.hessian(x))
+    assume(w[0] < 0.0)
+    c, s = np.cos(turn), np.sin(turn)
+    v = np.array([[c, -s], [s, c]]) @ V[:, 0]
+    level = obj.value(x) - drop * max_drop
+    try:
+        near = find_level_crossings(obj, x, v, level, region)
+    except (CrossingOutsideRegion, NoLineMax):
+        assume(False)
+    assume(not near.empty)
+    x_new = x + np.array(delta)
+    try:
+        warm, cold_brackets = _solve_counted(obj, x_new, v, level, region,
+                                             near=near)
+    except (CrossingOutsideRegion, NoLineMax):
+        event("fell back, escaped")
+        return
+    if cold_brackets:
+        event("fell back")
+        return
+    event("warm")
+    cold = find_level_crossings(obj, x_new, v, level, region)
+    assert abs(warm.t1 - cold.t1) <= 1e-12 * region.radius
+    assert abs(warm.t2 - cold.t2) <= 1e-12 * region.radius
+    _assert_is_component(obj, warm, region)
+    _assert_is_component(obj, cold, region)
+
+
+class TestContinuedSection:
+    def test_nearby_section_costs_less(self, saddle_quadratic, origin_region):
+        # f = (x1^2 - x2^2)/2 along e2 at level -0.5: from x1 = 1 to
+        # x1 = 1.01 the crossings move from +-sqrt(2) to +-sqrt(2.0201).
+        near = find_level_crossings(saddle_quadratic, E1, E2, -0.5,
+                                    origin_region)
+        before = saddle_quadratic.eval_counts()
+        x = np.array([1.01, 0.003])
+        warm, cold_brackets = _solve_counted(saddle_quadratic, x, E2, -0.5,
+                                             origin_region, near=near)
+        assert cold_brackets == 0
+        assert warm.t1 == pytest.approx(-0.003 - np.sqrt(2.0201), abs=1e-12)
+        assert warm.t2 == pytest.approx(-0.003 + np.sqrt(2.0201), abs=1e-12)
+        warm_counts = {k: saddle_quadratic.eval_counts()[k] - before[k]
+                       for k in before}
+        find_level_crossings(saddle_quadratic, x, E2, -0.5, origin_region)
+        cold_counts = {k: saddle_quadratic.eval_counts()[k] - before[k]
+                       - warm_counts[k] for k in before}
+        assert warm_counts["value"] < cold_counts["value"]
+        assert warm_counts["gradient"] < cold_counts["gradient"]
+
+    def test_midpoint_below_the_level_goes_cold(self, saddle_quadratic,
+                                                origin_region):
+        # At level 0.3 the section through (1, 0) is |t| <= sqrt(0.4); on the
+        # line through (0.5, 0) the predicted midpoint has f = 0.125, below
+        # the level, so the section is solved cold and found empty.
+        near = find_level_crossings(saddle_quadratic, E1, E2, 0.3,
+                                    origin_region)
+        sec, cold_brackets = _solve_counted(
+            saddle_quadratic, 0.5 * E1, E2, 0.3, origin_region, near=near)
+        assert cold_brackets == 1
+        assert sec.empty
+        assert sec.line_max.value == pytest.approx(0.125, abs=1e-15)
+
+    @pytest.mark.parametrize("v, level", [(E1, -0.5), (E2, -0.4)])
+    def test_mismatched_near_raises(self, saddle_quadratic, origin_region, v,
+                                    level):
+        near = find_level_crossings(saddle_quadratic, E1, E2, -0.5,
+                                    origin_region)
+        with pytest.raises(ValueError, match="same direction and level"):
+            find_level_crossings(saddle_quadratic, 1.01 * E1, v, level,
+                                 origin_region, near=near)
+
+    def test_empty_near_refused(self, saddle_quadratic, origin_region):
+        near = LineSection(E1, E2, -0.5)
+        with pytest.raises(ValueError, match="non-empty"):
+            find_level_crossings(saddle_quadratic, E1, E2, -0.5, origin_region,
+                                 near=near)

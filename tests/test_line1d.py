@@ -408,7 +408,8 @@ class TestLineLocalMin:
                             origin_region)
         assert mn.t == pytest.approx(0.03, abs=1e-12)
         assert mn.value == pytest.approx(-0.0009, abs=1e-15)
-        assert not mn.on_boundary
+        assert mn.t < origin_region.line_interval(np.zeros(2),
+                                                  np.array([1.0, 0.0]))[1]
         assert sphere.eval_counts()["value"] == 3
 
     def test_first_probe_clipped_at_the_bound(self):
@@ -419,7 +420,6 @@ class TestLineLocalMin:
         region = TrustRegion(np.zeros(2), 1.0)
         x, d = np.array([0.995, 0.0]), np.array([1.0, 0.0])
         mn = line_local_min(falling, x, d, region)
-        assert mn.on_boundary
         assert mn.t == region.line_interval(x, d)[1]
         assert falling.eval_counts() == {"value": 2, "gradient": 2, "hessian": 0}
 
@@ -432,7 +432,8 @@ class TestLineLocalMin:
         linear = QuadraticObjective(np.zeros((2, 2)), np.array([1.0, 0.0]), 0.0)
         mn = line_local_min(linear, np.zeros(2), np.array([-1.0, 0.0]),
                             origin_region)
-        assert mn.on_boundary
+        assert mn.t == origin_region.line_interval(np.zeros(2),
+                                                   np.array([-1.0, 0.0]))[1]
         assert mn.t == pytest.approx(10.0)
 
 

@@ -34,6 +34,14 @@ class TestGradFormulas:
         assert report.max_rel_grad_err < 1e-4
         assert report.max_rel_hess_err < 1e-4
 
+    @pytest.mark.parametrize("seed", [2, 8, 16, 19])
+    def test_camel_hessian_reference_is_extrapolated(self, seed):
+        # On camel cases with |hess g^2| up to about 360 the plain second
+        # differences at FD_G2_HESS_STEP carry an h^2 truncation error above
+        # HESS_TOL; the Richardson-extrapolated reference does not.
+        report = check_grad_formulas(camel_sample_cases(20, seed))
+        assert report.n_failures == 0
+
     def test_degenerate_sample_skipped_not_failed(self, saddle_quadratic):
         # A level a hair under the line max gives a microscopic section.
         case = {"obj": saddle_quadratic, "x": np.array([1.0, 0.0]),
@@ -158,6 +166,7 @@ class TestConvexityProbes:
         sweep = convexity_radius_sweep(tight, np.zeros(2), vbar,
                                        levels=[-0.1, -0.01, -0.001], seed=0)
         assert sweep[-0.1] > sweep[-0.01] > sweep[-0.001] > 0.0
+        assert sweep == {-0.1: 0.8, -0.01: 0.26, -0.001: 0.22}
 
     @staticmethod
     def _count_sections(monkeypatch):

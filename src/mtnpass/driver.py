@@ -188,8 +188,9 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         it = 0
         for it in range(config.max_iter):
             sec = state.section
-            gz = obj.gradient(sec.z)
-            gzp = obj.gradient(sec.zp)
+            # The state keeps them: a failed iteration leaves it unchanged.
+            gz, gzp = state.endpoint_gradients(obj)
+            state = replace(state, gz=gz, gzp=gzp)
             gap = state.gap
             trace.append(TraceRecord(
                 iteration=it, step=state.last_step, level=sec.level, gap=gap,
@@ -224,7 +225,7 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             # step resets.
             failed = None
             try:
-                outcome = step_pd(state, obj, gz, gzp)
+                outcome = step_pd(state, obj)
             except (DegenerateDenominator, CrossingOutsideRegion, NoLineMax) as err:
                 outcome = None
                 failed = str(err)
@@ -261,7 +262,7 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                         failed = "parallel-distance reduction stalled"
                     logger.debug("PD failed: %s", failed)
                 try:
-                    state = step_l_up(state, obj, obj.value(state.midpoint))
+                    state = step_l_up(state, obj)
                 except (LUpImpossible, CrossingOutsideRegion, NoLineMax) as err:
                     if failed is None:
                         failed = f"level raise failed: {err}"

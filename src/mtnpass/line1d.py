@@ -2,8 +2,9 @@
 
 Provides the three primitives the level-set solver is built on: locating a
 line-local maximum of f, solving the two crossings of a level l around that
-maximum (the section of the super-level set cut by the line), and locating
-the first line-local minimum along a descent ray. All searches are
+maximum (the section of the super-level set cut by the line; from a base
+point on the level only the far crossing), and locating the first
+line-local minimum along a descent ray. All searches are
 deterministic and never evaluate f outside the trust region.
 """
 
@@ -35,8 +36,9 @@ class LineSection:
 
     When non-empty the section is the segment t in [t1, t2] containing the
     line-local max nearest t = 0, or, continued from a nearby section, the
-    predicted midpoint; the endpoints satisfy |f - level| <= root
-    tolerance. z is the endpoint with the larger v-coordinate. An empty
+    predicted midpoint, or, from a base point on the level, with t = 0 as
+    an endpoint (find_far_crossing); the endpoints satisfy |f - level| <=
+    root tolerance. z is the endpoint with the larger v-coordinate. An empty
     section from find_level_crossings carries in line_max the line max it
     found on or below the level.
     """
@@ -267,6 +269,12 @@ def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
     """
     t, r = _brent(lambda s: phi(s) - level, t_in, t_out, r_in, r_out, xtol,
                   _ROOT_RTOL)
+    return _newton_polish(dphi, t, r, xtol)
+
+
+def _newton_polish(dphi: Callable, t: float, r: float, xtol: float) -> float:
+    """t after one Newton step on the residual r = phi(t) - level, kept only
+    when it moves t by at most 2*xtol."""
     d = dphi(t)
     if d != 0.0:
         t_new = t - r / d
@@ -278,8 +286,9 @@ def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
 def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
                    t_start: float, f_start: float, sgn: float, level: float,
                    radius: float) -> float:
-    """Walk the _march probes from t_start, where phi = f_start > level, in
-    the direction sgn to the component edge.
+    """Walk the _march probes from t_start, where phi = f_start > level (or
+    = level when the first probe lies above it), in the direction sgn to the
+    component edge.
 
     A probe below the level closes a bracket whose crossing Brent's method
     solves. Between probes that both sit above the level, a sign flip of the
@@ -402,6 +411,47 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     t2 = _cross_outward(phi, dphi, up, b, fb, +1.0, level, region.radius)
     t1 = _cross_outward(phi, dphi, down, b, fb, -1.0, level, region.radius)
     return LineSection(x, v, level, float(t1), float(t2))
+
+
+def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
+                      level: float, region: TrustRegion,
+                      grad: np.ndarray) -> LineSection:
+    """Section of {f >= level} on the line {x + t v} when f(x) = level.
+
+    grad is grad f(x). t = 0 is then one crossing, and the other lies on the
+    uphill side, sign(phi'(0)) with phi'(0) = grad'v; a march uphill from 0
+    brackets it. When the first probe already lies on or below the level,
+    Brent's method solves the deflated residual (phi(t) - level)/t, whose
+    value at t = 0 is phi'(0) and is never evaluated, and one Newton step
+    polishes the root; otherwise the march goes on outward from (0, level)
+    as in find_level_crossings (_cross_outward). A far crossing within
+    2*xtol of 0 gives the point section at t = 0: no evaluated point rose
+    above the level. When phi'(0) = 0 the section is solved cold
+    (find_level_crossings).
+    """
+    v = _check_unit(v)
+    x = np.asarray(x, dtype=float)
+    d0 = float(grad @ v)
+    if d0 == 0.0:
+        return find_level_crossings(obj, x, v, level, region)
+    phi, dphi = _line_funcs(obj, x, v)
+    t_lo, t_hi = region.line_interval(x, v)
+    sgn = 1.0 if d0 > 0.0 else -1.0
+    xtol = CROSSING_XTOL_FRAC * region.radius
+    probes = _march(phi, 0.0, sgn, t_hi if sgn > 0.0 else t_lo, region.radius)
+    first = list(islice(probes, 1))
+    if first and first[0][1] <= level:
+        t, f = first[0]
+        t, r = _brent(lambda s: (phi(s) - level) / s, 0.0, t, d0,
+                      (f - level) / t, xtol, _ROOT_RTOL)
+        t_far = _newton_polish(dphi, t, r * t, xtol)
+    else:
+        t_far = _cross_outward(phi, dphi, chain(first, probes), 0.0, level,
+                               sgn, level, region.radius)
+    if abs(t_far) <= 2.0 * xtol:
+        return LineSection(x, v, level, 0.0, 0.0)
+    t1, t2 = sorted((0.0, float(t_far)))
+    return LineSection(x, v, level, t1, t2)
 
 
 def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float) -> float:

@@ -5,14 +5,15 @@ through its base point along v cuts from {f >= l}, with z and z' on the
 level set {f = l}. Four moves act on it: reduce the parallel distance by
 shifting the base point across the chord direction (PD), re-align the chord
 by sliding one endpoint along the level set (Av), lower the level after the
-segment collapses (l-down), and raise the level to a given value above it,
-re-solving the section through the segment midpoint (l-up).
+segment collapses (l-down), and raise the level to f at the segment
+midpoint (or a given value above the current level), re-solving the section
+through the midpoint (l-up).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import dataclass, field, replace
+from typing import Optional, Union
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from . import quadmodel
 from .errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
                      DegenerateDenominator, LUpImpossible, NoLineMax)
 from .line1d import (CROSSING_XTOL_FRAC, GRAD_TOL_1D, ROOT_TOL, LineSection,
-                     find_level_crossings, line_local_max, line_local_min)
+                     find_far_crossing, find_level_crossings, line_local_max,
+                     line_local_min)
 from .objective import Objective, TrustRegion
 from .pardist import derivatives_from_section
 
@@ -34,11 +36,18 @@ MAX_PROJECTION_NEWTON = 50  # Newton steps pulling a point back onto the level
 
 @dataclass(frozen=True)
 class SolverState:
-    """The segment [z', z]: a non-empty section on {f = level}, and its region."""
+    """The segment [z', z]: a non-empty section on {f = level}, and its region.
+
+    gz and gzp, when not None, are the gradients of f at z and z', already
+    evaluated at those bits by the move that made the state or by the
+    driver, so no one pays for them twice.
+    """
 
     section: LineSection
     region: TrustRegion
     last_step: str = "Init"
+    gz: Optional[np.ndarray] = field(default=None, compare=False)
+    gzp: Optional[np.ndarray] = field(default=None, compare=False)
 
     @property
     def gap(self) -> float:
@@ -48,15 +57,11 @@ class SolverState:
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.section.z + self.section.zp)
 
-    def validate(self, obj: Objective) -> None:
-        """Re-assert the state invariants; raises ValueError on violation."""
-        sec = self.section
-        if abs(np.linalg.norm(sec.v) - 1.0) > 1e-10:
-            raise ValueError("v is not a unit vector")
-        for name, p in (("z", sec.z), ("z'", sec.zp)):
-            r = abs(obj.value(p) - sec.level)
-            if r > 10.0 * ROOT_TOL:
-                raise ValueError(f"|f({name}) - level| = {r:.3e} exceeds tolerance")
+    def endpoint_gradients(self, obj: Objective) -> tuple:
+        """grad f at z and z', evaluated only where the state holds none."""
+        gz = obj.gradient(self.section.z) if self.gz is None else self.gz
+        gzp = obj.gradient(self.section.zp) if self.gzp is None else self.gzp
+        return gz, gzp
 
 
 @dataclass(frozen=True)
@@ -83,25 +88,26 @@ class PdStalled:
 PdOutcome = Union[ReducedSegment, HitZero, PdStalled]
 
 
-def step_pd(state: SolverState, obj: Objective, gz: np.ndarray,
-            gzp: np.ndarray) -> PdOutcome:
+def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     """One parallel-distance reduction step from the segment midpoint x.
 
-    Computes grad/hess of g^2 at x from the endpoint data, with gz and gzp
-    the gradients of f at the state's z and z' that the caller already
-    holds, moves across v by a Newton step on the complement of v when the
-    reduced Hessian is positive definite (steepest descent otherwise), and
-    backtracks on g^2(x + t d) under the Armijo condition. A trial point
-    whose section is empty wins immediately: the parallel distance has hit
-    zero at the line max the empty section carries. Backtracking stops with
-    PdStalled once the trial step t*|d| is shorter than the crossing
-    tolerance the section endpoints are solved to: below it a change in g^2
-    is crossing error, not a decrease.
+    Computes grad/hess of g^2 at x from the endpoint data, with the
+    gradients of f at z and z' that the state holds (evaluated where it
+    holds none), moves across v by a Newton step on the complement of v
+    when the reduced Hessian is positive definite (steepest descent
+    otherwise), and backtracks on g^2(x + t d) under the Armijo condition.
+    A trial point whose section is empty wins immediately: the parallel
+    distance has hit zero at the line max the empty section carries.
+    Backtracking stops with PdStalled once the trial step t*|d| is shorter
+    than the crossing tolerance the section endpoints are solved to: below
+    it a change in g^2 is crossing error, not a decrease.
     """
     section, region = state.section, state.region
     v, x = section.v, section.midpoint
     try:
-        pe = derivatives_from_section(obj, section, gz, gzp, want_hessian=True)
+        pe = derivatives_from_section(obj, section,
+                                      *state.endpoint_gradients(obj),
+                                      want_hessian=True)
     except DegenerateDenominator:
         # A (nearly) collapsed segment puts the endpoints at the line max,
         # where v is tangent to the level set and |v'grad f| g <= ROOT_TOL.
@@ -178,13 +184,13 @@ def step_av(state: SolverState, obj: Objective) -> SolverState:
     the projection of the chord onto its tangent plane and re-projected onto
     {f = level}; the step is halved until the chord strictly shortens. The
     new section is based at the endpoint that did not move, with t = 0
-    there, so that endpoint keeps its bits. Raises AvStalled when the
-    tangential component vanishes or no step helps.
+    there, so that endpoint keeps its bits and the new state keeps its
+    gradient. Raises AvStalled when the tangential component vanishes or no
+    step helps.
     """
     level = state.section.level
     z, zp = state.section.z, state.section.zp
-    gz = obj.gradient(z)
-    gzp = obj.gradient(zp)
+    gz, gzp = state.endpoint_gradients(obj)
     if np.linalg.norm(gz) >= np.linalg.norm(gzp):
         this, other, gthis, move_z = z, zp, gz, True
     else:
@@ -208,20 +214,29 @@ def step_av(state: SolverState, obj: Objective) -> SolverState:
                 t1, t2 = (0.0, gap_new) if move_z else (-gap_new, 0.0)
                 section = LineSection(other, (z_new - zp_new) / gap_new, level,
                                       t1, t2)
-                return replace(state, section=section, last_step="Av")
+                return replace(state, section=section, last_step="Av",
+                               gz=None if move_z else gz,
+                               gzp=gzp if move_z else None)
         t *= 0.5
     raise AvStalled("no tangential step reduced the chord length")
 
 
 def crossings_or_degenerate(obj: Objective, x: np.ndarray, v: np.ndarray,
-                            level: float, region: TrustRegion) -> LineSection:
+                            level: float, region: TrustRegion,
+                            grad: Optional[np.ndarray] = None) -> LineSection:
     """Section of {f >= level} through x, allowing the degenerate point section.
 
     When the line-local max sits exactly at the level (within the root
     tolerance) the section is the single point at the max; this occurs right
-    after a level change lands on the ridge.
+    after a level change lands on the ridge. grad, when given, is grad f(x)
+    for an x with f(x) = level exactly: t = 0 is then one crossing and only
+    the far one is solved (line1d.find_far_crossing), which returns the
+    point section at t = 0 itself when the far crossing lands on 0.
     """
-    section = find_level_crossings(obj, x, v, level, region)
+    if grad is None:
+        section = find_level_crossings(obj, x, v, level, region)
+    else:
+        section = find_far_crossing(obj, x, v, level, region, grad)
     if not section.empty:
         return section
     lm = section.line_max
@@ -255,18 +270,28 @@ def step_l_down(obj: Objective, x: np.ndarray, v: np.ndarray,
     return crossings_or_degenerate(obj, x + mn.t * d, v, mn.value, region)
 
 
-def step_l_up(state: SolverState, obj: Objective, level: float) -> SolverState:
-    """Raise the level to `level` and re-solve the endpoints.
+def step_l_up(state: SolverState, obj: Objective,
+              level: Optional[float] = None) -> SolverState:
+    """Raise the level to `level`, by default f at the segment midpoint m,
+    and re-solve the endpoints.
 
     The direction v is unchanged; the new segment is the section of the new
-    level on the line through the segment midpoint, which may collapse to a
-    single point. Raises LUpImpossible when `level` does not lie above the
-    current level.
+    level on the line through m, which may collapse to a single point. At
+    the default level m lies on the level, so f(m) is evaluated once and
+    only the far crossing is solved from grad f(m) (crossings_or_degenerate
+    with grad); the endpoint at m keeps that gradient in the new state. An
+    explicit level is solved cold. Raises LUpImpossible when the level does
+    not lie above the current level.
     """
-    sec = state.section
+    sec, m = state.section, state.midpoint
+    on_level = level is None
+    if on_level:
+        level = obj.value(m)
     if level <= sec.level:
         raise LUpImpossible(f"level {level:.6g} does not exceed the current "
                             f"level {sec.level:.6g}")
-    section = crossings_or_degenerate(obj, state.midpoint, sec.v, level,
-                                      state.region)
-    return replace(state, section=section, last_step="LUp")
+    grad = obj.gradient(m) if on_level else None
+    section = crossings_or_degenerate(obj, m, sec.v, level, state.region, grad)
+    return replace(state, section=section, last_step="LUp",
+                   gz=grad if section.t2 == 0.0 else None,
+                   gzp=grad if section.t1 == 0.0 else None)

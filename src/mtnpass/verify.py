@@ -61,12 +61,14 @@ def _section_or_none(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
         return None
 
 
-def fd_hess_g2(g2, x: np.ndarray) -> np.ndarray:
+def fd_hess_g2(g2, x: np.ndarray, g2_x: float) -> np.ndarray:
     """Second central differences of a scalar function g2, Richardson-
     extrapolated: (4 H(h/2) - H(h)) / 3 cancels the h^2 truncation term of
     the differences H(h) (upper triangle, mirrored).
 
-    A probe that raises ends the difference and the exception propagates.
+    g2_x = g2(x) is the centre of the diagonal differences, which are not
+    probed there. A probe that raises ends the difference and the exception
+    propagates.
     """
     x = np.asarray(x, dtype=float)
     h = FD_G2_HESS_STEP * max(1.0, float(np.max(np.abs(x))))
@@ -75,8 +77,10 @@ def fd_hess_g2(g2, x: np.ndarray) -> np.ndarray:
     def second_differences(h: float) -> np.ndarray:
         H = np.empty((n, n))
         for i in range(n):
-            for j in range(i, n):
-                ei = np.zeros(n); ei[i] = h
+            ei = np.zeros(n); ei[i] = h
+            H[i, i] = (g2(x + ei + ei) - 2.0 * g2_x + g2(x - ei - ei)) \
+                / (4.0 * h * h)
+            for j in range(i + 1, n):
                 ej = np.zeros(n); ej[j] = h
                 vals = [g2(x + ei + ej), g2(x + ei - ej), g2(x - ei + ej),
                         g2(x - ei - ej)]
@@ -187,7 +191,7 @@ def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
 
         try:
             fd_g = fd_gradient(g2, x, FD_G2_GRAD_STEP)
-            fd_h = fd_hess_g2(g2, x)
+            fd_h = fd_hess_g2(g2, x, pe.g2)
         except (CrossingOutsideRegion, NoLineMax):
             report.n_skipped += 1
             continue

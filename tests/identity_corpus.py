@@ -21,11 +21,11 @@ at seeds 0 and 1, each named "suite:NAME:SEED". The corpus is
 of the step sequence, a change of the report message (the stop rule that
 fired), a report or trace that differs only in the bits of its numbers
 (with the largest relative difference), and evaluation counts that rose;
-then the summed counts of both dumps; then every suite report that differs,
-with its largest relative difference. It exits 1 when any solve changed its
-status, iteration count, step sequence or message, or any suite changed its
-failure count, and 0 otherwise. The bench modules are read, never written.
-Pytest does not collect this file.
+then the summed counts and the status tally of both dumps; then every suite
+report that differs, with its largest relative difference. It exits 1 when
+any solve changed its status, iteration count, step sequence or message, or
+any suite changed its failure count, and 0 otherwise. The bench modules
+are read, never written. Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
 ORACLE_WELL_DIMS = (3, 5, 6, 8, 12)
 EXTRA_WELL = (40, 40003)
 COUNT_KEYS = ("value", "gradient", "hessian")
+STATUSES = ("SaddleFound", "MaxIter", "Breakdown")
 SUITES = ("quadratic-oracle", "grad-formulas", "hessian-stability", "convexity")
 SUITE_SEEDS = (0, 1)
 
@@ -164,11 +165,14 @@ def compare(before_path: str, after_path: str) -> int:
              "counts rose": 0}
     totals = {"before": dict.fromkeys(COUNT_KEYS, 0),
               "after": dict.fromkeys(COUNT_KEYS, 0)}
+    statuses = {"before": dict.fromkeys(STATUSES, 0),
+                "after": dict.fromkeys(STATUSES, 0)}
     for name, old in before.items():
         new = after[name]
         for side, row in (("before", old), ("after", new)):
             for k in COUNT_KEYS:
                 totals[side][k] += row["counts"][k]
+            statuses[side][row["report"]["status"]] += 1
         ro, rn = old["report"], new["report"]
         steps_old = [r["step"] for r in old["trace"]]
         steps_new = [r["step"] for r in new["trace"]]
@@ -196,7 +200,8 @@ def compare(before_path: str, after_path: str) -> int:
     print(f"{len(before)} solves: " + ", ".join(f"{v} {k}" for k, v in tally.items()))
     for side in ("before", "after"):
         print(f"summed counts {side}: " + " / ".join(
-            str(totals[side][k]) for k in COUNT_KEYS))
+            str(totals[side][k]) for k in COUNT_KEYS) + "; " + ", ".join(
+            f"{v} {k}" for k, v in statuses[side].items()))
     return (tally["outcome"] + tally["steps"] + tally["message"]
             + compare_suites(suites, after))
 

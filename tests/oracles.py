@@ -209,3 +209,16 @@ class DoubleWell:
             out.append(newton_polish(self.gradient, self.hessian,
                                      self.centre + self.Q @ y))
         return out[0], out[1]
+
+
+def validate_state(state, obj) -> None:
+    """Re-assert the invariants of a solver state: v is a unit vector and
+    both endpoints lie on the level to within 1e-9 (10 times line1d's root
+    tolerance). Raises ValueError on a violation."""
+    sec = state.section
+    if abs(np.linalg.norm(sec.v) - 1.0) > 1e-10:
+        raise ValueError("v is not a unit vector")
+    for name, p in (("z", sec.z), ("z'", sec.zp)):
+        r = abs(obj.value(p) - sec.level)
+        if r > 1e-9:
+            raise ValueError(f"|f({name}) - level| = {r:.3e} exceeds tolerance")

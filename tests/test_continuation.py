@@ -1,8 +1,14 @@
-"""Warm sections: find_level_crossings continued from a nearby section.
+"""Sections solved from what is already known.
 
-A warm section must be the section the cold path finds at the same base
-point, or the call must have taken the cold path itself. Cold sections are
-counted by the line-max bracket every cold section starts with.
+Warm sections: find_level_crossings continued from a nearby section. A warm
+section must be the section the cold path finds at the same base point, or
+the call must have taken the cold path itself. Cold sections are counted by
+the line-max bracket every cold section starts with.
+
+Far crossings: line1d.find_far_crossing from a base point on the level, as
+l-up solves the section through a segment midpoint at f there
+(crossings_or_degenerate with the gradient). Where the cold section has an
+endpoint at 0, its other endpoint is the far crossing.
 """
 
 from unittest import mock
@@ -18,6 +24,7 @@ from mtnpass.errors import CrossingOutsideRegion, NoLineMax
 from mtnpass.line1d import LineSection, find_level_crossings
 from mtnpass.objective import TrustRegion, six_hump_camel, tightness2d
 from mtnpass.quadmodel import generate_morse1, saddle_of
+from mtnpass.subroutines import crossings_or_degenerate
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -86,6 +93,61 @@ def test_warm_section_is_the_cold_section(name, offset, turn, drop, delta):
     assert abs(warm.t2 - cold.t2) <= 1e-12 * region.radius
     _assert_is_component(obj, warm, region)
     _assert_is_component(obj, cold, region)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(CASES)),
+       offset=st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+       turn=st.floats(-0.5, 0.5),
+       drop=st.floats(0.02, 1.0),
+       along=st.one_of(st.just(0.5), st.floats(0.2, 0.8)))
+def test_far_crossing_is_the_cold_section(name, offset, turn, drop, along):
+    # A section drawn as above, and l-up's level f(m) at its midpoint m or,
+    # since on a quadratic the midpoint is the line max itself, at another
+    # point m of the section.
+    obj, saddle, spread, max_drop = CASES[name]
+    region = TrustRegion(saddle, 2.0)
+    x = saddle + spread * np.array(offset)
+    w, V = np.linalg.eigh(obj.hessian(x))
+    assume(w[0] < 0.0)
+    c, s = np.cos(turn), np.sin(turn)
+    v = np.array([[c, -s], [s, c]]) @ V[:, 0]
+    try:
+        sec = find_level_crossings(obj, x, v, obj.value(x) - drop * max_drop,
+                                   region)
+    except (CrossingOutsideRegion, NoLineMax):
+        assume(False)
+    assume(not sec.empty)
+    m = sec.x + (sec.t1 + along * sec.diam) * v
+    level = obj.value(m)
+    try:
+        cold = crossings_or_degenerate(obj, m, v, level, region)
+    except (CrossingOutsideRegion, NoLineMax):
+        event("cold escaped")
+        return
+    far = crossings_or_degenerate(obj, m, v, level, region, obj.gradient(m))
+    tol = 1e-12 * region.radius
+    if cold.diam <= 1e-6 * region.radius:
+        # m sits at the line max to within rounding: f - level is 0.0 over
+        # an interval of width about sqrt(eps), so any t there is a crossing.
+        event("point-like section")
+        assert far.diam <= 1e-6 * region.radius
+        return
+    if min(abs(cold.t1), abs(cold.t2)) > tol:
+        event("cold section off t = 0")
+        return
+    event("cold section from t = 0")
+    assert 0.0 in (far.t1, far.t2)
+    assert abs(far.t1 - cold.t1) <= tol
+    assert abs(far.t2 - cold.t2) <= tol
+    # A grid on twice the section's span on each side resolves it however
+    # short it is.
+    t_far = far.t1 + far.t2
+    t_lo, t_hi = region.line_interval(m, v)
+    roots = oracles.grid_crossings(obj.value, m, v, level,
+                                   max(t_lo, -2.0 * abs(t_far)),
+                                   min(t_hi, 2.0 * abs(t_far)), n=4001)
+    assert min(abs(r - t_far) for r in roots) <= tol
 
 
 class TestContinuedSection:

@@ -24,13 +24,13 @@ class TestInitState:
         assert sec.level == pytest.approx(-1.5)
         assert np.allclose(sec.z, a, atol=1e-9)
         assert np.allclose(sec.zp, b, atol=1e-9)
-        state.validate(saddle_quadratic)
+        oracles.validate_state(state, saddle_quadratic)
 
     def test_camel_minima_straddle_origin(self, camel):
         a = np.array([0.0898, -0.7126])
         b = np.array([-0.0898, 0.7126])
         state = init_state(camel, a, b, SolveConfig())
-        state.validate(camel)
+        oracles.validate_state(state, camel)
         sec = state.section
         # the segment crosses the origin ridge
         assert sec.z @ sec.v > 0 > sec.zp @ sec.v
@@ -254,8 +254,13 @@ class TestSolveDoubleWell:
     def test_from_equal_minima(self):
         # Both endpoints are minima of equal value, so the first (PD) step
         # raises DegenerateDenominator before any Hessian or trial section
-        # and the level raise does the work. The counts pin that: the two
-        # finite-difference endpoint Hessians would cost 4n = 20 gradients,
+        # and the level raise does the work. The well is symmetric about the
+        # plane through the segment midpoint, so the level raise to f there
+        # finds the far crossing within 2 xtol of the midpoint: the point
+        # section, gap 0, which the Newton handoff does not take. (PD) then
+        # reports the zero distance, and l-down descends from the line max
+        # to the saddle. The counts pin that route: the two finite-difference
+        # endpoint Hessians of the first (PD) would cost 4n = 20 gradients,
         # and (PD) re-evaluating the endpoint gradients the driver already
         # holds would cost 2 per iteration.
         well = oracles.DoubleWell(5)
@@ -265,9 +270,10 @@ class TestSolveDoubleWell:
         assert report.morse_index == 1
         assert report.f == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
-        assert [r.step for r in report.trace] == ["Init", "LUp"]
-        assert report.eval_counts == {"value": 143, "gradient": 37,
-                                      "hessian": 2}
+        assert [r.step for r in report.trace] == ["Init", "LUp", "LDown"]
+        assert report.trace[1].gap == 0.0
+        assert report.eval_counts == {"value": 90, "gradient": 38,
+                                      "hessian": 1}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
     def test_equal_minima_without_backtracking_storm(self, n):

@@ -1,10 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import oracles
+from mtnpass import line1d
 from mtnpass.errors import BadDirection, CrossingOutsideRegion, NoLineMax
-from mtnpass.line1d import (ROOT_TOL, _brent, _march, _refine_max, chord_section,
-                            find_level_crossings, line_local_max, line_local_min)
+from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, _brent, _march,
+                            _refine_max, chord_section, find_far_crossing,
+                            find_level_crossings, line_local_max,
+                            line_local_min)
 from mtnpass.objective import Objective, TrustRegion
 from mtnpass.quadmodel import QuadraticObjective
 from mtnpass.subroutines import crossings_or_degenerate
@@ -361,6 +366,76 @@ class TestFindLevelCrossings:
         assert not sec.empty
         assert sec.t2 < 0.71  # inner crossing, not the far branch beyond 1
         assert sec.t1 > -0.71
+
+
+class TestFindFarCrossing:
+    # On f = (x1^2 - x2^2)/2 along e2 through (1, c), f(x) = (1 - c^2)/2 is
+    # the level and the section is (c + t)^2 <= c^2: t in [-2c, 0] for
+    # c > 0, [0, -2c] for c < 0. The uphill side is sign(phi'(0)) = -sign(c).
+    XTOL = CROSSING_XTOL_FRAC * 10.0
+
+    def far(self, obj, x, region, v=E2):
+        x = np.asarray(x, dtype=float)
+        with mock.patch.object(line1d, "_cross_outward",
+                               wraps=line1d._cross_outward) as outward:
+            sec = find_far_crossing(obj, x, v, obj.value(x), region,
+                                    obj.gradient(x))
+        return sec, outward.call_count
+
+    def test_downhill_side_first_probe_below(self, saddle_quadratic,
+                                             origin_region):
+        # phi'(0) = -0.01: the crossing at -0.02 lies inside the first step,
+        # so Brent's method solves the deflated residual, with no march on.
+        sec, outward = self.far(saddle_quadratic, [1.0, 0.01], origin_region)
+        assert sec.t2 == 0.0
+        assert sec.t1 == pytest.approx(-0.02, abs=self.XTOL)
+        assert outward == 0
+
+    def test_first_probe_above_the_level(self, saddle_quadratic,
+                                         origin_region):
+        # phi'(0) = 0.5 and the first probe t = 0.1 lies above the level:
+        # the march goes on outward to the crossing at 1.
+        sec, outward = self.far(saddle_quadratic, [1.0, -0.5], origin_region)
+        assert sec.t1 == 0.0
+        assert sec.t2 == pytest.approx(1.0, abs=self.XTOL)
+        assert outward == 1
+
+    def test_point_section_when_the_far_crossing_lands_on_zero(
+            self, saddle_quadratic, origin_region):
+        # The far crossing -2e-14 lies within 2 xtol = 2e-11 of 0.
+        sec, _ = self.far(saddle_quadratic, [1.0, 1e-14], origin_region)
+        assert (sec.t1, sec.t2) == (0.0, 0.0)
+
+    def test_zero_slope_is_solved_cold(self, saddle_quadratic, origin_region):
+        # phi'(0) = 0 exactly at the line max: the cold path finds it on the
+        # level and returns the empty section that carries it.
+        with mock.patch.object(line1d, "_line_max_bracket",
+                               wraps=line1d._line_max_bracket) as bracket:
+            sec, _ = self.far(saddle_quadratic, [1.0, 0.0], origin_region)
+        assert bracket.call_count == 1
+        assert sec.empty
+        assert sec.line_max.t == 0.0
+        assert sec.line_max.value == 0.5
+
+    def test_uphill_to_the_region_bound_raises(self, origin_region):
+        # f = -x2 rises along -e2 all the way to the region bound.
+        obj = Objective(2, lambda x: -x[1], lambda x: np.array([0.0, -1.0]))
+        with pytest.raises(CrossingOutsideRegion):
+            self.far(obj, [0.0, 0.0], origin_region)
+
+    def test_matches_the_cold_section_on_the_camel(self, camel,
+                                                   origin_region):
+        # Through (0.1, 0.3) along e2, downhill, and (0.2, -0.1), uphill:
+        # the cold section at f(x) has an endpoint within xtol of 0, and its
+        # other endpoint is the far crossing.
+        for x in ([0.1, 0.3], [0.2, -0.1]):
+            x = np.array(x)
+            sec, _ = self.far(camel, x, origin_region)
+            cold = find_level_crossings(camel, x, E2, camel.value(x),
+                                        origin_region)
+            assert abs(sec.t1 - cold.t1) <= self.XTOL
+            assert abs(sec.t2 - cold.t2) <= self.XTOL
+            assert 0.0 in (sec.t1, sec.t2) and sec.diam > 0.1
 
 
 class TestLineLocalMin:

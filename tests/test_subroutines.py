@@ -30,15 +30,28 @@ def segment(x, v, level, t1, t2, region):
                        region)
 
 
-def pd(state, obj):
-    """step_pd with the endpoint gradients, as the driver evaluates them."""
-    sec = state.section
-    return step_pd(state, obj, obj.gradient(sec.z), obj.gradient(sec.zp))
-
-
 def l_up(state, obj):
     """step_l_up to f at the segment midpoint, the driver's target level."""
     return step_l_up(state, obj, obj.value(state.midpoint))
+
+
+def recording(obj):
+    """obj with the points of its value and gradient calls recorded."""
+    points = {"value": [], "gradient": []}
+
+    def value(x):
+        points["value"].append(np.array(x))
+        return obj.value(x)
+
+    def gradient(x):
+        points["gradient"].append(np.array(x))
+        return obj.gradient(x)
+
+    return Objective(obj.n, value, gradient), points
+
+
+def calls_at(points, p):
+    return sum(np.array_equal(q, p) for q in points)
 
 
 def count_line_searches(monkeypatch):
@@ -68,7 +81,7 @@ def quad_state(saddle_quadratic, origin_region):
 
 class TestStepPd:
     def test_newton_lands_on_axis(self, saddle_quadratic, quad_state):
-        out = pd(quad_state, saddle_quadratic)
+        out = step_pd(quad_state, saddle_quadratic)
         assert isinstance(out, ReducedSegment)
         assert out.g_old == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
         assert out.g_new == pytest.approx(2.0, abs=1e-9)
@@ -81,7 +94,7 @@ class TestStepPd:
                            origin_region)
         # a level of +0.25 would sit above the saddle value for this f and
         # only when x1^2/2 > level; use level -0.25 to keep a real segment.
-        out = pd(state, saddle_quadratic)
+        out = step_pd(state, saddle_quadratic)
         assert isinstance(out, ReducedSegment)
         level = state.section.level
         g2_before, _, _ = closed_form_g2_quadratic(
@@ -96,7 +109,7 @@ class TestStepPd:
         # Newton step crosses the region where the line misses the level set.
         state = make_state(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
                            origin_region)
-        out = pd(state, saddle_quadratic)
+        out = step_pd(state, saddle_quadratic)
         assert isinstance(out, HitZero)
         assert out.f_prime <= state.section.level + ROOT_TOL
         # x' is a line-local max of f along v through the step point
@@ -110,7 +123,7 @@ class TestStepPd:
         state = make_state(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
                            origin_region)
         calls = count_line_searches(monkeypatch)
-        out = pd(state, saddle_quadratic)
+        out = step_pd(state, saddle_quadratic)
         assert isinstance(out, HitZero)
         assert calls["find_level_crossings"] >= 1
         assert calls["bracket"] == calls["find_level_crossings"]
@@ -120,12 +133,12 @@ class TestStepPd:
         state = make_state(camel, np.array([0.1, 0.05]), V[:, 0], -0.2,
                            origin_region)
         for _ in range(5):
-            out = pd(state, camel)
+            out = step_pd(state, camel)
             if not isinstance(out, ReducedSegment):
                 break
             assert out.g_new <= out.g_old + 2.0 * ROOT_TOL
             state = out.state
-            state.validate(camel)
+            oracles.validate_state(state, camel)
 
     def test_degenerate_segment_reports_collapse(self):
         # In three dimensions a level change can land on a point that is a
@@ -137,7 +150,7 @@ class TestStepPd:
         x = np.array([0.8, 0.5, 0.0])   # line max along v, gradient nonzero
         level = obj.value(x)
         state = segment(x, v, level, 0.0, 0.0, region)
-        out = pd(state, obj)
+        out = step_pd(state, obj)
         assert isinstance(out, HitZero)
         assert np.allclose(out.x_prime, x, atol=1e-9)
         # the follow-up level decrease makes strict progress
@@ -150,7 +163,7 @@ class TestStepPd:
         # direction can decrease it further.
         state = make_state(saddle_quadratic, np.array([0.0, 0.0]), E2, -0.5,
                            origin_region)
-        out = pd(state, saddle_quadratic)
+        out = step_pd(state, saddle_quadratic)
         assert isinstance(out, PdStalled)
         assert out.g == pytest.approx(2.0, abs=1e-9)
 
@@ -167,7 +180,7 @@ class TestStepPd:
             return LineSection(x, v, level, sec.t1, sec.t2)
 
         monkeypatch.setattr(subroutines, "find_level_crossings", same_diameter)
-        out = pd(quad_state, saddle_quadratic)
+        out = step_pd(quad_state, saddle_quadratic)
         assert isinstance(out, PdStalled)
         assert out.g == pytest.approx(sec.diam, abs=1e-12)
         min_step = CROSSING_XTOL_FRAC * quad_state.region.radius
@@ -195,7 +208,7 @@ class TestStepPd:
         monkeypatch.setattr(subroutines, "find_level_crossings", counted)
         before = obj.eval_counts()["hessian"]
         with pytest.raises(DegenerateDenominator, match="root tolerance"):
-            pd(state, obj)
+            step_pd(state, obj)
         assert calls == []
         assert obj.eval_counts()["hessian"] == before
 
@@ -210,7 +223,7 @@ class TestStepPd:
                             TrustRegion(0.5 * (a + b), 10.0))
         calls = count_line_searches(monkeypatch)
         with pytest.raises(DegenerateDenominator):
-            pd(state, obj)
+            step_pd(state, obj)
         assert calls["bracket"] == 0
 
     def test_composition_reaches_saddle_midpoint(self, saddle_quadratic,
@@ -220,7 +233,7 @@ class TestStepPd:
         for x1 in (0.7, -0.3, 1.2):
             state = make_state(saddle_quadratic, np.array([x1, 0.2]), E2, -0.5,
                                origin_region)
-            out = pd(state, saddle_quadratic)
+            out = step_pd(state, saddle_quadratic)
             assert isinstance(out, ReducedSegment)
             assert abs(out.state.section.midpoint[0]) <= 1e-10
             assert np.linalg.norm(out.state.midpoint) <= 1e-10
@@ -239,12 +252,30 @@ class TestStepAv:
                 state = step_av(state, saddle_quadratic)
             except AvStalled:
                 break
-            state.validate(saddle_quadratic)
+            oracles.validate_state(state, saddle_quadratic)
             gaps.append(state.gap)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         # optimal chord of {f = -0.5} is vertical of length 2
         assert abs(abs(state.section.v[1]) - 1.0) <= 1e-6
         assert state.gap == pytest.approx(2.0, abs=1e-6)
+
+    def test_keeps_the_gradient_of_the_fixed_endpoint(self, saddle_quadratic,
+                                                       origin_region):
+        # z' = -z has the same gradient norm, so z moves (ties go to z) and
+        # z', the new base point at t = 0, keeps its bits and its gradient.
+        z = np.array([0.5, np.sqrt(1.25)])
+        h = np.linalg.norm(z)
+        state = segment(np.zeros(2), z / h, -0.5, -h, h, origin_region)
+        obj, points = recording(saddle_quadratic)
+        new = step_av(state, obj)
+        assert new.section.t1 == 0.0
+        assert np.array_equal(new.section.zp, state.section.zp)
+        assert new.gz is None
+        assert np.array_equal(new.gzp, saddle_quadratic.gradient(new.section.zp))
+        before = len(points["gradient"])
+        new.endpoint_gradients(obj)
+        assert [p.tolist() for p in points["gradient"][before:]] == [
+            new.section.z.tolist()]
 
     def test_stalled_at_optimal_chord(self, saddle_quadratic, origin_region):
         state = segment(np.zeros(2), E2, -0.5, -1.0, 1.0, origin_region)
@@ -263,7 +294,7 @@ class TestStepAv:
                 state = step_av(state, camel)
             except AvStalled:
                 break
-            state.validate(camel)
+            oracles.validate_state(state, camel)
             gaps.append(state.gap)
         assert len(gaps) >= 5
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -376,7 +407,7 @@ class TestStepLUp:
         assert new.gap == pytest.approx(
             min(r for r in new_roots if r > 0)
             - max(r for r in new_roots if r < 0), abs=1e-6)
-        new.validate(camel)
+        oracles.validate_state(new, camel)
 
     def test_impossible_when_midpoint_not_above(self, saddle_quadratic,
                                                 origin_region):
@@ -394,20 +425,59 @@ class TestStepLUp:
         assert new.last_step == "LUp"
         assert new.gap == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(new.midpoint, [1.0, 0.0], atol=1e-9)
+        assert new.gz is None and new.gzp is None
+
+    def test_one_value_at_the_midpoint(self, camel, origin_region):
+        # The new level is f(m), evaluated once; t = 0 is then a crossing,
+        # and the endpoint on m keeps grad f(m), so asking the new state for
+        # its endpoint gradients evaluates only the far one.
+        w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))
+        state = make_state(camel, np.array([0.05, 0.02]), V[:, 0], -0.2,
+                           origin_region)
+        m = state.midpoint
+        obj, points = recording(camel)
+        new = step_l_up(state, obj)
+        assert new.section.level == camel.value(m)
+        assert calls_at(points["value"], m) == 1
+        assert calls_at(points["gradient"], m) == 1
+        sec = new.section
+        assert np.array_equal(sec.x, m) and 0.0 in (sec.t1, sec.t2)
+        on_m, far = (sec.zp, sec.z) if sec.t1 == 0.0 else (sec.z, sec.zp)
+        assert np.array_equal(on_m, m)
+        before = len(points["gradient"])
+        gz, gzp = new.endpoint_gradients(obj)
+        assert [p.tolist() for p in points["gradient"][before:]] == [far.tolist()]
+        assert np.array_equal(gz, camel.gradient(sec.z))
+        assert np.array_equal(gzp, camel.gradient(sec.zp))
+
+    def test_point_section_on_a_symmetric_well(self):
+        # The double well is symmetric about the plane through the midpoint
+        # of its minima's chord: along v, f(m) is the line max to within
+        # rounding and the far crossing lands within 2 xtol of m.
+        well = oracles.DoubleWell(5)
+        a, b = well.minima()
+        obj = Objective(5, well.value, well.gradient)
+        state = SolverState(chord_section(obj, a, b),
+                            TrustRegion(0.5 * (a + b), 10.0))
+        new = step_l_up(state, obj)
+        assert (new.section.t1, new.section.t2) == (0.0, 0.0)
+        assert np.array_equal(new.section.x, state.midpoint)
+        assert new.gz is new.gzp
+        assert np.array_equal(new.gz, obj.gradient(state.midpoint))
 
 
 class TestStateInvariants:
     def test_validate_accepts_consistent_state(self, quad_state,
                                                saddle_quadratic):
-        quad_state.validate(saddle_quadratic)
+        oracles.validate_state(quad_state, saddle_quadratic)
 
     def test_validate_rejects_level_mismatch(self, saddle_quadratic,
                                              origin_region):
         state = segment([1.0, 0.0], E2, -0.5, -1.0, 1.0, origin_region)
         with pytest.raises(ValueError, match="exceeds tolerance"):
-            state.validate(saddle_quadratic)
+            oracles.validate_state(state, saddle_quadratic)
 
     def test_validate_rejects_nonunit_v(self, saddle_quadratic, origin_region):
         state = segment([1.0, 0.0], [0.0, 2.0], 0.0, -0.5, 0.5, origin_region)
         with pytest.raises(ValueError, match="unit"):
-            state.validate(saddle_quadratic)
+            oracles.validate_state(state, saddle_quadratic)

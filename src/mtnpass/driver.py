@@ -10,8 +10,8 @@ a saddle only when Newton polishes their candidate to |grad f| <= gtol with
 Morse index one; otherwise the loop goes on.
 - small gradient observed: a gradient the solver evaluated has
   |grad f| <= gtol, at a point above the initial level;
-- Newton handoff: the endpoint gap is below _NEWTON_HANDOFF_GAP; the
-  candidate is the segment midpoint;
+- Newton handoff: the endpoint gap is positive and below
+  _NEWTON_HANDOFF_GAP; the candidate is the segment midpoint;
 - l-down critical candidate: grad f at the line max is parallel to v;
 - Breakdown: _MAX_CONSECUTIVE_FAILURES iterations in a row fail;
 - MaxIter: the iteration limit is reached.
@@ -188,14 +188,11 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         it = 0
         for it in range(config.max_iter):
             sec = state.section
-            # The state keeps them: a failed iteration leaves it unchanged.
-            gz, gzp = state.endpoint_gradients(obj)
-            state = replace(state, gz=gz, gzp=gzp)
             gap = state.gap
             trace.append(TraceRecord(
                 iteration=it, step=state.last_step, level=sec.level, gap=gap,
-                grad_norm_z=float(np.linalg.norm(gz)),
-                grad_norm_zp=float(np.linalg.norm(gzp)),
+                grad_norm_z=float(np.linalg.norm(obj.gradient(sec.z))),
+                grad_norm_zp=float(np.linalg.norm(obj.gradient(sec.zp))),
                 x=np.array(sec.midpoint, dtype=float)))
             logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, state.last_step,
                          sec.level, gap)
@@ -214,7 +211,9 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                 # candidate skipped or not an index-one saddle; keep going
                 best_x, best_norm = None, np.inf
 
-            # Newton handoff once the endpoints are close.
+            # Newton handoff once the endpoints are close. A point section
+            # (gap 0) is left out: Newton there pays one Hessian more than
+            # (PD) and l-down, whose next stop is an already small gradient.
             if 0.0 < gap < _NEWTON_HANDOFF_GAP:
                 report = polish(state.midpoint, it, "newton handoff")
                 if report is not None:

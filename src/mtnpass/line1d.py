@@ -154,23 +154,18 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
 
 
 def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
-                fb: float, da: Optional[float] = None,
-                dc: Optional[float] = None) -> float:
+                fb: float) -> float:
     """Polish a three-point max bracket a < b < c, with fb = phi(b), to phi' = 0.
 
     Brent's method on phi' once the derivative signs at a and c straddle;
-    until then golden-section shrinks on phi. phi' is evaluated once per
-    bracket end: da = phi'(a) and dc = phi'(c) may be handed in, and a known
-    value is kept while its end does not move. Polishes a min bracket when
-    given -phi, -phi', -fb and the negated derivatives. Returns the polished t.
+    until then golden-section shrinks on phi. Polishes a min bracket when
+    given -phi, -phi' and -fb. Returns the polished t.
     """
     invgold = 0.381966011250105  # 2 - golden ratio
     for _ in range(200):
-        if da is None:
-            da = dphi(a)
+        da = dphi(a)
         if da > 0.0:
-            if dc is None:
-                dc = dphi(c)
+            dc = dphi(c)
             if dc < 0.0:
                 return float(_brent(dphi, a, c, da, dc, _STATIONARY_XTOL,
                                     _ROOT_RTOL)[0])
@@ -179,16 +174,16 @@ def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
             u = b + invgold * (c - b)
             fu = phi(u)
             if fu > fb:
-                a, b, fb, da = b, u, fu, None
+                a, b, fb = b, u, fu
             else:
-                c, dc = u, None
+                c = u
         else:
             u = b - invgold * (b - a)
             fu = phi(u)
             if fu > fb:
-                c, b, fb, dc = b, u, fu, None
+                c, b, fb = b, u, fu
             else:
-                a, da = u, None
+                a = u
         if c - a < 1e-13 * max(1.0, abs(b)):
             break
     return float(b)
@@ -547,17 +542,16 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
                 return LineExtremum(t, phi(t))
             lo, d_lo = t_k, d_k
         return LineExtremum(b, fb)  # flat wiggle; best available point
-    d_a, d_prev = g0, dphi(b)
+    d_prev = dphi(b)
     for c, fc in probes:
         d_next = dphi(c)
         if fc > fb:
-            t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c,
-                            -fb, -d_a, -d_next)
+            t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c, -fb)
             return LineExtremum(t, phi(t))
         if d_prev < 0.0 < d_next:
             # Passed a minimum that did not show up in the values yet.
             t = float(_brent(dphi, b, c, d_prev, d_next, _STATIONARY_XTOL,
                              _ROOT_RTOL)[0])
             return LineExtremum(t, phi(t))
-        a, b, fb, d_a, d_prev = b, c, fc, d_prev, d_next
+        a, b, fb, d_prev = b, c, fc, d_next
     return LineExtremum(b, fb)

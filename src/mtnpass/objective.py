@@ -25,6 +25,8 @@ from .errors import EvaluationError
 # the (already noisy) gradient so it is coarser.
 FD_GRAD_STEP = 1e-6
 FD_HESS_STEP = 1e-4
+# Gradients remembered per thread by Objective.gradient, oldest dropped first.
+GRADIENT_MEMO_SIZE = 64
 
 
 def fd_gradient(value: Callable[[np.ndarray], float], x: np.ndarray,
@@ -66,12 +68,15 @@ class Objective:
         the Hessian is produced by central differences of the gradient.
     name : identifier used in reports.
 
-    Evaluations are pure in x; the call counters are updated under a lock so
-    an objective may be shared across threads. Every gradient that
-    :meth:`gradient` returns, including the probes of the finite-difference
-    Hessian, is also passed with its point to the observer installed by
-    :meth:`watch_gradients`. Observers are per thread: a watch installed in
-    one thread sees none of another thread's gradients.
+    The callables must be pure in x: :meth:`gradient` remembers the last
+    GRADIENT_MEMO_SIZE gradients it evaluated, keyed by the bits of x, and
+    answers a repeat from that memo with a copy, uncounted and unobserved.
+    The call counters are updated under a lock so an objective may be
+    shared across threads. Every gradient that :meth:`gradient` evaluates,
+    including the probes of the finite-difference Hessian, is also passed
+    with its point to the observer installed by :meth:`watch_gradients`.
+    Memos and observers are per thread: one thread neither hits another's
+    gradients nor sees them.
     """
 
     def __init__(self, n: int,
@@ -87,7 +92,7 @@ class Objective:
         self._gradient = gradient
         self._hessian = hessian
         self._lock = threading.Lock()
-        self._watch = threading.local()
+        self._per_thread = threading.local()
         self.n_value_evals = 0
         self.n_grad_evals = 0
         self.n_hess_evals = 0
@@ -107,8 +112,17 @@ class Objective:
             raise EvaluationError(f"{self.name}: non-finite value at x={x}")
         return v
 
+    def _memo(self) -> dict:
+        memo = getattr(self._per_thread, "memo", None)
+        if memo is None:
+            memo = self._per_thread.memo = {}
+        return memo
+
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)
+        memo, key = self._memo(), x.tobytes()
+        if key in memo:
+            return memo[key].copy()
         g = np.asarray(self._gradient(x), dtype=float)
         with self._lock:
             self.n_grad_evals += 1
@@ -116,7 +130,10 @@ class Objective:
             raise ValueError(f"{self.name}: gradient has shape {g.shape}, expected ({self.n},)")
         if not np.isfinite(g).all():
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x}")
-        observer = getattr(self._watch, "observer", None)
+        if len(memo) >= GRADIENT_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[key] = g.copy()
+        observer = getattr(self._per_thread, "observer", None)
         if observer is not None:
             observer(x, g)
         return g
@@ -126,16 +143,19 @@ class Objective:
                         ) -> Iterator[None]:
         """Pass each gradient evaluated in this thread to observer(x, g).
 
-        The observer stays installed for the body of the with block, and the
+        The thread's gradient memo is emptied on entry, so every gradient the
+        body asks for is evaluated, and observed, at least once. The
+        observer stays installed for the body of the with block, and the
         previous one (usually none) is restored on exit, also when the body
         raises. x may be the caller's own array: copy it to keep it.
         """
-        previous = getattr(self._watch, "observer", None)
-        self._watch.observer = observer
+        previous = getattr(self._per_thread, "observer", None)
+        self._memo().clear()
+        self._per_thread.observer = observer
         try:
             yield
         finally:
-            self._watch.observer = previous
+            self._per_thread.observer = previous
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)

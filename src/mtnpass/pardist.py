@@ -71,15 +71,15 @@ def _endpoint_denominator(grad_f: np.ndarray, v: np.ndarray, where: str,
 
 
 def derivatives_from_section(obj: Objective, section: LineSection,
-                             gz: np.ndarray, gzp: np.ndarray,
                              want_hessian: bool = False) -> ParallelDistanceEval:
     """g, g^2 and derivatives of g^2 on a non-empty section, from its endpoints.
 
-    gz and gzp are the gradients of f at section.z and section.zp, which the
-    caller evaluates (or already holds); only the Hessians, when wanted, are
-    evaluated here. Raises DegenerateDenominator as eval_pardist describes.
+    Evaluates grad f at section.z and section.zp and, when wanted, the two
+    endpoint Hessians, only after the denominators pass. Raises
+    DegenerateDenominator as eval_pardist describes.
     """
     v = section.v
+    gz, gzp = obj.gradient(section.z), obj.gradient(section.zp)
     grad_scale = max(float(np.linalg.norm(gz)), float(np.linalg.norm(gzp)))
     g = section.diam
     dz = _endpoint_denominator(gz, v, "z", grad_scale, g)
@@ -119,8 +119,7 @@ def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
     section = find_level_crossings(obj, x, v, level, region)
     if section.empty:
         return ParallelDistanceEval(section=section, g=0.0, g2=0.0)
-    return derivatives_from_section(obj, section, obj.gradient(section.z),
-                                    obj.gradient(section.zp), want_hessian)
+    return derivatives_from_section(obj, section, want_hessian)
 
 
 def _bracket_matrix(H: np.ndarray, v: np.ndarray

@@ -12,7 +12,7 @@ through the midpoint (l-up).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -36,18 +36,11 @@ MAX_PROJECTION_NEWTON = 50  # Newton steps pulling a point back onto the level
 
 @dataclass(frozen=True)
 class SolverState:
-    """The segment [z', z]: a non-empty section on {f = level}, and its region.
-
-    gz and gzp, when not None, are the gradients of f at z and z', already
-    evaluated at those bits by the move that made the state or by the
-    driver, so no one pays for them twice.
-    """
+    """The segment [z', z]: a non-empty section on {f = level}, and its region."""
 
     section: LineSection
     region: TrustRegion
     last_step: str = "Init"
-    gz: Optional[np.ndarray] = field(default=None, compare=False)
-    gzp: Optional[np.ndarray] = field(default=None, compare=False)
 
     @property
     def gap(self) -> float:
@@ -56,12 +49,6 @@ class SolverState:
     @property
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.section.z + self.section.zp)
-
-    def endpoint_gradients(self, obj: Objective) -> tuple:
-        """grad f at z and z', evaluated only where the state holds none."""
-        gz = obj.gradient(self.section.z) if self.gz is None else self.gz
-        gzp = obj.gradient(self.section.zp) if self.gzp is None else self.gzp
-        return gz, gzp
 
 
 @dataclass(frozen=True)
@@ -91,9 +78,7 @@ PdOutcome = Union[ReducedSegment, HitZero, PdStalled]
 def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     """One parallel-distance reduction step from the segment midpoint x.
 
-    Computes grad/hess of g^2 at x from the endpoint data, with the
-    gradients of f at z and z' that the state holds (evaluated where it
-    holds none), moves across v by a Newton step on the complement of v
+    Computes grad/hess of g^2 at x from the endpoint data, moves across v by a Newton step on the complement of v
     when the reduced Hessian is positive definite (steepest descent
     otherwise), and backtracks on g^2(x + t d) under the Armijo condition.
     A trial point whose section is empty wins immediately: the parallel
@@ -105,9 +90,7 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     section, region = state.section, state.region
     v, x = section.v, section.midpoint
     try:
-        pe = derivatives_from_section(obj, section,
-                                      *state.endpoint_gradients(obj),
-                                      want_hessian=True)
+        pe = derivatives_from_section(obj, section, want_hessian=True)
     except DegenerateDenominator:
         # A (nearly) collapsed segment puts the endpoints at the line max,
         # where v is tangent to the level set and |v'grad f| g <= ROOT_TOL.
@@ -184,13 +167,12 @@ def step_av(state: SolverState, obj: Objective) -> SolverState:
     the projection of the chord onto its tangent plane and re-projected onto
     {f = level}; the step is halved until the chord strictly shortens. The
     new section is based at the endpoint that did not move, with t = 0
-    there, so that endpoint keeps its bits and the new state keeps its
-    gradient. Raises AvStalled when the tangential component vanishes or no
+    there, so that endpoint keeps its bits. Raises AvStalled when the tangential component vanishes or no
     step helps.
     """
     level = state.section.level
     z, zp = state.section.z, state.section.zp
-    gz, gzp = state.endpoint_gradients(obj)
+    gz, gzp = obj.gradient(z), obj.gradient(zp)
     if np.linalg.norm(gz) >= np.linalg.norm(gzp):
         this, other, gthis, move_z = z, zp, gz, True
     else:
@@ -214,9 +196,7 @@ def step_av(state: SolverState, obj: Objective) -> SolverState:
                 t1, t2 = (0.0, gap_new) if move_z else (-gap_new, 0.0)
                 section = LineSection(other, (z_new - zp_new) / gap_new, level,
                                       t1, t2)
-                return replace(state, section=section, last_step="Av",
-                               gz=None if move_z else gz,
-                               gzp=gzp if move_z else None)
+                return replace(state, section=section, last_step="Av")
         t *= 0.5
     raise AvStalled("no tangential step reduced the chord length")
 
@@ -279,8 +259,7 @@ def step_l_up(state: SolverState, obj: Objective,
     level on the line through m, which may collapse to a single point. At
     the default level m lies on the level, so f(m) is evaluated once and
     only the far crossing is solved from grad f(m) (crossings_or_degenerate
-    with grad); the endpoint at m keeps that gradient in the new state. An
-    explicit level is solved cold. Raises LUpImpossible when the level does
+    with grad). An explicit level is solved cold. Raises LUpImpossible when the level does
     not lie above the current level.
     """
     sec, m = state.section, state.midpoint
@@ -292,6 +271,4 @@ def step_l_up(state: SolverState, obj: Objective,
                             f"level {sec.level:.6g}")
     grad = obj.gradient(m) if on_level else None
     section = crossings_or_degenerate(obj, m, sec.v, level, state.region, grad)
-    return replace(state, section=section, last_step="LUp",
-                   gz=grad if section.t2 == 0.0 else None,
-                   gzp=grad if section.t1 == 0.0 else None)
+    return replace(state, section=section, last_step="LUp")

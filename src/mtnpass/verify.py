@@ -387,9 +387,7 @@ def _probe_convexity(obj: Objective, center: np.ndarray, level: float,
                 if sec.diam <= 1e-6:
                     continue
                 try:
-                    pe = derivatives_from_section(
-                        obj, sec, obj.gradient(sec.z), obj.gradient(sec.zp),
-                        want_hessian=True)
+                    pe = derivatives_from_section(obj, sec, want_hessian=True)
                 except MtnpassError:
                     continue
                 red = B.T @ pe.hess_g2 @ B

@@ -261,8 +261,8 @@ class TestSolveDoubleWell:
         # reports the zero distance, and l-down descends from the line max
         # to the saddle. The counts pin that route: the two finite-difference
         # endpoint Hessians of the first (PD) would cost 4n = 20 gradients,
-        # and (PD) re-evaluating the endpoint gradients the driver already
-        # holds would cost 2 per iteration.
+        # and a gradient evaluated twice at one point (the driver's endpoint
+        # gradients in (PD), the line max in l-down) would add one each.
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         report = solve(Objective(5, well.value, well.gradient), a, b)
@@ -272,7 +272,7 @@ class TestSolveDoubleWell:
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert [r.step for r in report.trace] == ["Init", "LUp", "LDown"]
         assert report.trace[1].gap == 0.0
-        assert report.eval_counts == {"value": 90, "gradient": 38,
+        assert report.eval_counts == {"value": 90, "gradient": 32,
                                       "hessian": 1}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
@@ -310,6 +310,28 @@ class TestEndpointGradientReuse:
         assert report.status == "SaddleFound"
         assert len(inside) >= 1
         assert inside == [0] * len(inside)
+
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    def test_no_point_is_requested_twice(self, analytic):
+        # Objective.gradient answers a repeated point from its memo, so over
+        # every ordered pair of camel minima the user's gradient callable
+        # never sees the same point twice in one solve.
+        points = [np.array(m[:2]) for m in oracles.CAMEL_MINIMA]
+        for i, a in enumerate(points):
+            for j, b in enumerate(points):
+                if i == j:
+                    continue
+                seen = []
+
+                def gradient(x):
+                    seen.append(x.tobytes())
+                    return oracles.camel_gradient(x)
+
+                obj = Objective(2, oracles.camel_value, gradient,
+                                oracles.camel_hessian if analytic else None)
+                solve(obj, a, b)
+                assert len(seen) == len(set(seen)), (i, j)
 
 
 class TestCertificateReuse:

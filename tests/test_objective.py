@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from mtnpass.errors import EvaluationError
-from mtnpass.objective import (Objective, TrustRegion, builtin, fd_hessian,
-                               six_hump_camel, tightness2d)
+from mtnpass.objective import (GRADIENT_MEMO_SIZE, Objective, TrustRegion,
+                               builtin, fd_hessian, six_hump_camel, tightness2d)
 from mtnpass.quadmodel import QuadraticObjective, quadratic_from_json
 
 
@@ -144,6 +144,95 @@ class TestGradientWatch:
             worker.join()
         assert seen == []
         assert camel.n_grad_evals == 1
+
+
+def counting_camel():
+    """A camel objective without Hessian and the points its gradient callable saw."""
+    calls = []
+
+    def gradient(x):
+        calls.append(np.array(x))
+        return oracles.camel_gradient(x)
+
+    return Objective(2, oracles.camel_value, gradient), calls
+
+
+class TestGradientMemo:
+    def test_repeat_is_one_evaluation_and_one_observation(self):
+        obj, calls = counting_camel()
+        seen = []
+        x = np.array([0.3, -0.2])
+        others = [np.array([0.01 * k, 0.5]) for k in range(GRADIENT_MEMO_SIZE)]
+        with obj.watch_gradients(lambda p, g: seen.append(p.copy())):
+            g = obj.gradient(x)
+            for p in others[:-1]:
+                obj.gradient(p)
+            assert np.array_equal(obj.gradient(x), g)
+            assert obj.n_grad_evals == len(calls) == len(seen) == GRADIENT_MEMO_SIZE
+            # One more new point pushes x out of the memo.
+            obj.gradient(others[-1])
+            assert np.array_equal(obj.gradient(x), g)
+        assert obj.n_grad_evals == len(calls) == len(seen) == GRADIENT_MEMO_SIZE + 2
+        assert sum(np.array_equal(p, x) for p in seen) == 2
+
+    def test_memo_is_per_thread(self):
+        obj, calls = counting_camel()
+        x = np.array([0.3, -0.2])
+        obj.gradient(x)
+        worker = threading.Thread(target=obj.gradient, args=(x,))
+        worker.start()
+        worker.join()
+        obj.gradient(x)
+        assert obj.n_grad_evals == len(calls) == 2
+
+    def test_watch_starts_with_an_empty_memo(self):
+        obj, calls = counting_camel()
+        seen = []
+        x = np.array([0.3, -0.2])
+        obj.gradient(x)
+        with obj.watch_gradients(lambda p, g: seen.append(p.copy())):
+            obj.gradient(x)
+            obj.gradient(x)
+        assert obj.n_grad_evals == len(calls) == 2
+        assert len(seen) == 1 and np.array_equal(seen[0], x)
+
+    def test_returned_array_is_the_callers_own(self):
+        obj, _ = counting_camel()
+        x = np.array([0.3, -0.2])
+        want = oracles.camel_gradient(x)
+        obj.gradient(x)[:] = 99.0
+        hit = obj.gradient(x)
+        assert np.array_equal(hit, want)
+        hit[:] = 7.0
+        assert np.array_equal(obj.gradient(x), want)
+        assert obj.n_grad_evals == 1
+
+    def test_reused_output_buffer(self):
+        # The memo keeps its own copy, so a callable that writes every
+        # gradient into one buffer does not change a remembered one.
+        buf = np.empty(2)
+
+        def gradient(x):
+            buf[:] = oracles.camel_gradient(x)
+            return buf
+
+        obj = Objective(2, oracles.camel_value, gradient)
+        x, y = np.array([0.3, -0.2]), np.array([-1.0, 0.4])
+        obj.gradient(x)
+        obj.gradient(y)
+        assert np.array_equal(obj.gradient(x), oracles.camel_gradient(x))
+        assert np.array_equal(obj.gradient(y), oracles.camel_gradient(y))
+        assert obj.n_grad_evals == 2
+
+    def test_fd_hessian_probes_are_counted_and_observed(self):
+        obj, calls = counting_camel()
+        seen = []
+        with obj.watch_gradients(lambda p, g: seen.append(p.copy())):
+            obj.gradient(np.array([0.1, 0.2]))
+            obj.hessian(np.array([0.1, 0.2]))
+        # The probes x +- h e_j are four new points; x itself is no probe.
+        assert obj.eval_counts() == {"value": 0, "gradient": 5, "hessian": 1}
+        assert len(calls) == len(seen) == 5
 
 
 class TestErrors:

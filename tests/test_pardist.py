@@ -84,23 +84,22 @@ class TestEvalPardist:
         sec = chord_section(camel, np.array(oracles.CAMEL_MINIMA[0][:2]), b)
         assert np.allclose(sec.zp, b, atol=1e-12)
         with pytest.raises(DegenerateDenominator, match="critical point"):
-            derivatives_from_section(camel, sec, camel.gradient(sec.z),
-                                     camel.gradient(sec.zp))
+            derivatives_from_section(camel, sec)
 
     def test_equal_minima_raise_before_hessians(self):
         # Both endpoints of the chord section between the equal minima of a
         # double well are critical: |v'grad f| g is rounding noise there,
         # far below the root tolerance, yet neither endpoint gradient is
-        # small against the other. Nothing is evaluated before the error:
-        # the caller holds the endpoint gradients, and no Hessian is paid.
+        # small against the other. Only the two endpoint gradients are
+        # evaluated before the error, and no Hessian is paid.
         well = oracles.DoubleWell(5)
         obj = Objective(5, well.value, well.gradient, well.hessian)
         sec = chord_section(obj, *well.minima())
-        gz, gzp = obj.gradient(sec.z), obj.gradient(sec.zp)
         before = obj.eval_counts()
         with pytest.raises(DegenerateDenominator, match="root tolerance"):
-            derivatives_from_section(obj, sec, gz, gzp, want_hessian=True)
-        assert obj.eval_counts() == before
+            derivatives_from_section(obj, sec, want_hessian=True)
+        assert obj.eval_counts() == {**before,
+                                     "gradient": before["gradient"] + 2}
 
     def test_narrow_section_keeps_derivatives(self, saddle_quadratic,
                                               origin_region):

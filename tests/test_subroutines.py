@@ -262,7 +262,8 @@ class TestStepAv:
     def test_keeps_the_gradient_of_the_fixed_endpoint(self, saddle_quadratic,
                                                        origin_region):
         # z' = -z has the same gradient norm, so z moves (ties go to z) and
-        # z', the new base point at t = 0, keeps its bits and its gradient.
+        # z', the new base point at t = 0, keeps its bits, so its gradient
+        # is not evaluated again: of the new endpoints only z is.
         z = np.array([0.5, np.sqrt(1.25)])
         h = np.linalg.norm(z)
         state = segment(np.zeros(2), z / h, -0.5, -h, h, origin_region)
@@ -270,12 +271,12 @@ class TestStepAv:
         new = step_av(state, obj)
         assert new.section.t1 == 0.0
         assert np.array_equal(new.section.zp, state.section.zp)
-        assert new.gz is None
-        assert np.array_equal(new.gzp, saddle_quadratic.gradient(new.section.zp))
         before = len(points["gradient"])
-        new.endpoint_gradients(obj)
+        obj.gradient(new.section.z)
+        obj.gradient(new.section.zp)
         assert [p.tolist() for p in points["gradient"][before:]] == [
             new.section.z.tolist()]
+        assert calls_at(points["gradient"], new.section.zp) == 1
 
     def test_stalled_at_optimal_chord(self, saddle_quadratic, origin_region):
         state = segment(np.zeros(2), E2, -0.5, -1.0, 1.0, origin_region)
@@ -418,19 +419,22 @@ class TestStepLUp:
     def test_raises_to_the_given_level(self, saddle_quadratic, origin_region):
         # The caller picks the level: here 0, below f(midpoint) = 0.5. On
         # f = 0.5 (x1^2 - x2^2) the section through (1, 0) is x2 in [-1, 1].
+        # The midpoint is not on that level, so the section is solved cold
+        # and no gradient is paid there.
         s3 = np.sqrt(3.0)
         state = segment([1.0, 0.0], E2, -1.0, -s3, s3, origin_region)
-        new = step_l_up(state, saddle_quadratic, 0.0)
+        obj, points = recording(saddle_quadratic)
+        new = step_l_up(state, obj, 0.0)
         assert new.section.level == 0.0
         assert new.last_step == "LUp"
         assert new.gap == pytest.approx(2.0, abs=1e-9)
         assert np.allclose(new.midpoint, [1.0, 0.0], atol=1e-9)
-        assert new.gz is None and new.gzp is None
+        assert calls_at(points["gradient"], state.midpoint) == 0
 
     def test_one_value_at_the_midpoint(self, camel, origin_region):
         # The new level is f(m), evaluated once; t = 0 is then a crossing,
-        # and the endpoint on m keeps grad f(m), so asking the new state for
-        # its endpoint gradients evaluates only the far one.
+        # and the endpoint on m keeps the bits of m, so asking for the new
+        # endpoint gradients evaluates grad f(m) no second time.
         w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))
         state = make_state(camel, np.array([0.05, 0.02]), V[:, 0], -0.2,
                            origin_region)
@@ -444,16 +448,16 @@ class TestStepLUp:
         assert np.array_equal(sec.x, m) and 0.0 in (sec.t1, sec.t2)
         on_m, far = (sec.zp, sec.z) if sec.t1 == 0.0 else (sec.z, sec.zp)
         assert np.array_equal(on_m, m)
-        before = len(points["gradient"])
-        gz, gzp = new.endpoint_gradients(obj)
-        assert [p.tolist() for p in points["gradient"][before:]] == [far.tolist()]
-        assert np.array_equal(gz, camel.gradient(sec.z))
-        assert np.array_equal(gzp, camel.gradient(sec.zp))
+        assert np.array_equal(obj.gradient(sec.z), camel.gradient(sec.z))
+        assert np.array_equal(obj.gradient(sec.zp), camel.gradient(sec.zp))
+        assert calls_at(points["gradient"], m) == 1
+        assert calls_at(points["gradient"], far) == 1
 
     def test_point_section_on_a_symmetric_well(self):
         # The double well is symmetric about the plane through the midpoint
         # of its minima's chord: along v, f(m) is the line max to within
-        # rounding and the far crossing lands within 2 xtol of m.
+        # rounding and the far crossing lands within 2 xtol of m. Both
+        # endpoints are m itself, whose gradient l-up already evaluated.
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         obj = Objective(5, well.value, well.gradient)
@@ -462,8 +466,12 @@ class TestStepLUp:
         new = step_l_up(state, obj)
         assert (new.section.t1, new.section.t2) == (0.0, 0.0)
         assert np.array_equal(new.section.x, state.midpoint)
-        assert new.gz is new.gzp
-        assert np.array_equal(new.gz, obj.gradient(state.midpoint))
+        before = obj.eval_counts()
+        assert np.array_equal(obj.gradient(new.section.z),
+                              well.gradient(state.midpoint))
+        assert np.array_equal(obj.gradient(new.section.zp),
+                              well.gradient(state.midpoint))
+        assert obj.eval_counts() == before
 
 
 class TestStateInvariants:

@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,13 +27,11 @@ from .driver import SolveConfig, solve
 from .errors import MtnpassError
 from .objective import Objective, builtin
 from .quadmodel import quadratic_from_json
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 1
 EXIT_USAGE = 2
-
-SUITES = ("grad-formulas", "hessian-stability", "convexity", "quadratic-oracle")
 
 _SOLVE_CONFIG_KEYS = {"function", "model", "a", "b", "gtol", "max_iter",
                       "radius", "seed", "out", "grid"}
@@ -66,6 +65,11 @@ def _as_int(value) -> int:
                                    and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+# SolveConfig's fields, each with the conversion its flag or config value takes.
+_SETTINGS = {"gtol": float, "max_iter": _as_int, "radius": float,
+             "seed": _as_int}
 
 
 def _config_point(spec, name: str) -> np.ndarray:
@@ -139,13 +143,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if a.shape != (obj.n,) or b.shape != (obj.n,):
         raise UsageError(f"endpoints must have dimension {obj.n}")
 
+    # A setting that no flag and no config key gives keeps SolveConfig's
+    # default. A config key set to null is given, and fails its conversion.
+    given = {key: pick(getattr(args, key), key) for key in _SETTINGS
+             if getattr(args, key) is not None or key in cfg}
     try:
-        config = SolveConfig(
-            gtol=float(pick(args.gtol, "gtol", 1e-8)),
-            max_iter=_as_int(pick(args.max_iter, "max_iter", 500)),
-            radius=float(pick(args.radius, "radius", 10.0)),
-            seed=_as_int(pick(args.seed, "seed", 0)),
-        )
+        config = SolveConfig(**{key: _SETTINGS[key](value)
+                                for key, value in given.items()})
     except (TypeError, ValueError) as err:
         raise UsageError(f"bad solver configuration: {err}")
 
@@ -162,9 +166,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "function": function or "quadratic",
         "a": [float(c) for c in a],
         "b": [float(c) for c in b],
-        "gtol": config.gtol,
-        "max_iter": config.max_iter, "radius": config.radius,
-        "seed": config.seed,
+        **asdict(config),
     }
     trace_records = [r.to_dict() for r in report.trace]
     _write_json(out_dir / "report.json",
@@ -285,11 +287,14 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--model", help="JSON file with H, g, c for a quadratic")
     ps.add_argument("--a", help="first endpoint, comma-separated reals")
     ps.add_argument("--b", help="second endpoint, comma-separated reals")
-    ps.add_argument("--gtol", type=float, help="gradient tolerance (default 1e-8)")
+    ps.add_argument("--gtol", type=float,
+                    help=f"gradient tolerance (default {SolveConfig.gtol})")
     ps.add_argument("--max-iter", dest="max_iter", type=int,
-                    help="iteration limit (default 500)")
-    ps.add_argument("--radius", type=float, help="trust-region radius (default 10)")
-    ps.add_argument("--seed", type=int, help="seed recorded in reports (default 0)")
+                    help=f"iteration limit (default {SolveConfig.max_iter})")
+    ps.add_argument("--radius", type=float,
+                    help=f"trust-region radius (default {SolveConfig.radius})")
+    ps.add_argument("--seed", type=int,
+                    help=f"seed recorded in reports (default {SolveConfig.seed})")
     ps.add_argument("--out", help="output directory (default .)")
     ps.set_defaults(func=cmd_solve)
 

@@ -31,8 +31,8 @@ from .errors import (AvStalled, BadEndpoints, CriticalCandidate,
 from .line1d import ROOT_TOL, chord_section
 from .objective import Objective, TrustRegion
 from .quadmodel import morse_index, newton_refine
-from .subroutines import (HitZero, PdStalled, ReducedSegment, SolverState,
-                          step_av, step_l_down, step_l_up, step_pd)
+from .subroutines import (HitZero, PdStalled, SolverState, step_av,
+                          step_l_down, step_l_up, step_pd)
 
 logger = logging.getLogger(__name__)
 
@@ -139,10 +139,13 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
     records one entry per iteration. The solve is deterministic: identical
     inputs produce identical traces. While it runs, the solve watches every
     gradient obj evaluates in the calling thread (Objective.watch_gradients)
-    for a small norm.
+    for a small norm. The report's eval_counts are those made during this
+    call; threads that share obj also share its counters, so a solve running
+    beside another on the same objective counts the other's evaluations too.
     """
     if config is None:
         config = SolveConfig()
+    counts0 = obj.eval_counts()
     trace: list[TraceRecord] = []
     # The point of the smallest gradient seen since the small-gradient stop
     # last looked.
@@ -162,14 +165,15 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                message: str) -> SolveReport:
         """The report for x, certified by gn = |grad f(x)| and Morse index idx."""
         x = np.asarray(x, dtype=float)
-        return SolveReport(status=status, x=x, f=obj.value(x), grad_norm=gn,
+        f = obj.value(x)
+        counts = {k: n - counts0[k] for k, n in obj.eval_counts().items()}
+        return SolveReport(status=status, x=x, f=f, grad_norm=gn,
                            morse_index=idx, iterations=iterations,
-                           eval_counts=obj.eval_counts(), trace=trace,
-                           message=message)
+                           eval_counts=counts, trace=trace, message=message)
 
     def polish(x0: np.ndarray, iterations: int, origin: str) -> Optional[SolveReport]:
         try:
-            nr = newton_refine(obj, x0, region, gtol=config.gtol, max_iter=40)
+            nr = newton_refine(obj, x0, region, config.gtol)
         except NewtonBreakdown:
             return None
         if nr.converged and nr.morse_index == 1 and region.contains(nr.x):
@@ -243,10 +247,10 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                 except (CrossingOutsideRegion, NoLineMax) as err:
                     failed = f"l-down failed: {err}"
                     state = replace(state, last_step="LDown")
-            elif (isinstance(outcome, ReducedSegment)
-                  and outcome.g_new <= (1.0 - _ETA) * outcome.g_old):
+            elif (isinstance(outcome, SolverState)
+                  and outcome.section.diam <= (1.0 - _ETA) * sec.diam):
                 # Case 1a: real progress; re-align the chord.
-                state = outcome.state
+                state = outcome
                 try:
                     state = step_av(state, obj)
                 except AvStalled:
@@ -254,8 +258,8 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             else:
                 # Case 1b, little progress at this level, or (PD) stalled or
                 # raised: raise the level, which sometimes repairs the state.
-                if isinstance(outcome, ReducedSegment):
-                    state = outcome.state
+                if isinstance(outcome, SolverState):
+                    state = outcome
                 else:
                     if isinstance(outcome, PdStalled):
                         failed = "parallel-distance reduction stalled"

@@ -59,6 +59,6 @@ class CriticalCandidate(MtnpassError):
     Carries the candidate point so the caller can hand it to Newton refinement.
     """
 
-    def __init__(self, x: np.ndarray, message: str = "gradient parallel to v"):
-        super().__init__(message)
+    def __init__(self, x: np.ndarray):
+        super().__init__("gradient parallel to v")
         self.x = np.asarray(x, dtype=float)

@@ -101,7 +101,7 @@ def _line_funcs(obj: Objective, x: np.ndarray, v: np.ndarray):
 
 
 def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
-           xtol: float, rtol: float) -> tuple[float, float]:
+           xtol: float) -> tuple[float, float]:
     """Root of fn in the bracket [a, b] by Brent's zeroin method.
 
     fa = fn(a) and fb = fn(b) must have opposite signs (or one be zero); fn is
@@ -109,7 +109,7 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
     while they shrink the bracket fast enough, bisection steps otherwise
     (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
     Returns the best point t and fn(t) once the bracket around t is narrower
-    than xtol + rtol*|t|; xtol must be positive.
+    than xtol + _ROOT_RTOL*|t|; xtol must be positive.
     """
     if fa == 0.0:
         return a, fa
@@ -125,7 +125,7 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (xtol + rtol * abs(xcur))
+        delta = 0.5 * (xtol + _ROOT_RTOL * abs(xcur))
         sbis = 0.5 * (xblk - xcur)
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, fcur
@@ -167,8 +167,7 @@ def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
         if da > 0.0:
             dc = dphi(c)
             if dc < 0.0:
-                return float(_brent(dphi, a, c, da, dc, _STATIONARY_XTOL,
-                                    _ROOT_RTOL)[0])
+                return float(_brent(dphi, a, c, da, dc, _STATIONARY_XTOL)[0])
         # Shrink by golden section until the derivative signs straddle.
         if c - b > b - a:
             u = b + invgold * (c - b)
@@ -262,8 +261,7 @@ def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
     step reuses the residual Brent's method ends with and is kept only when
     it moves the Brent root by at most 2*xtol.
     """
-    t, r = _brent(lambda s: phi(s) - level, t_in, t_out, r_in, r_out, xtol,
-                  _ROOT_RTOL)
+    t, r = _brent(lambda s: phi(s) - level, t_in, t_out, r_in, r_out, xtol)
     return _newton_polish(dphi, t, r, xtol)
 
 
@@ -303,7 +301,7 @@ def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
         d_next = dphi(t_next) * sgn
         if d_prev < 0.0 < d_next:
             t_dip, _ = _brent(lambda t: dphi(t) * sgn, t_prev, t_next, d_prev,
-                              d_next, _STATIONARY_XTOL, _ROOT_RTOL)
+                              d_next, _STATIONARY_XTOL)
             f_dip = phi(t_dip)
             if f_dip <= level:
                 if f_dip >= level - ROOT_TOL:
@@ -438,7 +436,7 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
     if first and first[0][1] <= level:
         t, f = first[0]
         t, r = _brent(lambda s: (phi(s) - level) / s, 0.0, t, d0,
-                      (f - level) / t, xtol, _ROOT_RTOL)
+                      (f - level) / t, xtol)
         t_far = _newton_polish(dphi, t, r * t, xtol)
     else:
         t_far = _cross_outward(phi, dphi, chain(first, probes), 0.0, level,
@@ -464,8 +462,7 @@ def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float) -> f
     for t, f in scan:
         r = f - level
         if r <= 0.0:
-            return _brent(lambda s: phi(s) - level, t_in, t, r_in, r, xtol,
-                          _ROOT_RTOL)[0]
+            return _brent(lambda s: phi(s) - level, t_in, t, r_in, r, xtol)[0]
         if r <= ROOT_TOL:
             return t
         t_in, r_in = t, r
@@ -537,8 +534,7 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
             t_k = k * b / 16.0
             d_k = dphi(t_k)
             if d_k > 0.0:
-                t = float(_brent(dphi, lo, t_k, d_lo, d_k, _STATIONARY_XTOL,
-                                 _ROOT_RTOL)[0])
+                t = float(_brent(dphi, lo, t_k, d_lo, d_k, _STATIONARY_XTOL)[0])
                 return LineExtremum(t, phi(t))
             lo, d_lo = t_k, d_k
         return LineExtremum(b, fb)  # flat wiggle; best available point
@@ -550,8 +546,7 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
             return LineExtremum(t, phi(t))
         if d_prev < 0.0 < d_next:
             # Passed a minimum that did not show up in the values yet.
-            t = float(_brent(dphi, b, c, d_prev, d_next, _STATIONARY_XTOL,
-                             _ROOT_RTOL)[0])
+            t = float(_brent(dphi, b, c, d_prev, d_next, _STATIONARY_XTOL)[0])
             return LineExtremum(t, phi(t))
         a, b, fb, d_prev = b, c, fc, d_next
     return LineExtremum(b, fb)

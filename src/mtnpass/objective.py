@@ -20,33 +20,21 @@ import numpy as np
 
 from .errors import EvaluationError
 
-# Central-difference steps, scaled by max(1, |x|_inf). The gradient step
-# balances truncation against roundoff of f; the Hessian step differentiates
-# the (already noisy) gradient so it is coarser.
-FD_GRAD_STEP = 1e-6
+# Central-difference step of the finite-difference Hessian, scaled by
+# max(1, |x|_inf). It differentiates the (already noisy) gradient, so it is
+# coarser than a step on f would be.
 FD_HESS_STEP = 1e-4
 # Gradients remembered per thread by Objective.gradient, oldest dropped first.
 GRADIENT_MEMO_SIZE = 64
+# Relative slack of TrustRegion.contains on the radius.
+REGION_SLACK = 1e-12
 
 
-def fd_gradient(value: Callable[[np.ndarray], float], x: np.ndarray,
-                step: float = FD_GRAD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    h = step * max(1.0, float(np.max(np.abs(x))))
-    g = np.empty_like(x)
-    for j in range(x.size):
-        e = np.zeros_like(x)
-        e[j] = h
-        g[j] = (value(x + e) - value(x - e)) / (2.0 * h)
-    return g
-
-
-def fd_hessian(gradient: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-               step: float = FD_HESS_STEP) -> np.ndarray:
+def fd_hessian(gradient: Callable[[np.ndarray], np.ndarray],
+               x: np.ndarray) -> np.ndarray:
     """Central finite-difference Hessian from a gradient, symmetrized."""
     x = np.asarray(x, dtype=float)
-    h = step * max(1.0, float(np.max(np.abs(x))))
+    h = FD_HESS_STEP * max(1.0, float(np.max(np.abs(x))))
     n = x.size
     H = np.empty((n, n))
     for j in range(n):
@@ -184,16 +172,17 @@ class TrustRegion:
     """Euclidean ball realizing the convex neighborhood all searches stay in."""
 
     center: np.ndarray
-    radius: float = 10.0
+    radius: float
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
-    def contains(self, x: np.ndarray, slack: float = 1e-12) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """x lies in the ball, its radius widened by REGION_SLACK."""
         return float(np.linalg.norm(np.asarray(x, dtype=float) - self.center)) \
-            <= self.radius * (1.0 + slack)
+            <= self.radius * (1.0 + REGION_SLACK)
 
     def line_interval(self, x: np.ndarray, v: np.ndarray) -> tuple[float, float]:
         """Parameter range [t_lo, t_hi] of the chord {x + t v} inside the ball.

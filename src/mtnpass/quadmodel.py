@@ -20,6 +20,7 @@ from .objective import Objective, TrustRegion
 
 _MORSE_ZERO_TOL = 1e-12   # eigenvalue zero threshold, relative to ||H||
 _COND_LIMIT = 1e12
+NEWTON_MAX_ITER = 40   # steps newton_refine takes before it gives up
 SPECTRUM_RANGE = (0.5, 3.0)   # |eigenvalues| of generate_morse1's models
 
 
@@ -161,10 +162,10 @@ class NewtonResult:
 
 
 def newton_refine(obj: Objective, x0: np.ndarray, region: TrustRegion,
-                  gtol: float = 1e-12, max_iter: int = 50) -> NewtonResult:
+                  gtol: float) -> NewtonResult:
     """Newton iteration on grad f = 0 with steps clipped to the trust region.
 
-    Stops when |grad f| <= gtol or after max_iter steps. The result reports
+    Stops when |grad f| <= gtol or after NEWTON_MAX_ITER steps. The result reports
     the Morse index of the Hessian at the final point so callers can reject
     limits that are not index-one saddles. Raises NewtonBreakdown on a
     singular or badly conditioned Hessian (1-norm condition above 1e12).
@@ -172,7 +173,7 @@ def newton_refine(obj: Objective, x0: np.ndarray, region: TrustRegion,
     x = np.asarray(x0, dtype=float).copy()
     grad = obj.gradient(x)
     gn = float(np.linalg.norm(grad))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if gn <= gtol:
             break
         H = obj.hessian(x)

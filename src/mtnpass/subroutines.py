@@ -52,14 +52,6 @@ class SolverState:
 
 
 @dataclass(frozen=True)
-class ReducedSegment:
-    """(PD) produced a shorter positive segment."""
-    state: SolverState
-    g_old: float
-    g_new: float
-
-
-@dataclass(frozen=True)
 class HitZero:
     """(PD) drove the parallel distance to zero; x_prime is the line-local max."""
     x_prime: np.ndarray
@@ -69,10 +61,9 @@ class HitZero:
 @dataclass(frozen=True)
 class PdStalled:
     """No backtracking step achieved the Armijo decrease."""
-    g: float
 
 
-PdOutcome = Union[ReducedSegment, HitZero, PdStalled]
+PdOutcome = Union[SolverState, HitZero, PdStalled]
 
 
 def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
@@ -85,7 +76,8 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     distance has hit zero at the line max the empty section carries.
     Backtracking stops with PdStalled once the trial step t*|d| is shorter
     than the crossing tolerance the section endpoints are solved to: below
-    it a change in g^2 is crossing error, not a decrease.
+    it a change in g^2 is crossing error, not a decrease. Otherwise the
+    result is the state of the first trial section that passes the test.
     """
     section, region = state.section, state.region
     v, x = section.v, section.midpoint
@@ -116,12 +108,10 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     evals, _ = quadmodel.decompose(H_red)
     newton = evals[-1] > NEWTON_MIN_EIG
     d = -B @ (np.linalg.solve(H_red, grad_red) if newton else grad_red)
-    dn = float(np.linalg.norm(d))
-    if dn == 0.0:
-        return PdStalled(pe.g)
     slope = float(pe.grad_g2 @ d)
     if slope >= 0.0:
-        return PdStalled(pe.g)
+        return PdStalled()
+    dn = float(np.linalg.norm(d))
 
     # A steepest-descent trial starts no farther out than the region radius.
     t = 1.0 if newton else min(1.0, region.radius / dn)
@@ -139,10 +129,9 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
                     return HitZero(xt + lm.t * v, lm.value)
                 g2_t = sec.diam ** 2
                 if g2_t <= g2_0 + ARMIJO_C1 * t * slope:
-                    return ReducedSegment(SolverState(sec, region, "PD"),
-                                          g_old=pe.g, g_new=sec.diam)
+                    return SolverState(sec, region, "PD")
         t *= BACKTRACK_RATIO
-    return PdStalled(pe.g)
+    return PdStalled()
 
 
 def _project_to_level(obj: Objective, p: np.ndarray, level: float):

@@ -16,13 +16,13 @@ import numpy as np
 
 from .errors import CrossingOutsideRegion, MtnpassError, NoLineMax
 from .line1d import LineSection, find_level_crossings
-from .objective import (Objective, TrustRegion, fd_gradient, six_hump_camel,
-                        tightness2d)
+from .objective import Objective, TrustRegion, six_hump_camel, tightness2d
 from .pardist import (closed_form_g2_quadratic, closed_form_hess_g2,
                       derivatives_from_section, eval_pardist)
 from .quadmodel import (QuadraticObjective, complement_basis, decompose,
                         generate_morse1, negative_count, saddle_of)
 
+SUITES = ("grad-formulas", "hessian-stability", "convexity", "quadratic-oracle")
 ADMISSIBLE_MIN_G = 0.1
 ADMISSIBLE_MIN_DENOM = 0.1
 # Finite-difference steps of the root-finding g^2, scaled by max(1, |x|_inf),
@@ -59,6 +59,18 @@ def _section_or_none(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
         return find_level_crossings(obj, x, v, level, region, near)
     except (CrossingOutsideRegion, NoLineMax):
         return None
+
+
+def fd_gradient(g2, x: np.ndarray) -> np.ndarray:
+    """Central differences of a scalar function g2 at step FD_G2_GRAD_STEP."""
+    x = np.asarray(x, dtype=float)
+    h = FD_G2_GRAD_STEP * max(1.0, float(np.max(np.abs(x))))
+    g = np.empty_like(x)
+    for j in range(x.size):
+        e = np.zeros_like(x)
+        e[j] = h
+        g[j] = (g2(x + e) - g2(x - e)) / (2.0 * h)
+    return g
 
 
 def fd_hess_g2(g2, x: np.ndarray, g2_x: float) -> np.ndarray:
@@ -110,7 +122,7 @@ def _admissible(pe) -> bool:
 
 
 def quadratic_sample_cases(n_cases: int = 50, seed: int = 0) -> list[dict]:
-    """Admissible (objective, x, v, level, region) samples on random models."""
+    """Admissible (objective, section, region) samples on random models."""
     rng = np.random.default_rng(seed)
     cases = []
     k = 0
@@ -132,8 +144,8 @@ def quadratic_sample_cases(n_cases: int = 50, seed: int = 0) -> list[dict]:
             continue
         if pe.section.empty or not _admissible(pe):
             continue
-        cases.append({"obj": model, "x": x, "v": v, "level": level,
-                      "region": region, "label": f"quadratic-{k}"})
+        cases.append({"obj": model, "section": pe.section, "region": region,
+                      "label": f"quadratic-{k}"})
     return cases
 
 
@@ -158,40 +170,41 @@ def camel_sample_cases(n_cases: int = 20, seed: int = 0) -> list[dict]:
             continue
         if pe.section.empty or not _admissible(pe):
             continue
-        cases.append({"obj": camel, "x": x, "v": v, "level": level,
-                      "region": region, "label": f"camel-{k}"})
+        cases.append({"obj": camel, "section": pe.section, "region": region,
+                      "label": f"camel-{k}"})
     return cases
 
 
 def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
     """Compare the endpoint-formula grad/hess of g^2 with finite differences.
 
+    The formulas are evaluated on each case's section, at its base point x.
     Every finite-difference probe of g^2 continues its section from the
     case's own section (find_level_crossings with near). Relative errors are
-    guarded: |diff| / (1 + |analytic|). Samples where the denominators
-    degenerate or a finite-difference probe escapes the region are counted
-    as skipped, not failed.
+    guarded: |diff| / (1 + |analytic|). Empty sections, samples where the
+    denominators degenerate or are not admissible, and samples where a
+    finite-difference probe escapes the region are counted as skipped, not
+    failed.
     """
     report = GradFormulaReport()
     for case in cases:
-        obj, x, v = case["obj"], case["x"], case["v"]
-        level, region = case["level"], case["region"]
+        obj, sec, region = case["obj"], case["section"], case["region"]
         try:
-            pe = eval_pardist(obj, x, v, level, region, want_hessian=True)
+            pe = None if sec.empty else derivatives_from_section(
+                obj, sec, want_hessian=True)
         except MtnpassError:
-            report.n_skipped += 1
-            continue
-        if pe.section.empty or not _admissible(pe):
+            pe = None
+        if pe is None or not _admissible(pe):
             report.n_skipped += 1
             continue
 
         def g2(p):  # raises when the section through p escapes the region
-            return find_level_crossings(obj, p, v, level, region,
-                                        near=pe.section).diam ** 2
+            return find_level_crossings(obj, p, sec.v, sec.level, region,
+                                        near=sec).diam ** 2
 
         try:
-            fd_g = fd_gradient(g2, x, FD_G2_GRAD_STEP)
-            fd_h = fd_hess_g2(g2, x, pe.g2)
+            fd_g = fd_gradient(g2, sec.x)
+            fd_h = fd_hess_g2(g2, sec.x, pe.g2)
         except (CrossingOutsideRegion, NoLineMax):
             report.n_skipped += 1
             continue
@@ -216,9 +229,6 @@ class QuadraticComparison:
     vector_gap: float
     deviation: float
     href_norm: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -23,8 +23,9 @@ fired), a report or trace that differs only in the bits of its numbers
 (with the largest relative difference), and evaluation counts that rose;
 then the summed counts and the status tally of both dumps; then every suite
 report that differs, with its largest relative difference. It exits 1 when
-any solve changed its status, iteration count, step sequence or message, or
-any suite changed its failure count, and 0 otherwise. The bench modules
+any solve changed its status, iteration count, step sequence or message or
+made more evaluations of any kind, or any suite changed its failure count,
+and 0 otherwise. The bench modules
 are read, never written. Pytest does not collect this file.
 """
 
@@ -43,7 +44,6 @@ ORACLE_WELL_DIMS = (3, 5, 6, 8, 12)
 EXTRA_WELL = (40, 40003)
 COUNT_KEYS = ("value", "gradient", "hessian")
 STATUSES = ("SaddleFound", "MaxIter", "Breakdown")
-SUITES = ("quadratic-oracle", "grad-formulas", "hessian-stability", "convexity")
 SUITE_SEEDS = (0, 1)
 
 
@@ -94,7 +94,7 @@ def corpus():
 
 def dump(path: str) -> None:
     from mtnpass.driver import solve
-    from mtnpass.verify import run_suite
+    from mtnpass.verify import SUITES, run_suite
 
     with open(path, "w") as out:
         for name, make, a, b in corpus():
@@ -153,8 +153,9 @@ def compare_suites(before: dict, after: dict) -> int:
 
 def compare(before_path: str, after_path: str) -> int:
     """Print the per-solve and per-suite differences; returns the number of
-    solves whose status, iteration count, step sequence or message changed
-    plus the number of suites whose failure count changed."""
+    solves whose status, iteration count, step sequence or message changed,
+    plus the number whose counts rose, plus the number of suites whose
+    failure count changed."""
     before, after = _load(before_path), _load(after_path)
     if before.keys() != after.keys():
         print("the dumps hold different solves or suites:",
@@ -203,7 +204,7 @@ def compare(before_path: str, after_path: str) -> int:
             str(totals[side][k]) for k in COUNT_KEYS) + "; " + ", ".join(
             f"{v} {k}" for k, v in statuses[side].items()))
     return (tally["outcome"] + tally["steps"] + tally["message"]
-            + compare_suites(suites, after))
+            + tally["counts rose"] + compare_suites(suites, after))
 
 
 def main(argv: list[str]) -> int:

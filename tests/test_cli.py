@@ -1,9 +1,13 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mtnpass.cli import main
+from mtnpass import verify
+from mtnpass.cli import build_parser, main
+from mtnpass.driver import SolveConfig
 
 CAMEL_A = "0.0898,-0.7126"
 CAMEL_B = "-0.0898,0.7126"
@@ -167,6 +171,24 @@ class TestSolveCommand:
                        "--b", "1,-2", "--out", str(tmp_path))
         assert code == 2
 
+    def test_unset_settings_are_solve_config_defaults(self, tmp_path):
+        assert run_cli("solve", "--function", "six_hump_camel", "--a", CAMEL_A,
+                       "--b", CAMEL_B, "--out", str(tmp_path)) == 0
+        inputs = json.loads((tmp_path / "report.json").read_text())["inputs"]
+        settings = {k: inputs[k] for k in ("gtol", "max_iter", "radius", "seed")}
+        assert settings == dataclasses.asdict(SolveConfig())
+
+    @pytest.mark.parametrize("key", ["gtol", "max_iter"])
+    def test_null_setting_is_usage_error(self, tmp_path, key):
+        # A key set to null is not an absent key: it is refused, not
+        # replaced by the default.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"function": "six_hump_camel", "a": CAMEL_A,
+                                    "b": CAMEL_B, "out": str(tmp_path),
+                                    key: None}))
+        assert run_cli("solve", "--config", str(path)) == 2
+        assert not (tmp_path / "report.json").exists()
+
     def test_flags_override_config(self, tmp_path):
         cfg = {"function": "six_hump_camel", "a": [5.0, 5.0], "b": [6.0, 6.0],
                "out": str(tmp_path)}
@@ -261,6 +283,13 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((tmp_path / "quadratic-oracle.json").read_text())
         assert report["failures"] == 0
+
+    def test_suite_choices_are_the_verify_suites(self):
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        suite = next(a for a in commands.choices["verify"]._actions
+                     if a.dest == "suite")
+        assert tuple(suite.choices) == verify.SUITES
 
     def test_unknown_suite_exits_two(self, tmp_path):
         assert run_cli("verify", "--suite", "nope", "--out", str(tmp_path)) == 2

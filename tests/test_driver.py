@@ -397,6 +397,16 @@ class TestReportInvariants:
         assert report.eval_counts["value"] > 0
         assert report.eval_counts["gradient"] > 0
 
+    def test_eval_counts_are_those_of_their_own_solve(self):
+        # Two solves on one objective each report what they evaluated, not
+        # the objective's running totals.
+        a, b = np.array([0.0898, -0.7126]), np.array([-0.0898, 0.7126])
+        fresh = solve(six_hump_camel(), a, b).eval_counts
+        camel = six_hump_camel()
+        first, second = solve(camel, a, b), solve(camel, a, b)
+        assert first.eval_counts == second.eval_counts == fresh
+        assert camel.eval_counts() == {k: 2 * n for k, n in fresh.items()}
+
     def test_trace_iterations_monotone(self):
         report = self._solved()
         its = [r.iteration for r in report.trace]

@@ -42,7 +42,7 @@ class TestBrent:
         (lambda x: np.cos(x) - x, 1.0, 0.0, 0.7390851332151607),
     ])
     def test_closed_form_roots(self, fn, a, b, root):
-        t, ft = _brent(fn, a, b, fn(a), fn(b), self.XTOL, 8.9e-16)
+        t, ft = _brent(fn, a, b, fn(a), fn(b), self.XTOL)
         assert abs(t - root) <= self.XTOL
         assert ft == fn(t)
 
@@ -55,7 +55,7 @@ class TestBrent:
             calls.append(x)
             return x ** 3 - 2.0 * x - 5.0
 
-        t, _ = _brent(fn, a, b, -1.0, 16.0, self.XTOL, 8.9e-16)
+        t, _ = _brent(fn, a, b, -1.0, 16.0, self.XTOL)
         assert abs(t - 2.0945514815423265) <= self.XTOL
         assert calls and all(a < x < b for x in calls)
 
@@ -64,11 +64,11 @@ class TestBrent:
         def fn(x):
             raise AssertionError("no evaluation expected")
 
-        assert _brent(fn, 1.0, 2.0, fa, fb, self.XTOL, 8.9e-16) == (expected, 0.0)
+        assert _brent(fn, 1.0, 2.0, fa, fb, self.XTOL) == (expected, 0.0)
 
     def test_unbracketed_raises(self):
         with pytest.raises(ValueError):
-            _brent(lambda x: x, 1.0, 2.0, 1.0, 2.0, self.XTOL, 8.9e-16)
+            _brent(lambda x: x, 1.0, 2.0, 1.0, 2.0, self.XTOL)
 
 
 class TestMarch:

@@ -4,10 +4,10 @@ import pytest
 import oracles
 from mtnpass import quadmodel
 from mtnpass.errors import NewtonBreakdown
-from mtnpass.objective import TrustRegion
-from mtnpass.quadmodel import (SPECTRUM_RANGE, QuadraticObjective, decompose,
-                               generate_morse1, morse_index, newton_refine,
-                               saddle_of)
+from mtnpass.objective import Objective, TrustRegion
+from mtnpass.quadmodel import (NEWTON_MAX_ITER, SPECTRUM_RANGE,
+                               QuadraticObjective, decompose, generate_morse1,
+                               morse_index, newton_refine, saddle_of)
 
 
 class TestDecompose:
@@ -171,7 +171,8 @@ class TestNewtonRefine:
         model = generate_morse1(3, seed=42)
         xbar, _ = saddle_of(model)
         region = TrustRegion(xbar, 10.0)
-        res = newton_refine(model, xbar + 0.4 * np.ones(3) / np.sqrt(3), region)
+        res = newton_refine(model, xbar + 0.4 * np.ones(3) / np.sqrt(3), region,
+                            gtol=1e-12)
         assert res.converged
         # One gradient at the start and one after a single exact step.
         assert model.eval_counts()["gradient"] == 2
@@ -210,21 +211,28 @@ class TestNewtonRefine:
         flat = QuadraticObjective(np.diag([2.0, 0.0]), np.zeros(2), 0.0)
         region = TrustRegion(np.zeros(2), 10.0)
         with pytest.raises(NewtonBreakdown):
-            newton_refine(flat, np.array([1.0, 0.5]), region)
+            newton_refine(flat, np.array([1.0, 0.5]), region, gtol=1e-12)
 
     def test_step_clipped_to_region(self):
         # A tiny region forces clipping; iterates must stay inside it.
         model = generate_morse1(2, seed=8)
         x0 = np.zeros(2)
         region = TrustRegion(x0, 0.5)
-        _, iterates = newton_iterates(model, x0, region, max_iter=10)
+        _, iterates = newton_iterates(model, x0, region, gtol=1e-12)
         assert len(iterates) > 1
         for p in iterates:
-            assert region.contains(p, slack=1e-9)
+            assert region.contains(p)
 
-    def test_nonconverged_reports_max_iter(self, camel):
-        region = TrustRegion(np.zeros(2), 10.0)
-        res = newton_refine(camel, np.array([0.4, 0.3]), region,
-                            gtol=1e-15, max_iter=1)
+    def test_nonconverged_reports_max_iter(self):
+        # grad f = (cbrt(x1), x2): Newton sends x1 to -2 x1 and the region
+        # only clips it, so no step count converges. Every step pays one
+        # Hessian, and the Morse index of the last point one more.
+        cube_root = Objective(
+            2, value=lambda x: 0.75 * abs(x[0]) ** (4.0 / 3.0) + 0.5 * x[1] ** 2,
+            gradient=lambda x: np.array([np.cbrt(x[0]), x[1]]),
+            hessian=lambda x: np.diag([1.0 / (3.0 * np.cbrt(x[0]) ** 2), 1.0]))
+        region = TrustRegion(np.zeros(2), 1.0)
+        res = newton_refine(cube_root, np.array([0.1, 0.5]), region, gtol=1e-8)
         assert not res.converged
-        assert res.grad_norm > 1e-15
+        assert res.grad_norm > 1e-8
+        assert cube_root.eval_counts()["hessian"] == NEWTON_MAX_ITER + 1

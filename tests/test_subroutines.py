@@ -10,9 +10,9 @@ from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, LineSection,
 from mtnpass.objective import Objective, TrustRegion
 from mtnpass.pardist import closed_form_g2_quadratic
 from mtnpass.quadmodel import QuadraticObjective
-from mtnpass.subroutines import (HitZero, PdStalled, ReducedSegment,
-                                 SolverState, crossings_or_degenerate,
-                                 step_av, step_l_down, step_l_up, step_pd)
+from mtnpass.subroutines import (HitZero, PdStalled, SolverState,
+                                 crossings_or_degenerate, step_av, step_l_down,
+                                 step_l_up, step_pd)
 
 E2 = np.array([0.0, 1.0])
 
@@ -82,12 +82,15 @@ def quad_state(saddle_quadratic, origin_region):
 class TestStepPd:
     def test_newton_lands_on_axis(self, saddle_quadratic, quad_state):
         out = step_pd(quad_state, saddle_quadratic)
-        assert isinstance(out, ReducedSegment)
-        assert out.g_old == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
-        assert out.g_new == pytest.approx(2.0, abs=1e-9)
-        assert np.allclose(out.state.section.midpoint, [0.0, 0.0], atol=1e-9)
-        assert np.allclose(out.state.section.z, [0.0, 1.0], atol=1e-9)
-        assert np.allclose(out.state.section.zp, [0.0, -1.0], atol=1e-9)
+        assert isinstance(out, SolverState) and out.last_step == "PD"
+        assert out.region is quad_state.region
+        assert out.section.level == quad_state.section.level
+        assert quad_state.section.diam == pytest.approx(2.0 * np.sqrt(2.0),
+                                                        abs=1e-9)
+        assert out.section.diam == pytest.approx(2.0, abs=1e-9)
+        assert np.allclose(out.section.midpoint, [0.0, 0.0], atol=1e-9)
+        assert np.allclose(out.section.z, [0.0, 1.0], atol=1e-9)
+        assert np.allclose(out.section.zp, [0.0, -1.0], atol=1e-9)
 
     def test_decrease_against_closed_form(self, saddle_quadratic, origin_region):
         state = make_state(saddle_quadratic, np.array([0.1, 0.0]), E2, 0.25 - 0.5,
@@ -95,14 +98,14 @@ class TestStepPd:
         # a level of +0.25 would sit above the saddle value for this f and
         # only when x1^2/2 > level; use level -0.25 to keep a real segment.
         out = step_pd(state, saddle_quadratic)
-        assert isinstance(out, ReducedSegment)
+        assert isinstance(out, SolverState)
         level = state.section.level
         g2_before, _, _ = closed_form_g2_quadratic(
             saddle_quadratic, state.section.midpoint, E2, level)
         g2_after, _, _ = closed_form_g2_quadratic(
-            saddle_quadratic, out.state.section.midpoint, E2, level)
+            saddle_quadratic, out.section.midpoint, E2, level)
         assert g2_after < g2_before
-        assert out.g_new ** 2 == pytest.approx(g2_after, rel=1e-8)
+        assert out.section.diam ** 2 == pytest.approx(g2_after, rel=1e-8)
 
     def test_hit_zero_above_saddle_level(self, saddle_quadratic, origin_region):
         # At a level above the saddle value the segment can vanish: the
@@ -134,10 +137,10 @@ class TestStepPd:
                            origin_region)
         for _ in range(5):
             out = step_pd(state, camel)
-            if not isinstance(out, ReducedSegment):
+            if not isinstance(out, SolverState):
                 break
-            assert out.g_new <= out.g_old + 2.0 * ROOT_TOL
-            state = out.state
+            assert out.section.diam <= state.section.diam + 2.0 * ROOT_TOL
+            state = out
             oracles.validate_state(state, camel)
 
     def test_degenerate_segment_reports_collapse(self):
@@ -164,8 +167,8 @@ class TestStepPd:
         state = make_state(saddle_quadratic, np.array([0.0, 0.0]), E2, -0.5,
                            origin_region)
         out = step_pd(state, saddle_quadratic)
-        assert isinstance(out, PdStalled)
-        assert out.g == pytest.approx(2.0, abs=1e-9)
+        assert out == PdStalled()
+        assert state.section.diam == pytest.approx(2.0, abs=1e-9)
 
     def test_backtracking_stops_at_the_crossing_tolerance(
             self, saddle_quadratic, quad_state, monkeypatch):
@@ -181,8 +184,7 @@ class TestStepPd:
 
         monkeypatch.setattr(subroutines, "find_level_crossings", same_diameter)
         out = step_pd(quad_state, saddle_quadratic)
-        assert isinstance(out, PdStalled)
-        assert out.g == pytest.approx(sec.diam, abs=1e-12)
+        assert out == PdStalled()
         min_step = CROSSING_XTOL_FRAC * quad_state.region.radius
         halvings = int(np.floor(np.log2(1.0 / min_step))) + 1
         assert len(steps) == halvings == 37
@@ -234,9 +236,9 @@ class TestStepPd:
             state = make_state(saddle_quadratic, np.array([x1, 0.2]), E2, -0.5,
                                origin_region)
             out = step_pd(state, saddle_quadratic)
-            assert isinstance(out, ReducedSegment)
-            assert abs(out.state.section.midpoint[0]) <= 1e-10
-            assert np.linalg.norm(out.state.midpoint) <= 1e-10
+            assert isinstance(out, SolverState)
+            assert abs(out.section.midpoint[0]) <= 1e-10
+            assert np.linalg.norm(out.midpoint) <= 1e-10
 
 
 class TestStepAv:

@@ -44,9 +44,12 @@ class TestGradFormulas:
 
     def test_degenerate_sample_skipped_not_failed(self, saddle_quadratic):
         # A level a hair under the line max gives a microscopic section.
-        case = {"obj": saddle_quadratic, "x": np.array([1.0, 0.0]),
-                "v": np.array([0.0, 1.0]), "level": 0.5 - 1e-10,
-                "region": TrustRegion(np.zeros(2), 10.0)}
+        region = TrustRegion(np.zeros(2), 10.0)
+        section = line1d.find_level_crossings(
+            saddle_quadratic, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+            0.5 - 1e-10, region)
+        assert not section.empty and section.diam < 1e-4
+        case = {"obj": saddle_quadratic, "section": section, "region": region}
         report = check_grad_formulas([case])
         assert report.n_skipped == 1
         assert report.n_failures == 0
@@ -54,10 +57,11 @@ class TestGradFormulas:
     def test_samplers_are_deterministic(self):
         a = quadratic_sample_cases(5, seed=3)
         b = quadratic_sample_cases(5, seed=3)
+        assert len(a) == len(b) == 5
         for ca, cb in zip(a, b):
-            assert np.array_equal(ca["x"], cb["x"])
-            assert np.array_equal(ca["v"], cb["v"])
-            assert ca["level"] == cb["level"]
+            sa, sb = ca["section"], cb["section"]
+            assert np.array_equal(sa.x, sb.x) and np.array_equal(sa.v, sb.v)
+            assert (sa.level, sa.t1, sa.t2) == (sb.level, sb.t1, sb.t2)
 
 
 class TestHessianStability:

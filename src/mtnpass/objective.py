@@ -24,8 +24,9 @@ from .errors import EvaluationError
 # max(1, |x|_inf). It differentiates the (already noisy) gradient, so it is
 # coarser than a step on f would be.
 FD_HESS_STEP = 1e-4
-# Gradients remembered per thread by Objective.gradient, oldest dropped first.
-GRADIENT_MEMO_SIZE = 64
+# Values and, separately, gradients remembered per thread by Objective,
+# oldest dropped first.
+MEMO_SIZE = 64
 # Relative slack of TrustRegion.contains on the radius.
 REGION_SLACK = 1e-12
 
@@ -44,6 +45,22 @@ def fd_hessian(gradient: Callable[[np.ndarray], np.ndarray],
     return 0.5 * (H + H.T)
 
 
+def _remember(memo: dict, key: bytes, result) -> None:
+    """Store result under key, dropping the oldest entry of a full memo."""
+    if len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = result
+
+
+class _ThreadState(threading.local):
+    """One thread's value and gradient memos and its gradient observer."""
+
+    def __init__(self):
+        self.values: dict = {}
+        self.gradients: dict = {}
+        self.observer: Optional[Callable[[np.ndarray, np.ndarray], None]] = None
+
+
 class Objective:
     """A smooth function together with evaluation counters.
 
@@ -56,15 +73,17 @@ class Objective:
         the Hessian is produced by central differences of the gradient.
     name : identifier used in reports.
 
-    The callables must be pure in x: :meth:`gradient` remembers the last
-    GRADIENT_MEMO_SIZE gradients it evaluated, keyed by the bits of x, and
-    answers a repeat from that memo with a copy, uncounted and unobserved.
+    The callables must be pure in x: :meth:`value` and :meth:`gradient`
+    each remember the last MEMO_SIZE finite results they evaluated, keyed by
+    the bits of x, in two separate memos, and answer a repeat from them
+    uncounted (a gradient as a copy, and unobserved). Hessians are not
+    remembered, and a non-finite result raises, and is counted, every time.
     The call counters are updated under a lock so an objective may be
     shared across threads. Every gradient that :meth:`gradient` evaluates,
     including the probes of the finite-difference Hessian, is also passed
     with its point to the observer installed by :meth:`watch_gradients`.
     Memos and observers are per thread: one thread neither hits another's
-    gradients nor sees them.
+    values or gradients nor sees them.
     """
 
     def __init__(self, n: int,
@@ -80,7 +99,7 @@ class Objective:
         self._gradient = gradient
         self._hessian = hessian
         self._lock = threading.Lock()
-        self._per_thread = threading.local()
+        self._per_thread = _ThreadState()
         self.n_value_evals = 0
         self.n_grad_evals = 0
         self.n_hess_evals = 0
@@ -93,22 +112,20 @@ class Objective:
 
     def value(self, x: np.ndarray) -> float:
         x = self._check_point(x)
+        memo, key = self._per_thread.values, x.tobytes()
+        if key in memo:
+            return memo[key]
         v = float(self._value(x))
         with self._lock:
             self.n_value_evals += 1
         if not math.isfinite(v):
             raise EvaluationError(f"{self.name}: non-finite value at x={x}")
+        _remember(memo, key, v)
         return v
-
-    def _memo(self) -> dict:
-        memo = getattr(self._per_thread, "memo", None)
-        if memo is None:
-            memo = self._per_thread.memo = {}
-        return memo
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)
-        memo, key = self._memo(), x.tobytes()
+        memo, key = self._per_thread.gradients, x.tobytes()
         if key in memo:
             return memo[key].copy()
         g = np.asarray(self._gradient(x), dtype=float)
@@ -118,10 +135,8 @@ class Objective:
             raise ValueError(f"{self.name}: gradient has shape {g.shape}, expected ({self.n},)")
         if not np.isfinite(g).all():
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x}")
-        if len(memo) >= GRADIENT_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        memo[key] = g.copy()
-        observer = getattr(self._per_thread, "observer", None)
+        _remember(memo, key, g.copy())
+        observer = self._per_thread.observer
         if observer is not None:
             observer(x, g)
         return g
@@ -131,19 +146,22 @@ class Objective:
                         ) -> Iterator[None]:
         """Pass each gradient evaluated in this thread to observer(x, g).
 
-        The thread's gradient memo is emptied on entry, so every gradient the
-        body asks for is evaluated, and observed, at least once. The
-        observer stays installed for the body of the with block, and the
-        previous one (usually none) is restored on exit, also when the body
-        raises. x may be the caller's own array: copy it to keep it.
+        The thread's value and gradient memos are emptied on entry, so the
+        body's counts depend only on its own calls and every gradient it asks
+        for is evaluated, and observed, at least once. The observer stays
+        installed for the body of the with block, and the previous one
+        (usually none) is restored on exit, also when the body raises. x may
+        be the caller's own array: copy it to keep it.
         """
-        previous = getattr(self._per_thread, "observer", None)
-        self._memo().clear()
-        self._per_thread.observer = observer
+        state = self._per_thread
+        previous = state.observer
+        state.values.clear()
+        state.gradients.clear()
+        state.observer = observer
         try:
             yield
         finally:
-            self._per_thread.observer = previous
+            state.observer = previous
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)

@@ -21,6 +21,7 @@ at seeds 0 and 1, each named "suite:NAME:SEED". The corpus is
 of the step sequence, a change of the report message (the stop rule that
 fired), a report or trace that differs only in the bits of its numbers
 (with the largest relative difference), and evaluation counts that rose;
+then the tally, with the number of solves whose count of each kind fell;
 then the summed counts and the status tally of both dumps; then every suite
 report that differs, with its largest relative difference. It exits 1 when
 any solve changed its status, iteration count, step sequence or message or
@@ -164,6 +165,7 @@ def compare(before_path: str, after_path: str) -> int:
     suites = {k: before.pop(k) for k in list(before) if "suite" in before[k]}
     tally = {"identical": 0, "bits": 0, "message": 0, "steps": 0, "outcome": 0,
              "counts rose": 0}
+    fell = dict.fromkeys(COUNT_KEYS, 0)
     totals = {"before": dict.fromkeys(COUNT_KEYS, 0),
               "after": dict.fromkeys(COUNT_KEYS, 0)}
     statuses = {"before": dict.fromkeys(STATUSES, 0),
@@ -198,7 +200,10 @@ def compare(before_path: str, after_path: str) -> int:
         if rose:
             tally["counts rose"] += 1
             print(f"{name}: counts rose {rose}")
-    print(f"{len(before)} solves: " + ", ".join(f"{v} {k}" for k, v in tally.items()))
+        for k in COUNT_KEYS:
+            fell[k] += new["counts"][k] < old["counts"][k]
+    print(f"{len(before)} solves: " + ", ".join(f"{v} {k}" for k, v in tally.items())
+          + "; counts fell: " + ", ".join(f"{v} {k}" for k, v in fell.items()))
     for side in ("before", "after"):
         print(f"summed counts {side}: " + " / ".join(
             str(totals[side][k]) for k in COUNT_KEYS) + "; " + ", ".join(

@@ -261,8 +261,9 @@ class TestSolveDoubleWell:
         # reports the zero distance, and l-down descends from the line max
         # to the saddle. The counts pin that route: the two finite-difference
         # endpoint Hessians of the first (PD) would cost 4n = 20 gradients,
-        # and a gradient evaluated twice at one point (the driver's endpoint
-        # gradients in (PD), the line max in l-down) would add one each.
+        # a gradient evaluated twice at one point (the driver's endpoint
+        # gradients in (PD), the line max in l-down) would add one each, and
+        # so would a value asked for again at a point the value memo holds.
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         report = solve(Objective(5, well.value, well.gradient), a, b)
@@ -272,7 +273,7 @@ class TestSolveDoubleWell:
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert [r.step for r in report.trace] == ["Init", "LUp", "LDown"]
         assert report.trace[1].gap == 0.0
-        assert report.eval_counts == {"value": 90, "gradient": 32,
+        assert report.eval_counts == {"value": 80, "gradient": 32,
                                       "hessian": 1}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
@@ -338,9 +339,10 @@ class TestCertificateReuse:
     @pytest.mark.parametrize("case", ["camel", "double-well-fd"])
     def test_polish_path_evaluates_only_f_after_newton(self, monkeypatch, case):
         # newton_refine returns |grad f| and the Morse index at its final
-        # point; the report certifies with them and evaluates only f(x). With
+        # point; the report certifies with them and asks only for f(x). With
         # finite-difference Hessians a second certificate would cost 2n + 1
-        # gradients.
+        # gradients. Newton does not move x here, so f(x) repeats a value the
+        # solve already paid and the value memo answers it.
         import mtnpass.driver
         real = mtnpass.driver.newton_refine
         after = []
@@ -360,7 +362,7 @@ class TestCertificateReuse:
             report = solve(Objective(5, well.value, well.gradient), a, b)
         assert report.status == "SaddleFound"
         assert {k: report.eval_counts[k] - after[-1][k] for k in after[-1]} \
-            == {"value": 1, "gradient": 0, "hessian": 0}
+            == {"value": 0, "gradient": 0, "hessian": 0}
 
 
 class TestReportInvariants:

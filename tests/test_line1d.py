@@ -165,10 +165,13 @@ class TestLineLocalMax:
 
     def test_straddling_bracket_value_count(self, saddle_quadratic, origin_region):
         # phi(0), phi(+-h) bracket the max and phi' straddles at once: the
-        # polish needs no value of phi, only the final phi(t*).
+        # polish needs no value of phi, and the final phi(t*) lands on
+        # t* = 0, a repeat of phi(0) that the value memo answers.
         before = saddle_quadratic.eval_counts()["value"]
-        line_local_max(saddle_quadratic, np.array([1.0, 0.0]), E2, origin_region)
-        assert saddle_quadratic.eval_counts()["value"] - before == 4
+        lm = line_local_max(saddle_quadratic, np.array([1.0, 0.0]), E2,
+                            origin_region)
+        assert lm.t == 0.0
+        assert saddle_quadratic.eval_counts()["value"] - before == 3
 
 
 class TestFindLevelCrossings:

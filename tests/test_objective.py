@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from mtnpass.errors import EvaluationError
-from mtnpass.objective import (GRADIENT_MEMO_SIZE, Objective, TrustRegion,
+from mtnpass.objective import (MEMO_SIZE, Objective, TrustRegion,
                                builtin, fd_hessian, six_hump_camel, tightness2d)
 from mtnpass.quadmodel import QuadraticObjective, quadratic_from_json
 
@@ -162,17 +162,17 @@ class TestGradientMemo:
         obj, calls = counting_camel()
         seen = []
         x = np.array([0.3, -0.2])
-        others = [np.array([0.01 * k, 0.5]) for k in range(GRADIENT_MEMO_SIZE)]
+        others = [np.array([0.01 * k, 0.5]) for k in range(MEMO_SIZE)]
         with obj.watch_gradients(lambda p, g: seen.append(p.copy())):
             g = obj.gradient(x)
             for p in others[:-1]:
                 obj.gradient(p)
             assert np.array_equal(obj.gradient(x), g)
-            assert obj.n_grad_evals == len(calls) == len(seen) == GRADIENT_MEMO_SIZE
+            assert obj.n_grad_evals == len(calls) == len(seen) == MEMO_SIZE
             # One more new point pushes x out of the memo.
             obj.gradient(others[-1])
             assert np.array_equal(obj.gradient(x), g)
-        assert obj.n_grad_evals == len(calls) == len(seen) == GRADIENT_MEMO_SIZE + 2
+        assert obj.n_grad_evals == len(calls) == len(seen) == MEMO_SIZE + 2
         assert sum(np.array_equal(p, x) for p in seen) == 2
 
     def test_memo_is_per_thread(self):
@@ -233,6 +233,76 @@ class TestGradientMemo:
         # The probes x +- h e_j are four new points; x itself is no probe.
         assert obj.eval_counts() == {"value": 0, "gradient": 5, "hessian": 1}
         assert len(calls) == len(seen) == 5
+
+
+
+def value_counting_camel():
+    """A camel objective without Hessian and the points its value callable saw."""
+    calls = []
+
+    def value(x):
+        calls.append(np.array(x))
+        return oracles.camel_value(x)
+
+    return Objective(2, value, oracles.camel_gradient), calls
+
+
+class TestValueMemo:
+    def test_repeat_is_one_evaluation(self):
+        obj, calls = value_counting_camel()
+        x = np.array([0.3, -0.2])
+        others = [np.array([0.01 * k, 0.5]) for k in range(MEMO_SIZE)]
+        f = obj.value(x)
+        for p in others[:-1]:
+            obj.value(p)
+        assert obj.value(x) == f
+        assert obj.n_value_evals == len(calls) == MEMO_SIZE
+        # One more new point pushes x out of the memo.
+        obj.value(others[-1])
+        assert obj.value(x) == f
+        assert obj.n_value_evals == len(calls) == MEMO_SIZE + 2
+        assert sum(np.array_equal(p, x) for p in calls) == 2
+
+    def test_memo_is_per_thread(self):
+        obj, calls = value_counting_camel()
+        x = np.array([0.3, -0.2])
+        obj.value(x)
+        worker = threading.Thread(target=obj.value, args=(x,))
+        worker.start()
+        worker.join()
+        obj.value(x)
+        assert obj.n_value_evals == len(calls) == 2
+
+    def test_watch_starts_with_an_empty_memo(self):
+        obj, calls = value_counting_camel()
+        x = np.array([0.3, -0.2])
+        obj.value(x)
+        with obj.watch_gradients(lambda p, g: None):
+            obj.value(x)
+            obj.value(x)
+        assert obj.n_value_evals == len(calls) == 2
+
+    def test_nonfinite_value_is_not_remembered(self):
+        obj = Objective(1, value=lambda x: float("nan"),
+                        gradient=lambda x: np.zeros(1))
+        for _ in range(2):
+            with pytest.raises(EvaluationError):
+                obj.value(np.zeros(1))
+        assert obj.eval_counts() == {"value": 2, "gradient": 0, "hessian": 0}
+
+    def test_value_hits_leave_the_gradient_memo_alone(self):
+        obj, calls = counting_camel()
+        x = np.array([0.3, -0.2])
+        g = obj.gradient(x)
+        # Far more value points than the memo holds, each asked for twice.
+        for k in range(2 * MEMO_SIZE):
+            p = np.array([0.01 * k, 0.5])
+            obj.value(p)
+            obj.value(p)
+        assert np.array_equal(obj.gradient(x), g)
+        assert obj.eval_counts() == {"value": 2 * MEMO_SIZE, "gradient": 1,
+                                     "hessian": 0}
+        assert len(calls) == 1
 
 
 class TestErrors:

@@ -11,7 +11,6 @@ deterministic and never evaluate f outside the trust region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -210,33 +209,29 @@ def _march(phi: Callable, t0: float, sgn: float, bound: float, radius: float,
 
 def _line_max_bracket(phi: Callable, t_lo: float, t_hi: float,
                       radius: float) -> tuple:
-    """Bracket (a, b, c, phi(b)) of a line-local max of phi from t = 0, then
-    the outward marches from b or None.
+    """Bracket (a, b, c, phi(b)) of a line-local max of phi from t = 0.
 
     Takes the first _march probe each way, then continues the march toward
-    the larger value until a value drops below phi(b). When t = 0 is its own
-    bracket's max (b = 0), the last item holds the started marches up and
-    down, their first probes pushed back, so marching outward from b pays
-    none of them twice. Raises NoLineMax when f is monotone along the whole
-    probed range (the march reaches the region bound still rising).
+    the larger value until a value drops below phi(b). Raises NoLineMax when
+    f is monotone along the whole probed range (the march reaches the region
+    bound still rising).
     """
     f0 = phi(0.0)
     up = _march(phi, 0.0, 1.0, t_hi, radius)
     down = _march(phi, 0.0, -1.0, t_lo, radius)
-    seen_up, seen_down = list(islice(up, 1)), list(islice(down, 1))
-    hp, fp = (seen_up or [(0.0, -np.inf)])[0]
-    hm, fm = (seen_down or [(-0.0, -np.inf)])[0]
+    hp, fp = next(up, (0.0, -np.inf))
+    hm, fm = next(down, (-0.0, -np.inf))
     if f0 >= fp and f0 >= fm:
         if hm == hp:
             raise NoLineMax("degenerate chord through the trust region")
-        return hm, 0.0, hp, f0, (chain(seen_up, up), chain(seen_down, down))
+        return hm, 0.0, hp, f0
 
     march, b, fb = (up, hp, fp) if fp >= fm else (down, hm, fm)
     a = 0.0
     for c, fc in march:
         if fc < fb:
             lo, hi = sorted((a, c))
-            return lo, b, hi, fb, None
+            return lo, b, hi, fb
         a, b, fb = b, c, fc
     raise NoLineMax("f is monotone along the probed range of the line")
 
@@ -247,7 +242,7 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
     v = _check_unit(v)
     phi, dphi = _line_funcs(obj, x, v)
     t_lo, t_hi = region.line_interval(x, v)
-    a, b, c, fb, _ = _line_max_bracket(phi, t_lo, t_hi, region.radius)
+    a, b, c, fb = _line_max_bracket(phi, t_lo, t_hi, region.radius)
     t = _refine_max(phi, dphi, a, b, c, fb)
     return LineExtremum(t, phi(t))
 
@@ -367,9 +362,9 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     Cold, brackets the line-local max nearest t = 0 (_line_max_bracket).
     When the bracket's middle probe b lies above the level the section cannot
     be empty, and both crossings are bracketed outward from b, with no polish
-    of the max; when b = 0 the marches continue the bracket's own. Otherwise
-    the max is polished: if its value does not exceed the level the section
-    is empty and carries the max, else fresh marches start from it.
+    of the max. Otherwise the max is polished: if its value does not exceed
+    the level the section is empty and carries the max, else the marches
+    start from it.
 
     Warm, given near, a non-empty section of the same v and level solved on
     a nearby parallel line (else ValueError), the crossings are sought next
@@ -392,15 +387,14 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
                                     region.radius)
         if warm is not None:
             return LineSection(x, v, level, float(warm[0]), float(warm[1]))
-    a, b, c, fb, marches = _line_max_bracket(phi, t_lo, t_hi, region.radius)
+    a, b, c, fb = _line_max_bracket(phi, t_lo, t_hi, region.radius)
     if fb <= level:
         b = _refine_max(phi, dphi, a, b, c, fb)
         fb = phi(b)
         if fb <= level:
             return LineSection(x, v, level, line_max=LineExtremum(b, fb))
-        marches = None
-    up, down = marches or (_march(phi, b, 1.0, t_hi, region.radius),
-                           _march(phi, b, -1.0, t_lo, region.radius))
+    up = _march(phi, b, 1.0, t_hi, region.radius)
+    down = _march(phi, b, -1.0, t_lo, region.radius)
     t2 = _cross_outward(phi, dphi, up, b, fb, +1.0, level, region.radius)
     t1 = _cross_outward(phi, dphi, down, b, fb, -1.0, level, region.radius)
     return LineSection(x, v, level, float(t1), float(t2))
@@ -416,10 +410,10 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
     brackets it. When the first probe already lies on or below the level,
     Brent's method solves the deflated residual (phi(t) - level)/t, whose
     value at t = 0 is phi'(0) and is never evaluated, and one Newton step
-    polishes the root; otherwise the march goes on outward from (0, level)
-    as in find_level_crossings (_cross_outward). A far crossing within
-    2*xtol of 0 gives the point section at t = 0: no evaluated point rose
-    above the level. When phi'(0) = 0 the section is solved cold
+    polishes the root; otherwise a march restarted from (0, level) brackets
+    it outward as in find_level_crossings (_cross_outward). A far crossing
+    within 2*xtol of 0 gives the point section at t = 0: no evaluated point
+    rose above the level. When phi'(0) = 0 the section is solved cold
     (find_level_crossings).
     """
     v = _check_unit(v)
@@ -431,16 +425,16 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
     t_lo, t_hi = region.line_interval(x, v)
     sgn = 1.0 if d0 > 0.0 else -1.0
     xtol = CROSSING_XTOL_FRAC * region.radius
-    probes = _march(phi, 0.0, sgn, t_hi if sgn > 0.0 else t_lo, region.radius)
-    first = list(islice(probes, 1))
-    if first and first[0][1] <= level:
-        t, f = first[0]
+    bound = t_hi if sgn > 0.0 else t_lo
+    t, f = next(_march(phi, 0.0, sgn, bound, region.radius), (None, None))
+    if t is not None and f <= level:
         t, r = _brent(lambda s: (phi(s) - level) / s, 0.0, t, d0,
                       (f - level) / t, xtol)
         t_far = _newton_polish(dphi, t, r * t, xtol)
     else:
-        t_far = _cross_outward(phi, dphi, chain(first, probes), 0.0, level,
-                               sgn, level, region.radius)
+        t_far = _cross_outward(phi, dphi,
+                               _march(phi, 0.0, sgn, bound, region.radius),
+                               0.0, level, sgn, level, region.radius)
     if abs(t_far) <= 2.0 * xtol:
         return LineSection(x, v, level, 0.0, 0.0)
     t1, t2 = sorted((0.0, float(t_far)))

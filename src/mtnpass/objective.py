@@ -1,7 +1,7 @@
 """Smooth objectives f: R^n -> R with value/gradient/Hessian evaluation.
 
 An :class:`Objective` wraps user callables for f and its derivatives. The
-gradient is required; the Hessian is optional and falls back to central
+gradient is required; the Hessian is optional and falls back to forward
 finite differences of the gradient. Built-in test functions used throughout
 the package and its test suite are constructed by :func:`builtin`; exact
 quadratics live in :mod:`mtnpass.quadmodel`. The module also holds the
@@ -20,10 +20,10 @@ import numpy as np
 
 from .errors import EvaluationError
 
-# Central-difference step of the finite-difference Hessian, scaled by
-# max(1, |x|_inf). It differentiates the (already noisy) gradient, so it is
-# coarser than a step on f would be.
-FD_HESS_STEP = 1e-4
+# Forward-difference step of the finite-difference Hessian along e_j, scaled
+# by max(1, |x_j|): about sqrt(machine epsilon), which balances the O(h)
+# truncation error against the rounding of the gradient difference.
+FD_HESS_STEP = 1e-8
 # Values and, separately, gradients remembered per thread by Objective,
 # oldest dropped first.
 MEMO_SIZE = 64
@@ -33,15 +33,20 @@ REGION_SLACK = 1e-12
 
 def fd_hessian(gradient: Callable[[np.ndarray], np.ndarray],
                x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Hessian from a gradient, symmetrized."""
+    """Forward finite-difference Hessian from a gradient, symmetrized.
+
+    g(x) is asked for first, so a gradient memo that holds it answers it and
+    the Hessian costs n new gradients. Each column divides by the step
+    actually taken, (x_j + h_j) - x_j, not by h_j.
+    """
     x = np.asarray(x, dtype=float)
-    h = FD_HESS_STEP * max(1.0, float(np.max(np.abs(x))))
+    g0 = gradient(x)
     n = x.size
     H = np.empty((n, n))
     for j in range(n):
-        e = np.zeros(n)
-        e[j] = h
-        H[:, j] = (gradient(x + e) - gradient(x - e)) / (2.0 * h)
+        probe = x.copy()
+        probe[j] += FD_HESS_STEP * max(1.0, abs(x[j]))
+        H[:, j] = (gradient(probe) - g0) / (probe[j] - x[j])
     return 0.5 * (H + H.T)
 
 
@@ -70,7 +75,8 @@ class Objective:
     value : callable returning f(x).
     gradient : callable returning the length-n gradient.
     hessian : optional callable returning the n-by-n Hessian. When absent,
-        the Hessian is produced by central differences of the gradient.
+        the Hessian is produced by forward differences of the gradient, n
+        gradient evaluations when the gradient memo holds the one at x.
     name : identifier used in reports.
 
     The callables must be pure in x: :meth:`value` and :meth:`gradient`

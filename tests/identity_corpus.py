@@ -22,7 +22,10 @@ of the step sequence, a change of the report message (the stop rule that
 fired), a report or trace that differs only in the bits of its numbers
 (with the largest relative difference), and evaluation counts that rose;
 then the tally, with the number of solves whose count of each kind fell;
-then the summed counts and the status tally of both dumps; then every suite
+then the summed counts and the status tally of both dumps, and the summed
+counts of the solves whose objective has no Hessian callable (the ":fd"
+solves and the rotated wells, whose Hessians are finite differences of the
+gradient) apart from those of the rest; then every suite
 report that differs, with its largest relative difference. It exits 1 when
 any solve changed its status, iteration count, step sequence or message or
 made more evaluations of any kind, or any suite changed its failure count,
@@ -113,6 +116,11 @@ def dump(path: str) -> None:
                                      sort_keys=True) + "\n")
 
 
+def _fd_hessians(name: str) -> bool:
+    """The solve's objective has no Hessian callable (see corpus)."""
+    return name.endswith(":fd") or name.startswith("well-n")
+
+
 def _load(path: str) -> dict:
     with open(path) as f:
         rows = [json.loads(line) for line in f if line.strip()]
@@ -166,15 +174,20 @@ def compare(before_path: str, after_path: str) -> int:
     tally = {"identical": 0, "bits": 0, "message": 0, "steps": 0, "outcome": 0,
              "counts rose": 0}
     fell = dict.fromkeys(COUNT_KEYS, 0)
-    totals = {"before": dict.fromkeys(COUNT_KEYS, 0),
-              "after": dict.fromkeys(COUNT_KEYS, 0)}
+    groups = ("all", "finite-difference Hessians", "analytic Hessians")
+    totals = {side: {group: dict.fromkeys(COUNT_KEYS, 0) for group in groups}
+              for side in ("before", "after")}
+    solves = dict.fromkeys(groups, 0)
     statuses = {"before": dict.fromkeys(STATUSES, 0),
                 "after": dict.fromkeys(STATUSES, 0)}
     for name, old in before.items():
         new = after[name]
+        group = groups[1] if _fd_hessians(name) else groups[2]
+        solves[group] += 1
         for side, row in (("before", old), ("after", new)):
             for k in COUNT_KEYS:
-                totals[side][k] += row["counts"][k]
+                totals[side]["all"][k] += row["counts"][k]
+                totals[side][group][k] += row["counts"][k]
             statuses[side][row["report"]["status"]] += 1
         ro, rn = old["report"], new["report"]
         steps_old = [r["step"] for r in old["trace"]]
@@ -204,10 +217,16 @@ def compare(before_path: str, after_path: str) -> int:
             fell[k] += new["counts"][k] < old["counts"][k]
     print(f"{len(before)} solves: " + ", ".join(f"{v} {k}" for k, v in tally.items())
           + "; counts fell: " + ", ".join(f"{v} {k}" for k, v in fell.items()))
+
+    def summed(side: str, group: str) -> str:
+        return " / ".join(str(totals[side][group][k]) for k in COUNT_KEYS)
+
     for side in ("before", "after"):
-        print(f"summed counts {side}: " + " / ".join(
-            str(totals[side][k]) for k in COUNT_KEYS) + "; " + ", ".join(
+        print(f"summed counts {side}: {summed(side, 'all')}; " + ", ".join(
             f"{v} {k}" for k, v in statuses[side].items()))
+    for group in groups[1:]:
+        print(f"  {group} ({solves[group]} solves): {summed('before', group)} -> "
+              f"{summed('after', group)}")
     return (tally["outcome"] + tally["steps"] + tally["message"]
             + tally["counts rose"] + compare_suites(suites, after))
 

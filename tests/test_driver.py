@@ -260,7 +260,7 @@ class TestSolveDoubleWell:
         # section, gap 0, which the Newton handoff does not take. (PD) then
         # reports the zero distance, and l-down descends from the line max
         # to the saddle. The counts pin that route: the two finite-difference
-        # endpoint Hessians of the first (PD) would cost 4n = 20 gradients,
+        # endpoint Hessians of the first (PD) would cost 2n = 10 gradients,
         # a gradient evaluated twice at one point (the driver's endpoint
         # gradients in (PD), the line max in l-down) would add one each, and
         # so would a value asked for again at a point the value memo holds.
@@ -273,7 +273,7 @@ class TestSolveDoubleWell:
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert [r.step for r in report.trace] == ["Init", "LUp", "LDown"]
         assert report.trace[1].gap == 0.0
-        assert report.eval_counts == {"value": 80, "gradient": 32,
+        assert report.eval_counts == {"value": 80, "gradient": 27,
                                       "hessian": 1}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
@@ -340,9 +340,10 @@ class TestCertificateReuse:
     def test_polish_path_evaluates_only_f_after_newton(self, monkeypatch, case):
         # newton_refine returns |grad f| and the Morse index at its final
         # point; the report certifies with them and asks only for f(x). With
-        # finite-difference Hessians a second certificate would cost 2n + 1
-        # gradients. Newton does not move x here, so f(x) repeats a value the
-        # solve already paid and the value memo answers it.
+        # finite-difference Hessians a second certificate would cost a Hessian
+        # and up to n + 1 gradients: the forward probes and grad f(x). Newton
+        # does not move x here, so f(x) repeats a value the solve already
+        # paid and the value memo answers it.
         import mtnpass.driver
         real = mtnpass.driver.newton_refine
         after = []

@@ -8,7 +8,7 @@ import oracles
 from mtnpass.errors import EvaluationError
 from mtnpass.objective import (MEMO_SIZE, Objective, TrustRegion,
                                builtin, fd_hessian, six_hump_camel, tightness2d)
-from mtnpass.quadmodel import QuadraticObjective, quadratic_from_json
+from mtnpass.quadmodel import QuadraticObjective, morse_index, quadratic_from_json
 
 
 class TestValues:
@@ -134,7 +134,8 @@ class TestGradientWatch:
         seen = []
         with obj.watch_gradients(lambda p, g: seen.append(p)):
             obj.hessian(np.array([0.1, 0.2]))
-        assert len(seen) == obj.n_grad_evals == 4
+        # The gradient at x and one forward probe per coordinate.
+        assert len(seen) == obj.n_grad_evals == 3
 
     def test_other_threads_are_not_watched(self, camel):
         seen = []
@@ -230,10 +231,49 @@ class TestGradientMemo:
         with obj.watch_gradients(lambda p, g: seen.append(p.copy())):
             obj.gradient(np.array([0.1, 0.2]))
             obj.hessian(np.array([0.1, 0.2]))
-        # The probes x +- h e_j are four new points; x itself is no probe.
-        assert obj.eval_counts() == {"value": 0, "gradient": 5, "hessian": 1}
-        assert len(calls) == len(seen) == 5
+        # The probes x + h_j e_j are two new points; the gradient at x is a
+        # memo hit.
+        assert obj.eval_counts() == {"value": 0, "gradient": 3, "hessian": 1}
+        assert len(calls) == len(seen) == 3
 
+
+def counting_well(n):
+    """oracles.DoubleWell(n) without Hessian and the points its gradient saw."""
+    well = oracles.DoubleWell(n)
+    calls = []
+
+    def gradient(x):
+        calls.append(np.array(x))
+        return well.gradient(x)
+
+    return Objective(n, well.value, gradient), calls
+
+
+class TestFdHessian:
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_costs_n_gradients_after_the_gradient_at_x(self, n):
+        obj, calls = counting_well(n)
+        x = oracles.DoubleWell(n).centre + 0.1
+        obj.gradient(x)
+        obj.hessian(x)
+        assert obj.n_grad_evals == len(calls) == 1 + n
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_costs_n_plus_one_gradients_on_an_empty_memo(self, n):
+        obj, calls = counting_well(n)
+        x = oracles.DoubleWell(n).centre + 0.1
+        obj.hessian(x)
+        assert obj.n_grad_evals == len(calls) == n + 1
+        # grad f(x) is asked for first.
+        assert np.array_equal(calls[0], x)
+
+    def test_matches_analytic_at_saddle_and_minimum(self):
+        well = oracles.DoubleWell(12)
+        obj = Objective(12, well.value, well.gradient)
+        for x, index in ((well.centre, 1), (well.minima()[0], 0)):
+            fd = obj.hessian(x)
+            assert np.max(np.abs(fd - well.hessian(x))) <= 1e-6
+            assert morse_index(fd) == morse_index(well.hessian(x)) == index
 
 
 def value_counting_camel():

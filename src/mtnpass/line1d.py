@@ -100,20 +100,21 @@ def _line_funcs(obj: Objective, x: np.ndarray, v: np.ndarray):
 
 
 def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
-           xtol: float) -> tuple[float, float]:
+           xtol: float) -> tuple[float, float, float, float]:
     """Root of fn in the bracket [a, b] by Brent's zeroin method.
 
     fa = fn(a) and fb = fn(b) must have opposite signs (or one be zero); fn is
     never evaluated at a or b. Inverse quadratic or secant steps are taken
     while they shrink the bracket fast enough, bisection steps otherwise
     (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
-    Returns the best point t and fn(t) once the bracket around t is narrower
-    than xtol + _ROOT_RTOL*|t|; xtol must be positive.
+    Returns (t, fn(t), s, fn(s)): the best point t and the other end s of
+    the final bracket, where fn has the opposite sign, once fn(t) = 0 or
+    |s - t| < xtol + _ROOT_RTOL*|t|; xtol must be positive.
     """
     if fa == 0.0:
-        return a, fa
+        return a, fa, b, fb
     if fb == 0.0:
-        return b, fb
+        return b, fb, a, fa
     if (fa > 0.0) == (fb > 0.0):
         raise ValueError("root is not bracketed")
     xpre, fpre, xcur, fcur = a, fa, b, fb
@@ -127,7 +128,7 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
         delta = 0.5 * (xtol + _ROOT_RTOL * abs(xcur))
         sbis = 0.5 * (xblk - xcur)
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, fcur
+            return xcur, fcur, xblk, fblk
         step = sbis
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
@@ -247,28 +248,25 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
     return LineExtremum(t, phi(t))
 
 
-def _level_crossing(phi: Callable, dphi: Callable, t_in: float, t_out: float,
-                    r_in: float, r_out: float, level: float,
-                    xtol: float) -> float:
-    """Root of phi - level between t_in and t_out, polished by one Newton step.
+def _level_crossing(phi: Callable, t_in: float, t_out: float, r_in: float,
+                    r_out: float, level: float, xtol: float) -> float:
+    """Root of phi - level between t_in and t_out, by Brent's method and one
+    interpolation step across its final bracket (_interpolate).
 
-    r_in = phi(t_in) - level > 0 >= r_out = phi(t_out) - level. The Newton
-    step reuses the residual Brent's method ends with and is kept only when
-    it moves the Brent root by at most 2*xtol.
+    r_in = phi(t_in) - level > 0 >= r_out = phi(t_out) - level.
     """
-    t, r = _brent(lambda s: phi(s) - level, t_in, t_out, r_in, r_out, xtol)
-    return _newton_polish(dphi, t, r, xtol)
+    return _interpolate(*_brent(lambda s: phi(s) - level, t_in, t_out, r_in,
+                                r_out, xtol))
 
 
-def _newton_polish(dphi: Callable, t: float, r: float, xtol: float) -> float:
-    """t after one Newton step on the residual r = phi(t) - level, kept only
-    when it moves t by at most 2*xtol."""
-    d = dphi(t)
-    if d != 0.0:
-        t_new = t - r / d
-        if abs(t_new - t) <= 2.0 * xtol:
-            return t_new
-    return t
+def _interpolate(t: float, r: float, s: float, q: float) -> float:
+    """Zero of the line through (t, r) and (s, q), the ends of a final Brent
+    bracket where the residuals r and q have opposite signs; t when r = 0.
+
+    It evaluates nothing and stays inside the bracket, so the crossing costs
+    values only (Brent, 1973, ch. 4).
+    """
+    return t if r == 0.0 else t - r * (s - t) / (q - r)
 
 
 def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
@@ -291,17 +289,17 @@ def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
     t_prev, f_prev, d_prev = t_start, f_start, 0.0
     for t_next, f_next in probes:
         if f_next <= level:
-            return _level_crossing(phi, dphi, t_prev, t_next, f_prev - level,
+            return _level_crossing(phi, t_prev, t_next, f_prev - level,
                                    f_next - level, level, xtol)
         d_next = dphi(t_next) * sgn
         if d_prev < 0.0 < d_next:
-            t_dip, _ = _brent(lambda t: dphi(t) * sgn, t_prev, t_next, d_prev,
-                              d_next, _STATIONARY_XTOL)
+            t_dip = _brent(lambda t: dphi(t) * sgn, t_prev, t_next, d_prev,
+                           d_next, _STATIONARY_XTOL)[0]
             f_dip = phi(t_dip)
             if f_dip <= level:
                 if f_dip >= level - ROOT_TOL:
                     return float(t_dip)
-                return _level_crossing(phi, dphi, t_prev, t_dip, f_prev - level,
+                return _level_crossing(phi, t_prev, t_dip, f_prev - level,
                                        f_dip - level, level, xtol)
             # The component continues through the dip.
         t_prev, f_prev, d_prev = t_next, f_next, d_next
@@ -309,9 +307,9 @@ def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
         "super-level component reaches the trust-region boundary")
 
 
-def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
-                         v: np.ndarray, near: LineSection, t_lo: float,
-                         t_hi: float, radius: float) -> Optional[tuple]:
+def _continued_crossings(phi: Callable, x: np.ndarray, v: np.ndarray,
+                         near: LineSection, t_lo: float, t_hi: float,
+                         radius: float) -> Optional[tuple]:
     """Crossings (t1, t2) continued from near's, or None when a check fails.
 
     near's endpoints carried over to the line through x are the predictions
@@ -349,7 +347,7 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
             t_in, f_in, t_out, f_out = t_prev, f_prev, t, f
         else:
             t_in, f_in, t_out, f_out = t, f, t_prev, f_prev
-        crossings.append(_level_crossing(phi, dphi, t_in, t_out, f_in - level,
+        crossings.append(_level_crossing(phi, t_in, t_out, f_in - level,
                                          f_out - level, level, xtol))
     return tuple(crossings)
 
@@ -372,7 +370,10 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     and the section is the component of {f >= level} that contains the
     predicted midpoint, up to dips that lie between it and a prediction or
     between two probes. When a check of the warm path fails the section is
-    solved cold. Crossings are refined to |f - level| <= ROOT_TOL.
+    solved cold. Each crossing is Brent's root finished by one interpolation
+    step across its final bracket (_level_crossing), to |f - level| <=
+    ROOT_TOL; it costs values only, and gradients are paid only for the dip
+    tests of the cold marches (_cross_outward).
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
@@ -383,8 +384,7 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
             raise ValueError("near must be a non-empty section")
         if near.level != level or not np.array_equal(near.v, v):
             raise ValueError("near must have the same direction and level")
-        warm = _continued_crossings(phi, dphi, x, v, near, t_lo, t_hi,
-                                    region.radius)
+        warm = _continued_crossings(phi, x, v, near, t_lo, t_hi, region.radius)
         if warm is not None:
             return LineSection(x, v, level, float(warm[0]), float(warm[1]))
     a, b, c, fb = _line_max_bracket(phi, t_lo, t_hi, region.radius)
@@ -409,9 +409,10 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
     uphill side, sign(phi'(0)) with phi'(0) = grad'v; a march uphill from 0
     brackets it. When the first probe already lies on or below the level,
     Brent's method solves the deflated residual (phi(t) - level)/t, whose
-    value at t = 0 is phi'(0) and is never evaluated, and one Newton step
-    polishes the root; otherwise a march restarted from (0, level) brackets
-    it outward as in find_level_crossings (_cross_outward). A far crossing
+    value at t = 0 is phi'(0) and is never evaluated, and one interpolation
+    step across its final bracket finishes the root with no gradient
+    (_interpolate); otherwise a march restarted from (0, level) brackets it
+    outward as in find_level_crossings (_cross_outward). A far crossing
     within 2*xtol of 0 gives the point section at t = 0: no evaluated point
     rose above the level. When phi'(0) = 0 the section is solved cold
     (find_level_crossings).
@@ -428,9 +429,8 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
     bound = t_hi if sgn > 0.0 else t_lo
     t, f = next(_march(phi, 0.0, sgn, bound, region.radius), (None, None))
     if t is not None and f <= level:
-        t, r = _brent(lambda s: (phi(s) - level) / s, 0.0, t, d0,
-                      (f - level) / t, xtol)
-        t_far = _newton_polish(dphi, t, r * t, xtol)
+        t_far = _interpolate(*_brent(lambda s: (phi(s) - level) / s, 0.0, t,
+                                     d0, (f - level) / t, xtol))
     else:
         t_far = _cross_outward(phi, dphi,
                                _march(phi, 0.0, sgn, bound, region.radius),

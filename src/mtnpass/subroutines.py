@@ -55,7 +55,6 @@ class SolverState:
 class HitZero:
     """(PD) drove the parallel distance to zero; x_prime is the line-local max."""
     x_prime: np.ndarray
-    f_prime: float
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
             raise
         lm = line_local_max(obj, x, v, region)
         if lm.value <= collapse_level:
-            return HitZero(x + lm.t * v, lm.value)
+            return HitZero(x + lm.t * v)
         raise
     g2_0 = pe.g2
 
@@ -125,8 +124,7 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
                 sec = None
             if sec is not None:
                 if sec.empty:
-                    lm = sec.line_max
-                    return HitZero(xt + lm.t * v, lm.value)
+                    return HitZero(xt + sec.line_max.t * v)
                 g2_t = sec.diam ** 2
                 if g2_t <= g2_0 + ARMIJO_C1 * t * slope:
                     return SolverState(sec, region, "PD")

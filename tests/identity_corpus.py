@@ -7,7 +7,9 @@ compared between two trees.
 `dump` solves the corpus with the mtnpass on the path and writes one JSON
 line per solve: its name, the report without eval_counts, the trace and the
 eval counts. It then writes one line per `run_suite` report: the four suites
-at seeds 0 and 1, each named "suite:NAME:SEED". The corpus is
+at seeds 0 and 1, each named "suite:NAME:SEED", with the value / gradient /
+Hessian counts summed over the objectives the suite builds (counted by the
+benchmark's `spans.Ledger`, installed around the call). The corpus is
 
 - every ordered pair of minima of the benchmark's camel and Mueller-Brown
   surfaces (bench/surfaces.py, 36 pairs), with analytic and with
@@ -25,8 +27,9 @@ then the tally, with the number of solves whose count of each kind fell;
 then the summed counts and the status tally of both dumps, and the summed
 counts of the solves whose objective has no Hessian callable (the ":fd"
 solves and the rotated wells, whose Hessians are finite differences of the
-gradient) apart from those of the rest; then every suite
-report that differs, with its largest relative difference. It exits 1 when
+gradient) apart from those of the rest; then every suite with its counts
+before -> after and, when its report differs, the largest relative
+difference. It exits 1 when
 any solve changed its status, iteration count, step sequence or message or
 made more evaluations of any kind, or any suite changed its failure count,
 and 0 otherwise. The bench modules
@@ -96,9 +99,25 @@ def corpus():
     return cases
 
 
+def _suite_row(suite: str, seed: int) -> dict:
+    """run_suite(suite, seed) and the evaluation counts of its objectives."""
+    import spans
+    from mtnpass.objective import Objective
+    from mtnpass.verify import run_suite
+
+    ledger = spans.Ledger(Objective)
+    ledger.install()
+    try:
+        report = run_suite(suite, seed)
+    finally:
+        ledger.uninstall()
+    return {"name": f"suite:{suite}:{seed}", "suite": report,
+            "counts": ledger.take()}
+
+
 def dump(path: str) -> None:
     from mtnpass.driver import solve
-    from mtnpass.verify import SUITES, run_suite
+    from mtnpass.verify import SUITES
 
     with open(path, "w") as out:
         for name, make, a, b in corpus():
@@ -111,8 +130,7 @@ def dump(path: str) -> None:
                 sort_keys=True) + "\n")
         for suite in SUITES:
             for seed in SUITE_SEEDS:
-                out.write(json.dumps({"name": f"suite:{suite}:{seed}",
-                                      "suite": run_suite(suite, seed)},
+                out.write(json.dumps(_suite_row(suite, seed),
                                      sort_keys=True) + "\n")
 
 
@@ -141,21 +159,28 @@ def _max_rel_diff(x, y) -> float:
     return math.inf
 
 
+def _counts(counts: dict) -> str:
+    return " / ".join(str(counts[k]) for k in COUNT_KEYS)
+
+
 def compare_suites(before: dict, after: dict) -> int:
-    """Print every suite report that differs; returns the number of suites
-    whose failure count changed."""
+    """Print every suite's counts and whether its report differs; returns
+    the number of suites whose failure count changed."""
     identical = changed = 0
     for name, old in before.items():
-        ro, rn = old["suite"], after[name]["suite"]
+        new = after[name]
+        ro, rn = old["suite"], new["suite"]
+        counts = f"counts {_counts(old['counts'])} -> {_counts(new['counts'])}"
         if ro == rn:
             identical += 1
+            print(f"{name}: identical, {counts}")
             continue
         note = ""
         if ro["failures"] != rn["failures"]:
             changed += 1
             note = f", failures {ro['failures']} -> {rn['failures']}"
         print(f"{name}: differs, largest relative difference "
-              f"{_max_rel_diff(ro, rn):.2e}{note}")
+              f"{_max_rel_diff(ro, rn):.2e}{note}, {counts}")
     print(f"{len(before)} suite reports: {identical} identical")
     return changed
 
@@ -217,16 +242,12 @@ def compare(before_path: str, after_path: str) -> int:
             fell[k] += new["counts"][k] < old["counts"][k]
     print(f"{len(before)} solves: " + ", ".join(f"{v} {k}" for k, v in tally.items())
           + "; counts fell: " + ", ".join(f"{v} {k}" for k, v in fell.items()))
-
-    def summed(side: str, group: str) -> str:
-        return " / ".join(str(totals[side][group][k]) for k in COUNT_KEYS)
-
     for side in ("before", "after"):
-        print(f"summed counts {side}: {summed(side, 'all')}; " + ", ".join(
-            f"{v} {k}" for k, v in statuses[side].items()))
+        print(f"summed counts {side}: {_counts(totals[side]['all'])}; "
+              + ", ".join(f"{v} {k}" for k, v in statuses[side].items()))
     for group in groups[1:]:
-        print(f"  {group} ({solves[group]} solves): {summed('before', group)} -> "
-              f"{summed('after', group)}")
+        print(f"  {group} ({solves[group]} solves): "
+              f"{_counts(totals['before'][group])} -> {_counts(totals['after'][group])}")
     return (tally["outcome"] + tally["steps"] + tally["message"]
             + tally["counts rose"] + compare_suites(suites, after))
 

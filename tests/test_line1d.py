@@ -11,7 +11,7 @@ from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, _brent, _march,
                             find_level_crossings, line_local_max,
                             line_local_min)
 from mtnpass.objective import Objective, TrustRegion
-from mtnpass.quadmodel import QuadraticObjective
+from mtnpass.quadmodel import QuadraticObjective, generate_morse1, saddle_of
 from mtnpass.subroutines import crossings_or_degenerate
 
 E2 = np.array([0.0, 1.0])
@@ -42,9 +42,22 @@ class TestBrent:
         (lambda x: np.cos(x) - x, 1.0, 0.0, 0.7390851332151607),
     ])
     def test_closed_form_roots(self, fn, a, b, root):
-        t, ft = _brent(fn, a, b, fn(a), fn(b), self.XTOL)
+        t, ft, s, fs = _brent(fn, a, b, fn(a), fn(b), self.XTOL)
         assert abs(t - root) <= self.XTOL
-        assert ft == fn(t)
+        assert ft == fn(t) and fs == fn(s)
+
+    @pytest.mark.parametrize("fn, a, b, root", [
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 2.0945514815423265),
+        (lambda x: np.cos(x) - x, 1.0, 0.0, 0.7390851332151607),
+        (lambda x: np.exp(x) - 5.0, -4.0, 6.0, np.log(5.0)),
+    ])
+    def test_final_bracket_straddles_the_root(self, fn, a, b, root):
+        # The other end s of the final bracket has the opposite residual
+        # sign, and |s - t| is below the stopping width xtol + rtol*|t|.
+        t, ft, s, fs = _brent(fn, a, b, fn(a), fn(b), self.XTOL)
+        assert ft != 0.0 and (ft > 0.0) != (fs > 0.0)
+        assert min(t, s) <= root <= max(t, s)
+        assert 0.0 < abs(s - t) < self.XTOL + line1d._ROOT_RTOL * abs(t)
 
     def test_never_evaluates_bracket_ends(self):
         a, b = 2.0, 3.0
@@ -55,7 +68,7 @@ class TestBrent:
             calls.append(x)
             return x ** 3 - 2.0 * x - 5.0
 
-        t, _ = _brent(fn, a, b, -1.0, 16.0, self.XTOL)
+        t = _brent(fn, a, b, -1.0, 16.0, self.XTOL)[0]
         assert abs(t - 2.0945514815423265) <= self.XTOL
         assert calls and all(a < x < b for x in calls)
 
@@ -64,7 +77,10 @@ class TestBrent:
         def fn(x):
             raise AssertionError("no evaluation expected")
 
-        assert _brent(fn, 1.0, 2.0, fa, fb, self.XTOL) == (expected, 0.0)
+        # The other end of [1, 2] and its value come back as the bracket.
+        other, f_other = (2.0, fb) if expected == 1.0 else (1.0, fa)
+        assert _brent(fn, 1.0, 2.0, fa, fb, self.XTOL) == \
+            (expected, 0.0, other, f_other)
 
     def test_unbracketed_raises(self):
         with pytest.raises(ValueError):
@@ -248,12 +264,12 @@ class TestFindLevelCrossings:
         find_level_crossings(saddle_quadratic, np.array([1.0, 0.0]), E2, -0.5,
                              origin_region)
         assert saddle_quadratic.eval_counts() == \
-            {"value": 23, "gradient": 10, "hessian": 0}
+            {"value": 23, "gradient": 8, "hessian": 0}
 
     def test_camel_eval_counts(self, camel, origin_region):
         vbar = np.linalg.eigh(oracles.camel_hessian(np.zeros(2)))[1][:, 0]
         find_level_crossings(camel, np.zeros(2), vbar, -0.1, origin_region)
-        assert camel.eval_counts() == {"value": 17, "gradient": 4, "hessian": 0}
+        assert camel.eval_counts() == {"value": 17, "gradient": 2, "hessian": 0}
 
     def test_bracket_above_level_starts_the_marches(self, origin_region):
         # Along the negative eigenvector the camel origin is the line max and
@@ -439,6 +455,107 @@ class TestFindFarCrossing:
             assert abs(sec.t1 - cold.t1) <= self.XTOL
             assert abs(sec.t2 - cold.t2) <= self.XTOL
             assert 0.0 in (sec.t1, sec.t2) and sec.diam > 0.1
+
+
+class TestCrossingCost:
+    """A level crossing is Brent's root finished by interpolation across its
+    final bracket, so it evaluates no gradient; in a section only the dip
+    tests of _cross_outward's cold marches take phi'."""
+
+    @pytest.fixture
+    def quad(self):
+        # f = x1^2 - x2^2: along e2 through (x1, 0) the section at level
+        # -0.5 is t^2 <= x1^2 + 0.5.
+        return QuadraticObjective(np.diag([2.0, -2.0]), np.zeros(2), 0.0)
+
+    def test_warm_section_costs_no_gradient(self, quad, origin_region):
+        near = find_level_crossings(quad, np.array([0.5, 0.0]), E2, -0.5,
+                                    origin_region)
+        before = quad.eval_counts()["gradient"]
+        with mock.patch.object(line1d, "_line_max_bracket",
+                               wraps=line1d._line_max_bracket) as bracket:
+            sec = find_level_crossings(quad, np.array([0.51, 0.0]), E2, -0.5,
+                                       origin_region, near=near)
+        assert bracket.call_count == 0  # the warm path, no cold fallback
+        assert quad.eval_counts()["gradient"] == before
+        assert sec.t2 == pytest.approx(np.sqrt(0.7601), abs=1e-12)
+        assert sec.t1 == pytest.approx(-np.sqrt(0.7601), abs=1e-12)
+
+    def test_far_crossing_inside_the_first_step_costs_no_gradient(
+            self, quad, origin_region):
+        # From (1, 0.01) the far crossing -0.02 lies inside the first step
+        # -0.1, so Brent's method on the deflated residual solves it.
+        x = np.array([1.0, 0.01])
+        level, grad = quad.value(x), quad.gradient(x)
+        before = quad.eval_counts()["gradient"]
+        sec = find_far_crossing(quad, x, E2, level, origin_region, grad)
+        assert quad.eval_counts()["gradient"] == before
+        assert sec.t2 == 0.0
+        assert sec.t1 == pytest.approx(-0.02, abs=1e-15)
+
+
+class TestCrossingAccuracy:
+    """Cold, warm and far-crossing endpoints on seeded Morse-index-one
+    quadratics, n = 2 to 6, against the closed-form roots of the quadratic
+    phi(t) = f(x) + b t + a t^2 along the negative eigenvector."""
+
+    @staticmethod
+    def _phi(model, x, v):
+        """a, b and f(x), from the coefficients; f(x) has the bits of
+        model.value(x)."""
+        return (0.5 * float(v @ model.H @ v), float((model.H @ x + model.g) @ v),
+                float(0.5 * x @ model.H @ x + model.g @ x + model.c))
+
+    def _roots(self, model, x, v, level):
+        """The two roots of phi(t) = level, sorted, computed stably."""
+        a, b, fx = self._phi(model, x, v)
+        c0 = fx - level
+        q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c0), b))
+        return sorted((q / a, c0 / q))
+
+    @staticmethod
+    def _close(t, root):
+        return abs(t - root) <= 1e-13 * max(1.0, abs(root))
+
+    # In a radius-100 region the first march step is 1. A wide section
+    # (diameter 1.6 to 8) has its far crossing beyond it, which
+    # _cross_outward marches to; a narrow one (diameter 0.5) has it inside,
+    # where the deflated Brent solve finds it.
+    @pytest.mark.parametrize("narrow", [False, True])
+    @pytest.mark.parametrize("k", range(10))
+    def test_endpoints_match_the_closed_form_roots(self, k, narrow):
+        n = 2 + k % 5
+        model = generate_morse1(n, seed=7300 + k)
+        rng = np.random.default_rng(k)
+        v = model.negative_eigenvector
+        x = saddle_of(model)[0] + 0.3 * rng.standard_normal(n)
+        region = TrustRegion(x, 100.0)
+        a, b, fx = self._phi(model, x, v)
+        f_max = fx - b * b / (4.0 * a)
+        level = f_max - (0.0625 * abs(a) if narrow else rng.uniform(1.0, 4.0))
+
+        cold = find_level_crossings(model, x, v, level, region)
+        r1, r2 = self._roots(model, x, v, level)
+        assert self._close(cold.t1, r1) and self._close(cold.t2, r2)
+
+        x_warm = x + 1e-4 * rng.standard_normal(n)
+        with mock.patch.object(line1d, "_line_max_bracket",
+                               wraps=line1d._line_max_bracket) as bracket:
+            warm = find_level_crossings(model, x_warm, v, level, region,
+                                        near=cold)
+        assert bracket.call_count == 0
+        r1, r2 = self._roots(model, x_warm, v, level)
+        assert self._close(warm.t1, r1) and self._close(warm.t2, r2)
+
+        zp = cold.zp
+        with mock.patch.object(line1d, "_cross_outward",
+                               wraps=line1d._cross_outward) as outward:
+            far = find_far_crossing(model, zp, v, model.value(zp), region,
+                                    model.gradient(zp))
+        assert outward.call_count == (0 if narrow else 1)
+        assert far.t1 == 0.0
+        r1, r2 = self._roots(model, zp, v, model.value(zp))
+        assert r1 == 0.0 and self._close(far.t2, r2)
 
 
 class TestLineLocalMin:

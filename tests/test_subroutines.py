@@ -114,7 +114,8 @@ class TestStepPd:
                            origin_region)
         out = step_pd(state, saddle_quadratic)
         assert isinstance(out, HitZero)
-        assert out.f_prime <= state.section.level + ROOT_TOL
+        assert saddle_quadratic.value(out.x_prime) <= \
+            state.section.level + ROOT_TOL
         # x' is a line-local max of f along v through the step point
         grad = saddle_quadratic.gradient(out.x_prime)
         assert abs(grad @ state.section.v) <= 1e-8

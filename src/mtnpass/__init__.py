@@ -22,8 +22,8 @@ from .pardist import (ParallelDistanceEval, closed_form_g2_quadratic,
 from .quadmodel import (NewtonResult, QuadraticObjective, decompose,
                         generate_morse1, morse_index, newton_refine,
                         quadratic_from_json, saddle_of)
-from .subroutines import (HitZero, PdStalled, SolverState, step_av,
-                          step_l_down, step_l_up, step_pd)
+from .subroutines import (HitZero, PdStalled, step_av, step_l_down,
+                          step_l_up, step_pd)
 from .verify import (check_convexity_region, check_grad_formulas,
                      check_hessian_stability, convexity_radius_sweep,
                      quadratic_oracle_suite, run_suite)

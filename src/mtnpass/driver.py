@@ -20,7 +20,7 @@ Morse index one; otherwise the loop goes on.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -28,11 +28,11 @@ import numpy as np
 from .errors import (AvStalled, BadEndpoints, CriticalCandidate,
                      CrossingOutsideRegion, DegenerateDenominator,
                      LUpImpossible, NewtonBreakdown, NoLineMax)
-from .line1d import ROOT_TOL, chord_section
+from .line1d import ROOT_TOL, LineSection, chord_section
 from .objective import Objective, TrustRegion
 from .quadmodel import morse_index, newton_refine
-from .subroutines import (HitZero, PdStalled, SolverState, step_av,
-                          step_l_down, step_l_up, step_pd)
+from .subroutines import (HitZero, PdStalled, step_av, step_l_down,
+                          step_l_up, step_pd)
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +110,9 @@ class SolveReport:
 
 
 def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
-               config: SolveConfig) -> SolverState:
-    """Initial endpoints at level max(f(a), f(b)) around the ridge on [a, b].
+               config: SolveConfig) -> tuple[LineSection, TrustRegion]:
+    """Initial section at level max(f(a), f(b)) around the ridge on [a, b],
+    and the trust region of the solve.
 
     The section is line1d.chord_section: the line-local max of f strictly
     between a and b and the two crossings of the initial level on the chord.
@@ -127,7 +128,7 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise BadEndpoints("endpoints must be finite")
     region = TrustRegion(0.5 * (a + b), config.radius)
-    return SolverState(chord_section(obj, a, b), region, "Init")
+    return chord_section(obj, a, b), region
 
 
 def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
@@ -183,23 +184,22 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         return None
 
     with obj.watch_gradients(observe):
-        state = init_state(obj, a, b, config)
-        region = state.region
+        section, region = init_state(obj, a, b, config)
         # The initial level, raised by ROOT_TOL: crossings sit on a level only
         # to within ROOT_TOL.
-        level0 = state.section.level + ROOT_TOL
-        failures = 0
-        it = 0
+        level0 = section.level + ROOT_TOL
+        # The step that produced the section, as the trace names it.
+        step, failures = "Init", 0
         for it in range(config.max_iter):
-            sec = state.section
-            gap = state.gap
+            z, zp = section.z, section.zp
+            gap = float(np.linalg.norm(z - zp))
             trace.append(TraceRecord(
-                iteration=it, step=state.last_step, level=sec.level, gap=gap,
-                grad_norm_z=float(np.linalg.norm(obj.gradient(sec.z))),
-                grad_norm_zp=float(np.linalg.norm(obj.gradient(sec.zp))),
-                x=np.array(sec.midpoint, dtype=float)))
-            logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, state.last_step,
-                         sec.level, gap)
+                iteration=it, step=step, level=section.level, gap=gap,
+                grad_norm_z=float(np.linalg.norm(obj.gradient(z))),
+                grad_norm_zp=float(np.linalg.norm(obj.gradient(zp))),
+                x=np.array(section.midpoint, dtype=float)))
+            logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, step,
+                         section.level, gap)
 
             # Small-gradient stop: a small gradient was observed anywhere. A
             # candidate on or below the initial level is skipped: in practice
@@ -218,54 +218,54 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             # Newton handoff once the endpoints are close. A point section
             # (gap 0) is left out: Newton there pays one Hessian more than
             # (PD) and l-down, whose next stop is an already small gradient.
+            # The candidate (z + z')/2, like the Breakdown and MaxIter point,
+            # can differ from section.midpoint, the trace's x, in the last bits.
             if 0.0 < gap < _NEWTON_HANDOFF_GAP:
-                report = polish(state.midpoint, it, "newton handoff")
+                report = polish(0.5 * (z + zp), it, "newton handoff")
                 if report is not None:
                     return report
 
-            # Level-set step. A failed iteration leaves the state unchanged
+            # Level-set step. A failed iteration leaves the section unchanged
             # and counts toward the consecutive-failure budget; any clean
             # step resets.
             failed = None
             try:
-                outcome = step_pd(state, obj)
+                outcome = step_pd(section, obj, region)
             except (DegenerateDenominator, CrossingOutsideRegion, NoLineMax) as err:
                 outcome = None
                 failed = str(err)
 
             if isinstance(outcome, HitZero):
                 # Case 1c: the segment collapsed; lower the level.
+                step = "LDown"
                 try:
-                    section = step_l_down(obj, outcome.x_prime, sec.v, region)
-                    state = SolverState(section, region, "LDown")
+                    section = step_l_down(obj, outcome.x_prime, section.v, region)
                 except CriticalCandidate as cand:
                     report = polish(cand.x, it, "critical candidate from l-down")
                     if report is not None:
                         return report
                     failed = "critical candidate was not an index-one saddle"
-                    state = replace(state, last_step="LDown")
                 except (CrossingOutsideRegion, NoLineMax) as err:
                     failed = f"l-down failed: {err}"
-                    state = replace(state, last_step="LDown")
-            elif (isinstance(outcome, SolverState)
-                  and outcome.section.diam <= (1.0 - _ETA) * sec.diam):
+            elif (isinstance(outcome, LineSection)
+                  and outcome.diam <= (1.0 - _ETA) * section.diam):
                 # Case 1a: real progress; re-align the chord.
-                state = outcome
+                section, step = outcome, "PD"
                 try:
-                    state = step_av(state, obj)
+                    section, step = step_av(section, obj, region), "Av"
                 except AvStalled:
                     pass  # already aligned; the reduction still counts
             else:
                 # Case 1b, little progress at this level, or (PD) stalled or
-                # raised: raise the level, which sometimes repairs the state.
-                if isinstance(outcome, SolverState):
-                    state = outcome
+                # raised: raise the level, which sometimes repairs the section.
+                if isinstance(outcome, LineSection):
+                    section, step = outcome, "PD"
                 else:
                     if isinstance(outcome, PdStalled):
                         failed = "parallel-distance reduction stalled"
                     logger.debug("PD failed: %s", failed)
                 try:
-                    state = step_l_up(state, obj)
+                    section, step = step_l_up(section, obj, region), "LUp"
                 except (LUpImpossible, CrossingOutsideRegion, NoLineMax) as err:
                     if failed is None:
                         failed = f"level raise failed: {err}"
@@ -275,9 +275,9 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             else:
                 failures += 1
                 if failures >= _MAX_CONSECUTIVE_FAILURES:
-                    m = state.midpoint
+                    m = 0.5 * (section.z + section.zp)
                     return finish("Breakdown", m, *certificate(m), it, failed)
 
-        m = state.midpoint
+        m = 0.5 * (section.z + section.zp)
         return finish("MaxIter", m, *certificate(m), config.max_iter,
                       "iteration limit reached")

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import BadDirection, BadEndpoints, CrossingOutsideRegion, NoLineMax
 from .objective import Objective, TrustRegion
 
-GRAD_TOL_1D = 1e-10
 ROOT_TOL = 1e-10
 CROSSING_XTOL_FRAC = 1e-12  # level-crossing tolerance, a fraction of the radius
 
@@ -153,15 +152,16 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
         fcur = fn(xcur)
 
 
-def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float,
-                fb: float) -> float:
-    """Polish a three-point max bracket a < b < c, with fb = phi(b), to phi' = 0.
+def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float) -> float:
+    """Polish a three-point max bracket a < b < c to phi' = 0.
 
     Brent's method on phi' once the derivative signs at a and c straddle;
     until then golden-section shrinks on phi. Polishes a min bracket when
-    given -phi, -phi' and -fb. Returns the polished t.
+    given -phi and -phi'. Returns the polished t; phi(b) comes from the
+    value memo when b was just probed.
     """
     invgold = 0.381966011250105  # 2 - golden ratio
+    fb = phi(b)
     for _ in range(200):
         da = dphi(a)
         if da > 0.0:
@@ -243,8 +243,8 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
     v = _check_unit(v)
     phi, dphi = _line_funcs(obj, x, v)
     t_lo, t_hi = region.line_interval(x, v)
-    a, b, c, fb = _line_max_bracket(phi, t_lo, t_hi, region.radius)
-    t = _refine_max(phi, dphi, a, b, c, fb)
+    a, b, c, _ = _line_max_bracket(phi, t_lo, t_hi, region.radius)
+    t = _refine_max(phi, dphi, a, b, c)
     return LineExtremum(t, phi(t))
 
 
@@ -270,11 +270,11 @@ def _interpolate(t: float, r: float, s: float, q: float) -> float:
 
 
 def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
-                   t_start: float, f_start: float, sgn: float, level: float,
+                   t_start: float, sgn: float, level: float,
                    radius: float) -> float:
-    """Walk the _march probes from t_start, where phi = f_start > level (or
-    = level when the first probe lies above it), in the direction sgn to the
-    component edge.
+    """Walk the _march probes from t_start, where phi > level (or = level
+    when the first probe lies above it), in the direction sgn to the
+    component edge; phi(t_start) comes from the value memo.
 
     A probe below the level closes a bracket whose crossing Brent's method
     solves. Between probes that both sit above the level, a sign flip of the
@@ -286,7 +286,7 @@ def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
     raise CrossingOutsideRegion.
     """
     xtol = CROSSING_XTOL_FRAC * radius
-    t_prev, f_prev, d_prev = t_start, f_start, 0.0
+    t_prev, f_prev, d_prev = t_start, phi(t_start), 0.0
     for t_next, f_next in probes:
         if f_next <= level:
             return _level_crossing(phi, t_prev, t_next, f_prev - level,
@@ -389,14 +389,14 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
             return LineSection(x, v, level, float(warm[0]), float(warm[1]))
     a, b, c, fb = _line_max_bracket(phi, t_lo, t_hi, region.radius)
     if fb <= level:
-        b = _refine_max(phi, dphi, a, b, c, fb)
+        b = _refine_max(phi, dphi, a, b, c)
         fb = phi(b)
         if fb <= level:
             return LineSection(x, v, level, line_max=LineExtremum(b, fb))
     up = _march(phi, b, 1.0, t_hi, region.radius)
     down = _march(phi, b, -1.0, t_lo, region.radius)
-    t2 = _cross_outward(phi, dphi, up, b, fb, +1.0, level, region.radius)
-    t1 = _cross_outward(phi, dphi, down, b, fb, -1.0, level, region.radius)
+    t2 = _cross_outward(phi, dphi, up, b, +1.0, level, region.radius)
+    t1 = _cross_outward(phi, dphi, down, b, -1.0, level, region.radius)
     return LineSection(x, v, level, float(t1), float(t2))
 
 
@@ -434,7 +434,7 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
     else:
         t_far = _cross_outward(phi, dphi,
                                _march(phi, 0.0, sgn, bound, region.radius),
-                               0.0, level, sgn, level, region.radius)
+                               0.0, sgn, level, region.radius)
     if abs(t_far) <= 2.0 * xtol:
         return LineSection(x, v, level, 0.0, 0.0)
     t1, t2 = sorted((0.0, float(t_far)))
@@ -485,7 +485,7 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
     i = int(np.argmax(vals))
     if i == 0 or i == len(ts) - 1:
         raise BadEndpoints("f has no interior line-local max on [a, b]")
-    t_star = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1], vals[i])
+    t_star = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1])
     f_star = phi(t_star)
     level = max(obj.value(a), vals[0])
     if f_star <= level:
@@ -536,7 +536,7 @@ def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,
     for c, fc in probes:
         d_next = dphi(c)
         if fc > fb:
-            t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c, -fb)
+            t = _refine_max(lambda s: -phi(s), lambda s: -dphi(s), a, b, c)
             return LineExtremum(t, phi(t))
         if d_prev < 0.0 < d_next:
             # Passed a minimum that did not show up in the values yet.

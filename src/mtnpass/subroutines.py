@@ -7,12 +7,14 @@ shifting the base point across the chord direction (PD), re-align the chord
 by sliding one endpoint along the level set (Av), lower the level after the
 segment collapses (l-down), and raise the level to f at the segment
 midpoint (or a given value above the current level), re-solving the section
-through the midpoint (l-up).
+through the midpoint (l-up). PD, Av and l-up take the section, the
+objective and the solve's trust region and return the new section; (PD)
+may instead report HitZero or PdStalled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from . import quadmodel
 from .errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
                      DegenerateDenominator, LUpImpossible, NoLineMax)
-from .line1d import (CROSSING_XTOL_FRAC, GRAD_TOL_1D, ROOT_TOL, LineSection,
+from .line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, LineSection,
                      find_far_crossing, find_level_crossings, line_local_max,
                      line_local_min)
 from .objective import Objective, TrustRegion
@@ -32,23 +34,7 @@ BACKTRACK_RATIO = 0.5
 NEWTON_MIN_EIG = 1e-10  # reduced Hessian must be at least this definite
 AV_MAX_BACKTRACKS = 30  # step halvings of the (Av) tangential slide
 MAX_PROJECTION_NEWTON = 50  # Newton steps pulling a point back onto the level
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """The segment [z', z]: a non-empty section on {f = level}, and its region."""
-
-    section: LineSection
-    region: TrustRegion
-    last_step: str = "Init"
-
-    @property
-    def gap(self) -> float:
-        return float(np.linalg.norm(self.section.z - self.section.zp))
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.section.z + self.section.zp)
+GRAD_TOL_1D = 1e-10  # scale of l-down's line-max test on |grad f . v|
 
 
 @dataclass(frozen=True)
@@ -62,10 +48,10 @@ class PdStalled:
     """No backtracking step achieved the Armijo decrease."""
 
 
-PdOutcome = Union[SolverState, HitZero, PdStalled]
+PdOutcome = Union[LineSection, HitZero, PdStalled]
 
 
-def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
+def step_pd(section: LineSection, obj: Objective, region: TrustRegion) -> PdOutcome:
     """One parallel-distance reduction step from the segment midpoint x.
 
     Computes grad/hess of g^2 at x from the endpoint data, moves across v by a Newton step on the complement of v
@@ -76,9 +62,8 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
     Backtracking stops with PdStalled once the trial step t*|d| is shorter
     than the crossing tolerance the section endpoints are solved to: below
     it a change in g^2 is crossing error, not a decrease. Otherwise the
-    result is the state of the first trial section that passes the test.
+    result is the first trial section that passes the test.
     """
-    section, region = state.section, state.region
     v, x = section.v, section.midpoint
     try:
         pe = derivatives_from_section(obj, section, want_hessian=True)
@@ -127,7 +112,7 @@ def step_pd(state: SolverState, obj: Objective) -> PdOutcome:
                     return HitZero(xt + sec.line_max.t * v)
                 g2_t = sec.diam ** 2
                 if g2_t <= g2_0 + ARMIJO_C1 * t * slope:
-                    return SolverState(sec, region, "PD")
+                    return sec
         t *= BACKTRACK_RATIO
     return PdStalled()
 
@@ -147,7 +132,7 @@ def _project_to_level(obj: Objective, p: np.ndarray, level: float):
     return None
 
 
-def step_av(state: SolverState, obj: Objective) -> SolverState:
+def step_av(section: LineSection, obj: Objective, region: TrustRegion) -> LineSection:
     """Adjust the chord direction by sliding one endpoint along the level set.
 
     The endpoint with the larger gradient norm (ties go to z) is moved along
@@ -157,8 +142,8 @@ def step_av(state: SolverState, obj: Objective) -> SolverState:
     there, so that endpoint keeps its bits. Raises AvStalled when the tangential component vanishes or no
     step helps.
     """
-    level = state.section.level
-    z, zp = state.section.z, state.section.zp
+    level = section.level
+    z, zp = section.z, section.zp
     gz, gzp = obj.gradient(z), obj.gradient(zp)
     if np.linalg.norm(gz) >= np.linalg.norm(gzp):
         this, other, gthis, move_z = z, zp, gz, True
@@ -176,14 +161,13 @@ def step_av(state: SolverState, obj: Objective) -> SolverState:
     t = 1.0
     for _ in range(AV_MAX_BACKTRACKS):
         p = _project_to_level(obj, this + t * w, level)
-        if p is not None and state.region.contains(p):
+        if p is not None and region.contains(p):
             gap_new = float(np.linalg.norm(p - other))
             if gap_new < gap0:
                 z_new, zp_new = (p, other) if move_z else (other, p)
                 t1, t2 = (0.0, gap_new) if move_z else (-gap_new, 0.0)
-                section = LineSection(other, (z_new - zp_new) / gap_new, level,
-                                      t1, t2)
-                return replace(state, section=section, last_step="Av")
+                return LineSection(other, (z_new - zp_new) / gap_new, level,
+                                   t1, t2)
         t *= 0.5
     raise AvStalled("no tangential step reduced the chord length")
 
@@ -237,8 +221,8 @@ def step_l_down(obj: Objective, x: np.ndarray, v: np.ndarray,
     return crossings_or_degenerate(obj, x + mn.t * d, v, mn.value, region)
 
 
-def step_l_up(state: SolverState, obj: Objective,
-              level: Optional[float] = None) -> SolverState:
+def step_l_up(section: LineSection, obj: Objective, region: TrustRegion,
+              level: Optional[float] = None) -> LineSection:
     """Raise the level to `level`, by default f at the segment midpoint m,
     and re-solve the endpoints.
 
@@ -249,13 +233,12 @@ def step_l_up(state: SolverState, obj: Objective,
     with grad). An explicit level is solved cold. Raises LUpImpossible when the level does
     not lie above the current level.
     """
-    sec, m = state.section, state.midpoint
+    m = 0.5 * (section.z + section.zp)
     on_level = level is None
     if on_level:
         level = obj.value(m)
-    if level <= sec.level:
+    if level <= section.level:
         raise LUpImpossible(f"level {level:.6g} does not exceed the current "
-                            f"level {sec.level:.6g}")
+                            f"level {section.level:.6g}")
     grad = obj.gradient(m) if on_level else None
-    section = crossings_or_degenerate(obj, m, sec.v, level, state.region, grad)
-    return replace(state, section=section, last_step="LUp")
+    return crossings_or_degenerate(obj, m, section.v, level, region, grad)

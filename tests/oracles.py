@@ -159,6 +159,52 @@ def newton_polish(grad, hess, x0, tol=1e-13, max_iter=80):
     return x
 
 
+# Mueller-Brown potential (Mueller & Brown, Theor. Chim. Acta 53 (1979) 75):
+# f(x, y) = sum_k A_k exp(a_k dx^2 + b_k dx dy + c_k dy^2), with
+# dx = x - x0_k and dy = y - y0_k. One row per term: (A, a, b, c, x0, y0).
+MUELLER_BROWN_TERMS = [
+    (-200.0, -1.0, 0.0, -10.0, 1.0, 0.0),
+    (-100.0, -1.0, 0.0, -10.0, 0.0, 0.5),
+    (-170.0, -6.5, 11.0, -6.5, -0.5, 1.5),
+    (15.0, 0.7, 0.6, 0.7, -1.0, 1.0),
+]
+# Rough minima A (deepest), B, C and the two index-one saddles (A-C, then
+# C-B), with the saddle values; polished by Newton before use.
+MUELLER_BROWN_MINIMA_GUESS = [(-0.558, 1.442), (0.623, 0.028), (-0.050, 0.467)]
+MUELLER_BROWN_SADDLES = [(-0.822, 0.624, -40.6648435087),
+                         (0.212, 0.293, -72.2489401123)]
+
+
+def _mueller_brown_terms(p):
+    """(e_k, a_k, b_k, c_k, d/dx exponent, d/dy exponent) per term."""
+    x, y = p
+    for A, a, b, c, x0, y0 in MUELLER_BROWN_TERMS:
+        dx, dy = x - x0, y - y0
+        yield (A * np.exp(a * dx * dx + b * dx * dy + c * dy * dy), a, b, c,
+               2.0 * a * dx + b * dy, b * dx + 2.0 * c * dy)
+
+
+def mueller_brown_value(p):
+    return float(sum(t[0] for t in _mueller_brown_terms(p)))
+
+
+def mueller_brown_gradient(p):
+    return sum(e * np.array([gx, gy])
+               for e, _, _, _, gx, gy in _mueller_brown_terms(p))
+
+
+def mueller_brown_hessian(p):
+    return sum(e * np.array([[gx * gx + 2.0 * a, gx * gy + b],
+                             [gx * gy + b, gy * gy + 2.0 * c]])
+               for e, a, b, c, gx, gy in _mueller_brown_terms(p))
+
+
+def mueller_brown_polished(points):
+    """The given points polished by Newton on grad f = 0."""
+    return [newton_polish(mueller_brown_gradient, mueller_brown_hessian,
+                          np.array(p[:2], dtype=float)) for p in points]
+
+
 class DoubleWell:
     """f(x) = (y1^2 - 2)^2 / 4 + b y1^2 y2 + sum_{i>=2} lam_i y_i^2 / 2.
 
@@ -211,11 +257,10 @@ class DoubleWell:
         return out[0], out[1]
 
 
-def validate_state(state, obj) -> None:
-    """Re-assert the invariants of a solver state: v is a unit vector and
-    both endpoints lie on the level to within 1e-9 (10 times line1d's root
-    tolerance). Raises ValueError on a violation."""
-    sec = state.section
+def validate_section(sec, obj) -> None:
+    """Re-assert the invariants of the solver's section: v is a unit vector
+    and both endpoints lie on the level to within 1e-9 (10 times line1d's
+    root tolerance). Raises ValueError on a violation."""
     if abs(np.linalg.norm(sec.v) - 1.0) > 1e-10:
         raise ValueError("v is not a unit vector")
     for name, p in (("z", sec.z), ("z'", sec.zp)):

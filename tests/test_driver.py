@@ -19,19 +19,18 @@ class TestInitState:
     def test_quadratic_recovers_endpoints(self, saddle_quadratic):
         a = np.array([1.0, 2.0])
         b = np.array([1.0, -2.0])
-        state = init_state(saddle_quadratic, a, b, SolveConfig())
-        sec = state.section
+        sec, region = init_state(saddle_quadratic, a, b, SolveConfig(radius=3.0))
         assert sec.level == pytest.approx(-1.5)
         assert np.allclose(sec.z, a, atol=1e-9)
         assert np.allclose(sec.zp, b, atol=1e-9)
-        oracles.validate_state(state, saddle_quadratic)
+        oracles.validate_section(sec, saddle_quadratic)
+        assert np.array_equal(region.center, [1.0, 0.0]) and region.radius == 3.0
 
     def test_camel_minima_straddle_origin(self, camel):
         a = np.array([0.0898, -0.7126])
         b = np.array([-0.0898, 0.7126])
-        state = init_state(camel, a, b, SolveConfig())
-        oracles.validate_state(state, camel)
-        sec = state.section
+        sec, _ = init_state(camel, a, b, SolveConfig())
+        oracles.validate_section(sec, camel)
         # the segment crosses the origin ridge
         assert sec.z @ sec.v > 0 > sec.zp @ sec.v
         assert sec.level == pytest.approx(max(camel.value(a), camel.value(b)))
@@ -292,6 +291,28 @@ class TestSolveDoubleWell:
         assert report.eval_counts["gradient"] < 150
 
 
+class TestSolveMuellerBrown:
+    def test_a_to_b_realigns_the_chord(self):
+        # From minimum A to minimum B the path passes C, and the pass is the
+        # higher of the two saddles, the one between A and C. The solve
+        # reaches it through three chord re-alignments (Av) at one level.
+        a, b, _ = oracles.mueller_brown_polished(
+            oracles.MUELLER_BROWN_MINIMA_GUESS)
+        saddle = oracles.mueller_brown_polished(oracles.MUELLER_BROWN_SADDLES)[0]
+        obj = Objective(2, oracles.mueller_brown_value,
+                        oracles.mueller_brown_gradient,
+                        oracles.mueller_brown_hessian)
+        report = solve(obj, a, b)
+        assert report.status == "SaddleFound"
+        assert report.grad_norm <= 1e-8 and report.morse_index == 1
+        assert np.linalg.norm(report.x - saddle) <= 1e-8
+        assert report.f == pytest.approx(oracles.MUELLER_BROWN_SADDLES[0][2],
+                                         abs=1e-9)
+        assert "Av" in [r.step for r in report.trace]
+        assert_level_rules(report.trace)
+        assert_gap_rule(report.trace)
+
+
 class TestEndpointGradientReuse:
     def test_pd_evaluates_no_endpoint_gradient(self, monkeypatch):
         # The driver evaluates the gradients at z and z' at the top of each
@@ -369,6 +390,24 @@ class TestCertificateReuse:
             == {"value": 0, "gradient": 0, "hessian": 0}
 
 
+def assert_level_rules(records):
+    """l-up raises the level, l-down lowers it, (PD) and Av keep it."""
+    for prev, cur in zip(records, records[1:]):
+        if cur.step == "LUp":
+            assert cur.level > prev.level
+        elif cur.step == "LDown":
+            assert cur.level < prev.level
+        elif cur.step in ("PD", "Av"):
+            assert cur.level == prev.level
+
+
+def assert_gap_rule(records):
+    """(PD) and Av never widen the gap at one level."""
+    for prev, cur in zip(records, records[1:]):
+        if cur.step in ("PD", "Av") and prev.level == cur.level:
+            assert cur.gap <= prev.gap + 2e-10
+
+
 class TestReportInvariants:
     def _solved(self):
         camel = six_hump_camel()
@@ -381,22 +420,10 @@ class TestReportInvariants:
         assert report.grad_norm <= 1e-8 and report.morse_index == 1
 
     def test_level_monotonicity_by_step_kind(self):
-        report = self._solved()
-        records = report.trace
-        for prev, cur in zip(records, records[1:]):
-            if cur.step == "LUp":
-                assert cur.level > prev.level
-            elif cur.step == "LDown":
-                assert cur.level < prev.level
-            elif cur.step in ("PD", "Av"):
-                assert cur.level == prev.level
+        assert_level_rules(self._solved().trace)
 
     def test_gap_nonincreasing_within_pd_av_runs(self):
-        report = self._solved()
-        records = report.trace
-        for prev, cur in zip(records, records[1:]):
-            if cur.step in ("PD", "Av") and prev.level == cur.level:
-                assert cur.gap <= prev.gap + 2e-10
+        assert_gap_rule(self._solved().trace)
 
     def test_eval_counts_present(self):
         report = self._solved()

@@ -129,7 +129,7 @@ class TestRefineMax:
             return -2.0 * (t - 0.3) + 0.5 * np.cos(25.0 * t)
 
         assert dphi(0.13) < 0.0
-        t = _refine_max(phi, dphi, 0.13, 0.3, 0.6, phi(0.3))
+        t = _refine_max(phi, dphi, 0.13, 0.3, 0.6)
         assert len(values) > 1  # the golden-section phase evaluated phi
         grid = np.linspace(0.13, 0.6, 470001)
         t_grid = grid[np.argmax(phi(grid))]

@@ -10,29 +10,37 @@ from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, LineSection,
 from mtnpass.objective import Objective, TrustRegion
 from mtnpass.pardist import closed_form_g2_quadratic
 from mtnpass.quadmodel import QuadraticObjective
-from mtnpass.subroutines import (HitZero, PdStalled, SolverState,
-                                 crossings_or_degenerate, step_av, step_l_down,
-                                 step_l_up, step_pd)
+from mtnpass.subroutines import (HitZero, PdStalled, crossings_or_degenerate,
+                                 step_av, step_l_down, step_l_up, step_pd)
 
 E2 = np.array([0.0, 1.0])
 
 
-def make_state(obj, x, v, level, region):
+def make_section(obj, x, v, level, region):
     sec = find_level_crossings(obj, x, v, level, region)
     assert not sec.empty
-    return SolverState(sec, region)
+    return sec
 
 
-def segment(x, v, level, t1, t2, region):
-    """The state of the segment x + t v, t in [t1, t2], on the given level."""
-    return SolverState(LineSection(np.asarray(x, dtype=float),
-                                   np.asarray(v, dtype=float), level, t1, t2),
-                       region)
+def segment(x, v, level, t1, t2):
+    """The segment x + t v, t in [t1, t2], on the given level."""
+    return LineSection(np.asarray(x, dtype=float), np.asarray(v, dtype=float),
+                       level, t1, t2)
 
 
-def l_up(state, obj):
+def gap(sec):
+    """|z - z'|, the driver's endpoint gap."""
+    return float(np.linalg.norm(sec.z - sec.zp))
+
+
+def chord_midpoint(sec):
+    """(z + z') / 2, the point l-up raises the level at."""
+    return 0.5 * (sec.z + sec.zp)
+
+
+def l_up(sec, obj, region):
     """step_l_up to f at the segment midpoint, the driver's target level."""
-    return step_l_up(state, obj, obj.value(state.midpoint))
+    return step_l_up(sec, obj, region, obj.value(chord_midpoint(sec)))
 
 
 def recording(obj):
@@ -74,75 +82,72 @@ def count_line_searches(monkeypatch):
 
 
 @pytest.fixture
-def quad_state(saddle_quadratic, origin_region):
-    return make_state(saddle_quadratic, np.array([1.0, 0.0]), E2, -0.5,
-                      origin_region)
+def quad_section(saddle_quadratic, origin_region):
+    return make_section(saddle_quadratic, np.array([1.0, 0.0]), E2, -0.5,
+                        origin_region)
 
 
 class TestStepPd:
-    def test_newton_lands_on_axis(self, saddle_quadratic, quad_state):
-        out = step_pd(quad_state, saddle_quadratic)
-        assert isinstance(out, SolverState) and out.last_step == "PD"
-        assert out.region is quad_state.region
-        assert out.section.level == quad_state.section.level
-        assert quad_state.section.diam == pytest.approx(2.0 * np.sqrt(2.0),
-                                                        abs=1e-9)
-        assert out.section.diam == pytest.approx(2.0, abs=1e-9)
-        assert np.allclose(out.section.midpoint, [0.0, 0.0], atol=1e-9)
-        assert np.allclose(out.section.z, [0.0, 1.0], atol=1e-9)
-        assert np.allclose(out.section.zp, [0.0, -1.0], atol=1e-9)
+    def test_newton_lands_on_axis(self, saddle_quadratic, quad_section,
+                                  origin_region):
+        out = step_pd(quad_section, saddle_quadratic, origin_region)
+        assert isinstance(out, LineSection)
+        assert out.level == quad_section.level
+        assert quad_section.diam == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
+        assert out.diam == pytest.approx(2.0, abs=1e-9)
+        assert np.allclose(out.midpoint, [0.0, 0.0], atol=1e-9)
+        assert np.allclose(out.z, [0.0, 1.0], atol=1e-9)
+        assert np.allclose(out.zp, [0.0, -1.0], atol=1e-9)
 
     def test_decrease_against_closed_form(self, saddle_quadratic, origin_region):
-        state = make_state(saddle_quadratic, np.array([0.1, 0.0]), E2, 0.25 - 0.5,
-                           origin_region)
+        sec = make_section(saddle_quadratic, np.array([0.1, 0.0]), E2,
+                           0.25 - 0.5, origin_region)
         # a level of +0.25 would sit above the saddle value for this f and
         # only when x1^2/2 > level; use level -0.25 to keep a real segment.
-        out = step_pd(state, saddle_quadratic)
-        assert isinstance(out, SolverState)
-        level = state.section.level
+        out = step_pd(sec, saddle_quadratic, origin_region)
+        assert isinstance(out, LineSection)
         g2_before, _, _ = closed_form_g2_quadratic(
-            saddle_quadratic, state.section.midpoint, E2, level)
+            saddle_quadratic, sec.midpoint, E2, sec.level)
         g2_after, _, _ = closed_form_g2_quadratic(
-            saddle_quadratic, out.section.midpoint, E2, level)
+            saddle_quadratic, out.midpoint, E2, sec.level)
         assert g2_after < g2_before
-        assert out.section.diam ** 2 == pytest.approx(g2_after, rel=1e-8)
+        assert out.diam ** 2 == pytest.approx(g2_after, rel=1e-8)
 
     def test_hit_zero_above_saddle_level(self, saddle_quadratic, origin_region):
         # At a level above the saddle value the segment can vanish: the
         # Newton step crosses the region where the line misses the level set.
-        state = make_state(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
+        sec = make_section(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
                            origin_region)
-        out = step_pd(state, saddle_quadratic)
+        out = step_pd(sec, saddle_quadratic, origin_region)
         assert isinstance(out, HitZero)
-        assert saddle_quadratic.value(out.x_prime) <= \
-            state.section.level + ROOT_TOL
+        assert saddle_quadratic.value(out.x_prime) <= sec.level + ROOT_TOL
         # x' is a line-local max of f along v through the step point
         grad = saddle_quadratic.gradient(out.x_prime)
-        assert abs(grad @ state.section.v) <= 1e-8
+        assert abs(grad @ sec.v) <= 1e-8
 
     def test_empty_trial_reuses_its_line_max(self, saddle_quadratic,
                                              origin_region, monkeypatch):
         # The empty trial section carries the line max it found; HitZero
         # takes x' from it without a second search along the line.
-        state = make_state(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
+        sec = make_section(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
                            origin_region)
         calls = count_line_searches(monkeypatch)
-        out = step_pd(state, saddle_quadratic)
+        out = step_pd(sec, saddle_quadratic, origin_region)
         assert isinstance(out, HitZero)
         assert calls["find_level_crossings"] >= 1
         assert calls["bracket"] == calls["find_level_crossings"]
 
     def test_never_increases_g(self, camel, origin_region):
         w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))
-        state = make_state(camel, np.array([0.1, 0.05]), V[:, 0], -0.2,
+        sec = make_section(camel, np.array([0.1, 0.05]), V[:, 0], -0.2,
                            origin_region)
         for _ in range(5):
-            out = step_pd(state, camel)
-            if not isinstance(out, SolverState):
+            out = step_pd(sec, camel, origin_region)
+            if not isinstance(out, LineSection):
                 break
-            assert out.section.diam <= state.section.diam + 2.0 * ROOT_TOL
-            state = out
-            oracles.validate_state(state, camel)
+            assert out.diam <= sec.diam + 2.0 * ROOT_TOL
+            sec = out
+            oracles.validate_section(sec, camel)
 
     def test_degenerate_segment_reports_collapse(self):
         # In three dimensions a level change can land on a point that is a
@@ -153,8 +158,7 @@ class TestStepPd:
         v = np.array([0.0, 0.0, 1.0])
         x = np.array([0.8, 0.5, 0.0])   # line max along v, gradient nonzero
         level = obj.value(x)
-        state = segment(x, v, level, 0.0, 0.0, region)
-        out = step_pd(state, obj)
+        out = step_pd(segment(x, v, level, 0.0, 0.0), obj, region)
         assert isinstance(out, HitZero)
         assert np.allclose(out.x_prime, x, atol=1e-9)
         # the follow-up level decrease makes strict progress
@@ -165,18 +169,18 @@ class TestStepPd:
     def test_stalled_at_minimizer(self, saddle_quadratic, origin_region):
         # At the minimizer of g^2 the gradient of g^2 vanishes and no
         # direction can decrease it further.
-        state = make_state(saddle_quadratic, np.array([0.0, 0.0]), E2, -0.5,
+        sec = make_section(saddle_quadratic, np.array([0.0, 0.0]), E2, -0.5,
                            origin_region)
-        out = step_pd(state, saddle_quadratic)
+        out = step_pd(sec, saddle_quadratic, origin_region)
         assert out == PdStalled()
-        assert state.section.diam == pytest.approx(2.0, abs=1e-9)
+        assert sec.diam == pytest.approx(2.0, abs=1e-9)
 
     def test_backtracking_stops_at_the_crossing_tolerance(
-            self, saddle_quadratic, quad_state, monkeypatch):
-        # Every trial section has the state's own diameter, so the Armijo
+            self, saddle_quadratic, quad_section, origin_region, monkeypatch):
+        # Every trial section has the section's own diameter, so the Armijo
         # decrease never holds and (PD) halves the Newton step d = (-1, 0)
         # until t |d| falls below the crossing tolerance.
-        sec = quad_state.section
+        sec = quad_section
         steps = []
 
         def same_diameter(obj, x, v, level, region):
@@ -184,9 +188,9 @@ class TestStepPd:
             return LineSection(x, v, level, sec.t1, sec.t2)
 
         monkeypatch.setattr(subroutines, "find_level_crossings", same_diameter)
-        out = step_pd(quad_state, saddle_quadratic)
+        out = step_pd(sec, saddle_quadratic, origin_region)
         assert out == PdStalled()
-        min_step = CROSSING_XTOL_FRAC * quad_state.region.radius
+        min_step = CROSSING_XTOL_FRAC * origin_region.radius
         halvings = int(np.floor(np.log2(1.0 / min_step))) + 1
         assert len(steps) == halvings == 37
         assert np.allclose(steps, 0.5 ** np.arange(halvings), rtol=1e-12, atol=0)
@@ -200,8 +204,7 @@ class TestStepPd:
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         obj = Objective(5, well.value, well.gradient, well.hessian)
-        state = SolverState(chord_section(obj, a, b),
-                            TrustRegion(0.5 * (a + b), 10.0))
+        sec = chord_section(obj, a, b)
         calls = []
 
         def counted(*args):
@@ -211,7 +214,7 @@ class TestStepPd:
         monkeypatch.setattr(subroutines, "find_level_crossings", counted)
         before = obj.eval_counts()["hessian"]
         with pytest.raises(DegenerateDenominator, match="root tolerance"):
-            step_pd(state, obj)
+            step_pd(sec, obj, TrustRegion(0.5 * (a + b), 10.0))
         assert calls == []
         assert obj.eval_counts()["hessian"] == before
 
@@ -222,11 +225,10 @@ class TestStepPd:
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         obj = Objective(5, well.value, well.gradient, well.hessian)
-        state = SolverState(chord_section(obj, a, b),
-                            TrustRegion(0.5 * (a + b), 10.0))
+        sec = chord_section(obj, a, b)
         calls = count_line_searches(monkeypatch)
         with pytest.raises(DegenerateDenominator):
-            step_pd(state, obj)
+            step_pd(sec, obj, TrustRegion(0.5 * (a + b), 10.0))
         assert calls["bracket"] == 0
 
     def test_composition_reaches_saddle_midpoint(self, saddle_quadratic,
@@ -234,12 +236,12 @@ class TestStepPd:
         # From any base point on the segment, one Newton (PD) step lands on
         # x1 = 0 and the new segment midpoint is the saddle.
         for x1 in (0.7, -0.3, 1.2):
-            state = make_state(saddle_quadratic, np.array([x1, 0.2]), E2, -0.5,
+            sec = make_section(saddle_quadratic, np.array([x1, 0.2]), E2, -0.5,
                                origin_region)
-            out = step_pd(state, saddle_quadratic)
-            assert isinstance(out, SolverState)
-            assert abs(out.section.midpoint[0]) <= 1e-10
-            assert np.linalg.norm(out.midpoint) <= 1e-10
+            out = step_pd(sec, saddle_quadratic, origin_region)
+            assert isinstance(out, LineSection)
+            assert abs(out.midpoint[0]) <= 1e-10
+            assert np.linalg.norm(chord_midpoint(out)) <= 1e-10
 
 
 class TestStepAv:
@@ -248,19 +250,19 @@ class TestStepAv:
         s125 = np.sqrt(1.25)
         z = np.array([0.5, s125])
         h = np.linalg.norm(z)
-        state = segment(np.zeros(2), z / h, -0.5, -h, h, origin_region)
-        gaps = [state.gap]
+        sec = segment(np.zeros(2), z / h, -0.5, -h, h)
+        gaps = [gap(sec)]
         for _ in range(50):
             try:
-                state = step_av(state, saddle_quadratic)
+                sec = step_av(sec, saddle_quadratic, origin_region)
             except AvStalled:
                 break
-            oracles.validate_state(state, saddle_quadratic)
-            gaps.append(state.gap)
+            oracles.validate_section(sec, saddle_quadratic)
+            gaps.append(gap(sec))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         # optimal chord of {f = -0.5} is vertical of length 2
-        assert abs(abs(state.section.v[1]) - 1.0) <= 1e-6
-        assert state.gap == pytest.approx(2.0, abs=1e-6)
+        assert abs(abs(sec.v[1]) - 1.0) <= 1e-6
+        assert gap(sec) == pytest.approx(2.0, abs=1e-6)
 
     def test_keeps_the_gradient_of_the_fixed_endpoint(self, saddle_quadratic,
                                                        origin_region):
@@ -269,51 +271,51 @@ class TestStepAv:
         # is not evaluated again: of the new endpoints only z is.
         z = np.array([0.5, np.sqrt(1.25)])
         h = np.linalg.norm(z)
-        state = segment(np.zeros(2), z / h, -0.5, -h, h, origin_region)
+        sec = segment(np.zeros(2), z / h, -0.5, -h, h)
         obj, points = recording(saddle_quadratic)
-        new = step_av(state, obj)
-        assert new.section.t1 == 0.0
-        assert np.array_equal(new.section.zp, state.section.zp)
+        new = step_av(sec, obj, origin_region)
+        assert new.t1 == 0.0
+        assert np.array_equal(new.zp, sec.zp)
         before = len(points["gradient"])
-        obj.gradient(new.section.z)
-        obj.gradient(new.section.zp)
+        obj.gradient(new.z)
+        obj.gradient(new.zp)
         assert [p.tolist() for p in points["gradient"][before:]] == [
-            new.section.z.tolist()]
-        assert calls_at(points["gradient"], new.section.zp) == 1
+            new.z.tolist()]
+        assert calls_at(points["gradient"], new.zp) == 1
 
     def test_stalled_at_optimal_chord(self, saddle_quadratic, origin_region):
-        state = segment(np.zeros(2), E2, -0.5, -1.0, 1.0, origin_region)
+        sec = segment(np.zeros(2), E2, -0.5, -1.0, 1.0)
         with pytest.raises(AvStalled):
-            step_av(state, saddle_quadratic)
+            step_av(sec, saddle_quadratic, origin_region)
 
     def test_camel_monotone_gap(self, camel, origin_region):
         w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))
         vbar = V[:, 0]
         c, s = np.cos(0.3), np.sin(0.3)
         v = np.array([c * vbar[0] - s * vbar[1], s * vbar[0] + c * vbar[1]])
-        state = make_state(camel, np.zeros(2), v, -0.1, origin_region)
-        gaps = [state.gap]
+        sec = make_section(camel, np.zeros(2), v, -0.1, origin_region)
+        gaps = [gap(sec)]
         for _ in range(10):
             try:
-                state = step_av(state, camel)
+                sec = step_av(sec, camel, origin_region)
             except AvStalled:
                 break
-            oracles.validate_state(state, camel)
-            gaps.append(state.gap)
+            oracles.validate_section(sec, camel)
+            gaps.append(gap(sec))
         assert len(gaps) >= 5
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_moves_endpoint_with_larger_gradient(self, camel, origin_region):
         # The endpoint that does not move keeps its bits: the new section is
         # based there, with t = 0.
-        state = make_state(camel, np.array([0.05, 0.0]), E2, -0.3, origin_region)
-        gz = np.linalg.norm(camel.gradient(state.section.z))
-        gzp = np.linalg.norm(camel.gradient(state.section.zp))
-        new = step_av(state, camel)
+        sec = make_section(camel, np.array([0.05, 0.0]), E2, -0.3, origin_region)
+        gz = np.linalg.norm(camel.gradient(sec.z))
+        gzp = np.linalg.norm(camel.gradient(sec.zp))
+        new = step_av(sec, camel, origin_region)
         if gz >= gzp:
-            assert np.array_equal(new.section.zp, state.section.zp)
+            assert np.array_equal(new.zp, sec.zp)
         else:
-            assert np.array_equal(new.section.z, state.section.z)
+            assert np.array_equal(new.z, sec.z)
 
 
 class TestStepLDown:
@@ -376,48 +378,46 @@ class TestCrossingsOrDegenerate:
 class TestStepLUp:
     def test_quadratic_degenerate(self, saddle_quadratic, origin_region):
         s3 = np.sqrt(3.0)
-        state = segment([1.0, 0.0], E2, -1.0, -s3, s3, origin_region)
-        new = l_up(state, saddle_quadratic)
-        assert new.section.level == pytest.approx(0.5)
-        assert new.gap <= 1e-6
-        assert np.allclose(new.section.z, [1.0, 0.0], atol=1e-6)
+        sec = segment([1.0, 0.0], E2, -1.0, -s3, s3)
+        new = l_up(sec, saddle_quadratic, origin_region)
+        assert new.level == pytest.approx(0.5)
+        assert gap(new) <= 1e-6
+        assert np.allclose(new.z, [1.0, 0.0], atol=1e-6)
         # v unchanged by contract
-        assert np.array_equal(new.section.v, state.section.v)
+        assert np.array_equal(new.v, sec.v)
 
     def test_quadratic_wider_base(self, saddle_quadratic, origin_region):
         s6 = np.sqrt(6.0)
-        state = segment([2.0, 0.0], E2, -1.0, -s6, s6, origin_region)
-        new = l_up(state, saddle_quadratic)
-        assert new.section.level == pytest.approx(2.0)
-        assert new.gap <= 1e-6
+        sec = segment([2.0, 0.0], E2, -1.0, -s6, s6)
+        new = l_up(sec, saddle_quadratic, origin_region)
+        assert new.level == pytest.approx(2.0)
+        assert gap(new) <= 1e-6
 
     def test_camel_narrows_segment(self, camel, origin_region):
         w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))
         vbar = V[:, 0]
-        state = make_state(camel, np.array([0.05, 0.02]), vbar, -0.2,
+        sec = make_section(camel, np.array([0.05, 0.02]), vbar, -0.2,
                            origin_region)
-        new = l_up(state, camel)
-        assert new.section.level > -0.2
-        assert new.section.level == pytest.approx(camel.value(state.midpoint))
+        new = l_up(sec, camel, origin_region)
+        assert new.level > -0.2
+        assert new.level == pytest.approx(camel.value(chord_midpoint(sec)))
         # oracle: widths of the crossing segments at both levels
-        old_roots = oracles.grid_crossings(oracles.camel_value,
-                                           state.section.midpoint, vbar,
-                                           state.section.level, -1.5, 1.5)
-        new_roots = oracles.grid_crossings(oracles.camel_value,
-                                           new.section.midpoint, vbar,
-                                           new.section.level, -1.5, 1.5)
+        old_roots = oracles.grid_crossings(oracles.camel_value, sec.midpoint,
+                                           vbar, sec.level, -1.5, 1.5)
+        new_roots = oracles.grid_crossings(oracles.camel_value, new.midpoint,
+                                           vbar, new.level, -1.5, 1.5)
         w_old = max(r for r in old_roots) - min(r for r in old_roots)
-        assert new.gap < w_old
-        assert new.gap == pytest.approx(
+        assert gap(new) < w_old
+        assert gap(new) == pytest.approx(
             min(r for r in new_roots if r > 0)
             - max(r for r in new_roots if r < 0), abs=1e-6)
-        oracles.validate_state(new, camel)
+        oracles.validate_section(new, camel)
 
     def test_impossible_when_midpoint_not_above(self, saddle_quadratic,
                                                 origin_region):
-        state = segment([1.0, 0.0], E2, 0.5, 0.0, 0.0, origin_region)
+        sec = segment([1.0, 0.0], E2, 0.5, 0.0, 0.0)
         with pytest.raises(LUpImpossible):
-            l_up(state, saddle_quadratic)
+            l_up(sec, saddle_quadratic, origin_region)
 
     def test_raises_to_the_given_level(self, saddle_quadratic, origin_region):
         # The caller picks the level: here 0, below f(midpoint) = 0.5. On
@@ -425,29 +425,27 @@ class TestStepLUp:
         # The midpoint is not on that level, so the section is solved cold
         # and no gradient is paid there.
         s3 = np.sqrt(3.0)
-        state = segment([1.0, 0.0], E2, -1.0, -s3, s3, origin_region)
+        sec = segment([1.0, 0.0], E2, -1.0, -s3, s3)
         obj, points = recording(saddle_quadratic)
-        new = step_l_up(state, obj, 0.0)
-        assert new.section.level == 0.0
-        assert new.last_step == "LUp"
-        assert new.gap == pytest.approx(2.0, abs=1e-9)
-        assert np.allclose(new.midpoint, [1.0, 0.0], atol=1e-9)
-        assert calls_at(points["gradient"], state.midpoint) == 0
+        new = step_l_up(sec, obj, origin_region, 0.0)
+        assert new.level == 0.0
+        assert gap(new) == pytest.approx(2.0, abs=1e-9)
+        assert np.allclose(chord_midpoint(new), [1.0, 0.0], atol=1e-9)
+        assert calls_at(points["gradient"], chord_midpoint(sec)) == 0
 
     def test_one_value_at_the_midpoint(self, camel, origin_region):
         # The new level is f(m), evaluated once; t = 0 is then a crossing,
         # and the endpoint on m keeps the bits of m, so asking for the new
         # endpoint gradients evaluates grad f(m) no second time.
         w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))
-        state = make_state(camel, np.array([0.05, 0.02]), V[:, 0], -0.2,
+        old = make_section(camel, np.array([0.05, 0.02]), V[:, 0], -0.2,
                            origin_region)
-        m = state.midpoint
+        m = chord_midpoint(old)
         obj, points = recording(camel)
-        new = step_l_up(state, obj)
-        assert new.section.level == camel.value(m)
+        sec = step_l_up(old, obj, origin_region)
+        assert sec.level == camel.value(m)
         assert calls_at(points["value"], m) == 1
         assert calls_at(points["gradient"], m) == 1
-        sec = new.section
         assert np.array_equal(sec.x, m) and 0.0 in (sec.t1, sec.t2)
         on_m, far = (sec.zp, sec.z) if sec.t1 == 0.0 else (sec.z, sec.zp)
         assert np.array_equal(on_m, m)
@@ -464,31 +462,28 @@ class TestStepLUp:
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         obj = Objective(5, well.value, well.gradient)
-        state = SolverState(chord_section(obj, a, b),
-                            TrustRegion(0.5 * (a + b), 10.0))
-        new = step_l_up(state, obj)
-        assert (new.section.t1, new.section.t2) == (0.0, 0.0)
-        assert np.array_equal(new.section.x, state.midpoint)
+        sec = chord_section(obj, a, b)
+        m = chord_midpoint(sec)
+        new = step_l_up(sec, obj, TrustRegion(0.5 * (a + b), 10.0))
+        assert (new.t1, new.t2) == (0.0, 0.0)
+        assert np.array_equal(new.x, m)
         before = obj.eval_counts()
-        assert np.array_equal(obj.gradient(new.section.z),
-                              well.gradient(state.midpoint))
-        assert np.array_equal(obj.gradient(new.section.zp),
-                              well.gradient(state.midpoint))
+        assert np.array_equal(obj.gradient(new.z), well.gradient(m))
+        assert np.array_equal(obj.gradient(new.zp), well.gradient(m))
         assert obj.eval_counts() == before
 
 
 class TestStateInvariants:
-    def test_validate_accepts_consistent_state(self, quad_state,
+    def test_validate_accepts_consistent_state(self, quad_section,
                                                saddle_quadratic):
-        oracles.validate_state(quad_state, saddle_quadratic)
+        oracles.validate_section(quad_section, saddle_quadratic)
 
-    def test_validate_rejects_level_mismatch(self, saddle_quadratic,
-                                             origin_region):
-        state = segment([1.0, 0.0], E2, -0.5, -1.0, 1.0, origin_region)
+    def test_validate_rejects_level_mismatch(self, saddle_quadratic):
+        sec = segment([1.0, 0.0], E2, -0.5, -1.0, 1.0)
         with pytest.raises(ValueError, match="exceeds tolerance"):
-            oracles.validate_state(state, saddle_quadratic)
+            oracles.validate_section(sec, saddle_quadratic)
 
-    def test_validate_rejects_nonunit_v(self, saddle_quadratic, origin_region):
-        state = segment([1.0, 0.0], [0.0, 2.0], 0.0, -0.5, 0.5, origin_region)
+    def test_validate_rejects_nonunit_v(self, saddle_quadratic):
+        sec = segment([1.0, 0.0], [0.0, 2.0], 0.0, -0.5, 0.5)
         with pytest.raises(ValueError, match="unit"):
-            oracles.validate_state(state, saddle_quadratic)
+            oracles.validate_section(sec, saddle_quadratic)

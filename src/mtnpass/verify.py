@@ -347,27 +347,32 @@ def check_convexity_region(obj: Objective, center: np.ndarray, level: float,
     come from the sections of a and b already solved. Every section is
     solved cold.
     """
-    return _probe_convexity(obj, center, level, v, radius, region, n_pairs,
-                            seed, with_eigenvalues)[0]
+    return _probe_convexity(obj, center, (level,), v, radius, region, n_pairs,
+                            seed, with_eigenvalues)[level][0]
 
 
-def _probe_convexity(obj: Objective, center: np.ndarray, level: float,
+def _probe_convexity(obj: Objective, center: np.ndarray, levels: tuple,
                      v: np.ndarray, radius: float, region: TrustRegion,
                      n_pairs: int, seed: int, with_eigenvalues: bool = False,
-                     near: Optional[list] = None) -> tuple:
-    """check_convexity_region's report and the sections of its 3 * n_pairs
-    points a, b, midpoint (None where not solved or escaped).
+                     near: Optional[dict] = None) -> dict:
+    """{level: (report, sections)}: check_convexity_region's report at each
+    level and the sections of its 3 * n_pairs points a, b, midpoint (None
+    where not solved or escaped).
 
-    near, when given, holds those sections for the same seed at another
-    radius; each point's section continues from its own entry there.
+    The levels are probed point by point: each point is drawn once and solved
+    at every level whose pair has not escaped yet. Cold sections at different
+    levels probe the same points (the line-max bracket from t = 0, its march,
+    the dip tests above the level), and the objective's memo answers them
+    only while they are recent. near, when given, maps each level to its
+    sections for the same seed at another radius; each point's section
+    continues from its own entry there.
     """
     center = np.asarray(center, dtype=float)
     rng = np.random.default_rng(seed)
     n = center.size
-    report = ConvexityReport(radius=radius, level=level)
     B = complement_basis(np.asarray(v, dtype=float))
-    near = near or [None] * (3 * n_pairs)
-    solved = [None] * (3 * n_pairs)
+    out = {level: (ConvexityReport(radius=radius, level=level),
+                   [None] * (3 * n_pairs)) for level in levels}
 
     def draw() -> np.ndarray:
         u = rng.standard_normal(n)
@@ -376,23 +381,26 @@ def _probe_convexity(obj: Objective, center: np.ndarray, level: float,
 
     for i in range(n_pairs):
         a, b = draw(), draw()
-        sections = []
+        live = list(out)
         for k, p in enumerate((a, b, 0.5 * (a + b)), start=3 * i):
-            sec = _section_or_none(obj, p, v, level, region, near[k])
-            if sec is None:
-                break
-            sections.append(sec)
-            solved[k] = sec
-        if len(sections) < 3:
-            report.n_skipped += 1
-            continue
-        report.n_pairs += 1
-        g2a, g2b, g2m = (sec.diam ** 2 for sec in sections)
-        violation = g2m - 0.5 * (g2a + g2b)
-        if violation > CONVEXITY_SLACK:
-            report.n_violations += 1
-            report.max_violation = max(report.max_violation, float(violation))
-        if with_eigenvalues:
+            for level in tuple(live):
+                report, solved = out[level]
+                solved[k] = _section_or_none(
+                    obj, p, v, level, region, near[level][k] if near else None)
+                if solved[k] is None:
+                    report.n_skipped += 1
+                    live.remove(level)
+        for level in live:
+            report, solved = out[level]
+            sections = solved[3 * i:3 * i + 3]
+            report.n_pairs += 1
+            g2a, g2b, g2m = (sec.diam ** 2 for sec in sections)
+            violation = g2m - 0.5 * (g2a + g2b)
+            if violation > CONVEXITY_SLACK:
+                report.n_violations += 1
+                report.max_violation = max(report.max_violation, float(violation))
+            if not with_eigenvalues:
+                continue
             for sec in sections[:2]:
                 if sec.diam <= 1e-6:
                     continue
@@ -405,33 +413,35 @@ def _probe_convexity(obj: Objective, center: np.ndarray, level: float,
                 report.n_eig_samples += 1
                 if report.min_reduced_eig is None or lam_min < report.min_reduced_eig:
                     report.min_reduced_eig = lam_min
-    return report, solved
+    return out
 
 
 def convexity_radius_sweep(obj: Objective, center: np.ndarray, v: np.ndarray,
                            levels: list[float], seed: int = 0) -> dict:
     """Largest prefix of SWEEP_RADII that is violation-free, per level.
 
-    For each level the radii are probed in increasing order with identical
-    seeds and SWEEP_N_PAIRS pairs each, in a region of radius
-    SWEEP_REGION_RADIUS around the center; the recorded radius is the largest
-    one below the first violation. The same seed draws the same pairs at
-    every radius, only scaled, so each pair point's section continues from
-    its own section at the previous radius.
+    The radii are probed in increasing order with identical seeds and
+    SWEEP_N_PAIRS pairs each, in a region of radius SWEEP_REGION_RADIUS
+    around the center; a level's recorded radius is the largest one below
+    its first violation, where it leaves the sweep. The same seed draws the
+    same pairs at every radius, only scaled, so each pair point's section
+    continues from its own section at the previous radius. The levels still
+    in the sweep are probed together, point by point (see _probe_convexity),
+    so the evaluations their cold sections share are still in the
+    objective's memo when the next level asks for them.
     """
     center = np.asarray(center, dtype=float)
     region = TrustRegion(center, SWEEP_REGION_RADIUS)
-    out = {}
-    for level in levels:
-        r_clear, sections = 0.0, None
-        for r in SWEEP_RADII:
-            rep, sections = _probe_convexity(obj, center, level, v, float(r),
-                                             region, SWEEP_N_PAIRS, seed,
-                                             near=sections)
-            if rep.n_violations > 0:
-                break
-            r_clear = float(r)
-        out[level] = r_clear
+    out = dict.fromkeys(levels, 0.0)
+    live, near = tuple(out), None
+    for r in SWEEP_RADII:
+        probes = _probe_convexity(obj, center, live, v, float(r), region,
+                                  SWEEP_N_PAIRS, seed, near=near)
+        near = {level: solved for level, (_, solved) in probes.items()}
+        live = tuple(l for l in live if probes[l][0].n_violations == 0)
+        out.update(dict.fromkeys(live, float(r)))
+        if not live:
+            break
     return out
 
 

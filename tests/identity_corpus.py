@@ -29,10 +29,10 @@ counts of the solves whose objective has no Hessian callable (the ":fd"
 solves and the rotated wells, whose Hessians are finite differences of the
 gradient) apart from those of the rest; then every suite with its counts
 before -> after and, when its report differs, the largest relative
-difference. It exits 1 when
-any solve changed its status, iteration count, step sequence or message or
-made more evaluations of any kind, or any suite changed its failure count,
-and 0 otherwise. The bench modules
+difference, and which of its counts rose. It exits 1 when any solve
+changed its status, iteration count, step sequence or message, any suite
+changed its failure count, or any solve or suite made more evaluations of
+any kind, and 0 otherwise. The bench modules
 are read, never written. Pytest does not collect this file.
 """
 
@@ -163,14 +163,25 @@ def _counts(counts: dict) -> str:
     return " / ".join(str(counts[k]) for k in COUNT_KEYS)
 
 
+def _rose(old: dict, new: dict) -> dict:
+    """The kinds whose evaluation count rose, with (before, after)."""
+    return {k: (old["counts"][k], new["counts"][k]) for k in COUNT_KEYS
+            if new["counts"][k] > old["counts"][k]}
+
+
 def compare_suites(before: dict, after: dict) -> int:
     """Print every suite's counts and whether its report differs; returns
-    the number of suites whose failure count changed."""
-    identical = changed = 0
+    the number of suites whose failure count changed plus the number whose
+    counts rose."""
+    identical = changed = rose = 0
     for name, old in before.items():
         new = after[name]
         ro, rn = old["suite"], new["suite"]
         counts = f"counts {_counts(old['counts'])} -> {_counts(new['counts'])}"
+        kinds = _rose(old, new)
+        if kinds:
+            rose += 1
+            counts += f" (rose: {', '.join(kinds)})"
         if ro == rn:
             identical += 1
             print(f"{name}: identical, {counts}")
@@ -181,15 +192,16 @@ def compare_suites(before: dict, after: dict) -> int:
             note = f", failures {ro['failures']} -> {rn['failures']}"
         print(f"{name}: differs, largest relative difference "
               f"{_max_rel_diff(ro, rn):.2e}{note}, {counts}")
-    print(f"{len(before)} suite reports: {identical} identical")
-    return changed
+    print(f"{len(before)} suite reports: {identical} identical, "
+          f"{rose} with counts that rose")
+    return changed + rose
 
 
 def compare(before_path: str, after_path: str) -> int:
     """Print the per-solve and per-suite differences; returns the number of
     solves whose status, iteration count, step sequence or message changed,
     plus the number whose counts rose, plus the number of suites whose
-    failure count changed."""
+    failure count changed or whose counts rose."""
     before, after = _load(before_path), _load(after_path)
     if before.keys() != after.keys():
         print("the dumps hold different solves or suites:",
@@ -233,8 +245,7 @@ def compare(before_path: str, after_path: str) -> int:
             print(f"{name}: bits only, largest relative difference {rel:.2e}")
         else:
             tally["identical"] += 1
-        rose = {k: (old["counts"][k], new["counts"][k]) for k in COUNT_KEYS
-                if new["counts"][k] > old["counts"][k]}
+        rose = _rose(old, new)
         if rose:
             tally["counts rose"] += 1
             print(f"{name}: counts rose {rose}")

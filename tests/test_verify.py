@@ -171,6 +171,47 @@ class TestConvexityProbes:
                                        levels=[-0.1, -0.01, -0.001], seed=0)
         assert sweep[-0.1] > sweep[-0.01] > sweep[-0.001] > 0.0
         assert sweep == {-0.1: 0.8, -0.01: 0.26, -0.001: 0.22}
+        # The levels are probed point by point, so the memo answers the cold
+        # probes they share; probed level after level, the sweep costs
+        # 152,903 values and 23,403 gradients.
+        assert tight.eval_counts() == {"value": 147116, "gradient": 20008,
+                                       "hessian": 1}
+
+    def test_levels_do_not_couple(self):
+        # At radius 0.25 the three levels skip 11, 7 and 5 of 30 pairs, and
+        # only -0.001 sees a violation. Probed together, each level gets the
+        # report and the sections it gets alone, cold and then continued to
+        # the next radius.
+        tight = tightness2d()
+        _, V = np.linalg.eigh(tight.hessian(np.zeros(2)))
+        levels = (-0.1, -0.01, -0.001)
+        region = TrustRegion(np.zeros(2), 2.0)
+
+        def probe(levels, radius, near=None):
+            return verify._probe_convexity(
+                tight, np.zeros(2), levels, V[:, 0], radius, region,
+                n_pairs=30, seed=0, with_eigenvalues=True, near=near)
+
+        def key(sec):
+            return None if sec is None else (sec.x.tolist(), sec.t1, sec.t2)
+
+        together = probe(levels, 0.25)
+        assert [rep.n_skipped for rep, _ in together.values()] == [11, 7, 5]
+        assert [rep.n_violations for rep, _ in together.values()] == [0, 0, 1]
+        near = {level: solved for level, (_, solved) in together.items()}
+        warm = probe(levels, 0.26, near)
+        for level in levels:
+            alone = probe((level,), 0.25)[level]
+            assert together[level][0].to_dict() == alone[0].to_dict() == \
+                check_convexity_region(
+                    tight, np.zeros(2), level, V[:, 0], 0.25, region,
+                    n_pairs=30, seed=0, with_eigenvalues=True).to_dict()
+            assert [key(s) for s in together[level][1]] == \
+                [key(s) for s in alone[1]]
+            warm_alone = probe((level,), 0.26, {level: alone[1]})[level]
+            assert warm[level][0].to_dict() == warm_alone[0].to_dict()
+            assert [key(s) for s in warm[level][1]] == \
+                [key(s) for s in warm_alone[1]]
 
     @staticmethod
     def _count_sections(monkeypatch):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 
@@ -22,7 +24,21 @@ class BadDirection(MtnpassError):
 
 
 class CrossingOutsideRegion(MtnpassError):
-    """Bracket expansion left the trust region before the level was crossed."""
+    """Bracket expansion left the trust region before the level was crossed.
+
+    Raised by a crossing march, it carries the march: the line's base point
+    x, direction v and level, the start t_start, where f lies above the
+    level, and the direction sgn (+1 or -1) toward the region bound it
+    reached. A section on a nearby parallel line can continue the escape
+    (line1d.find_level_crossings with near). Otherwise those are None.
+    """
+
+    def __init__(self, message: str, x: Optional[np.ndarray] = None,
+                 v: Optional[np.ndarray] = None, level: Optional[float] = None,
+                 t_start: Optional[float] = None, sgn: Optional[float] = None):
+        super().__init__(message)
+        self.x, self.v, self.level = x, v, level
+        self.t_start, self.sgn = t_start, sgn
 
 
 class DegenerateDenominator(MtnpassError):

@@ -11,7 +11,7 @@ deterministic and never evaluate f outside the trust region.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ _MAX_STEP_FRAC = 5e-2     # cap on the marching step; limits skipped features
 _STATIONARY_XTOL = 1e-15     # tolerance on the roots of phi'
 _ROOT_RTOL = 8.9e-16         # relative root tolerance, 4 machine epsilons
 _UNIT_TOL = 1e-12
+_ESCAPED = "super-level component reaches the trust-region boundary"
 
 
 @dataclass(frozen=True)
@@ -269,12 +270,12 @@ def _interpolate(t: float, r: float, s: float, q: float) -> float:
     return t if r == 0.0 else t - r * (s - t) / (q - r)
 
 
-def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
-                   t_start: float, sgn: float, level: float,
+def _cross_outward(phi: Callable, dphi: Callable, x: np.ndarray, v: np.ndarray,
+                   level: float, t_start: float, sgn: float, bound: float,
                    radius: float) -> float:
     """Walk the _march probes from t_start, where phi > level (or = level
-    when the first probe lies above it), in the direction sgn to the
-    component edge; phi(t_start) comes from the value memo.
+    when the first probe lies above it), in the direction sgn toward bound,
+    to the component edge; phi(t_start) comes from the value memo.
 
     A probe below the level closes a bracket whose crossing Brent's method
     solves. Between probes that both sit above the level, a sign flip of the
@@ -283,11 +284,12 @@ def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
     first probe has no slope at t_start to compare with and so makes no dip
     test. A dip that lies wholly between two probes where phi falls outward
     shows no sign flip and is not seen. Probes that end above the level
-    raise CrossingOutsideRegion.
+    raise CrossingOutsideRegion, which carries the march (x, v, level,
+    t_start, sgn).
     """
     xtol = CROSSING_XTOL_FRAC * radius
     t_prev, f_prev, d_prev = t_start, phi(t_start), 0.0
-    for t_next, f_next in probes:
+    for t_next, f_next in _march(phi, t_start, sgn, bound, radius):
         if f_next <= level:
             return _level_crossing(phi, t_prev, t_next, f_prev - level,
                                    f_next - level, level, xtol)
@@ -303,8 +305,28 @@ def _cross_outward(phi: Callable, dphi: Callable, probes: Iterator,
                                        f_dip - level, level, xtol)
             # The component continues through the dip.
         t_prev, f_prev, d_prev = t_next, f_next, d_next
-    raise CrossingOutsideRegion(
-        "super-level component reaches the trust-region boundary")
+    raise CrossingOutsideRegion(_ESCAPED, x, v, level, t_start, sgn)
+
+
+def _continued_escape(phi: Callable, x: np.ndarray, v: np.ndarray,
+                      near: CrossingOutsideRegion, t_lo: float, t_hi: float,
+                      radius: float) -> None:
+    """Raise near's escape continued to the line through x; return when a
+    check fails.
+
+    near's march start carried over to this line must lie in [t_lo, t_hi]
+    with f above the level there, and every probe of a _march from it toward
+    the bound in near's direction must stay above the level. The march takes
+    values only: it makes no dip tests.
+    """
+    t_start = near.t_start + float((near.x - x) @ v)
+    if not t_lo <= t_start <= t_hi or phi(t_start) <= near.level:
+        return
+    bound = t_hi if near.sgn > 0.0 else t_lo
+    if all(f > near.level
+           for _, f in _march(phi, t_start, near.sgn, bound, radius)):
+        raise CrossingOutsideRegion(_ESCAPED, x, v, near.level, t_start,
+                                    near.sgn)
 
 
 def _continued_crossings(phi: Callable, x: np.ndarray, v: np.ndarray,
@@ -354,7 +376,8 @@ def _continued_crossings(phi: Callable, x: np.ndarray, v: np.ndarray,
 
 def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
                          level: float, region: TrustRegion,
-                         near: Optional[LineSection] = None) -> LineSection:
+                         near: Union[LineSection, CrossingOutsideRegion,
+                                     None] = None) -> LineSection:
     """Section of {f >= level} on the line {x + t v} around its local max.
 
     Cold, brackets the line-local max nearest t = 0 (_line_max_bracket).
@@ -362,41 +385,51 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     be empty, and both crossings are bracketed outward from b, with no polish
     of the max. Otherwise the max is polished: if its value does not exceed
     the level the section is empty and carries the max, else the marches
-    start from it.
+    start from it. A march that reaches the region bound above the level
+    raises CrossingOutsideRegion, which carries the march.
 
-    Warm, given near, a non-empty section of the same v and level solved on
-    a nearby parallel line (else ValueError), the crossings are sought next
-    to near's endpoints carried over to this line (_continued_crossings),
-    and the section is the component of {f >= level} that contains the
-    predicted midpoint, up to dips that lie between it and a prediction or
-    between two probes. When a check of the warm path fails the section is
-    solved cold. Each crossing is Brent's root finished by one interpolation
-    step across its final bracket (_level_crossing), to |f - level| <=
-    ROOT_TOL; it costs values only, and gradients are paid only for the dip
-    tests of the cold marches (_cross_outward).
+    Warm, near was solved on a nearby parallel line with the same v and
+    level (else ValueError). When near is a non-empty section, the
+    crossings are sought next to near's endpoints carried over to this line
+    (_continued_crossings), and the section is the component of
+    {f >= level} that contains the predicted midpoint, up to dips that lie
+    between it and a prediction or between two probes. When near is a
+    CrossingOutsideRegion that a march raised, its march start is carried
+    over to this line and marched from toward the same bound, on values
+    only (_continued_escape); if every probe stays above the level the
+    continued escape is raised: the component through the carried start
+    reaches the bound, up to dips between two probes. When a check of the
+    warm path fails the section is solved cold. Each crossing is Brent's
+    root finished by one interpolation step across its final bracket
+    (_level_crossing), to |f - level| <= ROOT_TOL; it costs values only, and
+    gradients are paid only for the dip tests of the cold marches
+    (_cross_outward).
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
     phi, dphi = _line_funcs(obj, x, v)
     t_lo, t_hi = region.line_interval(x, v)
     if near is not None:
-        if near.empty:
+        escape = isinstance(near, CrossingOutsideRegion)
+        if not escape and near.empty:
             raise ValueError("near must be a non-empty section")
         if near.level != level or not np.array_equal(near.v, v):
             raise ValueError("near must have the same direction and level")
-        warm = _continued_crossings(phi, x, v, near, t_lo, t_hi, region.radius)
-        if warm is not None:
-            return LineSection(x, v, level, float(warm[0]), float(warm[1]))
+        if escape:
+            _continued_escape(phi, x, v, near, t_lo, t_hi, region.radius)
+        else:
+            warm = _continued_crossings(phi, x, v, near, t_lo, t_hi,
+                                        region.radius)
+            if warm is not None:
+                return LineSection(x, v, level, float(warm[0]), float(warm[1]))
     a, b, c, fb = _line_max_bracket(phi, t_lo, t_hi, region.radius)
     if fb <= level:
         b = _refine_max(phi, dphi, a, b, c)
         fb = phi(b)
         if fb <= level:
             return LineSection(x, v, level, line_max=LineExtremum(b, fb))
-    up = _march(phi, b, 1.0, t_hi, region.radius)
-    down = _march(phi, b, -1.0, t_lo, region.radius)
-    t2 = _cross_outward(phi, dphi, up, b, +1.0, level, region.radius)
-    t1 = _cross_outward(phi, dphi, down, b, -1.0, level, region.radius)
+    t2 = _cross_outward(phi, dphi, x, v, level, b, 1.0, t_hi, region.radius)
+    t1 = _cross_outward(phi, dphi, x, v, level, b, -1.0, t_lo, region.radius)
     return LineSection(x, v, level, float(t1), float(t2))
 
 
@@ -432,9 +465,8 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
         t_far = _interpolate(*_brent(lambda s: (phi(s) - level) / s, 0.0, t,
                                      d0, (f - level) / t, xtol))
     else:
-        t_far = _cross_outward(phi, dphi,
-                               _march(phi, 0.0, sgn, bound, region.radius),
-                               0.0, sgn, level, region.radius)
+        t_far = _cross_outward(phi, dphi, x, v, level, 0.0, sgn, bound,
+                               region.radius)
     if abs(t_far) <= 2.0 * xtol:
         return LineSection(x, v, level, 0.0, 0.0)
     t1, t2 = sorted((0.0, float(t_far)))

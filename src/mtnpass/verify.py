@@ -10,7 +10,7 @@ eigenvalues). All suites are deterministic under a fixed seed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -48,16 +48,22 @@ SWEEP_REGION_RADIUS = 2.0
 ORACLE_TOL = 1e-8   # relative error of root-finding g^2 against the closed form
 
 
-def _section_or_none(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
-                     region: TrustRegion,
-                     near: Optional[LineSection] = None) -> Optional[LineSection]:
+def _section_or_escape(
+        obj: Objective, x: np.ndarray, v: np.ndarray, level: float,
+        region: TrustRegion,
+        near: Union[LineSection, CrossingOutsideRegion, None] = None,
+) -> Union[LineSection, CrossingOutsideRegion, None]:
     """The section through x by root finding, continued from near when that
-    is a non-empty section; None when it escapes the region."""
-    if near is not None and near.empty:
+    is a non-empty section or an escape; the escape (the
+    CrossingOutsideRegion raised) when it escapes the region, None when f
+    is monotone along the line."""
+    if isinstance(near, LineSection) and near.empty:
         near = None
     try:
         return find_level_crossings(obj, x, v, level, region, near)
-    except (CrossingOutsideRegion, NoLineMax):
+    except CrossingOutsideRegion as err:
+        return err.with_traceback(None)  # the march it carries, not the frames
+    except NoLineMax:
         return None
 
 
@@ -356,8 +362,10 @@ def _probe_convexity(obj: Objective, center: np.ndarray, levels: tuple,
                      n_pairs: int, seed: int, with_eigenvalues: bool = False,
                      near: Optional[dict] = None) -> dict:
     """{level: (report, sections)}: check_convexity_region's report at each
-    level and the sections of its 3 * n_pairs points a, b, midpoint (None
-    where not solved or escaped).
+    level and the sections of its 3 * n_pairs points a, b, midpoint: the
+    escape (the CrossingOutsideRegion raised) where the section escaped the
+    region, None where f is monotone along the line or the point was not
+    solved.
 
     The levels are probed point by point: each point is drawn once and solved
     at every level whose pair has not escaped yet. Cold sections at different
@@ -365,7 +373,10 @@ def _probe_convexity(obj: Objective, center: np.ndarray, levels: tuple,
     the dip tests above the level), and the objective's memo answers them
     only while they are recent. near, when given, maps each level to its
     sections for the same seed at another radius; each point's section
-    continues from its own entry there.
+    continues from its own entry there, a non-empty section or an escape
+    (find_level_crossings with near). A continued escape marches on values
+    only, so a point whose section escaped there costs no gradient when it
+    escapes again.
     """
     center = np.asarray(center, dtype=float)
     rng = np.random.default_rng(seed)
@@ -385,9 +396,9 @@ def _probe_convexity(obj: Objective, center: np.ndarray, levels: tuple,
         for k, p in enumerate((a, b, 0.5 * (a + b)), start=3 * i):
             for level in tuple(live):
                 report, solved = out[level]
-                solved[k] = _section_or_none(
+                solved[k] = _section_or_escape(
                     obj, p, v, level, region, near[level][k] if near else None)
-                if solved[k] is None:
+                if not isinstance(solved[k], LineSection):
                     report.n_skipped += 1
                     live.remove(level)
         for level in live:
@@ -425,7 +436,8 @@ def convexity_radius_sweep(obj: Objective, center: np.ndarray, v: np.ndarray,
     around the center; a level's recorded radius is the largest one below
     its first violation, where it leaves the sweep. The same seed draws the
     same pairs at every radius, only scaled, so each pair point's section
-    continues from its own section at the previous radius. The levels still
+    continues from its own section at the previous radius, or from its
+    escape there with a values-only march. The levels still
     in the sweep are probed together, point by point (see _probe_convexity),
     so the evaluations their cold sections share are still in the
     objective's memo when the next level asks for them.

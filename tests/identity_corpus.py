@@ -9,7 +9,11 @@ line per solve: its name, the report without eval_counts, the trace and the
 eval counts. It then writes one line per `run_suite` report: the four suites
 at seeds 0 and 1, each named "suite:NAME:SEED", with the value / gradient /
 Hessian counts summed over the objectives the suite builds (counted by the
-benchmark's `spans.Ledger`, installed around the call). The corpus is
+benchmark's `spans.Ledger`, installed around the call). A convexity suite's
+line also holds, in call order, the per-level `ConvexityReport.to_dict()`
+of every `verify._probe_convexity` call (the tightness sweep's per-radius
+reports among them), recorded by a wrapper installed in the same way;
+the suite report itself holds only the swept radii. The corpus is
 
 - every ordered pair of minima of the benchmark's camel and Mueller-Brown
   surfaces (bench/surfaces.py, 36 pairs), with analytic and with
@@ -29,9 +33,10 @@ counts of the solves whose objective has no Hessian callable (the ":fd"
 solves and the rotated wells, whose Hessians are finite differences of the
 gradient) apart from those of the rest; then every suite with its counts
 before -> after and, when its report differs, the largest relative
-difference, and which of its counts rose. It exits 1 when any solve
-changed its status, iteration count, step sequence or message, any suite
-changed its failure count, or any solve or suite made more evaluations of
+difference, which of its counts rose, and how many of its probe calls'
+reports differ. It exits 1 when any solve changed its status, iteration
+count, step sequence or message, any suite changed its failure count or
+any of its probe reports, or any solve or suite made more evaluations of
 any kind, and 0 otherwise. The bench modules
 are read, never written. Pytest does not collect this file.
 """
@@ -100,19 +105,33 @@ def corpus():
 
 
 def _suite_row(suite: str, seed: int) -> dict:
-    """run_suite(suite, seed) and the evaluation counts of its objectives."""
+    """run_suite(suite, seed), the evaluation counts of its objectives and,
+    for the convexity suite, the per-level reports of every
+    verify._probe_convexity call, in call order."""
     import spans
+    from mtnpass import verify
     from mtnpass.objective import Objective
-    from mtnpass.verify import run_suite
+
+    probe, probes = verify._probe_convexity, []
+
+    def recorded(*args, **kwargs):
+        out = probe(*args, **kwargs)
+        probes.append([report.to_dict() for report, _ in out.values()])
+        return out
 
     ledger = spans.Ledger(Objective)
     ledger.install()
+    verify._probe_convexity = recorded
     try:
-        report = run_suite(suite, seed)
+        report = verify.run_suite(suite, seed)
     finally:
+        verify._probe_convexity = probe
         ledger.uninstall()
-    return {"name": f"suite:{suite}:{seed}", "suite": report,
-            "counts": ledger.take()}
+    row = {"name": f"suite:{suite}:{seed}", "suite": report,
+           "counts": ledger.take()}
+    if suite == "convexity":
+        row["probes"] = probes
+    return row
 
 
 def dump(path: str) -> None:
@@ -169,10 +188,24 @@ def _rose(old: dict, new: dict) -> dict:
             if new["counts"][k] > old["counts"][k]}
 
 
+def _probe_note(old: dict, new: dict) -> tuple[str, bool]:
+    """A note on the per-level convexity reports of two suite rows, and
+    whether they differ."""
+    po, pn = old.get("probes"), new.get("probes")
+    if po is None and pn is None:
+        return "", False
+    if po is None or pn is None or len(po) != len(pn):
+        return ", probe reports differ in their calls", True
+    differ = sum(p != q for p, q in zip(po, pn))
+    if differ:
+        return f", {differ} of {len(po)} probe calls' reports differ", True
+    return f", {len(po)} probe calls' reports identical", False
+
+
 def compare_suites(before: dict, after: dict) -> int:
-    """Print every suite's counts and whether its report differs; returns
-    the number of suites whose failure count changed plus the number whose
-    counts rose."""
+    """Print every suite's counts and whether its report or its probe
+    reports differ; returns the number of suites whose failure count
+    changed, whose probe reports differ or whose counts rose."""
     identical = changed = rose = 0
     for name, old in before.items():
         new = after[name]
@@ -182,14 +215,15 @@ def compare_suites(before: dict, after: dict) -> int:
         if kinds:
             rose += 1
             counts += f" (rose: {', '.join(kinds)})"
-        if ro == rn:
+        note, probes_differ = _probe_note(old, new)
+        if ro == rn and not probes_differ:
             identical += 1
-            print(f"{name}: identical, {counts}")
+            print(f"{name}: identical, {counts}{note}")
             continue
-        note = ""
-        if ro["failures"] != rn["failures"]:
-            changed += 1
-            note = f", failures {ro['failures']} -> {rn['failures']}"
+        failures_changed = ro["failures"] != rn["failures"]
+        changed += failures_changed or probes_differ
+        if failures_changed:
+            note = f", failures {ro['failures']} -> {rn['failures']}" + note
         print(f"{name}: differs, largest relative difference "
               f"{_max_rel_diff(ro, rn):.2e}{note}, {counts}")
     print(f"{len(before)} suite reports: {identical} identical, "
@@ -201,7 +235,7 @@ def compare(before_path: str, after_path: str) -> int:
     """Print the per-solve and per-suite differences; returns the number of
     solves whose status, iteration count, step sequence or message changed,
     plus the number whose counts rose, plus the number of suites whose
-    failure count changed or whose counts rose."""
+    failure count or probe reports changed or whose counts rose."""
     before, after = _load(before_path), _load(after_path)
     if before.keys() != after.keys():
         print("the dumps hold different solves or suites:",

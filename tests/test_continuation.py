@@ -2,8 +2,9 @@
 
 Warm sections: find_level_crossings continued from a nearby section. A warm
 section must be the section the cold path finds at the same base point, or
-the call must have taken the cold path itself. Cold sections are counted by
-the line-max bracket every cold section starts with.
+the call must have taken the cold path itself; so must an escape continued
+from a nearby line's escape. Cold sections are counted by the line-max
+bracket every cold section starts with.
 
 Far crossings: line1d.find_far_crossing from a base point on the level, as
 l-up solves the section through a segment midpoint at f there
@@ -93,6 +94,79 @@ def test_warm_section_is_the_cold_section(name, offset, turn, drop, delta):
     assert abs(warm.t2 - cold.t2) <= 1e-12 * region.radius
     _assert_is_component(obj, warm, region)
     _assert_is_component(obj, cold, region)
+
+
+def _continue_an_escape(name, offset, turn, drop, radius, delta):
+    """A line drawn as above, in a region around its base point x small
+    enough that many sections escape it; the section through x + delta
+    continued from x's escape (the escape raised, or what the cold path
+    returned or raised) and the number of cold line-max brackets it took.
+    None when the section through x does not escape."""
+    obj, saddle, spread, max_drop = CASES[name]
+    x = saddle + spread * np.array(offset)
+    region = TrustRegion(x, radius)
+    w, V = np.linalg.eigh(obj.hessian(x))
+    if w[0] >= 0.0:
+        return None
+    c, s = np.cos(turn), np.sin(turn)
+    v = np.array([[c, -s], [s, c]]) @ V[:, 0]
+    level = obj.value(x) - drop * max_drop
+    try:
+        find_level_crossings(obj, x, v, level, region)
+        return None
+    except NoLineMax:
+        return None
+    except CrossingOutsideRegion as escape:
+        near = escape
+    x_new = x + np.array(delta)
+    with mock.patch.object(line1d, "_line_max_bracket",
+                           wraps=line1d._line_max_bracket) as bracket:
+        try:
+            out = find_level_crossings(obj, x_new, v, level, region,
+                                       near=near)
+        except (CrossingOutsideRegion, NoLineMax) as err:
+            out = err
+    return obj, region, out, bracket.call_count
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(CASES)),
+       offset=st.tuples(*[st.floats(-1.0, 1.0)] * 2),
+       turn=st.floats(-0.5, 0.5),
+       drop=st.floats(0.02, 1.0),
+       radius=st.floats(0.1, 1.0),
+       delta=st.tuples(*[st.floats(-0.03, 0.03)] * 2))
+def test_continued_escape_is_a_cold_escape(name, offset, turn, drop, radius,
+                                           delta):
+    case = _continue_an_escape(name, offset, turn, drop, radius, delta)
+    assume(case is not None)
+    obj, region, out, cold_brackets = case
+    if cold_brackets:
+        event("fell back")
+        return
+    assert isinstance(out, CrossingOutsideRegion)  # the warm path's only result
+    # The component through the carried start reaches the bound: no grid
+    # crossing of the level lies between them.
+    t_lo, t_hi = region.line_interval(out.x, out.v)
+    bound = t_hi if out.sgn > 0.0 else t_lo
+    assert not oracles.grid_crossings(obj.value, out.x, out.v, out.level,
+                                      *sorted((out.t_start, bound)), n=4001)
+    # The cold solve escapes too (but see test_cold_solve_finds_no_line_max).
+    event("continued")
+    with pytest.raises(CrossingOutsideRegion):
+        find_level_crossings(obj, out.x, out.v, out.level, region)
+
+
+@pytest.mark.xfail(strict=True, raises=NoLineMax, reason=(
+    "on tightness2d the line max at t = 0.12 flattens into a shoulder 0.023 "
+    "away, so the cold solve finds f monotone from t = 0, while the component "
+    "through the carried start reaches the bound; the sweep skips both"))
+def test_cold_solve_finds_no_line_max():
+    obj, region, out, cold_brackets = _continue_an_escape(
+        "tightness2d", (0.0, -0.25), 0.1875, 1.0, 1.0, (0.0, -0.0234375))
+    assert isinstance(out, CrossingOutsideRegion) and cold_brackets == 0
+    with pytest.raises(CrossingOutsideRegion):
+        find_level_crossings(obj, out.x, out.v, out.level, region)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

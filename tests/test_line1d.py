@@ -494,6 +494,80 @@ class TestCrossingCost:
         assert sec.t1 == pytest.approx(-0.02, abs=1e-15)
 
 
+class TestContinuedEscape:
+    """An escape raised on a nearby parallel line is continued on values
+    only, or the section is solved cold."""
+
+    # f = x1^2 - x2^2 along e2 through (0.5, 0) at level -120: the section
+    # |t| <= sqrt(120.25) leaves the radius-10 region, so the first march,
+    # upward from the line max at t = 0, escapes.
+    LEVEL = -120.0
+
+    @pytest.fixture
+    def quad(self):
+        return QuadraticObjective(np.diag([2.0, -2.0]), np.zeros(2), 0.0)
+
+    @pytest.fixture
+    def escape(self, quad, origin_region):
+        with pytest.raises(CrossingOutsideRegion) as err:
+            find_level_crossings(quad, np.array([0.5, 0.0]), E2, self.LEVEL,
+                                 origin_region)
+        return err.value
+
+    @staticmethod
+    def _counted(*args, **kwargs):
+        """The section, or the escape raised, and the number of cold
+        line-max brackets it took."""
+        with mock.patch.object(line1d, "_line_max_bracket",
+                               wraps=line1d._line_max_bracket) as bracket:
+            try:
+                out = find_level_crossings(*args, **kwargs)
+            except CrossingOutsideRegion as err:
+                out = err
+        return out, bracket.call_count
+
+    def test_cold_escape_carries_its_march(self, escape):
+        assert escape.x.tolist() == [0.5, 0.0] and escape.v.tolist() == [0, 1]
+        assert escape.level == self.LEVEL
+        assert (escape.t_start, escape.sgn) == (0.0, 1.0)
+
+    def test_continued_escape_costs_no_gradient(self, quad, origin_region,
+                                                escape):
+        x = np.array([0.51, 0.003])
+        before = quad.eval_counts()
+        out, cold_brackets = self._counted(quad, x, E2, self.LEVEL,
+                                           origin_region, near=escape)
+        assert isinstance(out, CrossingOutsideRegion) and cold_brackets == 0
+        assert quad.eval_counts()["gradient"] == before["gradient"]
+        assert quad.eval_counts()["value"] > before["value"]
+        assert out.x.tolist() == x.tolist() and out.level == self.LEVEL
+        assert out.t_start == pytest.approx(-0.003, abs=1e-15)
+        assert out.sgn == 1.0
+
+    # At level -50 the section through (0.5, 0) is |t| <= sqrt(50.25), inside
+    # the region. An escape record starting at t = 8 starts below the level,
+    # one at t = 12 outside the region, and the march from t = 5 crosses the
+    # level at sqrt(50.25): each is solved cold.
+    @pytest.mark.parametrize("t_start", [8.0, 12.0, 5.0])
+    def test_failed_continuation_goes_cold(self, quad, origin_region,
+                                           t_start):
+        x = np.array([0.5, 0.0])
+        near = CrossingOutsideRegion("escape", x, E2, -50.0, t_start, 1.0)
+        sec, cold_brackets = self._counted(quad, x, E2, -50.0, origin_region,
+                                           near=near)
+        assert cold_brackets == 1
+        assert sec.t2 == pytest.approx(np.sqrt(50.25), abs=1e-12)
+        assert sec.t1 == pytest.approx(-np.sqrt(50.25), abs=1e-12)
+
+    @pytest.mark.parametrize("v, level", [(np.array([1.0, 0.0]), LEVEL),
+                                          (E2, LEVEL - 1.0)])
+    def test_mismatched_escape_raises(self, quad, origin_region, escape, v,
+                                      level):
+        with pytest.raises(ValueError, match="same direction and level"):
+            find_level_crossings(quad, np.array([0.51, 0.0]), v, level,
+                                 origin_region, near=escape)
+
+
 class TestCrossingAccuracy:
     """Cold, warm and far-crossing endpoints on seeded Morse-index-one
     quadratics, n = 2 to 6, against the closed-form roots of the quadratic

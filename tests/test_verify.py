@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mtnpass import line1d, pardist, quadmodel, verify
+from mtnpass.errors import CrossingOutsideRegion
 from mtnpass.objective import Objective, TrustRegion, tightness2d
 from mtnpass.pardist import (closed_form_g2_quadratic, closed_form_hess_g2,
                              eval_pardist)
@@ -173,15 +174,19 @@ class TestConvexityProbes:
         assert sweep == {-0.1: 0.8, -0.01: 0.26, -0.001: 0.22}
         # The levels are probed point by point, so the memo answers the cold
         # probes they share; probed level after level, the sweep costs
-        # 152,903 values and 23,403 gradients.
-        assert tight.eval_counts() == {"value": 147116, "gradient": 20008,
+        # 152,903 values and 23,403 gradients. A point whose section escaped
+        # at the previous radius continues the escape on values only; solved
+        # cold again with its dip tests, it costs 147,116 values and 20,008
+        # gradients.
+        assert tight.eval_counts() == {"value": 146353, "gradient": 4150,
                                        "hessian": 1}
 
     def test_levels_do_not_couple(self):
         # At radius 0.25 the three levels skip 11, 7 and 5 of 30 pairs, and
         # only -0.001 sees a violation. Probed together, each level gets the
-        # report and the sections it gets alone, cold and then continued to
-        # the next radius.
+        # report and the sections (and escapes) it gets alone, cold and then
+        # continued to the next radius, where a continued escape reports
+        # what a cold solve of that point reports.
         tight = tightness2d()
         _, V = np.linalg.eigh(tight.hessian(np.zeros(2)))
         levels = (-0.1, -0.01, -0.001)
@@ -193,13 +198,23 @@ class TestConvexityProbes:
                 n_pairs=30, seed=0, with_eigenvalues=True, near=near)
 
         def key(sec):
+            if isinstance(sec, CrossingOutsideRegion):
+                return sec.x.tolist(), sec.t_start, sec.sgn
             return None if sec is None else (sec.x.tolist(), sec.t1, sec.t2)
+
+        def reports(probes):
+            return {level: rep.to_dict() for level, (rep, _) in probes.items()}
 
         together = probe(levels, 0.25)
         assert [rep.n_skipped for rep, _ in together.values()] == [11, 7, 5]
         assert [rep.n_violations for rep, _ in together.values()] == [0, 0, 1]
         near = {level: solved for level, (_, solved) in together.items()}
         warm = probe(levels, 0.26, near)
+        cold_escapes = {level: [None if isinstance(s, CrossingOutsideRegion)
+                                else s for s in solved]
+                        for level, solved in near.items()}
+        assert cold_escapes != near
+        assert reports(warm) == reports(probe(levels, 0.26, cold_escapes))
         for level in levels:
             alone = probe((level,), 0.25)[level]
             assert together[level][0].to_dict() == alone[0].to_dict() == \

@@ -329,9 +329,9 @@ def _continued_escape(phi: Callable, x: np.ndarray, v: np.ndarray,
                                     near.sgn)
 
 
-def _continued_crossings(phi: Callable, x: np.ndarray, v: np.ndarray,
-                         near: LineSection, t_lo: float, t_hi: float,
-                         radius: float) -> Optional[tuple]:
+def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
+                         v: np.ndarray, near: LineSection, t_lo: float,
+                         t_hi: float, radius: float) -> Optional[tuple]:
     """Crossings (t1, t2) continued from near's, or None when a check fails.
 
     near's endpoints carried over to the line through x are the predictions
@@ -340,7 +340,10 @@ def _continued_crossings(phi: Callable, x: np.ndarray, v: np.ndarray,
     the level. Each crossing is bracketed by a march from its prediction:
     outward while f stays above the level, else inward, never past the
     predicted midpoint, until it rises above. An outward march that reaches
-    t_lo or t_hi still above the level fails.
+    t_lo or t_hi still above the level is made again from its prediction
+    with dip tests (_cross_outward): its CrossingOutsideRegion, which starts
+    at the prediction, propagates, and a dip that closes the component
+    fails the check.
     """
     level = near.level
     d = near.x - x
@@ -364,6 +367,9 @@ def _continued_crossings(phi: Callable, x: np.ndarray, v: np.ndarray,
                 break
             t_prev, f_prev = t, f
         else:
+            # Only an outward march ends above the level: finish this side
+            # with dip tests from its prediction.
+            _cross_outward(phi, dphi, x, v, level, p, sgn, bound, radius)
             return None
         if above:
             t_in, f_in, t_out, f_out = t_prev, f_prev, t, f
@@ -393,7 +399,10 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     crossings are sought next to near's endpoints carried over to this line
     (_continued_crossings), and the section is the component of
     {f >= level} that contains the predicted midpoint, up to dips that lie
-    between it and a prediction or between two probes. When near is a
+    between it and a prediction or between two probes. A march from a
+    prediction that reaches the bound above the level is made again with
+    dip tests, and raises CrossingOutsideRegion from the prediction unless
+    a dip closes the component. When near is a
     CrossingOutsideRegion that a march raised, its march start is carried
     over to this line and marched from toward the same bound, on values
     only (_continued_escape); if every probe stays above the level the
@@ -402,8 +411,8 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     warm path fails the section is solved cold. Each crossing is Brent's
     root finished by one interpolation step across its final bracket
     (_level_crossing), to |f - level| <= ROOT_TOL; it costs values only, and
-    gradients are paid only for the dip tests of the cold marches
-    (_cross_outward).
+    gradients are paid only for the dip tests of the dip-tested marches
+    (_cross_outward): the cold ones and a warm one that reached the bound.
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
@@ -418,7 +427,7 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
         if escape:
             _continued_escape(phi, x, v, near, t_lo, t_hi, region.radius)
         else:
-            warm = _continued_crossings(phi, x, v, near, t_lo, t_hi,
+            warm = _continued_crossings(phi, dphi, x, v, near, t_lo, t_hi,
                                         region.radius)
             if warm is not None:
                 return LineSection(x, v, level, float(warm[0]), float(warm[1]))

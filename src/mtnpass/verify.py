@@ -368,15 +368,17 @@ def _probe_convexity(obj: Objective, center: np.ndarray, levels: tuple,
     solved.
 
     The levels are probed point by point: each point is drawn once and solved
-    at every level whose pair has not escaped yet. Cold sections at different
-    levels probe the same points (the line-max bracket from t = 0, its march,
-    the dip tests above the level), and the objective's memo answers them
-    only while they are recent. near, when given, maps each level to its
-    sections for the same seed at another radius; each point's section
-    continues from its own entry there, a non-empty section or an escape
+    at every level whose pair has not escaped yet. near, when given, maps
+    each level to its sections for the same seed at another radius, or to
+    one section repeated for every point; each point's section continues
+    from its own entry there, a non-empty section or an escape
     (find_level_crossings with near). A continued escape marches on values
     only, so a point whose section escaped there costs no gradient when it
-    escapes again.
+    escapes again. Sections that are solved cold, with no usable entry or
+    where the continuation fails, probe the same points at different levels
+    (the line-max bracket from t = 0, its march, the dip tests above the
+    level), and the objective's memo answers them only while they are
+    recent.
     """
     center = np.asarray(center, dtype=float)
     rng = np.random.default_rng(seed)
@@ -437,15 +439,20 @@ def convexity_radius_sweep(obj: Objective, center: np.ndarray, v: np.ndarray,
     its first violation, where it leaves the sweep. The same seed draws the
     same pairs at every radius, only scaled, so each pair point's section
     continues from its own section at the previous radius, or from its
-    escape there with a values-only march. The levels still
-    in the sweep are probed together, point by point (see _probe_convexity),
-    so the evaluations their cold sections share are still in the
-    objective's memo when the next level asks for them.
+    escape there with a values-only march. At radius 0 every pair point is
+    the centre, so at the first radius each point continues from its
+    level's section (or escape) at the centre, solved once. The levels
+    still in the sweep are probed together, point by point (see
+    _probe_convexity), so the evaluations that their fallback cold sections
+    share are still in the objective's memo when the next level asks for
+    them.
     """
     center = np.asarray(center, dtype=float)
     region = TrustRegion(center, SWEEP_REGION_RADIUS)
     out = dict.fromkeys(levels, 0.0)
-    live, near = tuple(out), None
+    live = tuple(out)
+    near = {level: [_section_or_escape(obj, center, v, level, region)]
+            * (3 * SWEEP_N_PAIRS) for level in live}
     for r in SWEEP_RADII:
         probes = _probe_convexity(obj, center, live, v, float(r), region,
                                   SWEEP_N_PAIRS, seed, near=near)

@@ -568,6 +568,72 @@ class TestContinuedEscape:
                                  origin_region, near=escape)
 
 
+class TestWarmSectionEscape:
+    """A warm section whose outward march reaches the region bound above the
+    level finishes that side from its prediction with dip tests."""
+
+    # f = x2 - x1^2 along e1 at level -1, in a radius-2 region around
+    # (0.5, 0). On the line x2 = -0.9 the section is |t| <= sqrt(0.1); on the
+    # line x2 = 1.5 it is |t| <= sqrt(2.5), and the region ends at
+    # t = 0.5 - sqrt(1.75) on the left, so only that side escapes.
+    LEVEL = -1.0
+    NEAR_X = np.array([0.0, -0.9])
+    X = np.array([0.0, 1.5])
+    E1 = np.array([1.0, 0.0])
+
+    @staticmethod
+    def _objective(depth):
+        """f with a Gaussian dip of the given depth and width 0.015 at
+        x1 = -0.65, between the left prediction and the region bound."""
+        def value(x):
+            return x[1] - x[0] ** 2 \
+                - depth * np.exp(-((x[0] + 0.65) / 0.015) ** 2)
+
+        def gradient(x):
+            e = np.exp(-((x[0] + 0.65) / 0.015) ** 2)
+            return np.array([-2.0 * x[0] + 2.0 * depth * e * (x[0] + 0.65)
+                             / 0.015 ** 2, 1.0])
+
+        return Objective(2, value=value, gradient=gradient, name="dip")
+
+    def _warm(self, obj, region):
+        """The near section on x2 = -0.9, and the section or escape through
+        X continued from it with the number of cold line-max brackets."""
+        near = find_level_crossings(obj, self.NEAR_X, self.E1, self.LEVEL,
+                                    region)
+        return near, TestContinuedEscape._counted(obj, self.X, self.E1,
+                                                  self.LEVEL, region,
+                                                  near=near)
+
+    @pytest.fixture
+    def region(self):
+        return TrustRegion(np.array([0.5, 0.0]), 2.0)
+
+    def test_escape_starts_at_the_prediction(self, region):
+        obj = self._objective(0.0)
+        near, (out, cold_brackets) = self._warm(obj, region)
+        assert isinstance(out, CrossingOutsideRegion) and cold_brackets == 0
+        assert out.x.tolist() == self.X.tolist() and out.level == self.LEVEL
+        assert out.t_start == near.t1 + float((near.x - self.X) @ self.E1)
+        assert out.sgn == -1.0
+        with pytest.raises(CrossingOutsideRegion) as cold:
+            find_level_crossings(obj, self.X, self.E1, self.LEVEL, region)
+        assert cold.value.sgn == -1.0
+
+    def test_dip_beyond_the_prediction_goes_cold(self, region):
+        # The values-only march from the left prediction steps over the dip
+        # (its probes at t = -0.616 and -0.716 lie above the level), but the
+        # dip-tested march from there lands in it, so the section is solved
+        # cold and ends at the dip's inner flank.
+        obj = self._objective(4.0)
+        near, (warm, cold_brackets) = self._warm(obj, region)
+        assert cold_brackets == 1
+        cold = find_level_crossings(obj, self.X, self.E1, self.LEVEL, region)
+        assert (warm.t1, warm.t2) == (cold.t1, cold.t2)
+        assert -0.65 < warm.t1 < near.t1
+        assert warm.t2 == pytest.approx(np.sqrt(2.5), abs=1e-12)
+
+
 class TestCrossingAccuracy:
     """Cold, warm and far-crossing endpoints on seeded Morse-index-one
     quadratics, n = 2 to 6, against the closed-form roots of the quadratic

@@ -177,8 +177,11 @@ class TestConvexityProbes:
         # 152,903 values and 23,403 gradients. A point whose section escaped
         # at the previous radius continues the escape on values only; solved
         # cold again with its dip tests, it costs 147,116 values and 20,008
-        # gradients.
-        assert tight.eval_counts() == {"value": 146353, "gradient": 4150,
+        # gradients. Each level's first radius continues from the section at
+        # the centre, and a warm section whose outward march reaches the
+        # bound finishes that side from its prediction with dip tests; solved
+        # cold, those cost 146,353 values and 4,150 gradients.
+        assert tight.eval_counts() == {"value": 135995, "gradient": 1629,
                                        "hessian": 1}
 
     def test_levels_do_not_couple(self):
@@ -241,6 +244,36 @@ class TestConvexityProbes:
 
         monkeypatch.setattr(line1d, "_line_max_bracket", counted)
         return calls
+
+    def test_sweep_starts_from_the_centre(self, monkeypatch):
+        # Every pair point of the first radius continues from its level's
+        # section at the centre: one cold section per level, not one per
+        # point, and the same reports as cold probes at that radius.
+        tight = tightness2d()
+        _, V = np.linalg.eigh(tight.hessian(np.zeros(2)))
+        levels = [-0.1, -0.01, -0.001]
+        r0 = float(verify.SWEEP_RADII[0])
+        region = TrustRegion(np.zeros(2), verify.SWEEP_REGION_RADIUS)
+        cold = {level: check_convexity_region(
+                    tight, np.zeros(2), level, V[:, 0], r0, region,
+                    n_pairs=verify.SWEEP_N_PAIRS, seed=0).to_dict()
+                for level in levels}
+        probes = []
+        real = verify._probe_convexity
+
+        def recorded(*args, **kwargs):
+            probes.append(real(*args, **kwargs))
+            return probes[-1]
+
+        monkeypatch.setattr(verify, "SWEEP_RADII", verify.SWEEP_RADII[:1])
+        monkeypatch.setattr(verify, "_probe_convexity", recorded)
+        calls = self._count_sections(monkeypatch)
+        convexity_radius_sweep(tightness2d(), np.zeros(2), V[:, 0], levels,
+                               seed=0)
+        assert len(calls) == len(levels)
+        assert len(probes) == 1
+        assert {level: rep.to_dict()
+                for level, (rep, _) in probes[0].items()} == cold
 
     def test_pair_skipped_at_first_escaping_section(self, saddle_quadratic,
                                                     monkeypatch):

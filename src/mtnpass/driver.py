@@ -118,8 +118,9 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
     between a and b and the two crossings of the initial level on the chord.
     The trust region is the ball of radius config.radius around 0.5 (a + b).
     Raises BadEndpoints, before any evaluation, when an endpoint has the
-    wrong dimension or a non-finite coordinate, and after the chord search
-    when f is monotone on [a, b] or the ridge does not rise above the level.
+    wrong dimension or a non-finite coordinate or lies outside the trust
+    region (|a - b| / 2 above the radius), and after the chord search when f
+    is monotone on [a, b] or the ridge does not rise above the level.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -128,6 +129,11 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise BadEndpoints("endpoints must be finite")
     region = TrustRegion(0.5 * (a + b), config.radius)
+    if not (region.contains(a) and region.contains(b)):
+        raise BadEndpoints(
+            f"endpoints lie outside the trust region: |a - b|/2 = "
+            f"{0.5 * float(np.linalg.norm(a - b)):.6g} exceeds the radius "
+            f"{config.radius:.6g}")
     return chord_section(obj, a, b), region
 
 

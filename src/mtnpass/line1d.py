@@ -250,14 +250,27 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
 
 
 def _level_crossing(phi: Callable, t_in: float, t_out: float, r_in: float,
-                    r_out: float, level: float, xtol: float) -> float:
+                    r_out: float, level: float, xtol: float,
+                    seed: Optional[float] = None) -> float:
     """Root of phi - level between t_in and t_out, by Brent's method and one
     interpolation step across its final bracket (_interpolate).
 
-    r_in = phi(t_in) - level > 0 >= r_out = phi(t_out) - level.
+    r_in = phi(t_in) - level > 0 >= r_out = phi(t_out) - level. A seed, a
+    predicted root, that lies strictly between t_in and t_out is evaluated
+    first, and Brent's method runs on the half of the bracket that holds the
+    sign change; a root that starts inside a narrow bracket needs few more
+    values (Brent, 1973, ch. 4). Any other seed is never evaluated.
     """
-    return _interpolate(*_brent(lambda s: phi(s) - level, t_in, t_out, r_in,
-                                r_out, xtol))
+    def residual(s: float) -> float:
+        return phi(s) - level
+
+    if seed is not None and min(t_in, t_out) < seed < max(t_in, t_out):
+        r_seed = residual(seed)
+        if r_seed > 0.0:
+            t_in, r_in = seed, r_seed
+        else:
+            t_out, r_out = seed, r_seed
+    return _interpolate(*_brent(residual, t_in, t_out, r_in, r_out, xtol))
 
 
 def _interpolate(t: float, r: float, s: float, q: float) -> float:
@@ -272,15 +285,17 @@ def _interpolate(t: float, r: float, s: float, q: float) -> float:
 
 def _cross_outward(phi: Callable, dphi: Callable, x: np.ndarray, v: np.ndarray,
                    level: float, t_start: float, sgn: float, bound: float,
-                   radius: float) -> float:
+                   radius: float, seed: Optional[float] = None) -> float:
     """Walk the _march probes from t_start, where phi > level (or = level
     when the first probe lies above it), in the direction sgn toward bound,
     to the component edge; phi(t_start) comes from the value memo.
 
     A probe below the level closes a bracket whose crossing Brent's method
-    solves. Between probes that both sit above the level, a sign flip of the
-    directional derivative marks a hidden dip; the dip is located and tested,
-    and a crossing before it is returned if it reaches below the level. The
+    solves, from the predicted root seed when it lies inside the bracket
+    (_level_crossing). Between probes that both sit above the level, a sign
+    flip of the directional derivative marks a hidden dip; the dip is
+    located and tested, and a crossing before it is returned if it reaches
+    below the level. The
     first probe has no slope at t_start to compare with and so makes no dip
     test. A dip that lies wholly between two probes where phi falls outward
     shows no sign flip and is not seen. Probes that end above the level
@@ -292,7 +307,7 @@ def _cross_outward(phi: Callable, dphi: Callable, x: np.ndarray, v: np.ndarray,
     for t_next, f_next in _march(phi, t_start, sgn, bound, radius):
         if f_next <= level:
             return _level_crossing(phi, t_prev, t_next, f_prev - level,
-                                   f_next - level, level, xtol)
+                                   f_next - level, level, xtol, seed)
         d_next = dphi(t_next) * sgn
         if d_prev < 0.0 < d_next:
             t_dip = _brent(lambda t: dphi(t) * sgn, t_prev, t_next, d_prev,
@@ -302,7 +317,7 @@ def _cross_outward(phi: Callable, dphi: Callable, x: np.ndarray, v: np.ndarray,
                 if f_dip >= level - ROOT_TOL:
                     return float(t_dip)
                 return _level_crossing(phi, t_prev, t_dip, f_prev - level,
-                                       f_dip - level, level, xtol)
+                                       f_dip - level, level, xtol, seed)
             # The component continues through the dip.
         t_prev, f_prev, d_prev = t_next, f_next, d_next
     raise CrossingOutsideRegion(_ESCAPED, x, v, level, t_start, sgn)
@@ -342,8 +357,8 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
     predicted midpoint, until it rises above. An outward march that reaches
     t_lo or t_hi still above the level is made again from its prediction
     with dip tests (_cross_outward): its CrossingOutsideRegion, which starts
-    at the prediction, propagates, and a dip that closes the component
-    fails the check.
+    at the prediction, propagates, and the crossing it finds before a dip
+    that closes the component is that side's crossing.
     """
     level = near.level
     d = near.x - x
@@ -369,8 +384,9 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
         else:
             # Only an outward march ends above the level: finish this side
             # with dip tests from its prediction.
-            _cross_outward(phi, dphi, x, v, level, p, sgn, bound, radius)
-            return None
+            crossings.append(_cross_outward(phi, dphi, x, v, level, p, sgn,
+                                            bound, radius))
+            continue
         if above:
             t_in, f_in, t_out, f_out = t_prev, f_prev, t, f
         else:
@@ -383,7 +399,8 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
 def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
                          level: float, region: TrustRegion,
                          near: Union[LineSection, CrossingOutsideRegion,
-                                     None] = None) -> LineSection:
+                                     None] = None,
+                         predicted: tuple = (None, None)) -> LineSection:
     """Section of {f >= level} on the line {x + t v} around its local max.
 
     Cold, brackets the line-local max nearest t = 0 (_line_max_bracket).
@@ -392,7 +409,13 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     of the max. Otherwise the max is polished: if its value does not exceed
     the level the section is empty and carries the max, else the marches
     start from it. A march that reaches the region bound above the level
-    raises CrossingOutsideRegion, which carries the march.
+    raises CrossingOutsideRegion, which carries the march. predicted holds
+    the predicted crossings (t1, t2), either of them None: the crossing
+    solve that closes each cold march starts from its prediction
+    when that lies strictly inside the march's final bracket, and evaluates
+    it not at all otherwise (_level_crossing). The bracket, the marches and
+    their dip tests are the unseeded ones, so the section is the unseeded
+    section up to the bits of the crossings.
 
     Warm, near was solved on a nearby parallel line with the same v and
     level (else ValueError). When near is a non-empty section, the
@@ -401,9 +424,9 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     {f >= level} that contains the predicted midpoint, up to dips that lie
     between it and a prediction or between two probes. A march from a
     prediction that reaches the bound above the level is made again with
-    dip tests, and raises CrossingOutsideRegion from the prediction unless
-    a dip closes the component. When near is a
-    CrossingOutsideRegion that a march raised, its march start is carried
+    dip tests, and raises CrossingOutsideRegion from the prediction, or
+    gives the crossing before a dip that closes the component. When near is
+    a CrossingOutsideRegion that a march raised, its march start is carried
     over to this line and marched from toward the same bound, on values
     only (_continued_escape); if every probe stays above the level the
     continued escape is raised: the component through the carried start
@@ -437,8 +460,11 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
         fb = phi(b)
         if fb <= level:
             return LineSection(x, v, level, line_max=LineExtremum(b, fb))
-    t2 = _cross_outward(phi, dphi, x, v, level, b, 1.0, t_hi, region.radius)
-    t1 = _cross_outward(phi, dphi, x, v, level, b, -1.0, t_lo, region.radius)
+    p1, p2 = predicted
+    t2 = _cross_outward(phi, dphi, x, v, level, b, 1.0, t_hi, region.radius,
+                        p2)
+    t1 = _cross_outward(phi, dphi, x, v, level, b, -1.0, t_lo, region.radius,
+                        p1)
     return LineSection(x, v, level, float(t1), float(t2))
 
 

@@ -31,14 +31,34 @@ from .quadmodel import QuadraticObjective, decompose
 DENOM_TOL = 1e-8
 
 
+def _model_root(grad: np.ndarray, hess: np.ndarray, w0: np.ndarray,
+                v: np.ndarray) -> Optional[float]:
+    """Root u nearest 0 of grad'w + 0.5 w'Hw, w = w0 + u v, with w0 _|_ v.
+
+    This is f - level on the line through the endpoint plus w0, by the
+    endpoint's second-order model (f = level at the endpoint), in the
+    coordinate u that is 0 next to the endpoint. None when the model has no
+    real root there.
+    """
+    Hw0 = hess @ w0
+    a = 0.5 * float(v @ hess @ v)
+    b = float(grad @ v) + float(v @ Hw0)
+    c = float(grad @ w0) + 0.5 * float(w0 @ Hw0)
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return None
+    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+    return None if q == 0.0 else c / q
+
+
 @dataclass(frozen=True)
 class ParallelDistanceEval:
     """g, g^2 and derivatives of g^2, plus the endpoint data they came from.
 
-    Derivative fields are None when the section is empty. hess_g2 is None
-    unless requested. The denominators are v'grad f at the two endpoints;
-    they carry opposite signs for a proper segment (f is decreasing in v at
-    z and increasing at z').
+    Derivative fields are None when the section is empty. hess_g2 and the
+    endpoint Hessians are None unless requested. The denominators are
+    v'grad f at the two endpoints; they carry opposite signs for a proper
+    segment (f is decreasing in v at z and increasing at z').
     """
 
     section: LineSection
@@ -49,6 +69,36 @@ class ParallelDistanceEval:
     hess_g2: Optional[np.ndarray] = None
     denom_z: Optional[float] = None
     denom_zp: Optional[float] = None
+    grad_z: Optional[np.ndarray] = None
+    grad_zp: Optional[np.ndarray] = None
+    hess_z: Optional[np.ndarray] = None
+    hess_zp: Optional[np.ndarray] = None
+
+    def predicted_crossings(self, x: np.ndarray
+                            ) -> tuple[Optional[float], Optional[float]]:
+        """Crossings (t1, t2) of the level on the line {x + t v} that the
+        endpoints' second-order models predict; needs the endpoint Hessians.
+
+        t2 is the root next to z of grad f(z)'w + 0.5 w'H(z) w with w the
+        offset from z of a point on the line, and t1 the like root next to
+        z'; these are the models (PD)'s Newton step is built from, and on an
+        exact quadratic they are exact. Either is None when its model has
+        no real root. It evaluates nothing.
+        """
+        sec = self.section
+        v = sec.v
+        # The line's point next to an endpoint lies w0 across v from it, at
+        # t = (the endpoint's t on the section's line) - dv.
+        d = np.asarray(x, dtype=float) - sec.x
+        dv = float(d @ v)
+        w0 = d - dv * v
+
+        def crossing(t, grad, hess):
+            u = _model_root(grad, hess, w0, v)
+            return None if u is None else t - dv + u
+
+        return (crossing(sec.t1, self.grad_zp, self.hess_zp),
+                crossing(sec.t2, self.grad_z, self.hess_z))
 
 
 def _endpoint_denominator(grad_f: np.ndarray, v: np.ndarray, where: str,
@@ -75,7 +125,9 @@ def derivatives_from_section(obj: Objective, section: LineSection,
     """g, g^2 and derivatives of g^2 on a non-empty section, from its endpoints.
 
     Evaluates grad f at section.z and section.zp and, when wanted, the two
-    endpoint Hessians, only after the denominators pass. Raises
+    endpoint Hessians, only after the denominators pass. The result keeps
+    them, and with the Hessians predicts the crossings of nearby parallel
+    lines (ParallelDistanceEval.predicted_crossings). Raises
     DegenerateDenominator as eval_pardist describes.
     """
     v = section.v
@@ -86,7 +138,7 @@ def derivatives_from_section(obj: Objective, section: LineSection,
     dzp = _endpoint_denominator(gzp, v, "z'", grad_scale, g)
     grad_g = -gz / dz + gzp / dzp
     grad_g2 = 2.0 * g * grad_g
-    hess_g2 = None
+    hess_g2 = Hz = Hzp = None
     if want_hessian:
         n = v.size
         I = np.eye(n)
@@ -100,7 +152,8 @@ def derivatives_from_section(obj: Objective, section: LineSection,
     return ParallelDistanceEval(
         section=section, g=g, g2=g * g,
         grad_g=grad_g, grad_g2=grad_g2, hess_g2=hess_g2,
-        denom_z=dz, denom_zp=dzp)
+        denom_z=dz, denom_zp=dzp, grad_z=gz, grad_zp=gzp, hess_z=Hz,
+        hess_zp=Hzp)
 
 
 def eval_pardist(obj: Objective, x: np.ndarray, v: np.ndarray, level: float,

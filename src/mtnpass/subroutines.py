@@ -57,6 +57,10 @@ def step_pd(section: LineSection, obj: Objective, region: TrustRegion) -> PdOutc
     Computes grad/hess of g^2 at x from the endpoint data, moves across v by a Newton step on the complement of v
     when the reduced Hessian is positive definite (steepest descent
     otherwise), and backtracks on g^2(x + t d) under the Armijo condition.
+    Each trial section is solved cold, its crossing solves seeded with the
+    crossings the endpoints' second-order models predict for the trial line
+    (ParallelDistanceEval.predicted_crossings, the models of the Newton
+    step), so it is the cold section up to the bits of its crossings.
     A trial point whose section is empty wins immediately: the parallel
     distance has hit zero at the line max the empty section carries.
     Backtracking stops with PdStalled once the trial step t*|d| is shorter
@@ -104,7 +108,8 @@ def step_pd(section: LineSection, obj: Objective, region: TrustRegion) -> PdOutc
         xt = x + t * d
         if region.contains(xt):
             try:
-                sec = find_level_crossings(obj, xt, v, section.level, region)
+                sec = find_level_crossings(obj, xt, v, section.level, region,
+                                           predicted=pe.predicted_crossings(xt))
             except (CrossingOutsideRegion, NoLineMax):
                 sec = None
             if sec is not None:

@@ -28,10 +28,12 @@ of the step sequence, a change of the report message (the stop rule that
 fired), a report or trace that differs only in the bits of its numbers
 (with the largest relative difference), and evaluation counts that rose;
 then the tally, with the number of solves whose count of each kind fell;
-then the summed counts and the status tally of both dumps, and the summed
-counts of the solves whose objective has no Hessian callable (the ":fd"
-solves and the rotated wells, whose Hessians are finite differences of the
-gradient) apart from those of the rest; then every suite with its counts
+then the summed counts and the status tally of both dumps, the summed
+counts of each dump's solves per final status (so a saving on certified
+solves shows apart from one on breakdowns), and the summed counts of the
+solves whose objective has no Hessian callable (the ":fd" solves and the
+rotated wells, whose Hessians are finite differences of the gradient) apart
+from those of the rest; then every suite with its counts
 before -> after and, when its report differs, the largest relative
 difference, which of its counts rose, and how many of its probe calls'
 reports differ. It exits 1 when any solve changed its status, iteration
@@ -251,15 +253,19 @@ def compare(before_path: str, after_path: str) -> int:
     solves = dict.fromkeys(groups, 0)
     statuses = {"before": dict.fromkeys(STATUSES, 0),
                 "after": dict.fromkeys(STATUSES, 0)}
+    by_status = {side: {status: dict.fromkeys(COUNT_KEYS, 0)
+                        for status in STATUSES} for side in statuses}
     for name, old in before.items():
         new = after[name]
         group = groups[1] if _fd_hessians(name) else groups[2]
         solves[group] += 1
         for side, row in (("before", old), ("after", new)):
+            status = row["report"]["status"]
+            statuses[side][status] += 1
             for k in COUNT_KEYS:
                 totals[side]["all"][k] += row["counts"][k]
                 totals[side][group][k] += row["counts"][k]
-            statuses[side][row["report"]["status"]] += 1
+                by_status[side][status][k] += row["counts"][k]
         ro, rn = old["report"], new["report"]
         steps_old = [r["step"] for r in old["trace"]]
         steps_new = [r["step"] for r in new["trace"]]
@@ -290,6 +296,11 @@ def compare(before_path: str, after_path: str) -> int:
     for side in ("before", "after"):
         print(f"summed counts {side}: {_counts(totals[side]['all'])}; "
               + ", ".join(f"{v} {k}" for k, v in statuses[side].items()))
+    for status in STATUSES:
+        print(f"  {status}: {statuses['before'][status]} solves "
+              f"{_counts(by_status['before'][status])} -> "
+              f"{statuses['after'][status]} solves "
+              f"{_counts(by_status['after'][status])}")
     for group in groups[1:]:
         print(f"  {group} ({solves[group]} solves): "
               f"{_counts(totals['before'][group])} -> {_counts(totals['after'][group])}")

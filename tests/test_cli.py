@@ -102,6 +102,14 @@ class TestSolveCommand:
                        "--out", str(tmp_path))
         assert code == 1
 
+    def test_endpoints_outside_the_region_exit_one(self, tmp_path, capsys):
+        code = run_cli("solve", "--function", "six_hump_camel",
+                       "--a", CAMEL_A, "--b", CAMEL_B, "--radius", "0.05",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert "outside the trust region" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_config_file(self, tmp_path):
         cfg = {"function": "six_hump_camel",
                "a": [0.0898, -0.7126], "b": [-0.0898, 0.7126],

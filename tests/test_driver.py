@@ -59,6 +59,21 @@ class TestInitState:
                 solve(camel, *args)
         assert camel.eval_counts() == {"value": 0, "gradient": 0, "hessian": 0}
 
+    def test_endpoints_outside_the_region_rejected_before_evaluating(self):
+        # |a - b|/2 = 0.81 between camel minima 0 and 2, against a radius
+        # of 0.05: neither endpoint lies in the trust region.
+        camel = six_hump_camel()
+        a, b = (np.array(oracles.CAMEL_MINIMA[k][:2]) for k in (0, 2))
+        config = SolveConfig(radius=0.05)
+        for args in ((a, b), (b, a)):
+            with pytest.raises(BadEndpoints, match="outside the trust region"):
+                init_state(camel, *args, config)
+            with pytest.raises(BadEndpoints, match="outside the trust region"):
+                solve(camel, *args, config)
+        assert camel.eval_counts() == {"value": 0, "gradient": 0, "hessian": 0}
+        sec, _ = init_state(camel, a, b, SolveConfig(radius=0.81))
+        assert not sec.empty
+
     def test_monotone_chord_rejected(self):
         sphere = QuadraticObjective(2.0 * np.eye(2), np.zeros(2), 0.0)
         with pytest.raises(BadEndpoints):
@@ -311,6 +326,18 @@ class TestSolveMuellerBrown:
         assert "Av" in [r.step for r in report.trace]
         assert_level_rules(report.trace)
         assert_gap_rule(report.trace)
+
+
+class TestSolveCost:
+    def test_camel_pass_value_count(self):
+        # Camel minima 0 -> 2, one of the benchmark's pairs: each (PD) trial
+        # section starts its crossing solves from the roots its endpoint
+        # models predict. Solved without those seeds it costs 103 values.
+        report = solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
+                       np.array(oracles.CAMEL_MINIMA[2][:2]))
+        assert report.status == "SaddleFound"
+        assert report.eval_counts == {"value": 96, "gradient": 16,
+                                      "hessian": 4}
 
 
 class TestEndpointGradientReuse:

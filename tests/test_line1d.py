@@ -6,11 +6,12 @@ import pytest
 import oracles
 from mtnpass import line1d
 from mtnpass.errors import BadDirection, CrossingOutsideRegion, NoLineMax
-from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, _brent, _march,
-                            _refine_max, chord_section, find_far_crossing,
+from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, _brent,
+                            _level_crossing, _march, _refine_max,
+                            chord_section, find_far_crossing,
                             find_level_crossings, line_local_max,
                             line_local_min)
-from mtnpass.objective import Objective, TrustRegion
+from mtnpass.objective import Objective, TrustRegion, six_hump_camel
 from mtnpass.quadmodel import QuadraticObjective, generate_morse1, saddle_of
 from mtnpass.subroutines import crossings_or_degenerate
 
@@ -620,18 +621,83 @@ class TestWarmSectionEscape:
             find_level_crossings(obj, self.X, self.E1, self.LEVEL, region)
         assert cold.value.sgn == -1.0
 
-    def test_dip_beyond_the_prediction_goes_cold(self, region):
+    def test_dip_beyond_the_prediction_keeps_its_crossing(self, region):
         # The values-only march from the left prediction steps over the dip
         # (its probes at t = -0.616 and -0.716 lie above the level), but the
-        # dip-tested march from there lands in it, so the section is solved
-        # cold and ends at the dip's inner flank.
+        # dip-tested march from there lands in it. Its crossing, at the dip's
+        # inner flank, is the left crossing: no cold solve follows, and the
+        # section is the cold one.
         obj = self._objective(4.0)
         near, (warm, cold_brackets) = self._warm(obj, region)
-        assert cold_brackets == 1
+        assert cold_brackets == 0
         cold = find_level_crossings(obj, self.X, self.E1, self.LEVEL, region)
         assert (warm.t1, warm.t2) == (cold.t1, cold.t2)
         assert -0.65 < warm.t1 < near.t1
         assert warm.t2 == pytest.approx(np.sqrt(2.5), abs=1e-12)
+
+
+class TestSeededCrossing:
+    """A predicted root strictly inside the bracket a march closed starts
+    the crossing solve; any other prediction is never evaluated."""
+
+    # f(t) = 1 - t^2 on the bracket [0.5, 1.5]; the root is t = 1.
+    T_IN, T_OUT = 0.5, 1.5
+
+    def _solve(self, seed):
+        """The crossing from the bracket seeded with seed, and the points
+        evaluated."""
+        evaluated = []
+
+        def phi(t):
+            evaluated.append(t)
+            return 1.0 - t * t
+
+        t = _level_crossing(phi, self.T_IN, self.T_OUT, 0.75, -1.25, 0.0,
+                            1e-12, seed)
+        return t, evaluated
+
+    @pytest.mark.parametrize("seed", [1.0 - 1e-6, 1.0 + 1e-6, 0.9, 1.2])
+    def test_seed_inside_the_bracket_is_evaluated_first(self, seed):
+        cold, cold_evaluated = self._solve(None)
+        t, evaluated = self._solve(seed)
+        assert evaluated[0] == seed
+        assert t == pytest.approx(cold, abs=1e-12)
+        assert len(evaluated) <= len(cold_evaluated)
+
+    @pytest.mark.parametrize("seed", [T_IN, T_OUT, 0.2, 2.0, -1.0])
+    def test_seed_outside_the_bracket_is_never_evaluated(self, seed):
+        cold, cold_evaluated = self._solve(None)
+        t, evaluated = self._solve(seed)
+        assert seed not in evaluated
+        assert (t, evaluated) == (cold, cold_evaluated)
+
+    # Along e2 through (0.1, 0) on the camel, the level -0.5 is crossed near
+    # t = -0.36 and t = 0.39, each inside a march bracket.
+    X = np.array([0.1, 0.0])
+    LEVEL = -0.5
+
+    def _section(self, predicted=(None, None)):
+        """The camel section through X with the given predictions, and its
+        value count."""
+        camel = six_hump_camel()
+        sec = find_level_crossings(camel, self.X, E2, self.LEVEL,
+                                   TrustRegion(np.zeros(2), 2.0),
+                                   predicted=predicted)
+        return sec, camel.eval_counts()["value"]
+
+    def test_seeded_section_is_the_cold_section(self):
+        cold, cold_values = self._section()
+        sec, values = self._section((cold.t1 + 1e-7, cold.t2 - 1e-7))
+        assert sec.t1 == pytest.approx(cold.t1, abs=1e-12)
+        assert sec.t2 == pytest.approx(cold.t2, abs=1e-12)
+        assert values < cold_values
+
+    @pytest.mark.parametrize("predicted", [(None, None), (-5.0, 5.0),
+                                           (0.0, 0.0)])
+    def test_predictions_outside_the_brackets_cost_nothing(self, predicted):
+        cold, cold_values = self._section()
+        sec, values = self._section(predicted)
+        assert (sec.t1, sec.t2, values) == (cold.t1, cold.t2, cold_values)
 
 
 class TestCrossingAccuracy:

@@ -166,6 +166,46 @@ class TestClosedForm:
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+class TestPredictedCrossings:
+    """The endpoints' second-order models predict the crossings of nearby
+    parallel lines; on an exact quadratic the prediction is exact."""
+
+    @pytest.mark.parametrize("k", range(8))
+    def test_exact_on_a_quadratic(self, k):
+        n = 2 + k % 4
+        model = generate_morse1(n, seed=8100 + k)
+        rng = np.random.default_rng(k)
+        v = model.negative_eigenvector + 0.2 * rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        assert float(v @ model.H @ v) < 0.0
+        x = saddle_of(model)[0] + 0.3 * rng.standard_normal(n)
+        region = TrustRegion(x, 100.0)
+        level = model.value(x) - rng.uniform(0.5, 2.0)
+        section = find_level_crossings(model, x, v, level, region)
+        pe = derivatives_from_section(model, section, want_hessian=True)
+        for scale in (0.01, 0.1, 0.5):
+            xt = section.midpoint + scale * rng.standard_normal(n)
+            trial = find_level_crossings(model, xt, v, level, region)
+            t1, t2 = pe.predicted_crossings(xt)
+            assert t1 == pytest.approx(trial.t1, abs=1e-12)
+            assert t2 == pytest.approx(trial.t2, abs=1e-12)
+
+    def test_own_line_predicts_its_own_crossings(self, saddle_quadratic,
+                                                 origin_region):
+        pe = eval_pardist(saddle_quadratic, np.array([1.0, 0.0]), E2, -0.5,
+                          origin_region, want_hessian=True)
+        t1, t2 = pe.predicted_crossings(pe.section.x)
+        assert (t1, t2) == (pe.section.t1, pe.section.t2)
+
+    def test_no_real_root_predicts_none(self, saddle_quadratic, origin_region):
+        # f = (x1^2 - x2^2)/2 along e2 at level 0.1, above the saddle value:
+        # the section on the line x1 = 1 is |t| <= sqrt(0.8), but on the line
+        # x1 = 0 the max of f is 0, and the exact models have no real root.
+        pe = eval_pardist(saddle_quadratic, np.array([1.0, 0.0]), E2, 0.1,
+                          origin_region, want_hessian=True)
+        assert pe.predicted_crossings(np.zeros(2)) == (None, None)
+
+
 class TestOracleEquivalence:
     def test_numeric_matches_closed_form(self):
         rng = np.random.default_rng(0)

@@ -7,7 +7,7 @@ from mtnpass.errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
                             DegenerateDenominator, LUpImpossible)
 from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, LineSection,
                             chord_section, find_level_crossings)
-from mtnpass.objective import Objective, TrustRegion
+from mtnpass.objective import Objective, TrustRegion, six_hump_camel
 from mtnpass.pardist import closed_form_g2_quadratic
 from mtnpass.quadmodel import QuadraticObjective
 from mtnpass.subroutines import (HitZero, PdStalled, crossings_or_degenerate,
@@ -183,7 +183,7 @@ class TestStepPd:
         sec = quad_section
         steps = []
 
-        def same_diameter(obj, x, v, level, region):
+        def same_diameter(obj, x, v, level, region, predicted=(None, None)):
             steps.append(float(np.linalg.norm(x - sec.midpoint)))
             return LineSection(x, v, level, sec.t1, sec.t2)
 
@@ -195,6 +195,32 @@ class TestStepPd:
         assert len(steps) == halvings == 37
         assert np.allclose(steps, 0.5 ** np.arange(halvings), rtol=1e-12, atol=0)
         assert steps[-1] >= min_step > 0.5 * steps[-1]
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (0, 1), (1, 3)])
+    def test_seeded_trial_is_the_cold_trial(self, i, j, monkeypatch):
+        # After the first level raise between two camel minima, (PD)'s first
+        # trial passes. Solved with the crossings its endpoint models
+        # predict, it is the section solved without them, for fewer values.
+        a, b = (np.array(oracles.CAMEL_MINIMA[k][:2]) for k in (i, j))
+        camel = six_hump_camel()
+        region = TrustRegion(0.5 * (a + b), 10.0)
+        sec = step_l_up(chord_section(camel, a, b), camel, region)
+        seeded_camel, cold_camel = six_hump_camel(), six_hump_camel()
+        seeded = step_pd(sec, seeded_camel, region)
+
+        def unseeded(obj, x, v, level, region, predicted=(None, None)):
+            return find_level_crossings(obj, x, v, level, region)
+
+        monkeypatch.setattr(subroutines, "find_level_crossings", unseeded)
+        cold = step_pd(sec, cold_camel, region)
+        assert isinstance(seeded, LineSection) and isinstance(cold, LineSection)
+        assert np.array_equal(seeded.x, cold.x)
+        assert seeded.t1 == pytest.approx(cold.t1, abs=1e-12)
+        assert seeded.t2 == pytest.approx(cold.t2, abs=1e-12)
+        counts, cold_counts = seeded_camel.eval_counts(), cold_camel.eval_counts()
+        assert counts["value"] < cold_counts["value"]
+        assert (counts["gradient"], counts["hessian"]) == \
+            (cold_counts["gradient"], cold_counts["hessian"])
 
     def test_minima_endpoints_raise_without_trials(self, monkeypatch):
         # Both endpoints are minima of equal value on the level, so

@@ -186,11 +186,17 @@ def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
 
     The formulas are evaluated on each case's section, at its base point x.
     Every finite-difference probe of g^2 continues its section from the
-    case's own section (find_level_crossings with near). Relative errors are
-    guarded: |diff| / (1 + |analytic|). Empty sections, samples where the
-    denominators degenerate or are not admissible, and samples where a
-    finite-difference probe escapes the region are counted as skipped, not
-    failed.
+    case's own section (find_level_crossings with near), with its crossing
+    marches started from the crossings that the case's endpoint models
+    predict on the probe's line (ParallelDistanceEval.predicted_crossings);
+    a probe point lies at most 2 FD_G2_HESS_STEP max(1, max|x_i|) from x,
+    where the models err by little (up to about 1e-10 on the camel,
+    rounding only on quadratics), and each crossing is solved to the cold
+    tolerance.
+    Relative errors are guarded: |diff| / (1 + |analytic|). Empty sections,
+    samples where the denominators degenerate or are not admissible, and
+    samples where a finite-difference probe escapes the region are counted
+    as skipped, not failed.
     """
     report = GradFormulaReport()
     for case in cases:
@@ -206,7 +212,9 @@ def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
 
         def g2(p):  # raises when the section through p escapes the region
             return find_level_crossings(obj, p, sec.v, sec.level, region,
-                                        near=sec).diam ** 2
+                                        near=sec,
+                                        predicted=pe.predicted_crossings(p)
+                                        ).diam ** 2
 
         try:
             fd_g = fd_gradient(g2, sec.x)

@@ -35,12 +35,13 @@ solves whose objective has no Hessian callable (the ":fd" solves and the
 rotated wells, whose Hessians are finite differences of the gradient) apart
 from those of the rest; then every suite with its counts
 before -> after and, when its report differs, the largest relative
-difference, which of its counts rose, and how many of its probe calls'
-reports differ. It exits 1 when any solve changed its status, iteration
-count, step sequence or message, any suite changed its failure count or
-any of its probe reports, or any solve or suite made more evaluations of
-any kind, and 0 otherwise. The bench modules
-are read, never written. Pytest does not collect this file.
+difference, which of its counts rose, how many of its probe calls'
+reports differ, and each entry of the report that differs, before ->
+after. It exits 1 when any solve changed its status, iteration count, step
+sequence or message, any suite changed its failure count or any of its
+probe reports, or any solve or suite made more evaluations of any kind, and
+0 otherwise. The bench modules are read, never written. Pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -166,18 +167,31 @@ def _load(path: str) -> dict:
     return {row["name"]: row for row in rows}
 
 
+def _differences(x, y, key: str = ""):
+    """(key, before, after) for each entry where two like documents differ,
+    keyed by its path of dict keys and list indices; a whole entry where
+    their shapes differ."""
+    if x == y:
+        return
+    if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+        for k in sorted(x):
+            yield from _differences(x[k], y[k], f"{key}.{k}" if key else k)
+    elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        for i, (p, q) in enumerate(zip(x, y)):
+            yield from _differences(p, q, f"{key}[{i}]")
+    else:
+        yield key, x, y
+
+
 def _max_rel_diff(x, y) -> float:
     """Largest relative difference between the numbers of two like documents;
     inf where their shapes or any value that is not a number differ."""
-    if x == y:
-        return 0.0
-    if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
-        return max(_max_rel_diff(x[k], y[k]) for k in x)
-    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
-        return max(_max_rel_diff(p, q) for p, q in zip(x, y))
-    if all(isinstance(z, (int, float)) and not isinstance(z, bool) for z in (x, y)):
-        return abs(x - y) / max(abs(x), abs(y))
-    return math.inf
+    def rel(p, q) -> float:
+        if all(isinstance(z, (int, float)) and not isinstance(z, bool)
+               for z in (p, q)):
+            return abs(p - q) / max(abs(p), abs(q))
+        return math.inf
+    return max((rel(p, q) for _, p, q in _differences(x, y)), default=0.0)
 
 
 def _counts(counts: dict) -> str:
@@ -228,6 +242,8 @@ def compare_suites(before: dict, after: dict) -> int:
             note = f", failures {ro['failures']} -> {rn['failures']}" + note
         print(f"{name}: differs, largest relative difference "
               f"{_max_rel_diff(ro, rn):.2e}{note}, {counts}")
+        for key, x, y in _differences(ro, rn):
+            print(f"  {key}: {x!r} -> {y!r}")
     print(f"{len(before)} suite reports: {identical} identical, "
           f"{rose} with counts that rose")
     return changed + rose

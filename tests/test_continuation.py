@@ -6,6 +6,11 @@ the call must have taken the cold path itself; so must an escape continued
 from a nearby line's escape. Cold sections are counted by the line-max
 bracket every cold section starts with.
 
+Predicted starts: a warm section whose crossing marches start from the
+crossings the endpoint models of a nearby section predict
+(ParallelDistanceEval.predicted_crossings), as every finite-difference
+probe of verify.check_grad_formulas does. It must be the cold section too.
+
 Far crossings: line1d.find_far_crossing from a base point on the level, as
 l-up solves the section through a segment midpoint at f there
 (crossings_or_degenerate with the gradient). Where the cold section has an
@@ -21,9 +26,11 @@ from hypothesis import strategies as st
 
 import oracles
 from mtnpass import line1d
-from mtnpass.errors import CrossingOutsideRegion, NoLineMax
+from mtnpass.errors import (CrossingOutsideRegion, DegenerateDenominator,
+                            NoLineMax)
 from mtnpass.line1d import LineSection, find_level_crossings
 from mtnpass.objective import TrustRegion, six_hump_camel, tightness2d
+from mtnpass.pardist import derivatives_from_section
 from mtnpass.quadmodel import generate_morse1, saddle_of
 from mtnpass.subroutines import crossings_or_degenerate
 
@@ -301,3 +308,118 @@ class TestContinuedSection:
         with pytest.raises(ValueError, match="non-empty"):
             find_level_crossings(saddle_quadratic, E1, E2, -0.5, origin_region,
                                  near=near)
+
+
+def _section_with_models(name, seed):
+    """(objective, section, region, its ParallelDistanceEval with endpoint
+    Hessians) drawn as verify's grad-formulas samples are: on the camel near
+    its origin saddle, or on a Morse-index-one quadratic with n = name; None
+    when the draw gives no usable section."""
+    rng = np.random.default_rng(seed)
+    if name == "camel":
+        obj = six_hump_camel()
+        _, V = np.linalg.eigh(obj.hessian(np.zeros(2)))
+        v = V[:, 0] + 0.1 * rng.standard_normal(2)
+        x = 0.25 * rng.standard_normal(2)
+        level = -rng.uniform(0.05, 0.3)
+        region = TrustRegion(np.zeros(2), 10.0)
+    else:
+        obj = generate_morse1(name, seed=seed)
+        xbar, fbar = saddle_of(obj)
+        v = obj.negative_eigenvector + 0.2 * rng.standard_normal(name)
+        x = xbar + 0.3 * rng.standard_normal(name) / np.sqrt(name)
+        level = fbar - rng.uniform(0.05, 0.5)
+        region = TrustRegion(x, 50.0)
+    v /= np.linalg.norm(v)
+    try:
+        sec = find_level_crossings(obj, x, v, level, region)
+        if sec.empty:
+            return None
+        pe = derivatives_from_section(obj, sec, want_hessian=True)
+    except (CrossingOutsideRegion, NoLineMax, DegenerateDenominator):
+        return None
+    return obj, sec, region, pe
+
+
+def _probe(sec, seed, step):
+    """A point step away from the section's base point, in a direction drawn
+    from seed."""
+    u = np.random.default_rng(seed + 1).standard_normal(sec.x.size)
+    return sec.x + step * u / np.linalg.norm(u)
+
+
+def _assert_cold(obj, sec, p, region, section):
+    cold = find_level_crossings(obj, p, sec.v, sec.level, region)
+    assert abs(section.t1 - cold.t1) <= 1e-12
+    assert abs(section.t2 - cold.t2) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(["camel", 2, 3, 4, 5]),
+       seed=st.integers(0, 10 ** 6),
+       step=st.floats(1e-5, 1e-2))
+def test_predicted_start_is_the_cold_section(name, seed, step):
+    # The probe lines of check_grad_formulas lie 1e-5 to 2e-4 away, where
+    # the camel's predictions are off by up to about 1e-10; 1e-2 away they
+    # are off by up to about 5e-5, and on quadratics by rounding only.
+    case = _section_with_models(name, seed)
+    assume(case is not None)
+    obj, sec, region, pe = case
+    p = _probe(sec, seed, step)
+    warm, cold_brackets = _solve_counted(obj, p, sec.v, sec.level, region,
+                                         near=sec,
+                                         predicted=pe.predicted_crossings(p))
+    event("fell back" if cold_brackets else "warm")
+    assert isinstance(warm, LineSection)
+    _assert_cold(obj, sec, p, region, warm)
+
+
+class TestPredictedStart:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_costs_five_values_on_a_quadratic(self, n):
+        # The predictions are exact: the midpoint check, then on each side
+        # the prediction and one probe xtol beyond it, whose bracket is
+        # already within the crossing tolerance. Started from the carried
+        # endpoints the same section costs more.
+        obj, sec, region, pe = _section_with_models(n, 7)
+        p = _probe(sec, 7, 1e-4)
+        costs = []
+        for predicted in (pe.predicted_crossings(p), (None, None)):
+            before = obj.eval_counts()["value"]
+            warm = find_level_crossings(obj, p, sec.v, sec.level, region,
+                                        near=sec, predicted=predicted)
+            costs.append(obj.eval_counts()["value"] - before)
+            _assert_cold(obj, sec, p, region, warm)
+        assert costs[0] == 5
+        assert costs[1] > 5
+
+    @pytest.mark.parametrize("name", ["camel", 3])
+    @pytest.mark.parametrize("moved", [1e-3, -1e-3])
+    def test_moved_prediction_gives_the_cold_section(self, name, moved):
+        # Predictions moved outward (or inward) by 1e-3 cost about
+        # log2(1e-3 / xtol) more march probes each, and the section is
+        # still the cold one.
+        obj, sec, region, pe = _section_with_models(name, 11)
+        p = _probe(sec, 11, 1e-4)
+        q1, q2 = pe.predicted_crossings(p)
+        warm, cold_brackets = _solve_counted(
+            obj, p, sec.v, sec.level, region, near=sec,
+            predicted=(q1 - moved, q2 + moved))
+        assert cold_brackets == 0
+        _assert_cold(obj, sec, p, region, warm)
+
+    def test_missing_or_unordered_prediction_starts_carried(self):
+        # Either prediction None, or the two out of order: the marches start
+        # from near's endpoints carried over, bit for bit as with no
+        # prediction.
+        obj, sec, region, pe = _section_with_models("camel", 11)
+        p = _probe(sec, 11, 1e-4)
+        q1, q2 = pe.predicted_crossings(p)
+        carried = find_level_crossings(obj, p, sec.v, sec.level, region,
+                                       near=sec)
+        for predicted in ((None, q2), (q1, None), (None, None), (q2, q1)):
+            warm, cold_brackets = _solve_counted(
+                obj, p, sec.v, sec.level, region, near=sec,
+                predicted=predicted)
+            assert cold_brackets == 0
+            assert (warm.t1, warm.t2) == (carried.t1, carried.t2)

@@ -328,6 +328,31 @@ class TestSolveMuellerBrown:
         assert_gap_rule(report.trace)
 
 
+class TestOneDimension:
+    @pytest.mark.parametrize("analytic, counts", [
+        (True, {"value": 65, "gradient": 5, "hessian": 1}),
+        (False, {"value": 65, "gradient": 6, "hessian": 1})])
+    def test_double_well_pass_is_the_max_between_minima(self, analytic,
+                                                        counts):
+        # f = (x^2 - 1)^2 from -1 to 1: in one dimension the mountain pass
+        # between two minima is the max between them, here x = 0, a
+        # critical point of Morse index one. The chord's polished ridge max
+        # is already critical, so the solve certifies it at Init. A finite-
+        # difference Hessian costs one gradient more than the analytic one.
+        hess = (lambda x: np.array([[12.0 * x[0] ** 2 - 4.0]])) if analytic \
+            else None
+        obj = Objective(1, lambda x: (x[0] ** 2 - 1.0) ** 2,
+                        lambda x: np.array([4.0 * x[0] * (x[0] ** 2 - 1.0)]),
+                        hess)
+        report = solve(obj, np.array([-1.0]), np.array([1.0]))
+        assert report.status == "SaddleFound"
+        assert report.morse_index == 1
+        assert abs(report.x[0]) <= 1e-8
+        assert report.f == pytest.approx(1.0, abs=1e-15)
+        assert [r.step for r in report.trace] == ["Init"]
+        assert report.eval_counts == counts
+
+
 class TestSolveCost:
     def test_camel_pass_value_count(self):
         # Camel minima 0 -> 2, one of the benchmark's pairs: each (PD) trial

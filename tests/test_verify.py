@@ -43,6 +43,30 @@ class TestGradFormulas:
         report = check_grad_formulas(camel_sample_cases(20, seed))
         assert report.n_failures == 0
 
+    def test_suite_cost(self, monkeypatch):
+        # Every objective the seed-0 suite builds is recorded and its counts
+        # summed. Each finite-difference probe starts its crossing marches
+        # from the crossings the case's endpoint models predict; started
+        # from the case's own endpoints carried over, the suite costs 47,843
+        # values, 305 gradients and 141 Hessians.
+        made = []
+
+        def recording(factory):
+            def make(*args, **kwargs):
+                made.append(factory(*args, **kwargs))
+                return made[-1]
+            return make
+
+        for name in ("generate_morse1", "six_hump_camel"):
+            monkeypatch.setattr(verify, name,
+                                recording(getattr(verify, name)))
+        report = run_suite("grad-formulas", seed=0)
+        assert (report["failures"], report["n_cases"],
+                report["n_skipped"]) == (0, 70, 0)
+        totals = {k: sum(obj.eval_counts()[k] for obj in made)
+                  for k in ("value", "gradient", "hessian")}
+        assert totals == {"value": 22969, "gradient": 305, "hessian": 141}
+
     def test_degenerate_sample_skipped_not_failed(self, saddle_quadratic):
         # A level a hair under the line max gives a microscopic section.
         region = TrustRegion(np.zeros(2), 10.0)

@@ -346,18 +346,11 @@ def _continued_escape(phi: Callable, x: np.ndarray, v: np.ndarray,
 
 def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
                          v: np.ndarray, near: LineSection, t_lo: float,
-                         t_hi: float, radius: float,
-                         predicted: tuple) -> Optional[tuple]:
+                         t_hi: float, radius: float) -> Optional[tuple]:
     """Crossings (t1, t2) continued from near's, or None when a check fails.
 
-    The predictions p1 <= p2 are the predicted crossings when both are given
-    in order, else near's endpoints carried over to the line through x. The
-    first step is max(d, xtol), d the distance between the line the
-    predictions come from and this one: that of the two parallel lines for
-    carried endpoints, 0 for predicted crossings. A prediction off by e
-    thus costs about log2(e / xtol) more march probes than an exact one,
-    with which the section costs 5 values: the midpoint, and per side the
-    prediction and one probe xtol beyond it.
+    near's endpoints carried over to the line through x are the predictions
+    p1 <= p2; the first step is the distance between the two parallel lines.
     Both predictions must lie in [t_lo, t_hi] and f at their midpoint above
     the level. Each crossing is bracketed by a march from its prediction:
     outward while f stays above the level, else inward, never past the
@@ -368,21 +361,16 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
     that closes the component is that side's crossing.
     """
     level = near.level
-    q1, q2 = predicted
-    if q1 is not None and q2 is not None and q1 <= q2:
-        p1, p2, gap = q1, q2, 0.0
-    else:
-        d = near.x - x
-        dv = float(d @ v)
-        p1, p2 = near.t1 + dv, near.t2 + dv
-        gap = float(np.linalg.norm(d - dv * v))
+    d = near.x - x
+    dv = float(d @ v)
+    p1, p2 = near.t1 + dv, near.t2 + dv
     if not t_lo <= p1 <= p2 <= t_hi:
         return None
     mid = 0.5 * (p1 + p2)
     if phi(mid) <= level:
         return None
     xtol = CROSSING_XTOL_FRAC * radius
-    h0 = max(gap, xtol)
+    h0 = max(float(np.linalg.norm(d - dv * v)), xtol)
     crossings = []
     for p, sgn, bound in ((p1, -1.0, t_lo), (p2, 1.0, t_hi)):
         t_prev, f_prev = p, phi(p)
@@ -422,22 +410,19 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     the level the section is empty and carries the max, else the marches
     start from it. A march that reaches the region bound above the level
     raises CrossingOutsideRegion, which carries the march. predicted holds
-    the predicted crossings (t1, t2), either of them None, and each is where
-    its crossing solve starts. Cold, the crossing solve that closes each
-    march starts from its prediction when that lies strictly inside the
-    march's final bracket, and evaluates it not at all otherwise
-    (_level_crossing). The bracket, the marches and their dip tests are the
-    unseeded ones, so the section is the unseeded section up to the bits of
-    the crossings.
+    the predicted crossings (t1, t2), either of them None: the crossing
+    solve that closes each cold march starts from its prediction
+    when that lies strictly inside the march's final bracket, and evaluates
+    it not at all otherwise (_level_crossing). The bracket, the marches and
+    their dip tests are the unseeded ones, so the section is the unseeded
+    section up to the bits of the crossings.
 
     Warm, near was solved on a nearby parallel line with the same v and
     level (else ValueError). When near is a non-empty section, the
-    crossings are sought next to the predicted crossings when both are
-    given in order, with a first step of xtol, else next to near's
-    endpoints carried over to this line, with a first step of the distance
-    between the lines (_continued_crossings); the section is the component
-    of {f >= level} that contains the midpoint of the two starts, up to dips
-    that lie between it and a start or between two probes. A march from a
+    crossings are sought next to near's endpoints carried over to this line
+    (_continued_crossings), and the section is the component of
+    {f >= level} that contains the predicted midpoint, up to dips that lie
+    between it and a prediction or between two probes. A march from a
     prediction that reaches the bound above the level is made again with
     dip tests, and raises CrossingOutsideRegion from the prediction, or
     gives the crossing before a dip that closes the component. When near is
@@ -466,7 +451,7 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
             _continued_escape(phi, x, v, near, t_lo, t_hi, region.radius)
         else:
             warm = _continued_crossings(phi, dphi, x, v, near, t_lo, t_hi,
-                                        region.radius, predicted)
+                                        region.radius)
             if warm is not None:
                 return LineSection(x, v, level, float(warm[0]), float(warm[1]))
     a, b, c, fb = _line_max_bracket(phi, t_lo, t_hi, region.radius)

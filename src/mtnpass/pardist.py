@@ -83,10 +83,7 @@ class ParallelDistanceEval:
         offset from z of a point on the line, and t1 the like root next to
         z'; these are the models (PD)'s Newton step is built from, and on an
         exact quadratic they are exact. Either is None when its model has
-        no real root. It evaluates nothing. find_level_crossings starts its
-        crossing solves from them: (PD)'s trial sections seed the cold
-        crossing solves with them, and the finite-difference probes of
-        verify.check_grad_formulas start their warm marches at them.
+        no real root. It evaluates nothing.
         """
         sec = self.section
         v = sec.v

@@ -185,14 +185,17 @@ def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
     """Compare the endpoint-formula grad/hess of g^2 with finite differences.
 
     The formulas are evaluated on each case's section, at its base point x.
-    Every finite-difference probe of g^2 continues its section from the
-    case's own section (find_level_crossings with near), with its crossing
-    marches started from the crossings that the case's endpoint models
-    predict on the probe's line (ParallelDistanceEval.predicted_crossings);
-    a probe point lies at most 2 FD_G2_HESS_STEP max(1, max|x_i|) from x,
-    where the models err by little (up to about 1e-10 on the camel,
-    rounding only on quadratics), and each crossing is solved to the cold
-    tolerance.
+    Every finite-difference probe of g^2 continues its section
+    (find_level_crossings with near) from the crossings that the case's
+    endpoint models predict on the probe's line
+    (ParallelDistanceEval.predicted_crossings), as a section on that line,
+    or from the case's own section when either prediction is missing or
+    they are out of order. A probe point lies at most
+    2 FD_G2_HESS_STEP max(1, max|x_i|) from x, where the models err by
+    little (up to about 1e-10 on the camel, rounding only on quadratics).
+    The first march step from a section on the same line is the crossing
+    tolerance xtol, so a prediction off by e costs about log2(e / xtol)
+    more march probes, and each crossing is solved to the cold tolerance.
     Relative errors are guarded: |diff| / (1 + |analytic|). Empty sections,
     samples where the denominators degenerate or are not admissible, and
     samples where a finite-difference probe escapes the region are counted
@@ -211,9 +214,12 @@ def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
             continue
 
         def g2(p):  # raises when the section through p escapes the region
+            q1, q2 = pe.predicted_crossings(p)
+            near = (LineSection(p, sec.v, sec.level, q1, q2)
+                    if q1 is not None and q2 is not None and q1 <= q2
+                    else sec)
             return find_level_crossings(obj, p, sec.v, sec.level, region,
-                                        near=sec,
-                                        predicted=pe.predicted_crossings(p)
+                                        near=near, predicted=(q1, q2)
                                         ).diam ** 2
 
         try:

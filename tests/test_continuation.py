@@ -6,10 +6,11 @@ the call must have taken the cold path itself; so must an escape continued
 from a nearby line's escape. Cold sections are counted by the line-max
 bracket every cold section starts with.
 
-Predicted starts: a warm section whose crossing marches start from the
-crossings the endpoint models of a nearby section predict
-(ParallelDistanceEval.predicted_crossings), as every finite-difference
-probe of verify.check_grad_formulas does. It must be the cold section too.
+Predicted starts: a warm section continued from a section on its own line
+whose endpoints are the crossings the endpoint models of a nearby section
+predict there (ParallelDistanceEval.predicted_crossings), as every
+finite-difference probe of verify.check_grad_formulas is. It must be the
+cold section too.
 
 Far crossings: line1d.find_far_crossing from a base point on the level, as
 l-up solves the section through a segment midpoint at f there
@@ -354,6 +355,14 @@ def _assert_cold(obj, sec, p, region, section):
     assert abs(section.t2 - cold.t2) <= 1e-12
 
 
+def _from_predicted(obj, sec, p, region, q1, q2):
+    """The section through p continued from the predicted section (q1, q2)
+    on p's own line, and the number of cold brackets it took."""
+    return _solve_counted(obj, p, sec.v, sec.level, region,
+                          near=LineSection(p, sec.v, sec.level, q1, q2),
+                          predicted=(q1, q2))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(name=st.sampled_from(["camel", 2, 3, 4, 5]),
        seed=st.integers(0, 10 ** 6),
@@ -366,9 +375,9 @@ def test_predicted_start_is_the_cold_section(name, seed, step):
     assume(case is not None)
     obj, sec, region, pe = case
     p = _probe(sec, seed, step)
-    warm, cold_brackets = _solve_counted(obj, p, sec.v, sec.level, region,
-                                         near=sec,
-                                         predicted=pe.predicted_crossings(p))
+    q1, q2 = pe.predicted_crossings(p)
+    assume(q1 is not None and q2 is not None and q1 <= q2)
+    warm, cold_brackets = _from_predicted(obj, sec, p, region, q1, q2)
     event("fell back" if cold_brackets else "warm")
     assert isinstance(warm, LineSection)
     _assert_cold(obj, sec, p, region, warm)
@@ -377,17 +386,19 @@ def test_predicted_start_is_the_cold_section(name, seed, step):
 class TestPredictedStart:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_costs_five_values_on_a_quadratic(self, n):
-        # The predictions are exact: the midpoint check, then on each side
-        # the prediction and one probe xtol beyond it, whose bracket is
-        # already within the crossing tolerance. Started from the carried
-        # endpoints the same section costs more.
+        # The predictions are exact and lie on the probe's line, so the
+        # first step is xtol: the midpoint check, then on each side the
+        # prediction and one probe xtol beyond it, whose bracket is already
+        # within the crossing tolerance. Continued from the case's own
+        # section the same probe costs more.
         obj, sec, region, pe = _section_with_models(n, 7)
         p = _probe(sec, 7, 1e-4)
+        q1, q2 = pe.predicted_crossings(p)
         costs = []
-        for predicted in (pe.predicted_crossings(p), (None, None)):
+        for near in (LineSection(p, sec.v, sec.level, q1, q2), sec):
             before = obj.eval_counts()["value"]
             warm = find_level_crossings(obj, p, sec.v, sec.level, region,
-                                        near=sec, predicted=predicted)
+                                        near=near, predicted=(q1, q2))
             costs.append(obj.eval_counts()["value"] - before)
             _assert_cold(obj, sec, p, region, warm)
         assert costs[0] == 5
@@ -402,22 +413,21 @@ class TestPredictedStart:
         obj, sec, region, pe = _section_with_models(name, 11)
         p = _probe(sec, 11, 1e-4)
         q1, q2 = pe.predicted_crossings(p)
-        warm, cold_brackets = _solve_counted(
-            obj, p, sec.v, sec.level, region, near=sec,
-            predicted=(q1 - moved, q2 + moved))
+        warm, cold_brackets = _from_predicted(obj, sec, p, region,
+                                              q1 - moved, q2 + moved)
         assert cold_brackets == 0
         _assert_cold(obj, sec, p, region, warm)
 
-    def test_missing_or_unordered_prediction_starts_carried(self):
-        # Either prediction None, or the two out of order: the marches start
-        # from near's endpoints carried over, bit for bit as with no
-        # prediction.
+    def test_missing_prediction_continues_the_carried_section(self):
+        # With either prediction None the probe continues from the case's
+        # own section; predicted seeds only cold crossing solves, so the
+        # warm section is bit for bit the one continued without it.
         obj, sec, region, pe = _section_with_models("camel", 11)
         p = _probe(sec, 11, 1e-4)
         q1, q2 = pe.predicted_crossings(p)
         carried = find_level_crossings(obj, p, sec.v, sec.level, region,
                                        near=sec)
-        for predicted in ((None, q2), (q1, None), (None, None), (q2, q1)):
+        for predicted in ((None, q2), (q1, None), (None, None)):
             warm, cold_brackets = _solve_counted(
                 obj, p, sec.v, sec.level, region, near=sec,
                 predicted=predicted)

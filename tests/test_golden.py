@@ -96,28 +96,10 @@ def test_ldown_golden_passes_through_ldown():
     assert "LDown" in [r["step"] for r in trace["records"]]
 
 
-def test_regeneration_writes_every_golden_file(tmp_path, monkeypatch):
-    # Each file the tests read is written, and nothing else.
-    monkeypatch.setattr(sys.modules[__name__], "solve_files",
-                        lambda name: {"report.json": "", "trace.json": ""})
-    monkeypatch.setattr(sys.modules[__name__], "suite_file", lambda name: "")
-    regenerate(tmp_path)
-
-    def files(root):
-        return sorted(str(p.relative_to(root)) for p in root.rglob("*")
-                      if p.is_file())
-    assert files(tmp_path) == files(GOLDEN)
-
-
-def regenerate(root: Path = GOLDEN) -> None:
-    """Write every golden file under root."""
-    for name in SOLVES:
-        (root / name).mkdir(parents=True, exist_ok=True)
-        for fname, text in solve_files(name).items():
-            (root / name / fname).write_text(text)
-    for name in SUITES:
-        (root / f"{name}.json").write_text(suite_file(name))
-
-
 if __name__ == "__main__":
-    regenerate()
+    for name in SOLVES:
+        (GOLDEN / name).mkdir(parents=True, exist_ok=True)
+        for fname, text in solve_files(name).items():
+            (GOLDEN / name / fname).write_text(text)
+    for name in SUITES:
+        (GOLDEN / f"{name}.json").write_text(suite_file(name))

@@ -4,8 +4,11 @@ Provides the three primitives the level-set solver is built on: locating a
 line-local maximum of f, solving the two crossings of a level l around that
 maximum (the section of the super-level set cut by the line; from a base
 point on the level only the far crossing), and locating the first
-line-local minimum along a descent ray. All searches are
-deterministic and never evaluate f outside the trust region.
+line-local minimum along a descent ray. Every march takes the probes of
+one schedule (_march), and every outward march to a crossing, cold,
+continued from a nearby section or from a point on the level, is one
+routine (_cross_outward). All searches are deterministic and never
+evaluate f outside the trust region.
 """
 
 from __future__ import annotations
@@ -37,9 +40,12 @@ class LineSection:
     line-local max nearest t = 0, or, continued from a nearby section, the
     predicted midpoint, or, from a base point on the level, with t = 0 as
     an endpoint (find_far_crossing); the endpoints satisfy |f - level| <=
-    root tolerance. z is the endpoint with the larger v-coordinate. An empty
-    section from find_level_crossings carries in line_max the line max it
-    found on or below the level.
+    root tolerance. Each endpoint closes an outward march from inside the
+    section (_cross_outward), or, continued from a prediction that lies
+    outside it, a march inward toward the predicted midpoint. z is the
+    endpoint with the larger v-coordinate. An empty section from
+    find_level_crossings carries in line_max the line max it found on or
+    below the level.
     """
 
     x: np.ndarray
@@ -285,30 +291,32 @@ def _interpolate(t: float, r: float, s: float, q: float) -> float:
 
 def _cross_outward(phi: Callable, dphi: Callable, x: np.ndarray, v: np.ndarray,
                    level: float, t_start: float, sgn: float, bound: float,
-                   radius: float, seed: Optional[float] = None) -> float:
+                   radius: float, seed: Optional[float] = None,
+                   h0: Optional[float] = None, dips: bool = True) -> float:
     """Walk the _march probes from t_start, where phi > level (or = level
     when the first probe lies above it), in the direction sgn toward bound,
-    to the component edge; phi(t_start) comes from the value memo.
+    to the component edge, with first step h0; phi(t_start) comes from the
+    value memo.
 
     A probe below the level closes a bracket whose crossing Brent's method
     solves, from the predicted root seed when it lies inside the bracket
-    (_level_crossing). Between probes that both sit above the level, a sign
-    flip of the directional derivative marks a hidden dip; the dip is
-    located and tested, and a crossing before it is returned if it reaches
-    below the level. The
-    first probe has no slope at t_start to compare with and so makes no dip
-    test. A dip that lies wholly between two probes where phi falls outward
-    shows no sign flip and is not seen. Probes that end above the level
-    raise CrossingOutsideRegion, which carries the march (x, v, level,
-    t_start, sgn).
+    (_level_crossing). With dips, between probes that both sit above the
+    level, a sign flip of the directional derivative marks a hidden dip; the
+    dip is located and tested, and a crossing before it is returned if it
+    reaches below the level. The first probe has no slope at t_start to
+    compare with and so makes no dip test. A dip that lies wholly between
+    two probes where phi falls outward shows no sign flip and is not seen;
+    without dips no dip is, and the march takes values only. Probes that
+    end above the level raise CrossingOutsideRegion, which carries the
+    march (x, v, level, t_start, sgn).
     """
     xtol = CROSSING_XTOL_FRAC * radius
     t_prev, f_prev, d_prev = t_start, phi(t_start), 0.0
-    for t_next, f_next in _march(phi, t_start, sgn, bound, radius):
+    for t_next, f_next in _march(phi, t_start, sgn, bound, radius, h0):
         if f_next <= level:
             return _level_crossing(phi, t_prev, t_next, f_prev - level,
                                    f_next - level, level, xtol, seed)
-        d_next = dphi(t_next) * sgn
+        d_next = dphi(t_next) * sgn if dips else 0.0
         if d_prev < 0.0 < d_next:
             t_dip = _brent(lambda t: dphi(t) * sgn, t_prev, t_next, d_prev,
                            d_next, _STATIONARY_XTOL)[0]
@@ -323,27 +331,6 @@ def _cross_outward(phi: Callable, dphi: Callable, x: np.ndarray, v: np.ndarray,
     raise CrossingOutsideRegion(_ESCAPED, x, v, level, t_start, sgn)
 
 
-def _continued_escape(phi: Callable, x: np.ndarray, v: np.ndarray,
-                      near: CrossingOutsideRegion, t_lo: float, t_hi: float,
-                      radius: float) -> None:
-    """Raise near's escape continued to the line through x; return when a
-    check fails.
-
-    near's march start carried over to this line must lie in [t_lo, t_hi]
-    with f above the level there, and every probe of a _march from it toward
-    the bound in near's direction must stay above the level. The march takes
-    values only: it makes no dip tests.
-    """
-    t_start = near.t_start + float((near.x - x) @ v)
-    if not t_lo <= t_start <= t_hi or phi(t_start) <= near.level:
-        return
-    bound = t_hi if near.sgn > 0.0 else t_lo
-    if all(f > near.level
-           for _, f in _march(phi, t_start, near.sgn, bound, radius)):
-        raise CrossingOutsideRegion(_ESCAPED, x, v, near.level, t_start,
-                                    near.sgn)
-
-
 def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
                          v: np.ndarray, near: LineSection, t_lo: float,
                          t_hi: float, radius: float) -> Optional[tuple]:
@@ -352,13 +339,14 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
     near's endpoints carried over to the line through x are the predictions
     p1 <= p2; the first step is the distance between the two parallel lines.
     Both predictions must lie in [t_lo, t_hi] and f at their midpoint above
-    the level. Each crossing is bracketed by a march from its prediction:
-    outward while f stays above the level, else inward, never past the
-    predicted midpoint, until it rises above. An outward march that reaches
-    t_lo or t_hi still above the level is made again from its prediction
-    with dip tests (_cross_outward): its CrossingOutsideRegion, which starts
-    at the prediction, propagates, and the crossing it finds before a dip
-    that closes the component is that side's crossing.
+    the level. A prediction above the level is marched from outward on
+    values only (_cross_outward without dips); when that march reaches t_lo
+    or t_hi still above the level it is made again from the prediction with
+    the default first step and dip tests: its CrossingOutsideRegion, which
+    starts at the prediction, propagates, and the crossing it finds before
+    a dip that closes the component is that side's crossing. From a
+    prediction on or below the level the march goes inward, never past the
+    predicted midpoint, until f rises above the level.
     """
     level = near.level
     d = near.x - x
@@ -373,24 +361,21 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
     h0 = max(float(np.linalg.norm(d - dv * v)), xtol)
     crossings = []
     for p, sgn, bound in ((p1, -1.0, t_lo), (p2, 1.0, t_hi)):
-        t_prev, f_prev = p, phi(p)
-        above = f_prev > level
-        probes = _march(phi, p, sgn if above else -sgn,
-                        bound if above else mid, radius, h0)
-        for t, f in probes:
-            if (f > level) != above:
-                break
-            t_prev, f_prev = t, f
-        else:
-            # Only an outward march ends above the level: finish this side
-            # with dip tests from its prediction.
-            crossings.append(_cross_outward(phi, dphi, x, v, level, p, sgn,
-                                            bound, radius))
+        t_out, f_out = p, phi(p)
+        if f_out > level:
+            try:
+                t = _cross_outward(phi, dphi, x, v, level, p, sgn, bound,
+                                   radius, h0=h0, dips=False)
+            except CrossingOutsideRegion:
+                t = _cross_outward(phi, dphi, x, v, level, p, sgn, bound,
+                                   radius)
+            crossings.append(t)
             continue
-        if above:
-            t_in, f_in, t_out, f_out = t_prev, f_prev, t, f
-        else:
-            t_in, f_in, t_out, f_out = t, f, t_prev, f_prev
+        # The inward march ends at mid at the latest, where f is above.
+        for t_in, f_in in _march(phi, p, -sgn, mid, radius, h0):
+            if f_in > level:
+                break
+            t_out, f_out = t_in, f_in
         crossings.append(_level_crossing(phi, t_in, t_out, f_in - level,
                                          f_out - level, level, xtol))
     return tuple(crossings)
@@ -408,34 +393,35 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     be empty, and both crossings are bracketed outward from b, with no polish
     of the max. Otherwise the max is polished: if its value does not exceed
     the level the section is empty and carries the max, else the marches
-    start from it. A march that reaches the region bound above the level
-    raises CrossingOutsideRegion, which carries the march. predicted holds
-    the predicted crossings (t1, t2), either of them None: the crossing
-    solve that closes each cold march starts from its prediction
-    when that lies strictly inside the march's final bracket, and evaluates
-    it not at all otherwise (_level_crossing). The bracket, the marches and
-    their dip tests are the unseeded ones, so the section is the unseeded
-    section up to the bits of the crossings.
+    start from it. Every outward march is _cross_outward's; one that reaches
+    the region bound above the level raises CrossingOutsideRegion, which
+    carries the march. predicted holds the predicted crossings (t1, t2),
+    either of them None: the crossing solve that closes each cold march
+    starts from its prediction when that lies strictly inside the march's
+    final bracket, and evaluates it not at all otherwise (_level_crossing).
+    The bracket, the marches and their dip tests are the unseeded ones, so
+    the section is the unseeded section up to the bits of the crossings.
 
     Warm, near was solved on a nearby parallel line with the same v and
     level (else ValueError). When near is a non-empty section, the
     crossings are sought next to near's endpoints carried over to this line
     (_continued_crossings), and the section is the component of
     {f >= level} that contains the predicted midpoint, up to dips that lie
-    between it and a prediction or between two probes. A march from a
-    prediction that reaches the bound above the level is made again with
-    dip tests, and raises CrossingOutsideRegion from the prediction, or
-    gives the crossing before a dip that closes the component. When near is
-    a CrossingOutsideRegion that a march raised, its march start is carried
-    over to this line and marched from toward the same bound, on values
-    only (_continued_escape); if every probe stays above the level the
-    continued escape is raised: the component through the carried start
-    reaches the bound, up to dips between two probes. When a check of the
-    warm path fails the section is solved cold. Each crossing is Brent's
-    root finished by one interpolation step across its final bracket
-    (_level_crossing), to |f - level| <= ROOT_TOL; it costs values only, and
-    gradients are paid only for the dip tests of the dip-tested marches
-    (_cross_outward): the cold ones and a warm one that reached the bound.
+    between it and a prediction or between two probes. The outward march
+    from a prediction takes values only; one that reaches the bound above
+    the level is made again with dip tests, and raises CrossingOutsideRegion
+    from the prediction, or gives the crossing before a dip that closes the
+    component. When near is a CrossingOutsideRegion that a march raised,
+    its march start is carried over to this line, and the _march probes
+    from it toward the same bound are taken on values only, solving no
+    crossing; if every probe stays above the level the continued escape is
+    raised: the component through the carried start reaches the bound, up
+    to dips between two probes. When a check of the warm path fails the
+    section is solved cold. Each crossing is Brent's root finished by one
+    interpolation step across its final bracket (_level_crossing), to
+    |f - level| <= ROOT_TOL; it costs values only, and gradients are paid
+    only for the dip tests of the dip-tested marches: the cold ones and a
+    warm one that reached the bound.
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
@@ -448,7 +434,13 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
         if near.level != level or not np.array_equal(near.v, v):
             raise ValueError("near must have the same direction and level")
         if escape:
-            _continued_escape(phi, x, v, near, t_lo, t_hi, region.radius)
+            t_start = near.t_start + float((near.x - x) @ v)
+            bound = t_hi if near.sgn > 0.0 else t_lo
+            if (t_lo <= t_start <= t_hi and phi(t_start) > level
+                    and all(f > level for _, f in _march(
+                        phi, t_start, near.sgn, bound, region.radius))):
+                raise CrossingOutsideRegion(_ESCAPED, x, v, level, t_start,
+                                            near.sgn)
         else:
             warm = _continued_crossings(phi, dphi, x, v, near, t_lo, t_hi,
                                         region.radius)

@@ -219,8 +219,7 @@ def check_grad_formulas(cases: list[dict]) -> GradFormulaReport:
                     if q1 is not None and q2 is not None and q1 <= q2
                     else sec)
             return find_level_crossings(obj, p, sec.v, sec.level, region,
-                                        near=near, predicted=(q1, q2)
-                                        ).diam ** 2
+                                        near=near).diam ** 2
 
         try:
             fd_g = fd_gradient(g2, sec.x)

@@ -13,7 +13,9 @@ benchmark's `spans.Ledger`, installed around the call). A convexity suite's
 line also holds, in call order, the per-level `ConvexityReport.to_dict()`
 of every `verify._probe_convexity` call (the tightness sweep's per-radius
 reports among them), recorded by a wrapper installed in the same way;
-the suite report itself holds only the swept radii. The corpus is
+the suite report itself holds only the swept radii. A last line, named
+"package", holds the number of lines of the imported package's *.py. The
+corpus is
 
 - every ordered pair of minima of the benchmark's camel and Mueller-Brown
   surfaces (bench/surfaces.py, 36 pairs), with analytic and with
@@ -37,7 +39,8 @@ from those of the rest; then every suite with its counts
 before -> after and, when its report differs, the largest relative
 difference, which of its counts rose, how many of its probe calls'
 reports differ, and each entry of the report that differs, before ->
-after. It exits 1 when any solve changed its status, iteration count, step
+after; and last the package's line count before -> after ("n/a" for a
+dump without it). It exits 1 when any solve changed its status, iteration count, step
 sequence or message, any suite changed its failure count or any of its
 probe reports, or any solve or suite made more evaluations of any kind, and
 0 otherwise. The bench modules are read, never written. Pytest does not
@@ -141,6 +144,8 @@ def dump(path: str) -> None:
     from mtnpass.driver import solve
     from mtnpass.verify import SUITES
 
+    import mtnpass
+
     with open(path, "w") as out:
         for name, make, a, b in corpus():
             report = solve(make(), a, b)
@@ -154,6 +159,10 @@ def dump(path: str) -> None:
             for seed in SUITE_SEEDS:
                 out.write(json.dumps(_suite_row(suite, seed),
                                      sort_keys=True) + "\n")
+        package = Path(mtnpass.__file__).resolve().parent
+        lines = sum(len(f.read_text().splitlines())
+                    for f in package.glob("*.py"))
+        out.write(json.dumps({"name": "package", "lines": lines}) + "\n")
 
 
 def _fd_hessians(name: str) -> bool:
@@ -255,6 +264,8 @@ def compare(before_path: str, after_path: str) -> int:
     plus the number whose counts rose, plus the number of suites whose
     failure count or probe reports changed or whose counts rose."""
     before, after = _load(before_path), _load(after_path)
+    lines = [side.pop("package", {}).get("lines", "n/a")
+             for side in (before, after)]
     if before.keys() != after.keys():
         print("the dumps hold different solves or suites:",
               sorted(before.keys() ^ after.keys()))
@@ -320,8 +331,10 @@ def compare(before_path: str, after_path: str) -> int:
     for group in groups[1:]:
         print(f"  {group} ({solves[group]} solves): "
               f"{_counts(totals['before'][group])} -> {_counts(totals['after'][group])}")
-    return (tally["outcome"] + tally["steps"] + tally["message"]
-            + tally["counts rose"] + compare_suites(suites, after))
+    failed = (tally["outcome"] + tally["steps"] + tally["message"]
+              + tally["counts rose"] + compare_suites(suites, after))
+    print(f"package lines: {lines[0]} -> {lines[1]}")
+    return failed
 
 
 def main(argv: list[str]) -> int:

@@ -359,8 +359,7 @@ def _from_predicted(obj, sec, p, region, q1, q2):
     """The section through p continued from the predicted section (q1, q2)
     on p's own line, and the number of cold brackets it took."""
     return _solve_counted(obj, p, sec.v, sec.level, region,
-                          near=LineSection(p, sec.v, sec.level, q1, q2),
-                          predicted=(q1, q2))
+                          near=LineSection(p, sec.v, sec.level, q1, q2))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -398,7 +397,7 @@ class TestPredictedStart:
         for near in (LineSection(p, sec.v, sec.level, q1, q2), sec):
             before = obj.eval_counts()["value"]
             warm = find_level_crossings(obj, p, sec.v, sec.level, region,
-                                        near=near, predicted=(q1, q2))
+                                        near=near)
             costs.append(obj.eval_counts()["value"] - before)
             _assert_cold(obj, sec, p, region, warm)
         assert costs[0] == 5

@@ -547,9 +547,13 @@ class TestContinuedEscape:
 
     # At level -50 the section through (0.5, 0) is |t| <= sqrt(50.25), inside
     # the region. An escape record starting at t = 8 starts below the level,
-    # one at t = 12 outside the region, and the march from t = 5 crosses the
-    # level at sqrt(50.25): each is solved cold.
-    @pytest.mark.parametrize("t_start", [8.0, 12.0, 5.0])
+    # one at t = 12 outside the region, and the marches from t = 5 and 5.05
+    # cross the level at sqrt(50.25): each is solved cold. A cold call alone
+    # takes 41 values; the failed check adds the carried start's value and
+    # the march's probes, but no crossing solve (53 values at 5.05 with one).
+    COLD_VALUES = {8.0: 42, 12.0: 41, 5.0: 44, 5.05: 48}
+
+    @pytest.mark.parametrize("t_start", COLD_VALUES)
     def test_failed_continuation_goes_cold(self, quad, origin_region,
                                            t_start):
         x = np.array([0.5, 0.0])
@@ -557,6 +561,7 @@ class TestContinuedEscape:
         sec, cold_brackets = self._counted(quad, x, E2, -50.0, origin_region,
                                            near=near)
         assert cold_brackets == 1
+        assert quad.eval_counts()["value"] == self.COLD_VALUES[t_start]
         assert sec.t2 == pytest.approx(np.sqrt(50.25), abs=1e-12)
         assert sec.t1 == pytest.approx(-np.sqrt(50.25), abs=1e-12)
 

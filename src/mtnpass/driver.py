@@ -13,7 +13,8 @@ Morse index one; otherwise the loop goes on.
 - Newton handoff: the endpoint gap is positive and below
   _NEWTON_HANDOFF_GAP; the candidate is the segment midpoint;
 - l-down critical candidate: grad f at the line max is parallel to v;
-- Breakdown: _MAX_CONSECUTIVE_FAILURES iterations in a row fail;
+- Breakdown: an iteration left the section, and so its level, base point
+  and direction, unchanged: the next one would repeat it bit for bit;
 - MaxIter: the iteration limit is reached.
 """
 
@@ -36,7 +37,6 @@ from .subroutines import (HitZero, PdStalled, step_av, step_l_down,
 
 logger = logging.getLogger(__name__)
 
-_MAX_CONSECUTIVE_FAILURES = 3
 _ETA = 0.05                  # sufficient-decrease fraction for (PD)
 _NEWTON_HANDOFF_GAP = 1e-2   # endpoint gap below which Newton takes over
 
@@ -194,8 +194,9 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         # The initial level, raised by ROOT_TOL: crossings sit on a level only
         # to within ROOT_TOL.
         level0 = section.level + ROOT_TOL
-        # The step that produced the section, as the trace names it.
-        step, failures = "Init", 0
+        # The step that produced the section, as the trace names it, and the
+        # section the last iteration started from.
+        step, start = "Init", None
         for it in range(config.max_iter):
             z, zp = section.z, section.zp
             gap = float(np.linalg.norm(z - zp))
@@ -221,6 +222,13 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                 # candidate skipped or not an index-one saddle; keep going
                 best_x, best_norm = None, np.inf
 
+            # Repeat stop: the last iteration failed and left the section as
+            # it was, so this one would repeat it bit for bit.
+            if section is start:
+                m = 0.5 * (section.z + section.zp)
+                return finish("Breakdown", m, *certificate(m), it, failed)
+            start = section
+
             # Newton handoff once the endpoints are close. A point section
             # (gap 0) is left out: Newton there pays one Hessian more than
             # (PD) and l-down, whose next stop is an already small gradient.
@@ -231,9 +239,8 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                 if report is not None:
                     return report
 
-            # Level-set step. A failed iteration leaves the section unchanged
-            # and counts toward the consecutive-failure budget; any clean
-            # step resets.
+            # Level-set step. failed holds the last failure's reason. A failed
+            # move leaves the section unchanged; a later move can replace it.
             failed = None
             try:
                 outcome = step_pd(section, obj, region)
@@ -272,17 +279,8 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                     logger.debug("PD failed: %s", failed)
                 try:
                     section, step = step_l_up(section, obj, region), "LUp"
-                except (LUpImpossible, CrossingOutsideRegion, NoLineMax) as err:
-                    if failed is None:
-                        failed = f"level raise failed: {err}"
-
-            if failed is None:
-                failures = 0
-            else:
-                failures += 1
-                if failures >= _MAX_CONSECUTIVE_FAILURES:
-                    m = 0.5 * (section.z + section.zp)
-                    return finish("Breakdown", m, *certificate(m), it, failed)
+                except (LUpImpossible, CrossingOutsideRegion, NoLineMax):
+                    pass  # the section stays as (PD) left it
 
         m = 0.5 * (section.z + section.zp)
         return finish("MaxIter", m, *certificate(m), config.max_iter,

@@ -108,7 +108,7 @@ def _package_classes():
 
 
 _GONE = pytest.mark.xfail(strict=True, reason="ReducedSegment is gone; step_pd "
-                         "returns a LineSection (ROADMAP item 12)")
+                         "returns a LineSection (ROADMAP item 6)")
 OUTCOME_TYPES = [pytest.param(metric, name, id=f"{metric}-{name}",
                               marks=_GONE if name == "ReducedSegment" else ())
                  for metric, name in _outcome_types()]

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
-from mtnpass import line1d, pardist, quadmodel, subroutines
+from mtnpass import driver, line1d, pardist, quadmodel, subroutines
 from mtnpass.driver import SolveConfig, init_state, solve
-from mtnpass.errors import BadEndpoints
+from mtnpass.errors import BadEndpoints, DegenerateDenominator
 from mtnpass.line1d import ROOT_TOL
 from mtnpass.objective import Objective, six_hump_camel
 from mtnpass.quadmodel import QuadraticObjective, generate_morse1, saddle_of
@@ -263,6 +263,22 @@ class TestSolveCamel:
         assert report.status == "Breakdown"
         assert report.iterations < 50
 
+    def test_every_pair_stops_when_pd_always_fails(self, monkeypatch):
+        # A solve stops at the first iteration that leaves its section
+        # unchanged. With (PD) failing every time, each iteration raises the
+        # level until a certificate or a failed l-up ends the solve, never
+        # the iteration limit.
+        def failing_pd(section, obj, region):
+            raise DegenerateDenominator("forced")
+
+        monkeypatch.setattr(driver, "step_pd", failing_pd)
+        points = [np.array(m[:2]) for m in oracles.CAMEL_MINIMA]
+        statuses = [solve(six_hump_camel(), a, b).status
+                    for i, a in enumerate(points)
+                    for j, b in enumerate(points) if i != j]
+        assert len(statuses) == 30
+        assert set(statuses) <= {"SaddleFound", "Breakdown"}
+
 
 class TestSolveDoubleWell:
     def test_from_equal_minima(self):
@@ -327,6 +343,31 @@ class TestSolveMuellerBrown:
         assert_level_rules(report.trace)
         assert_gap_rule(report.trace)
 
+    def test_level_raises_repair_failed_pd(self, monkeypatch):
+        # (PD) fails in each of the first three iterations, but each level
+        # raise changes the section, so the solve goes on and reaches the
+        # pass between A and C.
+        real, calls = driver.step_pd, []
+
+        def first_three_fail(section, obj, region):
+            calls.append(section)
+            if len(calls) <= 3:
+                raise DegenerateDenominator("forced")
+            return real(section, obj, region)
+
+        monkeypatch.setattr(driver, "step_pd", first_three_fail)
+        a, b, _ = oracles.mueller_brown_polished(
+            oracles.MUELLER_BROWN_MINIMA_GUESS)
+        obj = Objective(2, oracles.mueller_brown_value,
+                        oracles.mueller_brown_gradient,
+                        oracles.mueller_brown_hessian)
+        report = solve(obj, a, b)
+        assert report.status == "SaddleFound"
+        assert report.f == pytest.approx(oracles.MUELLER_BROWN_SADDLES[0][2],
+                                         abs=1e-9)
+        assert report.iterations == 3
+        assert [r.step for r in report.trace] == ["Init", "LUp", "LUp", "LUp"]
+
 
 class TestOneDimension:
     @pytest.mark.parametrize("analytic, counts", [
@@ -354,15 +395,20 @@ class TestOneDimension:
 
 
 class TestSolveCost:
-    def test_camel_pass_value_count(self):
+    @pytest.mark.parametrize("j, status, counts", [
+        (2, "SaddleFound", {"value": 96, "gradient": 16, "hessian": 4}),
+        (3, "Breakdown", {"value": 183, "gradient": 32, "hessian": 3})],
+        ids=["min0-min2", "min0-min3"])
+    def test_camel_pass_value_count(self, j, status, counts):
         # Camel minima 0 -> 2, one of the benchmark's pairs: each (PD) trial
         # section starts its crossing solves from the roots its endpoint
         # models predict. Solved without those seeds it costs 103 values.
+        # Minima 0 -> 3 end when their failed l-down leaves the section
+        # unchanged, which the next iteration notices before repeating it.
         report = solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
-                       np.array(oracles.CAMEL_MINIMA[2][:2]))
-        assert report.status == "SaddleFound"
-        assert report.eval_counts == {"value": 96, "gradient": 16,
-                                      "hessian": 4}
+                       np.array(oracles.CAMEL_MINIMA[j][:2]))
+        assert report.status == status
+        assert report.eval_counts == counts
 
 
 class TestEndpointGradientReuse:

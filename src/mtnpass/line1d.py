@@ -13,6 +13,7 @@ evaluate f outside the trust region.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
@@ -37,15 +38,15 @@ class LineSection:
     """Section of {f >= level} cut by the line {x + t v}, or the empty set.
 
     When non-empty the section is the segment t in [t1, t2] containing the
-    line-local max nearest t = 0, or, continued from a nearby section, the
-    predicted midpoint, or, from a base point on the level, with t = 0 as
-    an endpoint (find_far_crossing); the endpoints satisfy |f - level| <=
-    root tolerance. Each endpoint closes an outward march from inside the
-    section (_cross_outward), or, continued from a prediction that lies
-    outside it, a march inward toward the predicted midpoint. z is the
-    endpoint with the larger v-coordinate. An empty section from
-    find_level_crossings carries in line_max the line max it found on or
-    below the level.
+    line-local max nearest t = 0, or, continued from a nearby section, with
+    the crossings next to the predicted ones, up to dips between those, or,
+    from a base point on the level, with t = 0 as an endpoint
+    (find_far_crossing); the endpoints satisfy |f - level| <= root
+    tolerance. Each endpoint closes an outward march from inside the section
+    (_cross_outward), or, continued from a prediction outside it, a march
+    inward toward the predicted midpoint. z is the endpoint with the larger
+    v-coordinate. An empty section from find_level_crossings carries in
+    line_max the line max it found on or below the level.
     """
 
     x: np.ndarray
@@ -88,7 +89,7 @@ class LineExtremum:
 
 def _check_unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(v) - 1.0) > _UNIT_TOL:
+    if abs(math.sqrt(float(v.dot(v))) - 1.0) > _UNIT_TOL:
         raise ValueError("direction must be a unit vector")
     return v
 
@@ -338,15 +339,16 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
 
     near's endpoints carried over to the line through x are the predictions
     p1 <= p2; the first step is the distance between the two parallel lines.
-    Both predictions must lie in [t_lo, t_hi] and f at their midpoint above
-    the level. A prediction above the level is marched from outward on
-    values only (_cross_outward without dips); when that march reaches t_lo
-    or t_hi still above the level it is made again from the prediction with
-    the default first step and dip tests: its CrossingOutsideRegion, which
-    starts at the prediction, propagates, and the crossing it finds before
-    a dip that closes the component is that side's crossing. From a
-    prediction on or below the level the march goes inward, never past the
-    predicted midpoint, until f rises above the level.
+    Both predictions must lie in [t_lo, t_hi]. A prediction above the level
+    is marched from outward on values only (_cross_outward without dips);
+    when that march reaches t_lo or t_hi still above the level it is made
+    again from the prediction with the default first step and dip tests: its
+    CrossingOutsideRegion, which starts at the prediction, propagates, and
+    the crossing it finds before a dip that closes the component is that
+    side's crossing. From a prediction on or below the level the march goes
+    inward until f rises above the level, and fails the check if it reaches
+    the predicted midpoint first; f between two predictions above the level
+    is never probed.
     """
     level = near.level
     d = near.x - x
@@ -355,10 +357,9 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
     if not t_lo <= p1 <= p2 <= t_hi:
         return None
     mid = 0.5 * (p1 + p2)
-    if phi(mid) <= level:
-        return None
     xtol = CROSSING_XTOL_FRAC * radius
-    h0 = max(float(np.linalg.norm(d - dv * v)), xtol)
+    w = d - dv * v
+    h0 = max(math.sqrt(float(w.dot(w))), xtol)
     crossings = []
     for p, sgn, bound in ((p1, -1.0, t_lo), (p2, 1.0, t_hi)):
         t_out, f_out = p, phi(p)
@@ -371,11 +372,13 @@ def _continued_crossings(phi: Callable, dphi: Callable, x: np.ndarray,
                                    radius)
             crossings.append(t)
             continue
-        # The inward march ends at mid at the latest, where f is above.
+        # The inward march stops at mid; if f never rises above, go cold.
         for t_in, f_in in _march(phi, p, -sgn, mid, radius, h0):
             if f_in > level:
                 break
             t_out, f_out = t_in, f_in
+        else:
+            return None
         crossings.append(_level_crossing(phi, t_in, t_out, f_in - level,
                                          f_out - level, level, xtol))
     return tuple(crossings)
@@ -403,25 +406,24 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     the section is the unseeded section up to the bits of the crossings.
 
     Warm, near was solved on a nearby parallel line with the same v and
-    level (else ValueError). When near is a non-empty section, the
-    crossings are sought next to near's endpoints carried over to this line
-    (_continued_crossings), and the section is the component of
-    {f >= level} that contains the predicted midpoint, up to dips that lie
-    between it and a prediction or between two probes. The outward march
-    from a prediction takes values only; one that reaches the bound above
-    the level is made again with dip tests, and raises CrossingOutsideRegion
-    from the prediction, or gives the crossing before a dip that closes the
-    component. When near is a CrossingOutsideRegion that a march raised,
-    its march start is carried over to this line, and the _march probes
-    from it toward the same bound are taken on values only, solving no
-    crossing; if every probe stays above the level the continued escape is
-    raised: the component through the carried start reaches the bound, up
-    to dips between two probes. When a check of the warm path fails the
-    section is solved cold. Each crossing is Brent's root finished by one
-    interpolation step across its final bracket (_level_crossing), to
-    |f - level| <= ROOT_TOL; it costs values only, and gradients are paid
-    only for the dip tests of the dip-tested marches: the cold ones and a
-    warm one that reached the bound.
+    level (else ValueError). When near is a non-empty section, the crossings
+    are sought next to near's endpoints carried over to this line
+    (_continued_crossings), the predictions, and are the crossings next to
+    them, up to dips that lie between the two predictions or between two
+    probes. The outward march from a prediction takes values only; one that
+    reaches the bound above the level is made again with dip tests, and
+    raises CrossingOutsideRegion from the prediction, or gives the crossing
+    before a dip that closes the component. When near is a
+    CrossingOutsideRegion that a march raised, its march start is carried
+    over to this line, and the _march probes from it toward the same bound
+    are taken on values only, solving no crossing; if every probe stays
+    above the level the continued escape is raised: the component through
+    the carried start reaches the bound, up to dips between two probes. When
+    a check of the warm path fails the section is solved cold. Each crossing
+    is Brent's root finished by one interpolation step across its final
+    bracket (_level_crossing), to |f - level| <= ROOT_TOL; it costs values
+    only, and gradients are paid only for the dip tests of the dip-tested
+    marches: the cold ones and a warm one that reached the bound.
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
@@ -431,7 +433,8 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
         escape = isinstance(near, CrossingOutsideRegion)
         if not escape and near.empty:
             raise ValueError("near must be a non-empty section")
-        if near.level != level or not np.array_equal(near.v, v):
+        if near.level != level or not (near.v is v
+                                       or np.array_equal(near.v, v)):
             raise ValueError("near must have the same direction and level")
         if escape:
             t_start = near.t_start + float((near.x - x) @ v)

@@ -222,7 +222,7 @@ class TrustRegion:
             if not self.contains(x):
                 raise ValueError("base point lies outside the trust region")
             disc = 0.0
-        s = np.sqrt(disc)
+        s = math.sqrt(disc)
         return -b - s, -b + s
 
     def clip_step(self, x: np.ndarray, step: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ Hessian and the critical level in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +48,7 @@ def _model_root(grad: np.ndarray, hess: np.ndarray, w0: np.ndarray,
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return None
-    q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
     return None if q == 0.0 else c / q
 
 

@@ -9,6 +9,7 @@ eigenvalues). All suites are deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
@@ -402,7 +403,7 @@ def _probe_convexity(obj: Objective, center: np.ndarray, levels: tuple,
 
     def draw() -> np.ndarray:
         u = rng.standard_normal(n)
-        u /= np.linalg.norm(u)
+        u /= math.sqrt(float(u.dot(u)))
         return center + radius * rng.uniform(0.0, 1.0) ** (1.0 / n) * u
 
     for i in range(n_pairs):

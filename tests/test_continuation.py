@@ -295,6 +295,50 @@ class TestContinuedSection:
         assert sec.empty
         assert sec.line_max.value == pytest.approx(0.125, abs=1e-15)
 
+    def test_predictions_above_the_level_skip_the_midpoint(
+            self, saddle_quadratic, origin_region):
+        # Both predictions, -0.003 +- sqrt(2) on the line through
+        # (1.01, 0.003), lie above the level, so both marches go outward
+        # from them and f at their midpoint is never needed.
+        near = find_level_crossings(saddle_quadratic, E1, E2, -0.5,
+                                    origin_region)
+        x = np.array([1.01, 0.003])
+        dv = float((near.x - x) @ E2)
+        mid = 0.5 * ((near.t1 + dv) + (near.t2 + dv))
+        probed = []
+        line_funcs = line1d._line_funcs
+
+        def recording(obj, x, v):
+            phi, dphi = line_funcs(obj, x, v)
+
+            def recorded_phi(t):
+                probed.append(t)
+                return phi(t)
+            return recorded_phi, dphi
+
+        with mock.patch.object(line1d, "_line_funcs", recording):
+            warm, cold_brackets = _solve_counted(
+                saddle_quadratic, x, E2, -0.5, origin_region, near=near)
+        assert cold_brackets == 0
+        assert probed and mid not in probed
+        cold = find_level_crossings(saddle_quadratic, x, E2, -0.5,
+                                    origin_region)
+        assert abs(warm.t1 - cold.t1) <= 1e-12
+        assert abs(warm.t2 - cold.t2) <= 1e-12
+
+    def test_inward_march_below_the_level_goes_cold(self, saddle_quadratic,
+                                                    origin_region):
+        # At level -0.5 the section through (1, 0) is |t| <= sqrt(2). Of the
+        # predictions 1 and 3, the first lies above the level and the second
+        # below it, and so does f at their midpoint 2: the inward march from
+        # 3 reaches 2 on or below the level, and the section is solved cold.
+        near = LineSection(E1, E2, -0.5, 1.0, 3.0)
+        sec, cold_brackets = _solve_counted(
+            saddle_quadratic, E1, E2, -0.5, origin_region, near=near)
+        assert cold_brackets == 1
+        assert sec.t1 == pytest.approx(-np.sqrt(2.0), abs=1e-12)
+        assert sec.t2 == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
     @pytest.mark.parametrize("v, level", [(E1, -0.5), (E2, -0.4)])
     def test_mismatched_near_raises(self, saddle_quadratic, origin_region, v,
                                     level):
@@ -384,12 +428,12 @@ def test_predicted_start_is_the_cold_section(name, seed, step):
 
 class TestPredictedStart:
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_costs_five_values_on_a_quadratic(self, n):
+    def test_costs_four_values_on_a_quadratic(self, n):
         # The predictions are exact and lie on the probe's line, so the
-        # first step is xtol: the midpoint check, then on each side the
-        # prediction and one probe xtol beyond it, whose bracket is already
-        # within the crossing tolerance. Continued from the case's own
-        # section the same probe costs more.
+        # first step is xtol: on each side the prediction and one probe xtol
+        # beyond it, whose bracket is already within the crossing tolerance.
+        # With a check of f at the predicted midpoint first it cost five.
+        # Continued from the case's own section the same probe costs more.
         obj, sec, region, pe = _section_with_models(n, 7)
         p = _probe(sec, 7, 1e-4)
         q1, q2 = pe.predicted_crossings(p)
@@ -400,7 +444,7 @@ class TestPredictedStart:
                                         near=near)
             costs.append(obj.eval_counts()["value"] - before)
             _assert_cold(obj, sec, p, region, warm)
-        assert costs[0] == 5
+        assert costs[0] == 4
         assert costs[1] > 5
 
     @pytest.mark.parametrize("name", ["camel", 3])

@@ -48,7 +48,9 @@ class TestGradFormulas:
         # summed. Each finite-difference probe starts its crossing marches
         # from the crossings the case's endpoint models predict; started
         # from the case's own endpoints carried over, the suite costs 47,843
-        # values, 305 gradients and 141 Hessians.
+        # values, 305 gradients and 141 Hessians. With f checked at the
+        # predicted midpoint before every probe section's marches, it costs
+        # 22,969 values.
         made = []
 
         def recording(factory):
@@ -65,7 +67,7 @@ class TestGradFormulas:
                 report["n_skipped"]) == (0, 70, 0)
         totals = {k: sum(obj.eval_counts()[k] for obj in made)
                   for k in ("value", "gradient", "hessian")}
-        assert totals == {"value": 22969, "gradient": 305, "hessian": 141}
+        assert totals == {"value": 18637, "gradient": 305, "hessian": 141}
 
     def test_degenerate_sample_skipped_not_failed(self, saddle_quadratic):
         # A level a hair under the line max gives a microscopic section.
@@ -206,8 +208,11 @@ class TestConvexityProbes:
         # bound finishes that side from its prediction with dip tests; solved
         # cold, those cost 146,353 values and 4,150 gradients. When a dip
         # closes such a side, its crossing stands; solving the section cold
-        # again instead costs 135,995 values and 1,629 gradients.
-        assert tight.eval_counts() == {"value": 135960, "gradient": 1576,
+        # again instead costs 135,995 values and 1,629 gradients. A warm
+        # section evaluates f at its predicted midpoint only when an inward
+        # march reaches it; checked there before every warm section's
+        # marches, the sweep costs 135,960 values.
+        assert tight.eval_counts() == {"value": 128804, "gradient": 1576,
                                        "hessian": 1}
 
     def test_levels_do_not_couple(self):

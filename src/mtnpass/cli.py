@@ -67,8 +67,15 @@ def _as_int(value) -> int:
     return int(value)
 
 
+def _as_real(value) -> float:
+    """float(value), refusing booleans: JSON true is not 1.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a real, got {value!r}")
+    return float(value)
+
+
 # SolveConfig's fields, each with the conversion its flag or config value takes.
-_SETTINGS = {"gtol": float, "max_iter": _as_int, "radius": float,
+_SETTINGS = {"gtol": _as_real, "max_iter": _as_int, "radius": _as_real,
              "seed": _as_int}
 
 
@@ -76,6 +83,7 @@ def _config_point(spec, name: str) -> np.ndarray:
     """A point given as a comma-separated string or as a JSON list of finite reals."""
     try:
         point = (_parse_point(spec, name) if isinstance(spec, str)
+                 else np.array([_as_real(c) for c in spec]) if isinstance(spec, list)
                  else np.asarray(spec, dtype=float))
     except (TypeError, ValueError):
         raise UsageError(f"{name}: expected a list of reals, got {spec!r}")
@@ -186,11 +194,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def _validated_grid(spec) -> dict:
     if not isinstance(spec, dict) or set(spec) != {"bounds", "resolution"}:
         raise UsageError("grid spec needs exactly the keys bounds and resolution")
+    bounds = _config_point(spec["bounds"], "grid bounds")
     try:
-        bounds = np.asarray(spec["bounds"], dtype=float)
         resolution = _as_int(spec["resolution"])
     except (TypeError, ValueError) as err:
-        raise UsageError(f"grid bounds must be reals and resolution an integer: {err}")
+        raise UsageError(f"grid resolution must be an integer: {err}")
     if bounds.shape != (4,):
         raise UsageError("grid bounds need x1min,x1max,x2min,x2max")
     if not (bounds[0] < bounds[1] and bounds[2] < bounds[3]):

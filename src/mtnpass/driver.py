@@ -8,8 +8,8 @@ a descent ray (l-down).
 The solve ends at the first stop rule that applies. The first three return
 a saddle only when Newton polishes their candidate to |grad f| <= gtol with
 Morse index one; otherwise the loop goes on.
-- small gradient observed: a gradient the solver evaluated has
-  |grad f| <= gtol, at a point above the initial level;
+- small gradient observed: |grad f| <= gtol at the base point of a new
+  section that (PD) did not produce, a gradient its move evaluated;
 - Newton handoff: the endpoint gap is positive and below
   _NEWTON_HANDOFF_GAP; the candidate is the segment midpoint;
 - l-down critical candidate: grad f at the line max is parallel to v;
@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (AvStalled, BadEndpoints, CriticalCandidate,
                      CrossingOutsideRegion, DegenerateDenominator,
                      LUpImpossible, NewtonBreakdown, NoLineMax)
-from .line1d import ROOT_TOL, LineSection, chord_section
+from .line1d import LineSection, chord_section
 from .objective import Objective, TrustRegion
 from .quadmodel import morse_index, newton_refine
 from .subroutines import (HitZero, PdStalled, step_av, step_l_down,
@@ -52,8 +52,9 @@ class SolveConfig:
 
     def __post_init__(self):
         for name in ("gtol", "radius"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not 0 < value < np.inf:
+                raise ValueError(f"{name} must be a positive, finite real, got {value!r}")
         for name in ("max_iter", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -144,25 +145,17 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
     Returns a report whose status is SaddleFound only when the final point
     satisfies |grad f| <= gtol and its Hessian has Morse index one. The trace
     records one entry per iteration. The solve is deterministic: identical
-    inputs produce identical traces. While it runs, the solve watches every
-    gradient obj evaluates in the calling thread (Objective.watch_gradients)
-    for a small norm. The report's eval_counts are those made during this
-    call; threads that share obj also share its counters, so a solve running
-    beside another on the same objective counts the other's evaluations too.
+    inputs produce identical traces, and the calling thread's memos of obj
+    are emptied first (Objective.clear_memos). The report's eval_counts are
+    those made during this call; threads that share obj also share its
+    counters, so a solve running beside another on the same objective counts
+    the other's evaluations too.
     """
     if config is None:
         config = SolveConfig()
+    obj.clear_memos()
     counts0 = obj.eval_counts()
     trace: list[TraceRecord] = []
-    # The point of the smallest gradient seen since the small-gradient stop
-    # last looked.
-    best_x, best_norm = None, np.inf
-
-    def observe(x: np.ndarray, g: np.ndarray) -> None:
-        nonlocal best_x, best_norm
-        gn = float(np.linalg.norm(g))
-        if gn < best_norm:
-            best_x, best_norm = x.copy(), gn
 
     def certificate(x: np.ndarray) -> tuple[float, int]:
         """|grad f| and the Morse index at x."""
@@ -189,99 +182,88 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
                           iterations, origin)
         return None
 
-    with obj.watch_gradients(observe):
-        section, region = init_state(obj, a, b, config)
-        # The initial level, raised by ROOT_TOL: crossings sit on a level only
-        # to within ROOT_TOL.
-        level0 = section.level + ROOT_TOL
-        # The step that produced the section, as the trace names it, and the
-        # section the last iteration started from.
-        step, start = "Init", None
-        for it in range(config.max_iter):
-            z, zp = section.z, section.zp
-            gap = float(np.linalg.norm(z - zp))
-            trace.append(TraceRecord(
-                iteration=it, step=step, level=section.level, gap=gap,
-                grad_norm_z=float(np.linalg.norm(obj.gradient(z))),
-                grad_norm_zp=float(np.linalg.norm(obj.gradient(zp))),
-                x=np.array(section.midpoint, dtype=float)))
-            logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, step,
-                         section.level, gap)
+    section, region = init_state(obj, a, b, config)
+    # The step that produced the section, as the trace names it, and the
+    # section the last iteration started from.
+    step, start = "Init", None
+    for it in range(config.max_iter):
+        z, zp = section.z, section.zp
+        gap = float(np.linalg.norm(z - zp))
+        trace.append(TraceRecord(
+            iteration=it, step=step, level=section.level, gap=gap,
+            grad_norm_z=float(np.linalg.norm(obj.gradient(z))),
+            grad_norm_zp=float(np.linalg.norm(obj.gradient(zp))),
+            x=np.array(section.midpoint, dtype=float)))
+        logger.debug("it=%d step=%s level=%.6g gap=%.3e", it, step,
+                     section.level, gap)
 
-            # Small-gradient stop: a small gradient was observed anywhere. A
-            # candidate on or below the initial level is skipped: in practice
-            # it is an endpoint minimum on that level set, whose polish would
-            # only spend a Hessian to find Morse index 0. The other stops
-            # still polish points below it, since an index-one saddle can lie
-            # below max(f(a), f(b)) when a or b is not a minimum.
-            if best_norm <= config.gtol:
-                if obj.value(best_x) > level0:
-                    report = polish(best_x, it, "small gradient observed")
-                    if report is not None:
-                        return report
-                # candidate skipped or not an index-one saddle; keep going
-                best_x, best_norm = None, np.inf
+        # Repeat stop: the last iteration failed and left the section as
+        # it was, so this one would repeat it bit for bit.
+        if section is start:
+            m = 0.5 * (section.z + section.zp)
+            return finish("Breakdown", m, *certificate(m), it, failed)
+        start = section
 
-            # Repeat stop: the last iteration failed and left the section as
-            # it was, so this one would repeat it bit for bit.
-            if section is start:
-                m = 0.5 * (section.z + section.zp)
-                return finish("Breakdown", m, *certificate(m), it, failed)
-            start = section
+        # Small-gradient stop at a new section's base point, whose gradient
+        # its move evaluated; (PD)'s base point is a trial midpoint it did not.
+        if step != "PD" and np.linalg.norm(obj.gradient(section.x)) <= config.gtol:
+            report = polish(section.x, it, "small gradient observed")
+            if report is not None:
+                return report
 
-            # Newton handoff once the endpoints are close. A point section
-            # (gap 0) is left out: Newton there pays one Hessian more than
-            # (PD) and l-down, whose next stop is an already small gradient.
-            # The candidate (z + z')/2, like the Breakdown and MaxIter point,
-            # can differ from section.midpoint, the trace's x, in the last bits.
-            if 0.0 < gap < _NEWTON_HANDOFF_GAP:
-                report = polish(0.5 * (z + zp), it, "newton handoff")
+        # Newton handoff once the endpoints are close. A point section
+        # (gap 0) is left out: Newton there pays one Hessian more than (PD)
+        # and l-down, whose line min the small-gradient stop then checks.
+        # The candidate (z + z')/2, like the Breakdown and MaxIter point,
+        # can differ from section.midpoint, the trace's x, in the last bits.
+        if 0.0 < gap < _NEWTON_HANDOFF_GAP:
+            report = polish(0.5 * (z + zp), it, "newton handoff")
+            if report is not None:
+                return report
+
+        # Level-set step. failed holds the last failure's reason. A failed
+        # move leaves the section unchanged; a later move can replace it.
+        failed = None
+        try:
+            outcome = step_pd(section, obj, region)
+        except (DegenerateDenominator, CrossingOutsideRegion, NoLineMax) as err:
+            outcome = None
+            failed = str(err)
+
+        if isinstance(outcome, HitZero):
+            # Case 1c: the segment collapsed; lower the level.
+            step = "LDown"
+            try:
+                section = step_l_down(obj, outcome.x_prime, section.v, region)
+            except CriticalCandidate as cand:
+                report = polish(cand.x, it, "critical candidate from l-down")
                 if report is not None:
                     return report
-
-            # Level-set step. failed holds the last failure's reason. A failed
-            # move leaves the section unchanged; a later move can replace it.
-            failed = None
+                failed = "critical candidate was not an index-one saddle"
+            except (CrossingOutsideRegion, NoLineMax) as err:
+                failed = f"l-down failed: {err}"
+        elif (isinstance(outcome, LineSection)
+              and outcome.diam <= (1.0 - _ETA) * section.diam):
+            # Case 1a: real progress; re-align the chord.
+            section, step = outcome, "PD"
             try:
-                outcome = step_pd(section, obj, region)
-            except (DegenerateDenominator, CrossingOutsideRegion, NoLineMax) as err:
-                outcome = None
-                failed = str(err)
-
-            if isinstance(outcome, HitZero):
-                # Case 1c: the segment collapsed; lower the level.
-                step = "LDown"
-                try:
-                    section = step_l_down(obj, outcome.x_prime, section.v, region)
-                except CriticalCandidate as cand:
-                    report = polish(cand.x, it, "critical candidate from l-down")
-                    if report is not None:
-                        return report
-                    failed = "critical candidate was not an index-one saddle"
-                except (CrossingOutsideRegion, NoLineMax) as err:
-                    failed = f"l-down failed: {err}"
-            elif (isinstance(outcome, LineSection)
-                  and outcome.diam <= (1.0 - _ETA) * section.diam):
-                # Case 1a: real progress; re-align the chord.
+                section, step = step_av(section, obj, region), "Av"
+            except AvStalled:
+                pass  # already aligned; the reduction still counts
+        else:
+            # Case 1b, little progress at this level, or (PD) stalled or
+            # raised: raise the level, which sometimes repairs the section.
+            if isinstance(outcome, LineSection):
                 section, step = outcome, "PD"
-                try:
-                    section, step = step_av(section, obj, region), "Av"
-                except AvStalled:
-                    pass  # already aligned; the reduction still counts
             else:
-                # Case 1b, little progress at this level, or (PD) stalled or
-                # raised: raise the level, which sometimes repairs the section.
-                if isinstance(outcome, LineSection):
-                    section, step = outcome, "PD"
-                else:
-                    if isinstance(outcome, PdStalled):
-                        failed = "parallel-distance reduction stalled"
-                    logger.debug("PD failed: %s", failed)
-                try:
-                    section, step = step_l_up(section, obj, region), "LUp"
-                except (LUpImpossible, CrossingOutsideRegion, NoLineMax):
-                    pass  # the section stays as (PD) left it
+                if isinstance(outcome, PdStalled):
+                    failed = "parallel-distance reduction stalled"
+                logger.debug("PD failed: %s", failed)
+            try:
+                section, step = step_l_up(section, obj, region), "LUp"
+            except (LUpImpossible, CrossingOutsideRegion, NoLineMax):
+                pass  # the section stays as (PD) left it
 
-        m = 0.5 * (section.z + section.zp)
-        return finish("MaxIter", m, *certificate(m), config.max_iter,
-                      "iteration limit reached")
+    m = 0.5 * (section.z + section.zp)
+    return finish("MaxIter", m, *certificate(m), config.max_iter,
+                  "iteration limit reached")

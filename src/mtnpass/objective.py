@@ -2,19 +2,19 @@
 
 An :class:`Objective` wraps user callables for f and its derivatives. The
 gradient is required; the Hessian is optional and falls back to forward
-finite differences of the gradient. Built-in test functions used throughout
-the package and its test suite are constructed by :func:`builtin`; exact
-quadratics live in :mod:`mtnpass.quadmodel`. The module also holds the
-trust region that every search stays in.
+finite differences of the gradient. Values and gradients are remembered
+per thread until :meth:`Objective.clear_memos`. Built-in test functions used
+throughout the package and its test suite are constructed by
+:func:`builtin`; exact quadratics live in :mod:`mtnpass.quadmodel`. The
+module also holds the trust region that every search stays in.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -58,12 +58,11 @@ def _remember(memo: dict, key: bytes, result) -> None:
 
 
 class _ThreadState(threading.local):
-    """One thread's value and gradient memos and its gradient observer."""
+    """One thread's value and gradient memos."""
 
     def __init__(self):
         self.values: dict = {}
         self.gradients: dict = {}
-        self.observer: Optional[Callable[[np.ndarray, np.ndarray], None]] = None
 
 
 class Objective:
@@ -82,14 +81,11 @@ class Objective:
     The callables must be pure in x: :meth:`value` and :meth:`gradient`
     each remember the last MEMO_SIZE finite results they evaluated, keyed by
     the bits of x, in two separate memos, and answer a repeat from them
-    uncounted (a gradient as a copy, and unobserved). Hessians are not
-    remembered, and a non-finite result raises, and is counted, every time.
-    The call counters are updated under a lock so an objective may be
-    shared across threads. Every gradient that :meth:`gradient` evaluates,
-    including the probes of the finite-difference Hessian, is also passed
-    with its point to the observer installed by :meth:`watch_gradients`.
-    Memos and observers are per thread: one thread neither hits another's
-    values or gradients nor sees them.
+    uncounted (a gradient as a copy). Hessians are not remembered, and a
+    non-finite result raises, and is counted, every time. The call counters
+    are updated under a lock so an objective may be shared across threads.
+    Memos are per thread: one thread never hits another's values or
+    gradients, and :meth:`clear_memos` empties only the calling thread's.
     """
 
     def __init__(self, n: int,
@@ -142,32 +138,11 @@ class Objective:
         if not np.isfinite(g).all():
             raise EvaluationError(f"{self.name}: non-finite gradient at x={x}")
         _remember(memo, key, g.copy())
-        observer = self._per_thread.observer
-        if observer is not None:
-            observer(x, g)
         return g
 
-    @contextmanager
-    def watch_gradients(self, observer: Callable[[np.ndarray, np.ndarray], None]
-                        ) -> Iterator[None]:
-        """Pass each gradient evaluated in this thread to observer(x, g).
-
-        The thread's value and gradient memos are emptied on entry, so the
-        body's counts depend only on its own calls and every gradient it asks
-        for is evaluated, and observed, at least once. The observer stays
-        installed for the body of the with block, and the previous one
-        (usually none) is restored on exit, also when the body raises. x may
-        be the caller's own array: copy it to keep it.
-        """
-        state = self._per_thread
-        previous = state.observer
-        state.values.clear()
-        state.gradients.clear()
-        state.observer = observer
-        try:
-            yield
-        finally:
-            state.observer = previous
+    def clear_memos(self) -> None:
+        """Empty the calling thread's value and gradient memos, not the counters."""
+        self._per_thread.values, self._per_thread.gradients = {}, {}
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)

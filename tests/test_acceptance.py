@@ -14,7 +14,7 @@ import pytest
 import oracles
 from mtnpass.cli import main as cli_main
 from mtnpass.driver import solve
-from mtnpass.objective import six_hump_camel, tightness2d
+from mtnpass.objective import Objective, six_hump_camel, tightness2d
 from mtnpass.pardist import closed_form_g2_quadratic
 from mtnpass.quadmodel import generate_morse1, newton_refine, saddle_of
 from mtnpass.objective import TrustRegion
@@ -149,8 +149,13 @@ def test_criterion_8_newton_quadratic_convergence():
                            np.array([-1.05, 0.75])))):
         camel = six_hump_camel()
         iterates = []  # one gradient per Newton iterate, the start included
-        with camel.watch_gradients(lambda x, g: iterates.append(np.array(x))):
-            res = newton_refine(camel, x0, TrustRegion(x0, 10.0), gtol=1e-12)
+
+        def gradient(x):
+            iterates.append(np.array(x))
+            return camel.gradient(x)
+
+        recorded = Objective(2, camel.value, gradient, camel.hessian)
+        res = newton_refine(recorded, x0, TrustRegion(x0, 10.0), gtol=1e-12)
         assert res.converged
         errs = [float(np.linalg.norm(p - x_star)) for p in iterates]
         pairs = [(errs[k], errs[k + 1]) for k in range(len(errs) - 1)]

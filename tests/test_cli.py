@@ -149,9 +149,15 @@ class TestSolveCommand:
         {"max_iter": True},
         {"seed": True},
         {"grid": {"bounds": [-2, 2, -1.5, 1.5], "resolution": 21.5}},
+        {"gtol": True},
+        {"radius": True},
+        {"a": [True, -0.7126]},
+        {"b": True},
+        {"grid": {"bounds": [True, 2, -1.5, 1.5], "resolution": 21}},
     ], ids=["point", "grid-bounds", "grid-resolution", "out", "function",
             "max_iter-fraction", "seed-fraction", "max_iter-bool", "seed-bool",
-            "grid-resolution-fraction"])
+            "grid-resolution-fraction", "gtol-bool", "radius-bool",
+            "point-coordinate-bool", "point-bool", "grid-bounds-bool"])
     def test_config_values_of_wrong_type_are_usage_errors(self, tmp_path, override):
         cfg = {"function": "six_hump_camel", "a": [0.0898, -0.7126],
                "b": [-0.0898, 0.7126], "out": str(tmp_path), **override}
@@ -244,6 +250,14 @@ class TestContourCommand:
                        "--bounds", "2,-2,-2,2", "--resolution", "11",
                        "--out", str(tmp_path / "grid.csv"))
         assert code == 2
+
+    @pytest.mark.parametrize("bounds", ["-inf,2,-2,2", "-2,2,-2,nan"])
+    def test_nonfinite_bounds_rejected(self, tmp_path, bounds):
+        code = run_cli("contour", "--function", "six_hump_camel",
+                       f"--bounds={bounds}", "--resolution", "11",
+                       "--out", str(tmp_path / "grid.csv"))
+        assert code == 2
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_trace_polyline(self, tmp_path):
         assert run_cli("solve", "--function", "six_hump_camel",

@@ -147,8 +147,9 @@ class TestSolveCamel:
         assert np.linalg.norm(report.x - np.array([-1.0, 0.8])) <= 0.15
 
     def test_stop1_skips_points_at_or_below_initial_level(self, monkeypatch):
-        # On this pair the gradient watch first sees near-zero gradients at
-        # the endpoint minima; none of them may reach the Newton polish.
+        # On this pair the endpoint minima have near-zero gradients; none of
+        # them may reach the Newton polish, which starts only from the base
+        # points of new sections and the other stops' candidates.
         import mtnpass.driver
         real = mtnpass.driver.newton_refine
         starts = []
@@ -197,6 +198,23 @@ class TestSolveCamel:
         assert report.message == "small gradient observed"
         assert report.iterations == 0
         assert np.linalg.norm(report.x) <= 1e-8
+
+    @pytest.mark.parametrize("i, j", [(2, 3), (3, 2)])
+    def test_small_gradient_stop_at_the_chord_max_of_polished_minima(self, i, j):
+        # From the Newton-polished minima the endpoint gradients are exactly
+        # zero. They must not hide the chord max at the origin: the stop
+        # reads the initial section's base point and certifies the saddle
+        # at iteration 0, for one Newton Hessian.
+        a, b = (oracles.newton_polish(oracles.camel_gradient,
+                                      oracles.camel_hessian,
+                                      np.array(oracles.CAMEL_MINIMA[k][:2]))
+                for k in (i, j))
+        report = solve(six_hump_camel(), a, b)
+        assert report.status == "SaddleFound"
+        assert report.message == "small gradient observed"
+        assert report.iterations == 0
+        assert np.linalg.norm(report.x) <= 1e-8
+        assert report.eval_counts == {"value": 66, "gradient": 6, "hessian": 1}
 
     def test_fd_hessian_fallback(self):
         # The solver only needs value and gradient callables; Hessians for
@@ -296,7 +314,8 @@ class TestSolveDoubleWell:
         # so would a value asked for again at a point the value memo holds.
         # The level raise's far crossing is finished by interpolation across
         # Brent's last bracket, with no gradient; a Newton step there would
-        # add one.
+        # add one. The values were 80 while the small-gradient stop read f at
+        # its candidate to compare it with the initial level.
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         report = solve(Objective(5, well.value, well.gradient), a, b)
@@ -306,7 +325,7 @@ class TestSolveDoubleWell:
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert [r.step for r in report.trace] == ["Init", "LUp", "LDown"]
         assert report.trace[1].gap == 0.0
-        assert report.eval_counts == {"value": 80, "gradient": 26,
+        assert report.eval_counts == {"value": 79, "gradient": 26,
                                       "hessian": 1}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
@@ -549,49 +568,8 @@ class TestReportInvariants:
         assert r1.to_dict() == r2.to_dict()
         assert [t.to_dict() for t in r1.trace] == [t.to_dict() for t in r2.trace]
 
-
-def _spy_on_watch(obj):
-    """Count the watches solve installs on obj and the gradients they see."""
-    installs, seen = [], []
-    real = obj.watch_gradients
-
-    def watch(observer):
-        installs.append(observer)
-
-        def counted(x, g):
-            seen.append(x.copy())
-            observer(x, g)
-        return real(counted)
-
-    obj.watch_gradients = watch
-    return installs, seen
-
-
-class TestGradientWatch:
-    def test_no_observer_after_solve_returns(self):
-        camel = six_hump_camel()
-        installs, seen = _spy_on_watch(camel)
-        report = solve(camel, np.array(oracles.CAMEL_MINIMA[0][:2]),
-                       np.array(oracles.CAMEL_MINIMA[2][:2]))
-        assert report.status == "SaddleFound"
-        assert len(installs) == 1 and seen
-        n_seen = len(seen)
-        camel.gradient(np.array([0.5, 0.5]))
-        camel.hessian(np.array([0.5, 0.5]))
-        assert len(seen) == n_seen
-
-    def test_no_observer_after_solve_raises(self):
-        camel = six_hump_camel()
-        installs, seen = _spy_on_watch(camel)
-        a = np.array([0.3, 0.1])
-        with pytest.raises(BadEndpoints):
-            solve(camel, a, a.copy())
-        assert len(installs) == 1
-        camel.gradient(np.array([0.5, 0.5]))
-        assert seen == []
-
     def test_threads_sharing_an_objective(self):
-        # Each solve watches only the gradients of its own thread, so two
+        # Each solve empties and hits only its own thread's memos, so two
         # threads solving on one objective reproduce the sequential runs.
         pairs = [(0, 1), (4, 5), (2, 3), (1, 0), (0, 2), (5, 4), (3, 2), (2, 0)]
         points = [np.array(m[:2]) for m in oracles.CAMEL_MINIMA]
@@ -642,6 +620,12 @@ class TestSolveConfig:
             for bad in (np.inf, np.nan):
                 with pytest.raises(ValueError, match="finite"):
                     SolveConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["gtol", "radius"])
+    @pytest.mark.parametrize("bad", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_rejects_booleans_as_reals(self, name, bad):
+        with pytest.raises(ValueError, match="real"):
+            SolveConfig(**{name: bad})
 
     @pytest.mark.parametrize("name", ["max_iter", "seed"])
     @pytest.mark.parametrize("bad", [2.5, 3.0, True, np.True_, "x", "3",

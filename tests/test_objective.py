@@ -101,52 +101,6 @@ class TestCounters:
         assert seen == sorted(seen)
 
 
-class TestGradientWatch:
-    def test_observer_sees_each_gradient_inside_the_block(self, camel):
-        seen = []
-        x = np.array([0.3, -0.2])
-        with camel.watch_gradients(lambda p, g: seen.append((p.copy(), g.copy()))):
-            g = camel.gradient(x)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0][0], x) and np.array_equal(seen[0][1], g)
-        camel.gradient(x)
-        assert len(seen) == 1
-
-    def test_nested_watch_restores_the_outer_one(self, camel):
-        outer, inner = [], []
-        with camel.watch_gradients(lambda p, g: outer.append(p)):
-            with camel.watch_gradients(lambda p, g: inner.append(p)):
-                camel.gradient(np.zeros(2))
-            camel.gradient(np.ones(2))
-        assert len(inner) == 1 and len(outer) == 1
-
-    def test_removed_when_the_body_raises(self, camel):
-        seen = []
-        with pytest.raises(RuntimeError):
-            with camel.watch_gradients(lambda p, g: seen.append(p)):
-                raise RuntimeError("body failed")
-        camel.gradient(np.zeros(2))
-        assert seen == []
-
-    def test_fd_hessian_probes_are_watched(self):
-        obj = Objective(2, value=oracles.camel_value,
-                        gradient=oracles.camel_gradient)
-        seen = []
-        with obj.watch_gradients(lambda p, g: seen.append(p)):
-            obj.hessian(np.array([0.1, 0.2]))
-        # The gradient at x and one forward probe per coordinate.
-        assert len(seen) == obj.n_grad_evals == 3
-
-    def test_other_threads_are_not_watched(self, camel):
-        seen = []
-        with camel.watch_gradients(lambda p, g: seen.append(p)):
-            worker = threading.Thread(target=camel.gradient, args=(np.zeros(2),))
-            worker.start()
-            worker.join()
-        assert seen == []
-        assert camel.n_grad_evals == 1
-
-
 def counting_camel():
     """A camel objective without Hessian and the points its gradient callable saw."""
     calls = []
@@ -160,21 +114,20 @@ def counting_camel():
 
 class TestGradientMemo:
     def test_repeat_is_one_evaluation_and_one_observation(self):
+        # The gradient callable sees a repeat only once the memo dropped it.
         obj, calls = counting_camel()
-        seen = []
         x = np.array([0.3, -0.2])
         others = [np.array([0.01 * k, 0.5]) for k in range(MEMO_SIZE)]
-        with obj.watch_gradients(lambda p, g: seen.append(p.copy())):
-            g = obj.gradient(x)
-            for p in others[:-1]:
-                obj.gradient(p)
-            assert np.array_equal(obj.gradient(x), g)
-            assert obj.n_grad_evals == len(calls) == len(seen) == MEMO_SIZE
-            # One more new point pushes x out of the memo.
-            obj.gradient(others[-1])
-            assert np.array_equal(obj.gradient(x), g)
-        assert obj.n_grad_evals == len(calls) == len(seen) == MEMO_SIZE + 2
-        assert sum(np.array_equal(p, x) for p in seen) == 2
+        g = obj.gradient(x)
+        for p in others[:-1]:
+            obj.gradient(p)
+        assert np.array_equal(obj.gradient(x), g)
+        assert obj.n_grad_evals == len(calls) == MEMO_SIZE
+        # One more new point pushes x out of the memo.
+        obj.gradient(others[-1])
+        assert np.array_equal(obj.gradient(x), g)
+        assert obj.n_grad_evals == len(calls) == MEMO_SIZE + 2
+        assert sum(np.array_equal(p, x) for p in calls) == 2
 
     def test_memo_is_per_thread(self):
         obj, calls = counting_camel()
@@ -186,16 +139,31 @@ class TestGradientMemo:
         obj.gradient(x)
         assert obj.n_grad_evals == len(calls) == 2
 
-    def test_watch_starts_with_an_empty_memo(self):
+    def test_clear_memos_empties_only_this_threads_memo(self):
         obj, calls = counting_camel()
-        seen = []
         x = np.array([0.3, -0.2])
+        filled, cleared = threading.Event(), threading.Event()
+
+        def worker():
+            obj.gradient(x)
+            filled.set()
+            cleared.wait(timeout=30)
+            obj.gradient(x)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
         obj.gradient(x)
-        with obj.watch_gradients(lambda p, g: seen.append(p.copy())):
-            obj.gradient(x)
-            obj.gradient(x)
-        assert obj.n_grad_evals == len(calls) == 2
-        assert len(seen) == 1 and np.array_equal(seen[0], x)
+        filled.wait(timeout=30)
+        obj.clear_memos()
+        cleared.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        # The worker's repeat after the clear is a hit in its own memo, and
+        # the counters keep what was evaluated before the clear.
+        assert obj.n_grad_evals == 2
+        obj.gradient(x)
+        obj.gradient(x)
+        assert obj.n_grad_evals == len(calls) == 3
 
     def test_returned_array_is_the_callers_own(self):
         obj, _ = counting_camel()
@@ -227,14 +195,12 @@ class TestGradientMemo:
 
     def test_fd_hessian_probes_are_counted_and_observed(self):
         obj, calls = counting_camel()
-        seen = []
-        with obj.watch_gradients(lambda p, g: seen.append(p.copy())):
-            obj.gradient(np.array([0.1, 0.2]))
-            obj.hessian(np.array([0.1, 0.2]))
+        obj.gradient(np.array([0.1, 0.2]))
+        obj.hessian(np.array([0.1, 0.2]))
         # The probes x + h_j e_j are two new points; the gradient at x is a
         # memo hit.
         assert obj.eval_counts() == {"value": 0, "gradient": 3, "hessian": 1}
-        assert len(calls) == len(seen) == 3
+        assert len(calls) == 3
 
 
 def counting_well(n):
@@ -313,13 +279,14 @@ class TestValueMemo:
         obj.value(x)
         assert obj.n_value_evals == len(calls) == 2
 
-    def test_watch_starts_with_an_empty_memo(self):
+    def test_clear_memos_empties_the_value_memo(self):
         obj, calls = value_counting_camel()
         x = np.array([0.3, -0.2])
         obj.value(x)
-        with obj.watch_gradients(lambda p, g: None):
-            obj.value(x)
-            obj.value(x)
+        obj.clear_memos()
+        assert obj.n_value_evals == 1
+        obj.value(x)
+        obj.value(x)
         assert obj.n_value_evals == len(calls) == 2
 
     def test_nonfinite_value_is_not_remembered(self):

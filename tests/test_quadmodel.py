@@ -159,11 +159,17 @@ class TestMorseIndex:
 
 def newton_iterates(obj, x0, region, **kwargs):
     """newton_refine's result and its iterates: with an analytic Hessian it
-    evaluates one gradient per iterate, the start included."""
+    evaluates one gradient per iterate, the start included. The iterates are
+    the points where a fresh Objective around obj calls its gradient, so a
+    memo hit is not recorded."""
     iterates = []
-    with obj.watch_gradients(lambda x, g: iterates.append(np.array(x))):
-        res = newton_refine(obj, x0, region, **kwargs)
-    return res, iterates
+
+    def gradient(x):
+        iterates.append(np.array(x))
+        return obj.gradient(x)
+
+    recorded = Objective(obj.n, obj.value, gradient, obj.hessian)
+    return newton_refine(recorded, x0, region, **kwargs), iterates
 
 
 class TestNewtonRefine:

@@ -330,9 +330,11 @@ _POINT_OPTIONS = {"--a", "--b", "--bounds"}
 
 
 def _merge_point_values(argv: list[str]) -> list[str]:
-    """Join point options with values that begin with a minus sign.
+    """Join point options with values that begin with a minus sign and then
+    a digit, a point, "inf" or "nan".
 
-    argparse would otherwise read `--b -0.1,0.7` as a missing argument.
+    argparse would otherwise read `--b -0.1,0.7` (or `--a -inf,0`) as a
+    missing argument.
     """
     out = []
     i = 0
@@ -340,7 +342,8 @@ def _merge_point_values(argv: list[str]) -> list[str]:
         tok = argv[i]
         nxt = argv[i + 1] if i + 1 < len(argv) else None
         if tok in _POINT_OPTIONS and nxt is not None and nxt.startswith("-") \
-                and len(nxt) > 1 and (nxt[1].isdigit() or nxt[1] == "."):
+                and len(nxt) > 1 and (nxt[1].isdigit() or nxt[1] == "."
+                                      or nxt[1:4].lower() in ("inf", "nan")):
             out.append(f"{tok}={nxt}")
             i += 2
         else:

@@ -9,7 +9,8 @@ The solve ends at the first stop rule that applies. The first three return
 a saddle only when Newton polishes their candidate to |grad f| <= gtol with
 Morse index one; otherwise the loop goes on.
 - small gradient observed: |grad f| <= gtol at the base point of a new
-  section that (PD) did not produce, a gradient its move evaluated;
+  section that (PD) did not produce: Init's highest chord scan point, or
+  a point whose gradient its move evaluated;
 - Newton handoff: the endpoint gap is positive and below
   _NEWTON_HANDOFF_GAP; the candidate is the segment midpoint;
 - l-down critical candidate: grad f at the line max is parallel to v;
@@ -115,8 +116,9 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
     """Initial section at level max(f(a), f(b)) around the ridge on [a, b],
     and the trust region of the solve.
 
-    The section is line1d.chord_section: the line-local max of f strictly
-    between a and b and the two crossings of the initial level on the chord.
+    The section is line1d.chord_section: based at the highest of its scan
+    points strictly between a and b (in one dimension at the polished max),
+    with the two crossings of the initial level on the chord around it.
     The trust region is the ball of radius config.radius around 0.5 (a + b).
     Raises BadEndpoints, before any evaluation, when an endpoint has the
     wrong dimension or a non-finite coordinate or lies outside the trust
@@ -204,8 +206,9 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             return finish("Breakdown", m, *certificate(m), it, failed)
         start = section
 
-        # Small-gradient stop at a new section's base point, whose gradient
-        # its move evaluated; (PD)'s base point is a trial midpoint it did not.
+        # Small-gradient stop at a new section's base point: Init's highest
+        # scan point, for one gradient, or a point whose gradient its move
+        # evaluated; (PD)'s base point is a trial midpoint it did not.
         if step != "PD" and np.linalg.norm(obj.gradient(section.x)) <= config.gtol:
             report = polish(section.x, it, "small gradient observed")
             if report is not None:

@@ -163,19 +163,27 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
 def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float) -> float:
     """Polish a three-point max bracket a < b < c to phi' = 0.
 
-    Brent's method on phi' once the derivative signs at a and c straddle;
-    until then golden-section shrinks on phi. Polishes a min bracket when
-    given -phi and -phi'. Returns the polished t; phi(b) comes from the
+    phi'(b) is evaluated first, and Brent's method runs on the half of the
+    bracket where phi' changes sign: [b, c] when phi'(b) >= 0 > phi'(c),
+    [a, b] when phi'(a) > 0 > phi'(b). When b is the point a move already
+    took the gradient at, phi'(b) is a memo hit. Otherwise golden section
+    shrinks the bracket on phi until the derivative signs at a and c
+    straddle, and Brent's method runs on [a, c]. Polishes a min bracket
+    when given -phi and -phi'. Returns the polished t; phi(b) comes from the
     value memo when b was just probed.
     """
     invgold = 0.381966011250105  # 2 - golden ratio
-    fb = phi(b)
-    for _ in range(200):
+    db = dphi(b)
+    if db >= 0.0:
+        dc = dphi(c)
+        if dc < 0.0:
+            return float(_brent(dphi, b, c, db, dc, _STATIONARY_XTOL)[0])
+    else:
         da = dphi(a)
         if da > 0.0:
-            dc = dphi(c)
-            if dc < 0.0:
-                return float(_brent(dphi, a, c, da, dc, _STATIONARY_XTOL)[0])
+            return float(_brent(dphi, a, b, da, db, _STATIONARY_XTOL)[0])
+    fb = phi(b)
+    for _ in range(200):
         # Shrink by golden section until the derivative signs straddle.
         if c - b > b - a:
             u = b + invgold * (c - b)
@@ -193,6 +201,11 @@ def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float) -> 
                 a = u
         if c - a < 1e-13 * max(1.0, abs(b)):
             break
+        da = dphi(a)
+        if da > 0.0:
+            dc = dphi(c)
+            if dc < 0.0:
+                return float(_brent(dphi, a, c, da, dc, _STATIONARY_XTOL)[0])
     return float(b)
 
 
@@ -504,10 +517,13 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
 
 
 def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float) -> float:
-    """Crossing of the level nearest the ridge max (t = 0) toward a chord endpoint.
+    """Crossing of the level nearest the section's base point (t = 0) toward
+    a chord endpoint.
 
-    f_star = phi(0). scan holds the (t, phi(t)) of the chord scan beyond the
-    max, nearest first; its last point is the endpoint. The first scan point
+    f_star = phi(0) > level. scan holds the (t, phi(t)) of the chord scan
+    beyond the base point, nearest first; its last point is the endpoint.
+    The base point is the highest scan point, or in one dimension the
+    polished max. The first scan point
     on or below the level closes the bracket, so a dip below the level
     between the max and the endpoint is not stepped over. A scan point on the
     level within the root tolerance is itself the root; the endpoint value
@@ -528,10 +544,14 @@ def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float) -> f
 def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
     """Section of {f >= max(f(a), f(b))} on the chord [a, b] around its ridge.
 
-    Scans the chord at 65 points for the interior maximum, polishes it, and
-    solves by Brent's method the crossing of the level nearest the maximum
-    on either side, each bracketed by the scan. The section is based at the
-    maximum with v = (a - b)/|a - b|.
+    Scans the chord at 65 points and bases the section at the highest of
+    them, with v = (a - b)/|a - b|, at no further evaluation: the section
+    needs only a base point above the level, and the level-set moves do the
+    local work. In one dimension the chord is the whole space and its max
+    is the saddle, so there the max is polished (_refine_max) and the
+    section is based on it. The crossing of the level nearest the base
+    point on either side is solved by Brent's method, bracketed by the scan
+    (_chord_crossing).
     Raises BadEndpoints when the endpoints coincide, f has no interior max
     on the chord, or the ridge does not rise above the level.
     """
@@ -547,8 +567,11 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
     i = int(np.argmax(vals))
     if i == 0 or i == len(ts) - 1:
         raise BadEndpoints("f has no interior line-local max on [a, b]")
-    t_star = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1])
-    f_star = phi(t_star)
+    if obj.n == 1:  # the chord is the whole space: its max is the saddle
+        t_star = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1])
+        f_star = phi(t_star)
+    else:
+        t_star, f_star = float(ts[i]), vals[i]
     level = max(obj.value(a), vals[0])
     if f_star <= level:
         raise BadEndpoints("ridge does not rise above the endpoint level")

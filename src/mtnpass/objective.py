@@ -218,21 +218,23 @@ class TrustRegion:
 
 def six_hump_camel() -> Objective:
     """Two-dimensional benchmark with six local minima and a ridge of saddles."""
+    # The coordinates are unpacked to Python floats, whose arithmetic is
+    # faster than NumPy scalars' and rounds the same.
 
     def value(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return (4.0 - 2.1 * x1 ** 2 + x1 ** 4 / 3.0) * x1 ** 2 + x1 * x2 \
             + 4.0 * (x2 ** 2 - 1.0) * x2 ** 2
 
     def gradient(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return np.array([
             2.0 * x1 ** 5 - 8.4 * x1 ** 3 + 8.0 * x1 + x2,
             x1 + 16.0 * x2 ** 3 - 8.0 * x2,
         ])
 
     def hessian(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return np.array([
             [10.0 * x1 ** 4 - 25.2 * x1 ** 2 + 8.0, 1.0],
             [1.0, 48.0 * x2 ** 2 - 8.0],
@@ -243,20 +245,21 @@ def six_hump_camel() -> Objective:
 
 def tightness2d() -> Objective:
     """f(x) = (x2 - x1^2)(x1 - x2^2); its sublevel sets pinch at the origin."""
+    # Python floats, as in six_hump_camel.
 
     def value(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return (x2 - x1 ** 2) * (x1 - x2 ** 2)
 
     def gradient(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return np.array([
             -3.0 * x1 ** 2 + 2.0 * x1 * x2 ** 2 + x2,
             2.0 * x1 ** 2 * x2 + x1 - 3.0 * x2 ** 2,
         ])
 
     def hessian(x):
-        x1, x2 = x
+        x1, x2 = x.tolist()
         return np.array([
             [-6.0 * x1 + 2.0 * x2 ** 2, 4.0 * x1 * x2 + 1.0],
             [4.0 * x1 * x2 + 1.0, 2.0 * x1 ** 2 - 6.0 * x2],

@@ -66,8 +66,12 @@ def step_pd(section: LineSection, obj: Objective, region: TrustRegion) -> PdOutc
     Backtracking stops with PdStalled once the trial step t*|d| is shorter
     than the crossing tolerance the section endpoints are solved to: below
     it a change in g^2 is crossing error, not a decrease. Otherwise the
-    result is the first trial section that passes the test.
+    result is the first trial section that passes the test. In one
+    dimension v has no complement to move across, and the result is
+    PdStalled before any evaluation.
     """
+    if obj.n == 1:
+        return PdStalled()
     v, x = section.v, section.midpoint
     try:
         pe = derivatives_from_section(obj, section, want_hessian=True)

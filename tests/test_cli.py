@@ -95,6 +95,18 @@ class TestSolveCommand:
                                     "out": str(tmp_path)}))
         assert run_cli("solve", "--config", str(path)) == 2
 
+    @pytest.mark.parametrize("point", ["-inf,0", "-nan,0", "-Inf,0"])
+    def test_negative_nonfinite_value_joins_its_option(self, tmp_path, capsys,
+                                                       point):
+        # Unjoined, "--a -inf,0" must reach the coordinate check, not stop
+        # argparse with "expected one argument".
+        code = run_cli("solve", "--function", "six_hump_camel", "--a", point,
+                       "--b", CAMEL_B, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "coordinates must be finite" in err
+        assert "expected one argument" not in err
+
     def test_nonconvergent_run_exits_one(self, tmp_path):
         # endpoints whose chord chases a local max: honest breakdown
         code = run_cli("solve", "--function", "six_hump_camel",
@@ -257,6 +269,15 @@ class TestContourCommand:
                        f"--bounds={bounds}", "--resolution", "11",
                        "--out", str(tmp_path / "grid.csv"))
         assert code == 2
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("bounds", ["-inf,2,-2,2", "-nan,2,-2,2"])
+    def test_unjoined_nonfinite_bounds_rejected(self, tmp_path, capsys, bounds):
+        code = run_cli("contour", "--function", "six_hump_camel",
+                       "--bounds", bounds, "--resolution", "11",
+                       "--out", str(tmp_path / "grid.csv"))
+        assert code == 2
+        assert "coordinates must be finite" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
     def test_trace_polyline(self, tmp_path):

@@ -203,8 +203,10 @@ class TestSolveCamel:
     def test_small_gradient_stop_at_the_chord_max_of_polished_minima(self, i, j):
         # From the Newton-polished minima the endpoint gradients are exactly
         # zero. They must not hide the chord max at the origin: the stop
-        # reads the initial section's base point and certifies the saddle
-        # at iteration 0, for one Newton Hessian.
+        # reads the initial section's base point, the highest scan point,
+        # which lands on the origin, and certifies the saddle at iteration
+        # 0, for one Newton Hessian. The counts were 66 / 6 / 1 while the
+        # chord max was polished.
         a, b = (oracles.newton_polish(oracles.camel_gradient,
                                       oracles.camel_hessian,
                                       np.array(oracles.CAMEL_MINIMA[k][:2]))
@@ -214,7 +216,7 @@ class TestSolveCamel:
         assert report.message == "small gradient observed"
         assert report.iterations == 0
         assert np.linalg.norm(report.x) <= 1e-8
-        assert report.eval_counts == {"value": 66, "gradient": 6, "hessian": 1}
+        assert report.eval_counts == {"value": 65, "gradient": 3, "hessian": 1}
 
     def test_fd_hessian_fallback(self):
         # The solver only needs value and gradient callables; Hessians for
@@ -315,7 +317,8 @@ class TestSolveDoubleWell:
         # The level raise's far crossing is finished by interpolation across
         # Brent's last bracket, with no gradient; a Newton step there would
         # add one. The values were 80 while the small-gradient stop read f at
-        # its candidate to compare it with the initial level.
+        # its candidate to compare it with the initial level; the gradients
+        # were 26 while the chord max was polished.
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         report = solve(Objective(5, well.value, well.gradient), a, b)
@@ -325,7 +328,7 @@ class TestSolveDoubleWell:
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert [r.step for r in report.trace] == ["Init", "LUp", "LDown"]
         assert report.trace[1].gap == 0.0
-        assert report.eval_counts == {"value": 79, "gradient": 26,
+        assert report.eval_counts == {"value": 79, "gradient": 21,
                                       "hessian": 1}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
@@ -390,8 +393,8 @@ class TestSolveMuellerBrown:
 
 class TestOneDimension:
     @pytest.mark.parametrize("analytic, counts", [
-        (True, {"value": 65, "gradient": 5, "hessian": 1}),
-        (False, {"value": 65, "gradient": 6, "hessian": 1})])
+        (True, {"value": 65, "gradient": 4, "hessian": 1}),
+        (False, {"value": 65, "gradient": 5, "hessian": 1})])
     def test_double_well_pass_is_the_max_between_minima(self, analytic,
                                                         counts):
         # f = (x^2 - 1)^2 from -1 to 1: in one dimension the mountain pass
@@ -399,6 +402,9 @@ class TestOneDimension:
         # critical point of Morse index one. The chord's polished ridge max
         # is already critical, so the solve certifies it at Init. A finite-
         # difference Hessian costs one gradient more than the analytic one.
+        # The polish starts from phi' at the highest scan point, x = 0, where
+        # it is already zero; the gradients were 5 and 6 while it started
+        # from phi' at both bracket ends.
         hess = (lambda x: np.array([[12.0 * x[0] ** 2 - 4.0]])) if analytic \
             else None
         obj = Objective(1, lambda x: (x[0] ** 2 - 1.0) ** 2,
@@ -413,10 +419,67 @@ class TestOneDimension:
         assert report.eval_counts == counts
 
 
+    @staticmethod
+    def _quartic(scale, c, cubic, analytic):
+        """f = scale ((x^2 - 1)^2 + c x + cubic x^3) and its two minima,
+        Newton-polished from -1 and 1."""
+        def value(x):
+            return scale * ((x[0] ** 2 - 1.0) ** 2 + c * x[0] + cubic * x[0] ** 3)
+
+        def gradient(x):
+            return np.array([scale * (4.0 * x[0] * (x[0] ** 2 - 1.0) + c
+                                      + 3.0 * cubic * x[0] ** 2)])
+
+        def hessian(x):
+            return np.array([[scale * (12.0 * x[0] ** 2 - 4.0 + 6.0 * cubic * x[0])]])
+
+        minima = [oracles.newton_polish(gradient, hessian, np.array([s]))
+                  for s in (-1.0, 1.0)]
+        return Objective(1, value, gradient, hessian if analytic else None), minima
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("c, x_max, counts", [
+        (0.0, 0.0, (70, 8, 1)),
+        (0.3, 0.0763181823211, (71, 9, 1)),
+        (-0.45, -0.1120234225417, (71, 8, 1))])
+    def test_asymmetric_well_pass_is_certified_at_init(self, c, x_max, counts,
+                                                       analytic):
+        # f = (x^2 - 1)^2 + c x + 0.2 x^3 between its minima, which lie
+        # asymmetrically about the max between them. In one dimension the
+        # chord max is the answer, so chord_section still polishes it, and
+        # the small-gradient stop certifies the section's base point at
+        # iteration 0. A finite-difference Hessian costs one gradient more.
+        obj, (a, b) = self._quartic(1.0, c, 0.2, analytic)
+        report = solve(obj, a, b)
+        assert report.status == "SaddleFound"
+        assert report.message == "small gradient observed"
+        assert report.iterations == 0
+        assert report.x[0] == pytest.approx(x_max, abs=1e-12)
+        value, gradient, hessian = counts
+        assert report.eval_counts == {"value": value,
+                                      "gradient": gradient + (not analytic),
+                                      "hessian": hessian}
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    def test_steep_well_reaches_the_newton_handoff(self, analytic):
+        # f = 1e10 ((x^2 - 1)^2 + 0.3 x): at the polished chord max |grad f|
+        # is above gtol, so the loop runs. (PD) has no direction to move in
+        # and stalls, and the level raises close the section until Newton
+        # takes over at the max between the minima. (PD) used to decompose
+        # a 0 x 0 reduced Hessian and raise ValueError.
+        obj, (a, b) = self._quartic(1e10, 0.3, 0.0, analytic)
+        report = solve(obj, a, b)
+        assert report.status == "SaddleFound"
+        assert report.message == "newton handoff"
+        assert report.morse_index == 1
+        assert report.x[0] == pytest.approx(0.0754291585697, abs=1e-12)
+        assert [r.step for r in report.trace] == ["Init", "LUp", "LUp"]
+
+
 class TestSolveCost:
     @pytest.mark.parametrize("j, status, counts", [
-        (2, "SaddleFound", {"value": 96, "gradient": 16, "hessian": 4}),
-        (3, "Breakdown", {"value": 183, "gradient": 32, "hessian": 3})],
+        (2, "SaddleFound", {"value": 94, "gradient": 10, "hessian": 4}),
+        (3, "Breakdown", {"value": 181, "gradient": 24, "hessian": 3})],
         ids=["min0-min2", "min0-min3"])
     def test_camel_pass_value_count(self, j, status, counts):
         # Camel minima 0 -> 2, one of the benchmark's pairs: each (PD) trial
@@ -424,6 +487,8 @@ class TestSolveCost:
         # models predict. Solved without those seeds it costs 103 values.
         # Minima 0 -> 3 end when their failed l-down leaves the section
         # unchanged, which the next iteration notices before repeating it.
+        # The counts were 96 / 16 / 4 and 183 / 32 / 3 while the chord max
+        # was polished.
         report = solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
                        np.array(oracles.CAMEL_MINIMA[j][:2]))
         assert report.status == status

@@ -38,7 +38,7 @@ def _camel_ldown_pair():
     # Minima 0 and 5 of the camel: Init, two LUps, then an LDown that finds
     # f monotone, so the solve ends in Breakdown. The first LUp puts an
     # endpoint next to the origin, an index-one saddle that is not the pass
-    # (ROADMAP item 2), with |grad f| = 3e-8, above gtol, so the
+    # (ROADMAP item 2), with |grad f| = 2e-8, above gtol, so the
     # small-gradient stop does not certify it.
     return solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
                  np.array(oracles.CAMEL_MINIMA[5][:2]))

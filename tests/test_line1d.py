@@ -117,7 +117,8 @@ class TestMarch:
 
 class TestRefineMax:
     def test_golden_section_until_the_slopes_straddle(self):
-        # phi'(0.13) < 0, so the bracket (0.13, 0.3, 0.6) is shrunk by golden
+        # phi' > 0 at both 0.3 and 0.5, so no half of the bracket
+        # (0.13, 0.3, 0.5) is a sign change of phi' and it is shrunk by golden
         # section on phi before Brent's method polishes phi' = 0. Of the two
         # maxima inside the bracket it keeps the higher one, as a dense grid.
         values = []
@@ -129,14 +130,37 @@ class TestRefineMax:
         def dphi(t):
             return -2.0 * (t - 0.3) + 0.5 * np.cos(25.0 * t)
 
-        assert dphi(0.13) < 0.0
-        t = _refine_max(phi, dphi, 0.13, 0.3, 0.6)
+        assert dphi(0.13) < 0.0 < dphi(0.5) < dphi(0.3)
+        t = _refine_max(phi, dphi, 0.13, 0.3, 0.5)
         assert len(values) > 1  # the golden-section phase evaluated phi
-        grid = np.linspace(0.13, 0.6, 470001)
+        grid = np.linspace(0.13, 0.5, 370001)
         t_grid = grid[np.argmax(phi(grid))]
         assert t == pytest.approx(t_grid, abs=1e-6)
-        assert t == pytest.approx(0.31221, abs=1e-5)
+        assert t == pytest.approx(0.312206, abs=1e-6)
         assert abs(dphi(t)) <= 1e-12
+
+    @pytest.mark.parametrize("a, b, c, half", [
+        (0.0, 0.1, 0.5, "upper"), (0.0, 0.3, 0.5, "lower")])
+    def test_straddling_half_is_polished_from_the_middle_slope(self, a, b, c,
+                                                               half):
+        # The max of phi = -(t - 0.2)^2 lies in one half of the bracket:
+        # phi'(b) is evaluated first, then the slope at the end of that
+        # half, and Brent's method polishes it with no golden step, so phi
+        # is never evaluated.
+        values, slopes = [], []
+
+        def phi(t):
+            values.append(t)
+            return -(t - 0.2) ** 2
+
+        def dphi(t):
+            slopes.append(t)
+            return -2.0 * (t - 0.2)
+
+        t = _refine_max(phi, dphi, a, b, c)
+        assert t == pytest.approx(0.2, abs=1e-14)
+        assert slopes[:2] == [b, c if half == "upper" else a]
+        assert values == []
 
 
 class TestLineLocalMax:
@@ -897,15 +921,18 @@ class TestChordSection:
                                 "between scan points")),
     ])
     def test_section_on_the_higher_narrow_hump(self, center, width):
-        # chord_section bases its section on the highest scan point, so a
-        # narrow hump is found only while a scan point lands on its top.
+        # chord_section bases its section on the highest scan point, bit for
+        # bit, with no polish, so a narrow hump is found only while a scan
+        # point lands on its top.
         obj, value = self._two_humps(center, width)
         a, b = np.zeros(2), np.array([1.0, 0.0])
         sec = chord_section(obj, a, b)
+        v = (a - b) / np.linalg.norm(a - b)
+        scan = [b + t * v for t in np.linspace(0.0, 1.0, 65)]
+        assert np.array_equal(sec.x, scan[int(np.argmax([value(p) for p in scan]))])
         s = np.linspace(0.0, 1.0, 200001)
         f = [value((si, 0.0)) for si in s]
         s_max = s[int(np.argmax(f))]
-        assert sec.x[0] == pytest.approx(s_max, abs=1e-5)
         roots = oracles.grid_crossings(value, np.zeros(2), np.array([1.0, 0.0]),
                                        sec.level, 0.0, 1.0)
         ends = sorted((sec.z[0], sec.zp[0]))

@@ -257,6 +257,17 @@ class TestStepPd:
             step_pd(sec, obj, TrustRegion(0.5 * (a + b), 10.0))
         assert calls["bracket"] == 0
 
+    def test_one_dimension_stalls_before_any_evaluation(self):
+        # In one dimension v spans the space: there is no complement to move
+        # the base point across, so (PD) stalls without evaluating f, and a
+        # 0 x 0 reduced Hessian is never decomposed.
+        obj = Objective(1, lambda x: 1.0 - x[0] ** 2,
+                        lambda x: np.array([-2.0 * x[0]]))
+        sec = segment([0.0], [1.0], 0.0, -1.0, 1.0)
+        out = step_pd(sec, obj, TrustRegion(np.zeros(1), 10.0))
+        assert isinstance(out, PdStalled)
+        assert obj.eval_counts() == {"value": 0, "gradient": 0, "hessian": 0}
+
     def test_composition_reaches_saddle_midpoint(self, saddle_quadratic,
                                                  origin_region):
         # From any base point on the segment, one Newton (PD) step lands on

@@ -12,7 +12,8 @@ Morse index one; otherwise the loop goes on.
   section that (PD) did not produce: Init's highest chord scan point, or
   a point whose gradient its move evaluated;
 - Newton handoff: the endpoint gap is positive and below
-  _NEWTON_HANDOFF_GAP; the candidate is the segment midpoint;
+  _NEWTON_HANDOFF_GAP times the chord length |a - b|; the candidate is the
+  segment midpoint;
 - l-down critical candidate: grad f at the line max is parallel to v;
 - Breakdown: an iteration left the section, and so its level, base point
   and direction, unchanged: the next one would repeat it bit for bit;
@@ -39,7 +40,7 @@ from .subroutines import (HitZero, PdStalled, step_av, step_l_down,
 logger = logging.getLogger(__name__)
 
 _ETA = 0.05                  # sufficient-decrease fraction for (PD)
-_NEWTON_HANDOFF_GAP = 1e-2   # endpoint gap below which Newton takes over
+_NEWTON_HANDOFF_GAP = 1e-2   # gap / chord length below which Newton takes over
 
 
 @dataclass(frozen=True)
@@ -116,9 +117,10 @@ def init_state(obj: Objective, a: np.ndarray, b: np.ndarray,
     """Initial section at level max(f(a), f(b)) around the ridge on [a, b],
     and the trust region of the solve.
 
-    The section is line1d.chord_section: based at the highest of its scan
-    points strictly between a and b (in one dimension at the polished max),
-    with the two crossings of the initial level on the chord around it.
+    The section is line1d.chord_section: based at the highest point of its
+    lazily refined 65-point scan, strictly between a and b (in one
+    dimension at the polished max), with the two crossings of the initial
+    level on the chord around it.
     The trust region is the ball of radius config.radius around 0.5 (a + b).
     Raises BadEndpoints, before any evaluation, when an endpoint has the
     wrong dimension or a non-finite coordinate or lies outside the trust
@@ -185,6 +187,8 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         return None
 
     section, region = init_state(obj, a, b, config)
+    handoff_gap = _NEWTON_HANDOFF_GAP * float(np.linalg.norm(
+        np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
     # The step that produced the section, as the trace names it, and the
     # section the last iteration started from.
     step, start = "Init", None
@@ -219,7 +223,7 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         # and l-down, whose line min the small-gradient stop then checks.
         # The candidate (z + z')/2, like the Breakdown and MaxIter point,
         # can differ from section.midpoint, the trace's x, in the last bits.
-        if 0.0 < gap < _NEWTON_HANDOFF_GAP:
+        if 0.0 < gap < handoff_gap:
             report = polish(0.5 * (z + zp), it, "newton handoff")
             if report is not None:
                 return report

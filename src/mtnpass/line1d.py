@@ -163,18 +163,21 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
 def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float) -> float:
     """Polish a three-point max bracket a < b < c to phi' = 0.
 
-    phi'(b) is evaluated first, and Brent's method runs on the half of the
-    bracket where phi' changes sign: [b, c] when phi'(b) >= 0 > phi'(c),
-    [a, b] when phi'(a) > 0 > phi'(b). When b is the point a move already
-    took the gradient at, phi'(b) is a memo hit. Otherwise golden section
-    shrinks the bracket on phi until the derivative signs at a and c
-    straddle, and Brent's method runs on [a, c]. Polishes a min bracket
+    phi'(b) is evaluated first, and b is returned when it is 0. Otherwise
+    Brent's method runs on the half of the bracket where phi' changes sign:
+    [b, c] when phi'(b) > 0 > phi'(c), [a, b] when phi'(a) > 0 > phi'(b).
+    When b is the point a move already took the gradient at, phi'(b) is a
+    memo hit. When neither half straddles, golden section shrinks the
+    bracket on phi until the derivative signs at a and c straddle, and
+    Brent's method runs on [a, c]. Polishes a min bracket
     when given -phi and -phi'. Returns the polished t; phi(b) comes from the
     value memo when b was just probed.
     """
     invgold = 0.381966011250105  # 2 - golden ratio
     db = dphi(b)
-    if db >= 0.0:
+    if db == 0.0:
+        return float(b)
+    if db > 0.0:
         dc = dphi(c)
         if dc < 0.0:
             return float(_brent(dphi, b, c, db, dc, _STATIONARY_XTOL)[0])
@@ -516,20 +519,22 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
     return LineSection(x, v, level, t1, t2)
 
 
-def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float) -> float:
+def _chord_crossing(phi: Callable, f_star: float, scan: Iterator, level: float,
+                    t_end: float) -> float:
     """Crossing of the level nearest the section's base point (t = 0) toward
-    a chord endpoint.
+    the chord endpoint at t_end.
 
-    f_star = phi(0) > level. scan holds the (t, phi(t)) of the chord scan
-    beyond the base point, nearest first; its last point is the endpoint.
-    The base point is the highest scan point, or in one dimension the
-    polished max. The first scan point
-    on or below the level closes the bracket, so a dip below the level
-    between the max and the endpoint is not stepped over. A scan point on the
-    level within the root tolerance is itself the root; the endpoint value
-    never exceeds the level by more than that, by construction.
+    f_star = phi(0) > level. scan yields the (t, phi(t)) of the chord scan
+    points walked beyond the base point, nearest first; its last point is
+    the endpoint. The base point is the highest scan point, or in one
+    dimension the polished max. The first walked point on or below the
+    level closes the bracket, so a dip below the level that a walked point
+    shows between the max and the endpoint is not stepped over. A scan
+    point on the level within the root tolerance is itself the root; the
+    endpoint value never exceeds the level by more than that, by
+    construction.
     """
-    xtol = 1e-12 * max(1.0, abs(scan[-1][0]))
+    xtol = 1e-12 * max(1.0, abs(t_end))
     t_in, r_in = 0.0, f_star - level
     for t, f in scan:
         r = f - level
@@ -544,14 +549,17 @@ def _chord_crossing(phi: Callable, f_star: float, scan: list, level: float) -> f
 def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
     """Section of {f >= max(f(a), f(b))} on the chord [a, b] around its ridge.
 
-    Scans the chord at 65 points and bases the section at the highest of
-    them, with v = (a - b)/|a - b|, at no further evaluation: the section
-    needs only a base point above the level, and the level-set moves do the
-    local work. In one dimension the chord is the whole space and its max
-    is the saddle, so there the max is polished (_refine_max) and the
-    section is based on it. The crossing of the level nearest the base
-    point on either side is solved by Brent's method, bracketed by the scan
-    (_chord_crossing).
+    Scans the chord on 65 points: the 33 even ones, then the two odd
+    neighbours of each even point at least as high as its even neighbours
+    (the ends too). It bases the section at the highest point evaluated,
+    the first on ties, with v = (a - b)/|a - b|, at no further evaluation:
+    the section needs only a base point above the level, and the level-set
+    moves do the local work. A hump narrower than about two scan steps on
+    the flank of a wider one can fall between the even points. In one
+    dimension the chord is the whole space and its max is the saddle, so
+    there the max is polished (_refine_max) and the section is based on it.
+    The crossing of the level nearest the base point on either side is
+    solved by Brent's method, bracketed by the scan (_chord_crossing).
     Raises BadEndpoints when the endpoints coincide, f has no interior max
     on the chord, or the ridge does not rise above the level.
     """
@@ -563,9 +571,20 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
     v = (a - b) / L
     phi, dphi = _line_funcs(obj, b, v)
     ts = np.linspace(0.0, L, 65)
-    vals = [phi(t) for t in ts]
+    vals = [phi(t) if j % 2 == 0 else -math.inf for j, t in enumerate(ts)]
+
+    def at(j: int) -> float:
+        if vals[j] == -math.inf:  # not evaluated yet
+            vals[j] = phi(ts[j])
+        return vals[j]
+
+    n = len(ts)
+    for j in range(0, n, 2):
+        if vals[j] >= max(vals[max(j - 2, 0)], vals[min(j + 2, n - 1)]):
+            for k in range(max(j - 1, 1), min(j + 2, n), 2):
+                at(k)
     i = int(np.argmax(vals))
-    if i == 0 or i == len(ts) - 1:
+    if i == 0 or i == n - 1:
         raise BadEndpoints("f has no interior line-local max on [a, b]")
     if obj.n == 1:  # the chord is the whole space: its max is the saddle
         t_star = _refine_max(phi, dphi, ts[i - 1], ts[i], ts[i + 1])
@@ -577,10 +596,26 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
         raise BadEndpoints("ridge does not rise above the endpoint level")
     m = b + t_star * v
     phi_m, _ = _line_funcs(obj, m, v)
-    scan = [(float(t) - t_star, f) for t, f in zip(ts, vals)]
-    t2 = _chord_crossing(phi_m, f_star, [p for p in scan if p[0] > 0.0], level)
-    t1 = _chord_crossing(phi_m, f_star, [p for p in reversed(scan) if p[0] < 0.0],
-                         level)
+
+    def walk(js: list) -> Iterator[tuple[float, float]]:
+        """(ts[j] - t_star, vals[j]) for the scan points js, nearest the base
+        point first, passing over those not evaluated except the one just
+        before the first point on or below the level (within ROOT_TOL): it
+        is evaluated, so the crossing gets the bracket of the full scan."""
+        skipped = None
+        for j in js:
+            if vals[j] == -math.inf:
+                skipped = j
+                continue
+            if skipped is not None and vals[j] - level <= ROOT_TOL:
+                yield float(ts[skipped]) - t_star, at(skipped)
+            skipped = None
+            yield float(ts[j]) - t_star, vals[j]
+
+    right = [j for j in range(n) if ts[j] > t_star]
+    left = [j for j in reversed(range(n)) if ts[j] < t_star]
+    t2 = _chord_crossing(phi_m, f_star, walk(right), level, L - t_star)
+    t1 = _chord_crossing(phi_m, f_star, walk(left), level, -t_star)
     return LineSection(m, v, level, float(t1), float(t2))
 
 

@@ -206,7 +206,8 @@ class TestSolveCamel:
         # reads the initial section's base point, the highest scan point,
         # which lands on the origin, and certifies the saddle at iteration
         # 0, for one Newton Hessian. The counts were 66 / 6 / 1 while the
-        # chord max was polished.
+        # chord max was polished, and the values 65 while the scan evaluated
+        # all 65 of its points.
         a, b = (oracles.newton_polish(oracles.camel_gradient,
                                       oracles.camel_hessian,
                                       np.array(oracles.CAMEL_MINIMA[k][:2]))
@@ -216,7 +217,7 @@ class TestSolveCamel:
         assert report.message == "small gradient observed"
         assert report.iterations == 0
         assert np.linalg.norm(report.x) <= 1e-8
-        assert report.eval_counts == {"value": 65, "gradient": 3, "hessian": 1}
+        assert report.eval_counts == {"value": 37, "gradient": 3, "hessian": 1}
 
     def test_fd_hessian_fallback(self):
         # The solver only needs value and gradient callables; Hessians for
@@ -317,8 +318,9 @@ class TestSolveDoubleWell:
         # The level raise's far crossing is finished by interpolation across
         # Brent's last bracket, with no gradient; a Newton step there would
         # add one. The values were 80 while the small-gradient stop read f at
-        # its candidate to compare it with the initial level; the gradients
-        # were 26 while the chord max was polished.
+        # its candidate to compare it with the initial level, and 79 while the
+        # chord scan evaluated all 65 of its points; the gradients were 26
+        # while the chord max was polished.
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         report = solve(Objective(5, well.value, well.gradient), a, b)
@@ -328,7 +330,7 @@ class TestSolveDoubleWell:
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert [r.step for r in report.trace] == ["Init", "LUp", "LDown"]
         assert report.trace[1].gap == 0.0
-        assert report.eval_counts == {"value": 79, "gradient": 21,
+        assert report.eval_counts == {"value": 51, "gradient": 21,
                                       "hessian": 1}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
@@ -393,8 +395,8 @@ class TestSolveMuellerBrown:
 
 class TestOneDimension:
     @pytest.mark.parametrize("analytic, counts", [
-        (True, {"value": 65, "gradient": 4, "hessian": 1}),
-        (False, {"value": 65, "gradient": 5, "hessian": 1})])
+        (True, {"value": 37, "gradient": 3, "hessian": 1}),
+        (False, {"value": 37, "gradient": 4, "hessian": 1})])
     def test_double_well_pass_is_the_max_between_minima(self, analytic,
                                                         counts):
         # f = (x^2 - 1)^2 from -1 to 1: in one dimension the mountain pass
@@ -403,8 +405,10 @@ class TestOneDimension:
         # is already critical, so the solve certifies it at Init. A finite-
         # difference Hessian costs one gradient more than the analytic one.
         # The polish starts from phi' at the highest scan point, x = 0, where
-        # it is already zero; the gradients were 5 and 6 while it started
-        # from phi' at both bracket ends.
+        # it is already zero, and returns that point. The gradients were 5
+        # and 6 while it started from phi' at both bracket ends, and 4 and 5
+        # while it went on to phi' at the bracket's upper end; the values
+        # were 65 while the chord scan evaluated all 65 of its points.
         hess = (lambda x: np.array([[12.0 * x[0] ** 2 - 4.0]])) if analytic \
             else None
         obj = Objective(1, lambda x: (x[0] ** 2 - 1.0) ** 2,
@@ -439,9 +443,9 @@ class TestOneDimension:
 
     @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
     @pytest.mark.parametrize("c, x_max, counts", [
-        (0.0, 0.0, (70, 8, 1)),
-        (0.3, 0.0763181823211, (71, 9, 1)),
-        (-0.45, -0.1120234225417, (71, 8, 1))])
+        (0.0, 0.0, (42, 8, 1)),
+        (0.3, 0.0763181823211, (43, 9, 1)),
+        (-0.45, -0.1120234225417, (43, 8, 1))])
     def test_asymmetric_well_pass_is_certified_at_init(self, c, x_max, counts,
                                                        analytic):
         # f = (x^2 - 1)^2 + c x + 0.2 x^3 between its minima, which lie
@@ -449,6 +453,8 @@ class TestOneDimension:
         # chord max is the answer, so chord_section still polishes it, and
         # the small-gradient stop certifies the section's base point at
         # iteration 0. A finite-difference Hessian costs one gradient more.
+        # The values were 70, 71 and 71 while the chord scan evaluated all
+        # 65 of its points.
         obj, (a, b) = self._quartic(1.0, c, 0.2, analytic)
         report = solve(obj, a, b)
         assert report.status == "SaddleFound"
@@ -478,17 +484,19 @@ class TestOneDimension:
 
 class TestSolveCost:
     @pytest.mark.parametrize("j, status, counts", [
-        (2, "SaddleFound", {"value": 94, "gradient": 10, "hessian": 4}),
-        (3, "Breakdown", {"value": 181, "gradient": 24, "hessian": 3})],
+        (2, "SaddleFound", {"value": 66, "gradient": 10, "hessian": 4}),
+        (3, "Breakdown", {"value": 153, "gradient": 24, "hessian": 3})],
         ids=["min0-min2", "min0-min3"])
     def test_camel_pass_value_count(self, j, status, counts):
         # Camel minima 0 -> 2, one of the benchmark's pairs: each (PD) trial
         # section starts its crossing solves from the roots its endpoint
-        # models predict. Solved without those seeds it costs 103 values.
+        # models predict. Solved without those seeds it costs 73 values (101
+        # while the chord scan evaluated all 65 of its points).
         # Minima 0 -> 3 end when their failed l-down leaves the section
         # unchanged, which the next iteration notices before repeating it.
         # The counts were 96 / 16 / 4 and 183 / 32 / 3 while the chord max
-        # was polished.
+        # was polished, and the values 94 and 181 while the chord scan
+        # evaluated all 65 of its points.
         report = solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
                        np.array(oracles.CAMEL_MINIMA[j][:2]))
         assert report.status == status

@@ -1,7 +1,11 @@
+import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from mtnpass import line1d
@@ -894,6 +898,94 @@ class TestChordSection:
         assert sec.t2 < np.linalg.norm(a - sec.x) - 1.0
 
     @staticmethod
+    def _assert_full_scan_section(obj, a, b, n_grid=20001):
+        """chord_section(obj, a, b) is based, bit for bit, at the highest of
+        the 65 scan points, the first on ties, and its crossings are the
+        grid crossings of its level nearest that point, within 1e-8."""
+        L = np.linalg.norm(a - b)
+        v = (a - b) / L
+        scan = [b + t * v for t in np.linspace(0.0, L, 65)]
+        sec = chord_section(obj, a, b)
+        assert np.array_equal(sec.x, scan[int(np.argmax([obj.value(p)
+                                                         for p in scan]))])
+        t_lo, t_hi = -np.linalg.norm(sec.x - b), np.linalg.norm(a - sec.x)
+        roots = oracles.grid_crossings(obj.value, sec.x, sec.v, sec.level,
+                                       t_lo, t_hi, n_grid)
+        # An endpoint on the level is a crossing the grid may not bracket.
+        roots += [t for t in (t_lo, t_hi)
+                  if abs(obj.value(sec.x + t * sec.v) - sec.level) <= 1e-12]
+        assert sec.t1 == pytest.approx(max(r for r in roots if r < 0), abs=1e-8)
+        assert sec.t2 == pytest.approx(min(r for r in roots if r > 0), abs=1e-8)
+
+    @staticmethod
+    def _humps(humps, record=None):
+        """f = sum_k h_k G(x1; c_k, w_k) - (x1 - 0.5)^2 / 2 - x2^2 for humps
+        (h_k, c_k, w_k), with G(s; c, w) = exp(-((s - c)/w)^2); record, when
+        given, collects every point f is evaluated at. The parabola keeps
+        the chord from (0, 0) to (1, 0) steep at its ends, where a hump's
+        tail alone would lie within ROOT_TOL of the level."""
+        def value(x):
+            if record is not None:
+                record.append(x.copy())
+            return sum(h * math.exp(-((x[0] - c) / w) ** 2)
+                       for h, c, w in humps) - 0.5 * (x[0] - 0.5) ** 2 - x[1] ** 2
+
+        def gradient(x):
+            return np.array([sum(-2.0 * h * (x[0] - c) / w ** 2
+                                 * math.exp(-((x[0] - c) / w) ** 2)
+                                 for h, c, w in humps) - (x[0] - 0.5),
+                             -2.0 * x[1]])
+
+        return Objective(2, value, gradient, name="humps")
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(humps=st.lists(st.tuples(st.floats(0.2, 2.0), st.floats(0.1, 0.9),
+                                    st.floats(4 / 64, 0.3)),
+                          min_size=1, max_size=3))
+    def test_lazy_scan_matches_the_full_scan_on_wide_humps(self, humps):
+        # On the chord from a = (0, 0) to b = (1, 0), humps at least four
+        # scan steps wide: the even points and the odd neighbours of their
+        # peaks find the full scan's highest point, and the walk to each
+        # crossing evaluates the odd point that closes the full scan's
+        # bracket.
+        self._assert_full_scan_section(self._humps(humps), np.zeros(2),
+                                       np.array([1.0, 0.0]), n_grid=4001)
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (0, 5), (1, 4), (2, 3), (3, 4),
+                                      (4, 1), (5, 0)])
+    def test_lazy_scan_matches_the_full_scan_on_camel(self, camel, i, j):
+        self._assert_full_scan_section(
+            camel, np.array(oracles.CAMEL_MINIMA[i][:2]),
+            np.array(oracles.CAMEL_MINIMA[j][:2]))
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2), (2, 0)])
+    def test_lazy_scan_matches_the_full_scan_on_mueller_brown(self, i, j):
+        minima = oracles.mueller_brown_polished(
+            oracles.MUELLER_BROWN_MINIMA_GUESS)
+        obj = Objective(2, oracles.mueller_brown_value,
+                        oracles.mueller_brown_gradient)
+        self._assert_full_scan_section(obj, minima[i], minima[j])
+
+    def test_scan_cost_on_a_unimodal_chord(self):
+        # A hump at x1 = 0.505 on the chord from a = (0, 0) to b = (1, 0),
+        # scanned from b at t = j/64, x1 = 1 - t. The highest even point is
+        # 32 (x1 = 0.5) and the only even peak, so its odd neighbours 31 and
+        # 33 follow. The level is f(b), the endpoint nearer the hump: the
+        # walk toward b evaluates odd point 1 before the endpoint 0 on the
+        # level, and the walk toward a odd point 63 before the endpoint a
+        # below it. No scan point is evaluated twice, and Brent's points lie
+        # off the grid.
+        points = []
+        obj = self._humps([(1.0, 0.505, 0.2)], record=points)
+        a, b = np.zeros(2), np.array([1.0, 0.0])
+        sec = chord_section(obj, a, b)
+        scan = [b + t * (a - b) for t in np.linspace(0.0, 1.0, 65)]
+        assert np.array_equal(sec.x, scan[32])
+        hits = Counter(j for p in points for j, q in enumerate(scan)
+                       if np.array_equal(p, q))
+        assert hits == Counter([*range(0, 65, 2), 1, 31, 33, 63])
+
+    @staticmethod
     def _two_humps(center, width):
         """f = G(x1; 0.25, 0.1) + 2 G(x1; center, width) - x2^2, with
         G(s; c, w) = exp(-((s - c)/w)^2): a wide hump and a narrow one twice
@@ -919,11 +1011,16 @@ class TestChordSection:
         pytest.param(44.5 / 64, 1 / 200, marks=pytest.mark.xfail(
             strict=True, reason="a hump narrower than the scan step can fall "
                                 "between scan points")),
+        *(pytest.param(c, 1 / 100, marks=pytest.mark.xfail(
+            strict=True, reason="a hump narrower than two scan steps on the "
+                                "flank of a wider one can fall between the "
+                                "even points")) for c in (0.14, 0.33)),
     ])
     def test_section_on_the_higher_narrow_hump(self, center, width):
-        # chord_section bases its section on the highest scan point, bit for
-        # bit, with no polish, so a narrow hump is found only while a scan
-        # point lands on its top.
+        # chord_section bases its section on the highest scan point it
+        # evaluated, bit for bit, with no polish, so a narrow hump is found
+        # only while a scan point lands on its top and is evaluated: an even
+        # point, or an odd one next to an even peak.
         obj, value = self._two_humps(center, width)
         a, b = np.zeros(2), np.array([1.0, 0.0])
         sec = chord_section(obj, a, b)

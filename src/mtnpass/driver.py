@@ -18,6 +18,9 @@ Morse index one; otherwise the loop goes on.
 - Breakdown: an iteration left the section, and so its level, base point
   and direction, unchanged: the next one would repeat it bit for bit;
 - MaxIter: the iteration limit is reached.
+The segment midpoint is LineSection.midpoint, (z + z')/2, wherever it is
+read: the trace's x, (PD)'s base point, l-up's level point, the Newton
+handoff's candidate and the Breakdown and MaxIter report's x.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         # Repeat stop: the last iteration failed and left the section as
         # it was, so this one would repeat it bit for bit.
         if section is start:
-            m = 0.5 * (section.z + section.zp)
+            m = section.midpoint
             return finish("Breakdown", m, *certificate(m), it, failed)
         start = section
 
@@ -221,10 +224,8 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
         # Newton handoff once the endpoints are close. A point section
         # (gap 0) is left out: Newton there pays one Hessian more than (PD)
         # and l-down, whose line min the small-gradient stop then checks.
-        # The candidate (z + z')/2, like the Breakdown and MaxIter point,
-        # can differ from section.midpoint, the trace's x, in the last bits.
         if 0.0 < gap < handoff_gap:
-            report = polish(0.5 * (z + zp), it, "newton handoff")
+            report = polish(section.midpoint, it, "newton handoff")
             if report is not None:
                 return report
 
@@ -271,6 +272,6 @@ def solve(obj: Objective, a: np.ndarray, b: np.ndarray,
             except (LUpImpossible, CrossingOutsideRegion, NoLineMax):
                 pass  # the section stays as (PD) left it
 
-    m = 0.5 * (section.z + section.zp)
+    m = section.midpoint
     return finish("MaxIter", m, *certificate(m), config.max_iter,
                   "iteration limit reached")

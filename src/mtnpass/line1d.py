@@ -7,14 +7,17 @@ point on the level only the far crossing), and locating the first
 line-local minimum along a descent ray. Every march takes the probes of
 one schedule (_march), and every outward march to a crossing, cold,
 continued from a nearby section or from a point on the level, is one
-routine (_cross_outward). All searches are deterministic and never
-evaluate f outside the trust region.
+routine (_cross_outward); on the chord line, whose scan a section carries,
+the crossings are bracketed by one walk over the scan (_scan_walk) instead.
+All searches are deterministic and never evaluate f outside the trust
+region.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
@@ -45,8 +48,15 @@ class LineSection:
     tolerance. Each endpoint closes an outward march from inside the section
     (_cross_outward), or, continued from a prediction outside it, a march
     inward toward the predicted midpoint. z is the endpoint with the larger
-    v-coordinate. An empty section from find_level_crossings carries in
-    line_max the line max it found on or below the level.
+    v-coordinate, and the midpoint is (z + z')/2. An empty section from
+    find_level_crossings carries in line_max the line max it found on or
+    below the level. A section on the chord line carries in scan the chord
+    scan as two lists (offsets, values): the 65 grid points as ascending
+    offsets from x along v, and f there (-inf where not evaluated).
+    chord_section sets it, and only the level raise to f at the midpoint
+    passes it on (find_far_crossing with scan); the readers that evaluate a
+    skipped point store it in values, which the sections of one chord
+    share.
     """
 
     x: np.ndarray
@@ -55,6 +65,7 @@ class LineSection:
     t1: Optional[float] = None
     t2: Optional[float] = None
     line_max: Optional[LineExtremum] = None
+    scan: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def empty(self) -> bool:
@@ -76,7 +87,17 @@ class LineSection:
 
     @property
     def midpoint(self) -> np.ndarray:
-        return self.x + 0.5 * (self.t1 + self.t2) * self.v
+        return 0.5 * (self.z + self.zp)
+
+    @property
+    def midpoint_scan(self) -> Optional[tuple]:
+        """scan as offsets from the midpoint, sharing its values; None
+        without a scan."""
+        if self.scan is None:
+            return None
+        offsets, values = self.scan
+        tm = 0.5 * (self.t1 + self.t2)
+        return [t - tm for t in offsets], values
 
 
 @dataclass(frozen=True)
@@ -262,13 +283,27 @@ def _line_max_bracket(phi: Callable, t_lo: float, t_hi: float,
 
 
 def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
-                   region: TrustRegion) -> LineExtremum:
-    """Local maximizer of t -> f(x + t v): the polished _line_max_bracket."""
+                   region: TrustRegion, scan: Optional[tuple] = None
+                   ) -> LineExtremum:
+    """Local maximizer of t -> f(x + t v): the polished _line_max_bracket.
+
+    scan, when given, is the line's chord scan as offsets from x
+    (LineSection.scan): its highest tabulated point, first on ties, and
+    that point's neighbours, which the scan always evaluates, are the
+    bracket instead, when they hold t = 0.
+    """
     v = _check_unit(v)
     phi, dphi = _line_funcs(obj, x, v)
-    t_lo, t_hi = region.line_interval(x, v)
-    a, b, c, _ = _line_max_bracket(phi, t_lo, t_hi, region.radius)
-    t = _refine_max(phi, dphi, a, b, c)
+    bracket = None
+    if scan is not None:
+        offsets, values = scan
+        i = values.index(max(values))
+        if 0 < i < len(offsets) - 1 and offsets[i - 1] < 0.0 < offsets[i + 1]:
+            bracket = offsets[i - 1], offsets[i], offsets[i + 1]
+    if bracket is None:
+        t_lo, t_hi = region.line_interval(x, v)
+        bracket = _line_max_bracket(phi, t_lo, t_hi, region.radius)[:3]
+    t = _refine_max(phi, dphi, *bracket)
     return LineExtremum(t, phi(t))
 
 
@@ -480,21 +515,25 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
 
 
 def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
-                      level: float, region: TrustRegion,
-                      grad: np.ndarray) -> LineSection:
+                      level: float, region: TrustRegion, grad: np.ndarray,
+                      scan: Optional[tuple] = None) -> LineSection:
     """Section of {f >= level} on the line {x + t v} when f(x) = level.
 
     grad is grad f(x). t = 0 is then one crossing, and the other lies on the
-    uphill side, sign(phi'(0)) with phi'(0) = grad'v; a march uphill from 0
-    brackets it. When the first probe already lies on or below the level,
-    Brent's method solves the deflated residual (phi(t) - level)/t, whose
-    value at t = 0 is phi'(0) and is never evaluated, and one interpolation
-    step across its final bracket finishes the root with no gradient
-    (_interpolate); otherwise a march restarted from (0, level) brackets it
-    outward as in find_level_crossings (_cross_outward). A far crossing
-    within 2*xtol of 0 gives the point section at t = 0: no evaluated point
-    rose above the level. When phi'(0) = 0 the section is solved cold
-    (find_level_crossings).
+    uphill side, sign(phi'(0)) with phi'(0) = grad'v. scan, when given, is
+    the line's chord scan as offsets from x (LineSection.scan):
+    chord_section's walk over it brackets the far crossing (_scan_walk,
+    _scan_crossing), with values only, and the section carries the scan.
+    Without it, or when every walked point lies above the level, a march
+    uphill from 0 brackets it. When the first probe already lies on or
+    below the level, Brent's method solves the deflated residual
+    (phi(t) - level)/t, whose value at t = 0 is phi'(0) and is never
+    evaluated; otherwise a march restarted from (0, level) brackets it
+    outward as in find_level_crossings (_cross_outward). Each way one
+    interpolation step across Brent's final bracket finishes the root with
+    no gradient (_interpolate). A far crossing within 2*xtol of 0 gives the
+    point section at t = 0: no evaluated point rose above the level. When
+    phi'(0) = 0 the section is solved cold (find_level_crossings).
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
@@ -506,44 +545,85 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
     sgn = 1.0 if d0 > 0.0 else -1.0
     xtol = CROSSING_XTOL_FRAC * region.radius
     bound = t_hi if sgn > 0.0 else t_lo
-    t, f = next(_march(phi, 0.0, sgn, bound, region.radius), (None, None))
-    if t is not None and f <= level:
-        t_far = _interpolate(*_brent(lambda s: (phi(s) - level) / s, 0.0, t,
-                                     d0, (f - level) / t, xtol))
-    else:
-        t_far = _cross_outward(phi, dphi, x, v, level, 0.0, sgn, bound,
-                               region.radius)
+    t_far = None
+    if scan is not None:
+        walk = _scan_walk(scan, level, sgn, lambda j: phi(scan[0][j]))
+        bracket = _scan_crossing(phi, walk, level, 0.0, xtol, d0)
+        if bracket is not None:
+            t_far = _interpolate(*bracket)
+    if t_far is None:
+        t, f = next(_march(phi, 0.0, sgn, bound, region.radius), (None, None))
+        if t is not None and f <= level:
+            t_far = _interpolate(*_brent(lambda s: (phi(s) - level) / s, 0.0,
+                                         t, d0, (f - level) / t, xtol))
+        else:
+            t_far = _cross_outward(phi, dphi, x, v, level, 0.0, sgn, bound,
+                                   region.radius)
     if abs(t_far) <= 2.0 * xtol:
-        return LineSection(x, v, level, 0.0, 0.0)
+        return LineSection(x, v, level, 0.0, 0.0, scan=scan)
     t1, t2 = sorted((0.0, float(t_far)))
-    return LineSection(x, v, level, t1, t2)
+    return LineSection(x, v, level, t1, t2, scan=scan)
 
 
-def _chord_crossing(phi: Callable, f_star: float, scan: Iterator, level: float,
-                    t_end: float) -> float:
-    """Crossing of the level nearest the section's base point (t = 0) toward
-    the chord endpoint at t_end.
+def _scan_walk(scan: tuple, level: float, sgn: float,
+               fill: Callable) -> Iterator[tuple[float, float]]:
+    """(t, f) of the chord scan points beyond t = 0 in the direction sgn,
+    nearest first.
 
-    f_star = phi(0) > level. scan yields the (t, phi(t)) of the chord scan
-    points walked beyond the base point, nearest first; its last point is
-    the endpoint. The base point is the highest scan point, or in one
-    dimension the polished max. The first walked point on or below the
-    level closes the bracket, so a dip below the level that a walked point
-    shows between the max and the endpoint is not stepped over. A scan
-    point on the level within the root tolerance is itself the root; the
-    endpoint value never exceeds the level by more than that, by
-    construction.
+    scan = (offsets, values) is the chord grid as ascending offsets from
+    the section's base point, with f there (-inf where not evaluated). The
+    walk passes over the points not evaluated, except the one just before
+    the first point on or below the level (within ROOT_TOL): fill(j)
+    evaluates that one and the table keeps its value, so the crossing gets
+    the bracket of the full scan.
     """
-    xtol = 1e-12 * max(1.0, abs(t_end))
-    t_in, r_in = 0.0, f_star - level
-    for t, f in scan:
+    offsets, values = scan
+    if sgn > 0.0:
+        js = range(bisect.bisect_right(offsets, 0.0), len(offsets))
+    else:
+        js = range(bisect.bisect_left(offsets, 0.0) - 1, -1, -1)
+    skipped = None
+    for j in js:
+        if values[j] == -math.inf:
+            skipped = j
+            continue
+        if skipped is not None and values[j] - level <= ROOT_TOL:
+            values[skipped] = fill(skipped)
+            yield offsets[skipped], values[skipped]
+        skipped = None
+        yield offsets[j], values[j]
+
+
+def _scan_crossing(phi: Callable, walk: Iterator, level: float, r0: float,
+                   xtol: float, d0: float = 0.0) -> Optional[tuple]:
+    """Final bracket (t, r, s, q) of the crossing of the level nearest t = 0
+    along a chord scan walk (_scan_walk), or None when every walked point
+    lies above the level.
+
+    r0 = phi(0) - level >= 0. The first walked point on or below the level
+    closes the bracket, so a dip below the level that a walked point shows
+    is not stepped over. Brent's method solves phi - level from the last
+    point above the level, t = 0 included when r0 > 0, and the result is
+    its best point t, its residual r and the other end s of its final
+    bracket with residual q (_brent); when no such point exists (t = 0 on
+    the level), it solves the deflated residual (phi(t) - level)/t from
+    t = 0, whose value there is d0 = phi'(0) and is never evaluated. A
+    walked point t on the level within ROOT_TOL is itself the root,
+    returned as (t, 0, t, 0).
+    """
+    t_in, r_in = 0.0, r0
+    for t, f in walk:
         r = f - level
         if r <= 0.0:
-            return _brent(lambda s: phi(s) - level, t_in, t, r_in, r, xtol)[0]
+            if r_in > 0.0:
+                return _brent(lambda s: phi(s) - level, t_in, t, r_in, r,
+                              xtol)
+            return _brent(lambda s: (phi(s) - level) / s, 0.0, t, d0, r / t,
+                          xtol)
         if r <= ROOT_TOL:
-            return t
+            return t, 0.0, t, 0.0
         t_in, r_in = t, r
-    raise BadEndpoints("chord endpoint lies above the initial level")
+    return None
 
 
 def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
@@ -559,7 +639,9 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
     dimension the chord is the whole space and its max is the saddle, so
     there the max is polished (_refine_max) and the section is based on it.
     The crossing of the level nearest the base point on either side is
-    solved by Brent's method, bracketed by the scan (_chord_crossing).
+    solved by Brent's method, bracketed by the scan (_scan_walk,
+    _scan_crossing). The section carries the scan (LineSection.scan), which
+    the level raises on the chord line and (PD)'s collapse test read.
     Raises BadEndpoints when the endpoints coincide, f has no interior max
     on the chord, or the ridge does not rise above the level.
     """
@@ -596,27 +678,19 @@ def chord_section(obj: Objective, a: np.ndarray, b: np.ndarray) -> LineSection:
         raise BadEndpoints("ridge does not rise above the endpoint level")
     m = b + t_star * v
     phi_m, _ = _line_funcs(obj, m, v)
+    scan = ([t - t_star for t in ts.tolist()], vals)
 
-    def walk(js: list) -> Iterator[tuple[float, float]]:
-        """(ts[j] - t_star, vals[j]) for the scan points js, nearest the base
-        point first, passing over those not evaluated except the one just
-        before the first point on or below the level (within ROOT_TOL): it
-        is evaluated, so the crossing gets the bracket of the full scan."""
-        skipped = None
-        for j in js:
-            if vals[j] == -math.inf:
-                skipped = j
-                continue
-            if skipped is not None and vals[j] - level <= ROOT_TOL:
-                yield float(ts[skipped]) - t_star, at(skipped)
-            skipped = None
-            yield float(ts[j]) - t_star, vals[j]
+    def crossing(sgn: float, t_end: float) -> float:
+        bracket = _scan_crossing(phi_m, _scan_walk(scan, level, sgn, at),
+                                 level, f_star - level,
+                                 1e-12 * max(1.0, abs(t_end)))
+        if bracket is None:  # never: the ends lie on or below the level
+            raise BadEndpoints("chord endpoint lies above the initial level")
+        return bracket[0]
 
-    right = [j for j in range(n) if ts[j] > t_star]
-    left = [j for j in reversed(range(n)) if ts[j] < t_star]
-    t2 = _chord_crossing(phi_m, f_star, walk(right), level, L - t_star)
-    t1 = _chord_crossing(phi_m, f_star, walk(left), level, -t_star)
-    return LineSection(m, v, level, float(t1), float(t2))
+    t2 = crossing(1.0, L - t_star)
+    t1 = crossing(-1.0, -t_star)
+    return LineSection(m, v, level, float(t1), float(t2), scan=scan)
 
 
 def line_local_min(obj: Objective, x: np.ndarray, d: np.ndarray,

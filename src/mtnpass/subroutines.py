@@ -66,8 +66,12 @@ def step_pd(section: LineSection, obj: Objective, region: TrustRegion) -> PdOutc
     Backtracking stops with PdStalled once the trial step t*|d| is shorter
     than the crossing tolerance the section endpoints are solved to: below
     it a change in g^2 is crossing error, not a decrease. Otherwise the
-    result is the first trial section that passes the test. In one
-    dimension v has no complement to move across, and the result is
+    result is the first trial section that passes the test; it carries no
+    chord scan. A section collapsed onto a line max (DegenerateDenominator
+    with f(x) at the level) gives HitZero at that max: on the chord line
+    the chord scan's highest point polished between its neighbours
+    (line_local_max with scan), elsewhere line_local_max's march from x. In
+    one dimension v has no complement to move across, and the result is
     PdStalled before any evaluation.
     """
     if obj.n == 1:
@@ -88,7 +92,7 @@ def step_pd(section: LineSection, obj: Objective, region: TrustRegion) -> PdOutc
         collapse_level = section.level + 10.0 * ROOT_TOL
         if obj.value(x) > collapse_level:
             raise
-        lm = line_local_max(obj, x, v, region)
+        lm = line_local_max(obj, x, v, region, section.midpoint_scan)
         if lm.value <= collapse_level:
             return HitZero(x + lm.t * v)
         raise
@@ -183,7 +187,8 @@ def step_av(section: LineSection, obj: Objective, region: TrustRegion) -> LineSe
 
 def crossings_or_degenerate(obj: Objective, x: np.ndarray, v: np.ndarray,
                             level: float, region: TrustRegion,
-                            grad: Optional[np.ndarray] = None) -> LineSection:
+                            grad: Optional[np.ndarray] = None,
+                            scan: Optional[tuple] = None) -> LineSection:
     """Section of {f >= level} through x, allowing the degenerate point section.
 
     When the line-local max sits exactly at the level (within the root
@@ -196,7 +201,7 @@ def crossings_or_degenerate(obj: Objective, x: np.ndarray, v: np.ndarray,
     if grad is None:
         section = find_level_crossings(obj, x, v, level, region)
     else:
-        section = find_far_crossing(obj, x, v, level, region, grad)
+        section = find_far_crossing(obj, x, v, level, region, grad, scan)
     if not section.empty:
         return section
     lm = section.line_max
@@ -237,17 +242,22 @@ def step_l_up(section: LineSection, obj: Objective, region: TrustRegion,
 
     The direction v is unchanged; the new segment is the section of the new
     level on the line through m, which may collapse to a single point. At
-    the default level m lies on the level, so f(m) is evaluated once and
-    only the far crossing is solved from grad f(m) (crossings_or_degenerate
-    with grad). An explicit level is solved cold. Raises LUpImpossible when the level does
-    not lie above the current level.
+    the default level m lies on the level, so f(m) is evaluated once (after
+    (PD)'s collapse test, a value memo hit) and only the far crossing is
+    solved from grad f(m) (crossings_or_degenerate with grad). On the chord
+    line the section's chord scan, as offsets from m, brackets it and goes
+    on to the new section (line1d.find_far_crossing with scan). An explicit
+    level is solved cold. Raises LUpImpossible when the level does not lie
+    above the current level.
     """
-    m = 0.5 * (section.z + section.zp)
+    m = section.midpoint
     on_level = level is None
     if on_level:
         level = obj.value(m)
     if level <= section.level:
         raise LUpImpossible(f"level {level:.6g} does not exceed the current "
                             f"level {section.level:.6g}")
-    grad = obj.gradient(m) if on_level else None
-    return crossings_or_degenerate(obj, m, section.v, level, region, grad)
+    if not on_level:
+        return crossings_or_degenerate(obj, m, section.v, level, region)
+    return crossings_or_degenerate(obj, m, section.v, level, region,
+                                   obj.gradient(m), section.midpoint_scan)

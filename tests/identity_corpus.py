@@ -29,7 +29,8 @@ corpus is
 of the step sequence, a change of the report message (the stop rule that
 fired), a report or trace that differs only in the bits of its numbers
 (with the largest relative difference), and evaluation counts that rose;
-then the tally, with the number of solves whose count of each kind fell;
+then the tally, with the solves whose counts rose split by their final
+status and the number of solves whose count of each kind fell;
 then the summed counts and the status tally of both dumps, the summed
 counts of each dump's solves per final status (so a saving on certified
 solves shows apart from one on breakdowns), and the summed counts of the
@@ -274,6 +275,7 @@ def compare(before_path: str, after_path: str) -> int:
     tally = {"identical": 0, "bits": 0, "message": 0, "steps": 0, "outcome": 0,
              "counts rose": 0}
     fell = dict.fromkeys(COUNT_KEYS, 0)
+    rose_by_status = dict.fromkeys(STATUSES, 0)
     groups = ("all", "finite-difference Hessians", "analytic Hessians")
     totals = {side: {group: dict.fromkeys(COUNT_KEYS, 0) for group in groups}
               for side in ("before", "after")}
@@ -315,11 +317,14 @@ def compare(before_path: str, after_path: str) -> int:
         rose = _rose(old, new)
         if rose:
             tally["counts rose"] += 1
+            rose_by_status[rn["status"]] += 1
             print(f"{name}: counts rose {rose}")
         for k in COUNT_KEYS:
             fell[k] += new["counts"][k] < old["counts"][k]
+    by_final = ", ".join(f"{v} {k}" for k, v in rose_by_status.items())
     print(f"{len(before)} solves: " + ", ".join(f"{v} {k}" for k, v in tally.items())
-          + "; counts fell: " + ", ".join(f"{v} {k}" for k, v in fell.items()))
+          + f" ({by_final}); counts fell: "
+          + ", ".join(f"{v} {k}" for k, v in fell.items()))
     for side in ("before", "after"):
         print(f"summed counts {side}: {_counts(totals[side]['all'])}; "
               + ", ".join(f"{v} {k}" for k, v in statuses[side].items()))

@@ -315,12 +315,15 @@ class TestSolveDoubleWell:
         # a gradient evaluated twice at one point (the driver's endpoint
         # gradients in (PD), the line max in l-down) would add one each, and
         # so would a value asked for again at a point the value memo holds.
-        # The level raise's far crossing is finished by interpolation across
-        # Brent's last bracket, with no gradient; a Newton step there would
-        # add one. The values were 80 while the small-gradient stop read f at
-        # its candidate to compare it with the initial level, and 79 while the
-        # chord scan evaluated all 65 of its points; the gradients were 26
-        # while the chord max was polished.
+        # The level raise's far crossing is bracketed by the chord scan's
+        # table and finished by interpolation across Brent's last bracket,
+        # with no gradient; a Newton step there would add one. (PD)'s
+        # collapse test polishes the highest tabulated point. The values
+        # were 80 while the small-gradient stop read f at its candidate to
+        # compare it with the initial level, 79 while the chord scan
+        # evaluated all 65 of its points, and 51 while the level raise and
+        # the collapse test marched the chord line again; the gradients were
+        # 26 while the chord max was polished, and 21 before the table.
         well = oracles.DoubleWell(5)
         a, b = well.minima()
         report = solve(Objective(5, well.value, well.gradient), a, b)
@@ -330,7 +333,7 @@ class TestSolveDoubleWell:
         assert np.linalg.norm(report.x - well.centre) <= 1e-6
         assert [r.step for r in report.trace] == ["Init", "LUp", "LDown"]
         assert report.trace[1].gap == 0.0
-        assert report.eval_counts == {"value": 51, "gradient": 21,
+        assert report.eval_counts == {"value": 47, "gradient": 20,
                                       "hessian": 1}
 
     @pytest.mark.parametrize("n", [3, 6, 8])
@@ -484,19 +487,22 @@ class TestOneDimension:
 
 class TestSolveCost:
     @pytest.mark.parametrize("j, status, counts", [
-        (2, "SaddleFound", {"value": 66, "gradient": 10, "hessian": 4}),
+        (2, "SaddleFound", {"value": 65, "gradient": 9, "hessian": 4}),
         (3, "Breakdown", {"value": 153, "gradient": 24, "hessian": 3})],
         ids=["min0-min2", "min0-min3"])
     def test_camel_pass_value_count(self, j, status, counts):
         # Camel minima 0 -> 2, one of the benchmark's pairs: each (PD) trial
         # section starts its crossing solves from the roots its endpoint
-        # models predict. Solved without those seeds it costs 73 values (101
-        # while the chord scan evaluated all 65 of its points).
+        # models predict. Solved without those seeds it costs 72 values (73
+        # before the level raises read the chord scan's table, 101 while the
+        # chord scan evaluated all 65 of its points).
         # Minima 0 -> 3 end when their failed l-down leaves the section
         # unchanged, which the next iteration notices before repeating it.
         # The counts were 96 / 16 / 4 and 183 / 32 / 3 while the chord max
         # was polished, and the values 94 and 181 while the chord scan
-        # evaluated all 65 of its points.
+        # evaluated all 65 of its points. Minima 0 -> 2 took 66 / 10 / 4
+        # while its two level raises on the chord line marched it again
+        # instead of reading the scan's table.
         report = solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
                        np.array(oracles.CAMEL_MINIMA[j][:2]))
         assert report.status == status
@@ -614,6 +620,16 @@ class TestReportInvariants:
 
     def test_gap_nonincreasing_within_pd_av_runs(self):
         assert_gap_rule(self._solved().trace)
+
+    @pytest.mark.parametrize("j", [3, 5])
+    def test_breakdown_reports_the_last_traced_midpoint(self, j):
+        # Camel minima 0 -> 3 and 0 -> 5 end in Breakdown: the report's x
+        # is the midpoint its last trace record holds, bit for bit, since
+        # both read LineSection.midpoint.
+        report = solve(six_hump_camel(), np.array(oracles.CAMEL_MINIMA[0][:2]),
+                       np.array(oracles.CAMEL_MINIMA[j][:2]))
+        assert report.status == "Breakdown"
+        assert np.array_equal(report.x, report.trace[-1].x)
 
     def test_eval_counts_present(self):
         report = self._solved()

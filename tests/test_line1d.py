@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from mtnpass import line1d
 from mtnpass.errors import BadDirection, CrossingOutsideRegion, NoLineMax
-from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, _brent,
+from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, LineSection, _brent,
                             _level_crossing, _march, _refine_max,
                             chord_section, find_far_crossing,
                             find_level_crossings, line_local_max,
@@ -1037,3 +1037,78 @@ class TestChordSection:
                                         abs=1e-8)
         assert ends[1] == pytest.approx(min(r for r in roots if r > s_max),
                                         abs=1e-8)
+
+
+class TestScanTable:
+    """The chord section carries its scan, and the searches that read it
+    find what the marches find: the far crossing of the level raise to f
+    at the section midpoint (find_far_crossing with scan) and the line max
+    (line_local_max with scan)."""
+
+    @staticmethod
+    def _assert_table_matches_the_march(obj, a, b):
+        """Within 1e-8 on the chord of a and b, in a region whose march
+        steps are shorter than the scan step |a - b|/64."""
+        sec = chord_section(obj, a, b)
+        region = TrustRegion(0.5 * (a + b), float(np.linalg.norm(a - b)))
+        lm = line_local_max(obj, sec.x, sec.v, region, sec.scan)
+        assert lm.t == pytest.approx(
+            line_local_max(obj, sec.x, sec.v, region).t, abs=1e-8)
+        m = sec.midpoint
+        level, grad = obj.value(m), obj.gradient(m)
+        if level <= sec.level:  # no level raise from this section
+            return
+        scan = sec.midpoint_scan
+        table = find_far_crossing(obj, m, sec.v, level, region, grad, scan)
+        march = find_far_crossing(obj, m, sec.v, level, region, grad)
+        if float(grad @ sec.v) == 0.0:  # both solved cold
+            assert (table.t1, table.t2, table.line_max) == (
+                march.t1, march.t2, march.line_max)
+            assert table.scan is None
+            return
+        assert table.t1 == pytest.approx(march.t1, abs=1e-8)
+        assert table.t2 == pytest.approx(march.t2, abs=1e-8)
+        assert table.scan is scan and march.scan is None
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(humps=st.lists(st.tuples(st.floats(0.2, 2.0), st.floats(0.1, 0.9),
+                                    st.floats(4 / 64, 0.3)),
+                          min_size=1, max_size=3))
+    def test_matches_the_march_on_wide_humps(self, humps):
+        self._assert_table_matches_the_march(
+            TestChordSection._humps(humps), np.zeros(2), np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (0, 5), (1, 4), (2, 3), (3, 4),
+                                      (4, 1), (5, 0)])
+    def test_matches_the_march_on_camel(self, camel, i, j):
+        self._assert_table_matches_the_march(
+            camel, np.array(oracles.CAMEL_MINIMA[i][:2]),
+            np.array(oracles.CAMEL_MINIMA[j][:2]))
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2), (2, 0)])
+    def test_matches_the_march_on_mueller_brown(self, i, j):
+        minima = oracles.mueller_brown_polished(
+            oracles.MUELLER_BROWN_MINIMA_GUESS)
+        obj = Objective(2, oracles.mueller_brown_value,
+                        oracles.mueller_brown_gradient)
+        self._assert_table_matches_the_march(obj, minima[i], minima[j])
+
+    def test_chord_section_carries_its_grid(self, camel):
+        # Offsets from the base point along v, f there, -inf where the lazy
+        # scan did not evaluate.
+        a = np.array(oracles.CAMEL_MINIMA[0][:2])
+        b = np.array(oracles.CAMEL_MINIMA[2][:2])
+        sec = chord_section(camel, a, b)
+        offsets, values = sec.scan
+        L = np.linalg.norm(a - b)
+        grid = np.linspace(0.0, L, 65)
+        assert np.array_equal(offsets, grid - grid[int(np.argmax(values))])
+        for t, f in zip(grid, values):
+            if f != -math.inf:
+                assert f == camel.value(b + t * sec.v)
+        assert all(f > -math.inf for f in values[::2])
+
+    def test_midpoint_is_half_the_endpoint_sum(self):
+        sec = LineSection(np.array([0.1, 0.2]), np.array([0.6, 0.8]), 0.0,
+                          -0.3, 0.7)
+        assert np.array_equal(sec.midpoint, 0.5 * (sec.z + sec.zp))

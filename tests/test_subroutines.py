@@ -6,7 +6,8 @@ from mtnpass import line1d, subroutines
 from mtnpass.errors import (AvStalled, CriticalCandidate, CrossingOutsideRegion,
                             DegenerateDenominator, LUpImpossible)
 from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, LineSection,
-                            chord_section, find_level_crossings)
+                            chord_section, find_level_crossings,
+                            line_local_max)
 from mtnpass.objective import Objective, TrustRegion, six_hump_camel
 from mtnpass.pardist import closed_form_g2_quadratic
 from mtnpass.quadmodel import QuadraticObjective
@@ -33,14 +34,9 @@ def gap(sec):
     return float(np.linalg.norm(sec.z - sec.zp))
 
 
-def chord_midpoint(sec):
-    """(z + z') / 2, the point l-up raises the level at."""
-    return 0.5 * (sec.z + sec.zp)
-
-
 def l_up(sec, obj, region):
     """step_l_up to f at the segment midpoint, the driver's target level."""
-    return step_l_up(sec, obj, region, obj.value(chord_midpoint(sec)))
+    return step_l_up(sec, obj, region, obj.value(sec.midpoint))
 
 
 def recording(obj):
@@ -257,6 +253,27 @@ class TestStepPd:
             step_pd(sec, obj, TrustRegion(0.5 * (a + b), 10.0))
         assert calls["bracket"] == 0
 
+    def test_collapse_on_the_chord_line_reads_the_scan(self, monkeypatch):
+        # On the symmetric double well the level raise from the chord
+        # section gives the point section at the midpoint, on the chord
+        # line, where the endpoint denominators vanish. (PD)'s collapse test
+        # polishes the highest tabulated point of the chord scan between its
+        # neighbours, with no line-max march, and finds the march's line
+        # max within 1e-8.
+        well = oracles.DoubleWell(5)
+        a, b = well.minima()
+        obj = Objective(5, well.value, well.gradient, well.hessian)
+        region = TrustRegion(0.5 * (a + b), 10.0)
+        sec = step_l_up(chord_section(obj, a, b), obj, region)
+        assert (sec.t1, sec.t2) == (0.0, 0.0) and sec.scan is not None
+        calls = count_line_searches(monkeypatch)
+        out = step_pd(sec, obj, region)
+        assert isinstance(out, HitZero)
+        assert calls["bracket"] == 0
+        lm = line_local_max(obj, sec.x, sec.v, region)
+        assert np.allclose(out.x_prime, sec.x + lm.t * sec.v, rtol=0,
+                           atol=1e-8)
+
     def test_one_dimension_stalls_before_any_evaluation(self):
         # In one dimension v spans the space: there is no complement to move
         # the base point across, so (PD) stalls without evaluating f, and a
@@ -278,7 +295,7 @@ class TestStepPd:
             out = step_pd(sec, saddle_quadratic, origin_region)
             assert isinstance(out, LineSection)
             assert abs(out.midpoint[0]) <= 1e-10
-            assert np.linalg.norm(chord_midpoint(out)) <= 1e-10
+            assert np.linalg.norm(out.midpoint) <= 1e-10
 
 
 class TestStepAv:
@@ -437,7 +454,7 @@ class TestStepLUp:
                            origin_region)
         new = l_up(sec, camel, origin_region)
         assert new.level > -0.2
-        assert new.level == pytest.approx(camel.value(chord_midpoint(sec)))
+        assert new.level == pytest.approx(camel.value(sec.midpoint))
         # oracle: widths of the crossing segments at both levels
         old_roots = oracles.grid_crossings(oracles.camel_value, sec.midpoint,
                                            vbar, sec.level, -1.5, 1.5)
@@ -467,8 +484,8 @@ class TestStepLUp:
         new = step_l_up(sec, obj, origin_region, 0.0)
         assert new.level == 0.0
         assert gap(new) == pytest.approx(2.0, abs=1e-9)
-        assert np.allclose(chord_midpoint(new), [1.0, 0.0], atol=1e-9)
-        assert calls_at(points["gradient"], chord_midpoint(sec)) == 0
+        assert np.allclose(new.midpoint, [1.0, 0.0], atol=1e-9)
+        assert calls_at(points["gradient"], sec.midpoint) == 0
 
     def test_one_value_at_the_midpoint(self, camel, origin_region):
         # The new level is f(m), evaluated once; t = 0 is then a crossing,
@@ -477,7 +494,7 @@ class TestStepLUp:
         w, V = np.linalg.eigh(camel.hessian(np.zeros(2)))
         old = make_section(camel, np.array([0.05, 0.02]), V[:, 0], -0.2,
                            origin_region)
-        m = chord_midpoint(old)
+        m = old.midpoint
         obj, points = recording(camel)
         sec = step_l_up(old, obj, origin_region)
         assert sec.level == camel.value(m)
@@ -500,7 +517,7 @@ class TestStepLUp:
         a, b = well.minima()
         obj = Objective(5, well.value, well.gradient)
         sec = chord_section(obj, a, b)
-        m = chord_midpoint(sec)
+        m = sec.midpoint
         new = step_l_up(sec, obj, TrustRegion(0.5 * (a + b), 10.0))
         assert (new.t1, new.t2) == (0.0, 0.0)
         assert np.array_equal(new.x, m)
@@ -508,6 +525,70 @@ class TestStepLUp:
         assert np.array_equal(obj.gradient(new.z), well.gradient(m))
         assert np.array_equal(obj.gradient(new.zp), well.gradient(m))
         assert obj.eval_counts() == before
+
+
+class TestChordLineLUp:
+    """The default level raise from the chord section reads the chord
+    scan's table (LineSection.scan) for its far crossing."""
+
+    @staticmethod
+    def _chord(i, j):
+        a, b = (np.array(oracles.CAMEL_MINIMA[k][:2]) for k in (i, j))
+        return a, b, TrustRegion(0.5 * (a + b), 10.0)
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (0, 5), (1, 4), (3, 4)])
+    def test_cost_and_section(self, camel, i, j):
+        # The only gradient is grad f(m), which the small-gradient stop
+        # reads anyway. Beyond f(m) the raise evaluates at most one scan
+        # point that the lazy scan skipped, which the table then keeps, and
+        # Brent's values, each within one scan step of the far crossing.
+        # The section is the marched one within 1e-8, and it carries the
+        # scan as offsets from m, sharing its values.
+        a, b, region = self._chord(i, j)
+        sec = chord_section(camel, a, b)
+        offsets, values = sec.scan
+        skipped = np.array(values) == -np.inf
+        L = float(np.linalg.norm(a - b))
+        grid = [b + t * sec.v for t in np.linspace(0.0, L, 65)]
+        m = sec.midpoint
+        obj, points = recording(camel)
+        new = step_l_up(sec, obj, region)
+        assert len(points["gradient"]) == 1
+        assert np.array_equal(points["gradient"][0], m)
+        assert np.array_equal(points["value"][0], m)
+        rest = points["value"][1:]
+        odd = [k for k in np.flatnonzero(skipped)
+               if any(np.allclose(p, grid[k], rtol=0, atol=1e-12)
+                      for p in rest)]
+        assert len(odd) <= 1
+        assert list(np.flatnonzero(skipped & (np.array(values) > -np.inf))) \
+            == odd
+        far = new.zp if new.t2 == 0.0 else new.z
+        brent = [p for p in rest
+                 if not any(np.allclose(p, grid[k], rtol=0, atol=1e-12)
+                            for k in odd)]
+        assert all(np.linalg.norm(p - far) < L / 64 for p in brent)
+        assert new.scan[1] is values
+        assert np.array_equal(new.scan[0],
+                              np.array(offsets) - 0.5 * (sec.t1 + sec.t2))
+        march = crossings_or_degenerate(camel, m, sec.v, new.level, region,
+                                        camel.gradient(m))
+        assert march.scan is None
+        assert new.t1 == pytest.approx(march.t1, abs=1e-8)
+        assert new.t2 == pytest.approx(march.t2, abs=1e-8)
+
+    def test_only_the_default_raise_passes_the_scan_on(self, camel):
+        # A raise to a given level, Av and (PD)'s trial sections solve
+        # other lines, or the chord line cold: their sections carry no scan.
+        a, b, region = self._chord(0, 2)
+        sec = chord_section(camel, a, b)
+        up = step_l_up(sec, camel, region)
+        assert up.scan is not None
+        level = 0.5 * (sec.level + camel.value(sec.midpoint))
+        assert step_l_up(sec, camel, region, level).scan is None
+        assert step_av(sec, camel, region).scan is None
+        trial = step_pd(up, camel, region)
+        assert isinstance(trial, LineSection) and trial.scan is None
 
 
 class TestStateInvariants:

@@ -135,9 +135,19 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
     never evaluated at a or b. Inverse quadratic or secant steps are taken
     while they shrink the bracket fast enough, bisection steps otherwise
     (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
-    Returns (t, fn(t), s, fn(s)): the best point t and the other end s of
-    the final bracket, where fn has the opposite sign, once fn(t) = 0 or
-    |s - t| < xtol + _ROOT_RTOL*|t|; xtol must be positive.
+    Returns (t, fn(t), s, fn(s)) with t the best point; the root is the
+    zero of the line through the two (_interpolate). Either they are the
+    final bracket, where fn has opposite signs, once fn(t) = 0 or |s - t| <
+    2 delta, delta = (xtol + _ROOT_RTOL*|t|)/2 with xtol > 0; or, earlier,
+    s and t are the last two evaluations, both of accepted interpolation
+    steps (a bracket end, a bisection step or a minimal step of delta never
+    qualifies), and the secant step h from t to that zero finishes the
+    root: |h| < delta/4 when s and t straddle the root; when they lie on one
+    side, the error of t + h estimated from the rate at which the steps
+    last shrank, h^2/(|t + h - s| - |h|), is below delta/4 and |h| < 4
+    delta. That estimate is exact for linear convergence and too large for
+    superlinear convergence. A reader of t alone is then within about |h|
+    of the root.
     """
     if fa == 0.0:
         return a, fa, b, fb
@@ -146,7 +156,19 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
     if (fa > 0.0) == (fb > 0.0):
         raise ValueError("root is not bracketed")
     xpre, fpre, xcur, fcur = a, fa, b, fb
+    prev = last = None  # the last two evaluations while both interpolated
     while True:
+        if prev is not None and last[1] != prev[1]:
+            (s, q), (t, r) = prev, last
+            h = r * (t - s) / (q - r)
+            delta = 0.5 * (xtol + _ROOT_RTOL * abs(t))
+            if (q > 0.0) != (r > 0.0):  # s and t straddle the root
+                done = abs(h) < 0.25 * delta
+            else:  # the error of t + h, estimated as h^2/(|t + h - s| - |h|)
+                done = (abs(h) < 4.0 * delta
+                        and h * h < 0.25 * delta * (abs(t + h - s) - abs(h)))
+            if done:
+                return t, r, s, q
         if (fpre > 0.0) != (fcur > 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -158,6 +180,7 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, fcur, xblk, fblk
         step = sbis
+        interp = False
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)  # secant
@@ -168,6 +191,7 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
             if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
                 step = stry
                 spre = scur
+                interp = abs(stry) > delta
             else:
                 spre = sbis
         else:
@@ -179,6 +203,7 @@ def _brent(fn: Callable, a: float, b: float, fa: float, fb: float,
         else:
             xcur += delta if sbis > 0.0 else -delta
         fcur = fn(xcur)
+        prev, last = (last, (xcur, fcur)) if interp else (None, None)
 
 
 def _refine_max(phi: Callable, dphi: Callable, a: float, b: float, c: float) -> float:
@@ -310,8 +335,8 @@ def line_local_max(obj: Objective, x: np.ndarray, v: np.ndarray,
 def _level_crossing(phi: Callable, t_in: float, t_out: float, r_in: float,
                     r_out: float, level: float, xtol: float,
                     seed: Optional[float] = None) -> float:
-    """Root of phi - level between t_in and t_out, by Brent's method and one
-    interpolation step across its final bracket (_interpolate).
+    """Root of phi - level between t_in and t_out: the zero of the line
+    through the pair Brent's method returns (_brent, _interpolate).
 
     r_in = phi(t_in) - level > 0 >= r_out = phi(t_out) - level. A seed, a
     predicted root, that lies strictly between t_in and t_out is evaluated
@@ -332,11 +357,14 @@ def _level_crossing(phi: Callable, t_in: float, t_out: float, r_in: float,
 
 
 def _interpolate(t: float, r: float, s: float, q: float) -> float:
-    """Zero of the line through (t, r) and (s, q), the ends of a final Brent
-    bracket where the residuals r and q have opposite signs; t when r = 0.
+    """Zero of the line through (t, r) and (s, q), the pair _brent returns;
+    t when r = 0.
 
-    It evaluates nothing and stays inside the bracket, so the crossing costs
-    values only (Brent, 1973, ch. 4).
+    It evaluates nothing, so the crossing costs values only. Across a final
+    bracket, where the residuals r and q have opposite signs, it stays
+    inside the bracket; from Brent's last two interpolation steps it is the
+    secant step that finishes the root, beyond t when both lie on one side
+    of it (Brent, 1973, ch. 4).
     """
     return t if r == 0.0 else t - r * (s - t) / (q - r)
 
@@ -471,8 +499,8 @@ def find_level_crossings(obj: Objective, x: np.ndarray, v: np.ndarray,
     above the level the continued escape is raised: the component through
     the carried start reaches the bound, up to dips between two probes. When
     a check of the warm path fails the section is solved cold. Each crossing
-    is Brent's root finished by one interpolation step across its final
-    bracket (_level_crossing), to |f - level| <= ROOT_TOL; it costs values
+    is the zero of the line through the pair Brent's method returns
+    (_level_crossing), to |f - level| <= ROOT_TOL; it costs values
     only, and gradients are paid only for the dip tests of the dip-tested
     marches: the cold ones and a warm one that reached the bound.
     """
@@ -529,11 +557,12 @@ def find_far_crossing(obj: Objective, x: np.ndarray, v: np.ndarray,
     below the level, Brent's method solves the deflated residual
     (phi(t) - level)/t, whose value at t = 0 is phi'(0) and is never
     evaluated; otherwise a march restarted from (0, level) brackets it
-    outward as in find_level_crossings (_cross_outward). Each way one
-    interpolation step across Brent's final bracket finishes the root with
-    no gradient (_interpolate). A far crossing within 2*xtol of 0 gives the
-    point section at t = 0: no evaluated point rose above the level. When
-    phi'(0) = 0 the section is solved cold (find_level_crossings).
+    outward as in find_level_crossings (_cross_outward). Each way the zero
+    of the line through the pair Brent's method returns is the root, which
+    takes no gradient (_interpolate). A far crossing within 2*xtol of 0
+    gives the point section at t = 0: no evaluated point rose above the
+    level. When phi'(0) = 0 the section is solved cold
+    (find_level_crossings).
     """
     v = _check_unit(v)
     x = np.asarray(x, dtype=float)
@@ -596,7 +625,7 @@ def _scan_walk(scan: tuple, level: float, sgn: float,
 
 def _scan_crossing(phi: Callable, walk: Iterator, level: float, r0: float,
                    xtol: float, d0: float = 0.0) -> Optional[tuple]:
-    """Final bracket (t, r, s, q) of the crossing of the level nearest t = 0
+    """Brent's pair (t, r, s, q) for the crossing of the level nearest t = 0
     along a chord scan walk (_scan_walk), or None when every walked point
     lies above the level.
 
@@ -604,12 +633,11 @@ def _scan_crossing(phi: Callable, walk: Iterator, level: float, r0: float,
     closes the bracket, so a dip below the level that a walked point shows
     is not stepped over. Brent's method solves phi - level from the last
     point above the level, t = 0 included when r0 > 0, and the result is
-    its best point t, its residual r and the other end s of its final
-    bracket with residual q (_brent); when no such point exists (t = 0 on
-    the level), it solves the deflated residual (phi(t) - level)/t from
-    t = 0, whose value there is d0 = phi'(0) and is never evaluated. A
-    walked point t on the level within ROOT_TOL is itself the root,
-    returned as (t, 0, t, 0).
+    its best point t with residual r and the other point s of its pair with
+    residual q (_brent); when no such point exists (t = 0 on the level), it
+    solves the deflated residual (phi(t) - level)/t from t = 0, whose value
+    there is d0 = phi'(0) and is never evaluated. A walked point t on the
+    level within ROOT_TOL is itself the root, returned as (t, 0, t, 0).
     """
     t_in, r_in = 0.0, r0
     for t, f in walk:

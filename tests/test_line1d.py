@@ -11,7 +11,7 @@ import oracles
 from mtnpass import line1d
 from mtnpass.errors import BadDirection, CrossingOutsideRegion, NoLineMax
 from mtnpass.line1d import (CROSSING_XTOL_FRAC, ROOT_TOL, LineSection, _brent,
-                            _level_crossing, _march, _refine_max,
+                            _interpolate, _level_crossing, _march, _refine_max,
                             chord_section, find_far_crossing,
                             find_level_crossings, line_local_max,
                             line_local_min)
@@ -56,13 +56,20 @@ class TestBrent:
         (lambda x: np.cos(x) - x, 1.0, 0.0, 0.7390851332151607),
         (lambda x: np.exp(x) - 5.0, -4.0, 6.0, np.log(5.0)),
     ])
-    def test_final_bracket_straddles_the_root(self, fn, a, b, root):
-        # The other end s of the final bracket has the opposite residual
-        # sign, and |s - t| is below the stopping width xtol + rtol*|t|.
+    def test_returned_pair_finishes_the_root(self, fn, a, b, root):
+        # The secant zero of the returned pair (t, s) is the root within the
+        # stopping width xtol + rtol*|root|. A pair that straddles the root
+        # is the final bracket, narrower than the stopping width, or the
+        # last two interpolation steps, whose secant step from t is below a
+        # quarter of delta = width/2.
         t, ft, s, fs = _brent(fn, a, b, fn(a), fn(b), self.XTOL)
-        assert ft != 0.0 and (ft > 0.0) != (fs > 0.0)
-        assert min(t, s) <= root <= max(t, s)
-        assert 0.0 < abs(s - t) < self.XTOL + line1d._ROOT_RTOL * abs(t)
+        assert ft == fn(t) and fs == fn(s) and ft != 0.0
+        root_t = _interpolate(t, ft, s, fs)
+        assert abs(root_t - root) <= self.XTOL + line1d._ROOT_RTOL * abs(root)
+        width = self.XTOL + line1d._ROOT_RTOL * abs(t)
+        if (ft > 0.0) != (fs > 0.0):
+            assert min(t, s) <= root <= max(t, s)
+            assert abs(s - t) < width or abs(root_t - t) < width / 8.0
 
     def test_never_evaluates_bracket_ends(self):
         a, b = 2.0, 3.0
@@ -90,6 +97,64 @@ class TestBrent:
     def test_unbracketed_raises(self):
         with pytest.raises(ValueError):
             _brent(lambda x: x, 1.0, 2.0, 1.0, 2.0, self.XTOL)
+
+
+def _bisected_root(fn, a, b):
+    """The root of fn in [a, b], fn(a) > 0 > fn(b), bisected to the last
+    bit."""
+    while True:
+        m = 0.5 * (a + b)
+        if m in (a, b):
+            return m
+        if fn(m) > 0.0:
+            a = m
+        else:
+            b = m
+
+
+def _wiggle(t):
+    return 0.5 - t + 1e-3 * math.sin(200.0 * t)
+
+
+def _exp_step(k):
+    return lambda t: 1.0 - math.exp(k * (t - 0.5))
+
+
+def _near_double(eps):
+    return lambda t: eps - (t - 0.3) ** 2
+
+
+class TestRootAccuracy:
+    """Adversarial roots for Brent's method, each bracketed by [a, b] with
+    fn(a) > 0 > fn(b): steep and flat exponentials, the near-double roots
+    of eps - (t - 0.3)^2 bracketed from 0.3, a triple and a fifth-order
+    root, a steep arctangent step and a wiggly line. Every crossing lands
+    within the stopping width xtol + rtol*|root| of the root, Brent's best
+    point t within twice that."""
+
+    ROWS = (
+        [pytest.param(_exp_step(k), 0.0, 1.0, 0.5, id=f"exp-{k}")
+         for k in (1, 10, 100, 1000)]
+        + [pytest.param(_near_double(10.0 ** -e), 0.3, 1.0,
+                        0.3 + math.sqrt(10.0 ** -e), id=f"square-1e-{e}")
+           for e in range(2, 11)]
+        + [pytest.param(lambda t: -(t - 0.7) ** 3, 0.0, 1.0, 0.7, id="cube"),
+           pytest.param(lambda t: -(t - 0.7) ** 5, 0.0, 1.0, 0.7, id="fifth"),
+           pytest.param(lambda t: -math.atan(1e4 * (t - 0.123456)), 0.0, 1.0,
+                        0.123456, id="atan"),
+           pytest.param(_wiggle, 0.0, 1.0, _bisected_root(_wiggle, 0.0, 1.0),
+                        id="wiggle")])
+
+    @pytest.mark.parametrize("xtol", [1e-9, 1e-11, 1e-13])
+    @pytest.mark.parametrize("fn, a, b, root", ROWS)
+    def test_crossing_lands_within_the_stopping_width(self, fn, a, b, root,
+                                                      xtol):
+        width = xtol + line1d._ROOT_RTOL * abs(root)
+        t = _level_crossing(fn, a, b, fn(a), fn(b), 0.0, xtol)
+        assert abs(t - root) <= width
+        pair = _brent(fn, a, b, fn(a), fn(b), xtol)
+        assert abs(_interpolate(*pair) - root) <= width
+        assert abs(pair[0] - root) <= 2.0 * width
 
 
 class TestMarch:
@@ -292,8 +357,10 @@ class TestFindLevelCrossings:
     def test_quadratic_eval_counts(self, saddle_quadratic, origin_region):
         find_level_crossings(saddle_quadratic, np.array([1.0, 0.0]), E2, -0.5,
                              origin_region)
+        # 23 values while Brent's method ran until its bracket was narrower
+        # than the tolerance.
         assert saddle_quadratic.eval_counts() == \
-            {"value": 23, "gradient": 8, "hessian": 0}
+            {"value": 21, "gradient": 8, "hessian": 0}
 
     def test_camel_eval_counts(self, camel, origin_region):
         vbar = np.linalg.eigh(oracles.camel_hessian(np.zeros(2)))[1][:, 0]
